@@ -1,10 +1,7 @@
-"""Hot numerical kernels.
+"""Hot numerical kernels: the dense simplex and the transportation simplex.
 
-Both kernels are written in a restricted numpy style that numba's ``njit``
-compiles as-is; with JIT disabled (``WDBOUNDS_JIT=0``) the identical source
-runs as plain numpy.  The loops over tableau *rows* stay explicit (row
-counts are small), while everything proportional to the column count is
-vectorized, so the fallback path remains usable.
+The loops over tableau *rows* stay explicit (row counts are small), while
+everything proportional to the column count is vectorized.
 
 Status codes shared by both kernels:
 
@@ -17,14 +14,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._jit import njit
-
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
 STATUS_ITER_LIMIT = 2
 
 
-@njit(cache=True)
+def pivot(T, row, col):
+    """Gauss-Jordan pivot of the tableau ``T`` on entry ``(row, col)``, in place."""
+    T[row, :] /= T[row, col]
+    c = T[:, col].copy()
+    c[row] = 0.0
+    T -= np.outer(c, T[row, :])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+
+
 def simplex_loop(T, basis, at_upper, ub, can_enter, dantzig_cap, max_iter, tol):
     """Bounded-variable primal simplex iterations on a dense tableau.
 
@@ -100,37 +104,25 @@ def simplex_loop(T, basis, at_upper, ub, can_enter, dantzig_cap, max_iter, tol):
         # --- update ----------------------------------------------------
         if leave_kind == 0:
             # entering variable jumps to its upper bound: substitute x = ub - x'
-            ubj = ub[jstar]
-            for i in range(m + 1):
-                T[i, ncols] -= ubj * T[i, jstar]
-                T[i, jstar] = -T[i, jstar]
+            T[:, ncols] -= ub[jstar] * T[:, jstar]
+            T[:, jstar] = -T[:, jstar]
             at_upper[jstar] = not at_upper[jstar]
         else:
             if leave_kind == 2:
                 # leaving basic variable exits at its upper bound: flip its
                 # column first, then restore the +1 unit coefficient
                 jb = basis[leave_row - 1]
-                ubb = ub[jb]
-                for i in range(m + 1):
-                    T[i, ncols] -= ubb * T[i, jb]
-                    T[i, jb] = -T[i, jb]
-                for i in range(ncols + 1):
-                    T[leave_row, i] = -T[leave_row, i]
+                T[:, ncols] -= ub[jb] * T[:, jb]
+                T[:, jb] = -T[:, jb]
+                T[leave_row, :] = -T[leave_row, :]
                 at_upper[jb] = not at_upper[jb]
-            piv = T[leave_row, jstar]
-            T[leave_row, :] /= piv
-            col = T[:, jstar].copy()
-            col[leave_row] = 0.0
-            T -= np.outer(col, T[leave_row, :])
-            T[:, jstar] = 0.0
-            T[leave_row, jstar] = 1.0
+            pivot(T, leave_row, jstar)
             in_basis[basis[leave_row - 1]] = False
             in_basis[jstar] = True
             basis[leave_row - 1] = jstar
         it += 1
 
 
-@njit(cache=True)
 def transport_loop(cost, p, q, tol, max_iter):
     """Transportation simplex: north-west-corner start plus MODI pivoting.
 

@@ -174,14 +174,18 @@ def bound_linear_K(inputs: BoundInputs, t_grid: np.ndarray) -> np.ndarray:
 def bound_exponential(
     inputs: BoundInputs, t_grid: np.ndarray, rate: str = "k_min"
 ) -> np.ndarray:
-    """Exponential bound from ``dW/dt <= B - rate * W``."""
+    """Exponential bound from ``dW/dt <= B - rate * W``.
+
+    Written as ``W0 e^{-rate t} + B (1 - e^{-rate t}) / rate`` with ``expm1``,
+    so a rate at rounding level (``|rate| ~ 1e-16`` on a flat chain) gives the
+    linear limit instead of cancelling ``B / rate`` against itself.
+    """
     t = _check_grid(t_grid)
     kap = inputs.rate(rate)
     b = inputs.defect_norm
     if kap == 0.0:
         return inputs.w0 + b * t
-    c = b / kap
-    return (inputs.w0 - c) * np.exp(-kap * t) + c
+    return inputs.w0 * np.exp(-kap * t) - b * np.expm1(-kap * t) / kap
 
 
 def _adaptive_interval(g, a: float, b: float, fa: float, fb: float, h0: float) -> float:

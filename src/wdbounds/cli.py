@@ -484,7 +484,7 @@ def _cmd_curvature(args) -> int:
         pairs = (r, s)
 
     lines = [
-        _metadata_line(args, "curvature", ["pairs", "margin", "k_only", "method"]),
+        _metadata_line(args, "curvature", ["pairs", "margin", "k_only"]),
         "name,r,s,k,kappa",
     ]
     if model.gen is not None:
@@ -494,7 +494,6 @@ def _cmd_curvature(args) -> int:
             pairs=pairs,
             margin=args.margin,
             k_only=args.k_only,
-            method=args.method,
         )
         for pc in report.pairs:
             kap = "" if pc.kappa is None else _fmt(pc.kappa)
@@ -632,8 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(curv)
     curv.add_argument("--pairs", default="min", help="'all', 'min' or 'r,s'")
     curv.add_argument("--margin", type=float, default=None, help="prefilter margin")
-    curv.add_argument("--k-only", action="store_true", help="skip all curvature LPs")
-    curv.add_argument("--method", choices=["dual", "direct"], default="dual", help="LP encoding")
+    curv.add_argument("--k-only", action="store_true", help="skip all exact curvature solves")
     curv.set_defaults(func=_cmd_curvature)
 
     bnd = subs.add_parser("bounds", help="certified error-bound curves")

@@ -3,19 +3,24 @@
 For a CTMC with generator ``Q`` and metric ``d``, the curvature of a pair
 ``(r, s)`` is ``kappa(r,s) = -V(r,s) / d(r,s)`` where
 
-    V(r,s) = max (Q_r - Q_s) . f   over 0 <= f <= d_max, f 1-Lipschitz,
-                                         f(r) - f(s) = d(r,s),
+    V(r,s) = max (Q_r - Q_s) . f   over 1-Lipschitz f with f(r) - f(s) = d(r,s),
 
-the one-sided derivative at ``t=0`` of ``t -> W1(delta_r e^{tQ}, delta_s e^{tQ})``
-divided by ``-d(r,s)``.  For a DTMC, ``kappa(r,s) = 1 - W1(P_r, P_s)/d(r,s)``.
+the one-sided derivative at ``t=0`` of ``t -> W1(delta_r e^{tQ}, delta_s e^{tQ})``.
+For a DTMC, ``kappa(r,s) = 1 - W1(P_r, P_s)/d(r,s)``.
 
-Two LP encodings are available for ``V``:
+Both are solved as small transport problems on supports, in the local form
+of Ollivier (JFA 2009) and Muench & Wojciechowski (Adv. Math. 2019).  The
+pin ``f(r) - f(s) = d(r,s)`` acts as one extra arc ``s -> r`` of cost
+``-d(r,s)``; closing ``d`` under it gives
 
-* ``method="direct"`` - the definition above with one Lipschitz row per
-  ordered pair (``n^2`` rows over ``n`` variables);
-* ``method="dual"`` (default) - the LP dual of the definition, with one row
-  per *state* and one variable per ordered pair, which is far cheaper for
-  all-pairs sweeps on larger spaces.
+    c'(a, b) = min(d(a, b), d(a, s) - d(r, s) + d(r, b)),
+
+and ``V(r,s)`` is the cost of transporting ``(Q_r - Q_s)+`` onto
+``(Q_r - Q_s)-`` under ``c'``, on the two supports, which lie in the
+neighbourhoods of ``r`` and ``s``.  The DTMC curvature transports
+``(P_r - P_s)+`` onto ``(P_r - P_s)-`` under ``d``.  The dense LP remains
+only for :func:`wasserstein_derivative`, whose pinned Danskin problem has no
+transport structure.
 
 ``k_lower`` is the closed-form lower bound ``k(r,s) <= kappa(r,s)`` obtained
 from the feasible potentials ``min(d(x,r), d(x,s))``-shaped candidates; it
@@ -37,7 +42,7 @@ from .errors import DimensionMismatch, NumericalFailure, SamePair, SingleState
 from .lp import LinearProgram, LpStatus, solve
 from .markov import Generator, ProbVec, TransitionMatrix
 from .metric import Metric
-from .transport import wasserstein
+from .transport import _signed_ot, wasserstein, wasserstein_signed
 
 __all__ = [
     "kappa_ctmc",
@@ -61,8 +66,6 @@ __all__ = [
 #: value is vertex-exact, so the slack only needs to absorb float rounding;
 #: any looseness here biases the stage-2 maximum proportionally.
 DERIVATIVE_PIN_SLACK = 1e-9
-#: All-pairs sweeps above this state count must be forced explicitly.
-ALL_PAIRS_GATE = 200
 
 
 def _check_pair(n: int, r: int, s: int) -> None:
@@ -74,42 +77,17 @@ def _check_pair(n: int, r: int, s: int) -> None:
 
 
 def _lipschitz_value(
-    obj: np.ndarray,
-    metric: Metric,
-    pin: np.ndarray,
-    lo: float,
-    hi: float,
-    method: str,
+    obj: np.ndarray, metric: Metric, pin: np.ndarray, lo: float, hi: float
 ) -> float:
     """``max obj . f`` over ``{0 <= f <= d_max, 1-Lipschitz, lo <= pin.f <= hi}``.
 
     The feasible set always contains ``f = min(d(., x) ...)``-type potentials,
-    and is compact, so the value is finite.  ``method="dual"`` solves the LP
-    dual (rows indexed by states), ``method="direct"`` the definition.
+    and is compact, so the value is finite.  Solved as the LP dual, with one
+    row per state and one variable per ordered pair.
     """
     d = metric.dist
     n = metric.n
     dmax = metric.d_max
-    if method == "direct":
-        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        a_ub = np.zeros((len(pairs) + 2, n))
-        b_ub = np.empty(len(pairs) + 2)
-        for row, (a, b) in enumerate(pairs):
-            a_ub[row, a] = 1.0
-            a_ub[row, b] = -1.0
-            b_ub[row] = d[a, b]
-        a_ub[len(pairs)] = pin
-        b_ub[len(pairs)] = hi
-        a_ub[len(pairs) + 1] = -pin
-        b_ub[len(pairs) + 1] = -lo
-        sol = solve(LinearProgram(c=obj, a_ub=a_ub, b_ub=b_ub, upper=np.full(n, dmax)))
-        if sol.status != LpStatus.OPTIMAL:
-            raise NumericalFailure(f"Lipschitz LP ended with status {sol.status.value}")
-        return float(sol.value)
-
-    if method != "dual":
-        raise ValueError(f"unknown method {method!r}; expected 'dual' or 'direct'")
-
     # Dual variables: gamma_ab >= 0 per ordered pair (a != b), mu+ >= 0 for
     # the row pin.f <= hi, mu- >= 0 for -pin.f <= -lo, beta_a >= 0 for the
     # upper box f <= d_max.  One >=-constraint per state a:
@@ -138,18 +116,20 @@ def _lipschitz_value(
     return -float(sol.value)
 
 
-def kappa_ctmc(gen: Generator, metric: Metric, r: int, s: int, method: str = "dual") -> float:
+def kappa_ctmc(gen: Generator, metric: Metric, r: int, s: int) -> float:
     """Exact coarse Ricci curvature of the pair ``(r, s)`` of a CTMC."""
     if gen.n != metric.n:
         raise DimensionMismatch(f"generator on {gen.n} states, metric on {metric.n}")
     _check_pair(gen.n, r, s)
+    d = metric.dist
+    i, j = r - 1, s - 1
     drs = metric.d(r, s)
-    obj = gen.row(r) - gen.row(s)
-    pin = np.zeros(gen.n)
-    pin[r - 1] = 1.0
-    pin[s - 1] = -1.0
-    v = _lipschitz_value(obj, metric, pin, drs, drs, method)
-    return -v / drs
+
+    def closed_cost(rows, cols):  # c'(a, b) on supp(obj+) x supp(obj-)
+        via_pin = d[rows, j][:, None] - drs + d[i, cols][None, :]
+        return np.minimum(d[np.ix_(rows, cols)], via_pin)
+
+    return -_signed_ot(gen.row(r) - gen.row(s), closed_cost) / drs
 
 
 def kappa_dtmc(pmat: TransitionMatrix, metric: Metric, r: int, s: int) -> float:
@@ -157,8 +137,7 @@ def kappa_dtmc(pmat: TransitionMatrix, metric: Metric, r: int, s: int) -> float:
     if pmat.n != metric.n:
         raise DimensionMismatch(f"transition matrix on {pmat.n} states, metric on {metric.n}")
     _check_pair(pmat.n, r, s)
-    w, _, _ = wasserstein(ProbVec(pmat.row(r)), ProbVec(pmat.row(s)), metric)
-    return 1.0 - w / metric.d(r, s)
+    return 1.0 - wasserstein_signed(pmat.row(r) - pmat.row(s), metric) / metric.d(r, s)
 
 
 def k_lower(gen: Generator, metric: Metric, r: int, s: int) -> float:
@@ -223,6 +202,7 @@ class KappaMinStrategy:
     margin: float
     threshold: float  # pairs with k below this were solved exactly
     pairs_solved: tuple[tuple[int, int], ...]
+    kappa_solved: tuple[float, ...]  # exact kappa of each pair in pairs_solved
     pairs_total: int
     seconds: float
 
@@ -231,7 +211,6 @@ def kappa_min(
     gen: Generator,
     metric: Metric,
     margin: float | None = None,
-    method: str = "dual",
 ) -> tuple[float, KappaMinStrategy]:
     """Exact minimum curvature over all pairs, via the k-prefilter.
 
@@ -252,57 +231,44 @@ def kappa_min(
     kvals = np.minimum(kmat[iu], kmat.T[iu])  # k is symmetric; belt and braces
     order = int(np.argmin(kvals))
     r0, s0 = int(iu[0][order]) + 1, int(iu[1][order]) + 1
-    tau = kappa_ctmc(gen, metric, r0, s0, method=method)
+    tau = kappa_ctmc(gen, metric, r0, s0)
     if margin is None:
         margin = 0.01 * (1.0 + abs(tau))
     threshold = tau + margin
-    best = tau
     solved = [(r0, s0)]
+    values = [tau]
     for idx in range(kvals.size):
         r, s = int(iu[0][idx]) + 1, int(iu[1][idx]) + 1
         if (r, s) == (r0, s0) or kvals[idx] >= threshold:
             continue
-        val = kappa_ctmc(gen, metric, r, s, method=method)
         solved.append((r, s))
-        if val < best:
-            best = val
+        values.append(kappa_ctmc(gen, metric, r, s))
     strategy = KappaMinStrategy(
         tau=tau,
         margin=float(margin),
         threshold=float(threshold),
         pairs_solved=tuple(solved),
+        kappa_solved=tuple(values),
         pairs_total=kvals.size,
         seconds=time.perf_counter() - start,
     )
-    return best, strategy
+    return min(values), strategy
 
 
-def kappa_all_pairs(
-    gen: Generator, metric: Metric, method: str = "dual", force: bool = False
-) -> np.ndarray:
-    """Exact curvature for every pair (``nan`` diagonal).
-
-    Quadratically many LPs; spaces beyond 200 states require ``force=True``.
-    """
+def kappa_all_pairs(gen: Generator, metric: Metric) -> np.ndarray:
+    """Exact curvature for every pair (``nan`` diagonal)."""
     n = gen.n
     if n < 2:
         raise SingleState()
-    if n > ALL_PAIRS_GATE and not force:
-        raise ValueError(
-            f"all-pairs curvature on {n} states solves {n * (n - 1) // 2} LPs; "
-            "pass force=True to insist, or use kappa_min for the minimum"
-        )
     out = np.full((n, n), np.nan)
     for r in range(1, n + 1):
         for s in range(r + 1, n + 1):
-            val = kappa_ctmc(gen, metric, r, s, method=method)
+            val = kappa_ctmc(gen, metric, r, s)
             out[r - 1, s - 1] = out[s - 1, r - 1] = val
     return out
 
 
-def wasserstein_derivative(
-    p: ProbVec, q: ProbVec, gen: Generator, metric: Metric, method: str = "dual"
-) -> float:
+def wasserstein_derivative(p: ProbVec, q: ProbVec, gen: Generator, metric: Metric) -> float:
     """Right derivative at ``t=0`` of ``t -> W1(p e^{tQ}, q e^{tQ})``.
 
     Danskin's rule: the derivative is ``max (p - q) . (Q f)`` over the set of
@@ -315,9 +281,7 @@ def wasserstein_derivative(
     w, _, _ = wasserstein(p, q, metric)
     diff = p.p - q.p
     obj = diff @ gen.q
-    return _lipschitz_value(
-        obj, metric, diff, w - DERIVATIVE_PIN_SLACK, w + DERIVATIVE_PIN_SLACK, method
-    )
+    return _lipschitz_value(obj, metric, diff, w - DERIVATIVE_PIN_SLACK, w + DERIVATIVE_PIN_SLACK)
 
 
 @dataclass(frozen=True)
@@ -345,7 +309,6 @@ def curvature_report(
     pairs: str | tuple[int, int] = "min",
     margin: float | None = None,
     k_only: bool = False,
-    method: str = "dual",
 ) -> CurvatureReport:
     """Assemble pairwise and summary curvature data (used by the CLI).
 
@@ -362,20 +325,19 @@ def curvature_report(
         _check_pair(gen.n, pairs[0], pairs[1])
         selected = [tuple(sorted(pairs))]
         if not k_only:
-            kappa_vals[selected[0]] = kappa_ctmc(gen, metric, *selected[0], method=method)
+            kappa_vals[selected[0]] = kappa_ctmc(gen, metric, *selected[0])
     elif pairs == "all":
         selected = [(r, s) for r in range(1, gen.n + 1) for s in range(r + 1, gen.n + 1)]
         if not k_only:
-            full = kappa_all_pairs(gen, metric, method=method)
+            full = kappa_all_pairs(gen, metric)
             for r, s in selected:
                 kappa_vals[(r, s)] = float(full[r - 1, s - 1])
             kap_min = float(np.nanmin(full))
     elif pairs == "min":
         selected = [(r, s) for r in range(1, gen.n + 1) for s in range(r + 1, gen.n + 1)]
         if not k_only:
-            kap_min, strategy = kappa_min(gen, metric, margin=margin, method=method)
-            for r, s in strategy.pairs_solved:
-                kappa_vals[tuple(sorted((r, s)))] = kappa_ctmc(gen, metric, r, s, method=method)
+            kap_min, strategy = kappa_min(gen, metric, margin=margin)
+            kappa_vals.update(zip(strategy.pairs_solved, strategy.kappa_solved))
     else:
         raise ValueError(f"pairs must be 'all', 'min' or an (r, s) tuple, got {pairs!r}")
     rows = tuple(

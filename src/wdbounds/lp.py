@@ -105,16 +105,6 @@ class LpSolution:
     _n_ub: int = field(default=0, repr=False)
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    piv = T[row, col]
-    T[row, :] /= piv
-    c = T[:, col].copy()
-    c[row] = 0.0
-    T -= np.outer(c, T[row, :])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-
-
 def solve(lp: LinearProgram, tol: float = _PIVOT_TOL, max_iter: int | None = None) -> LpSolution:
     """Solve ``lp``; never raises for infeasible/unbounded inputs.
 
@@ -256,7 +246,7 @@ def solve(lp: LinearProgram, tol: float = _PIVOT_TOL, max_iter: int | None = Non
                 row = full[i + 1, :ncols]
                 cand = np.where(~is_art & (np.abs(row) > 1e-7))[0]
                 if cand.size:
-                    _pivot(full, i + 1, int(cand[0]))
+                    _kernels.pivot(full, i + 1, int(cand[0]))
                     basis[i] = int(cand[0])
                 else:
                     full[i + 1, ncols] = 0.0  # redundant row

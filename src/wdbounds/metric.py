@@ -38,7 +38,7 @@ __all__ = [
     "product_metric",
 ]
 
-#: Slack allowed when checking the triangle inequality.
+#: Slack allowed when checking the triangle inequality, relative to ``d_max``.
 TRIANGLE_TOL = 1e-9
 
 
@@ -76,8 +76,9 @@ def validate_metric(dist: np.ndarray | Sequence[Sequence[float]], tol: float = T
     AsymmetricMatrix, NegativeDistance, NonzeroDiagonal, ZeroOffDiagonal,
     TriangleViolation
         Each names the offending 1-based indices.  The triangle check
-        allows an absolute slack of ``tol`` so metrics assembled from
-        floating-point arithmetic (shortest paths, products) pass.
+        allows a slack of ``tol * d_max`` so metrics assembled from
+        floating-point arithmetic (shortest paths, products) pass at any
+        scale of the distances.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -107,13 +108,14 @@ def validate_metric(dist: np.ndarray | Sequence[Sequence[float]], tol: float = T
         r, s = np.argwhere(zero_off)[0]
         raise ZeroOffDiagonal(int(r) + 1, int(s) + 1)
 
-    # Triangle inequality: d(r,u) <= d(r,s) + d(s,u) + tol for all r, s, u.
-    # One pass per intermediate state keeps memory at O(n^2).
+    # Triangle inequality: d(r,u) <= d(r,s) + d(s,u) + tol * d_max for all
+    # r, s, u.  One pass per intermediate state keeps memory at O(n^2).
+    slack = tol * float(d.max())
     for s in range(n):
         excess = d - (d[:, s : s + 1] + d[s : s + 1, :])
         k = int(np.argmax(excess))
         r, u = divmod(k, n)
-        if excess[r, u] > tol:
+        if excess[r, u] > slack:
             raise TriangleViolation(r + 1, s + 1, u + 1, float(excess[r, u]))
 
     return Metric(d)

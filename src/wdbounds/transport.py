@@ -16,7 +16,9 @@ objective value as the primal cost, and it is shifted so its minimum is
 
 Signed variants measure rows of generator-like matrices: a vector ``v``
 with ``sum(v) = 0`` has ``W(v) = W1(v+, v-)``, the cost of moving its
-positive part onto its negative part.
+positive part onto its negative part.  They run the same transportation
+simplex on ``supp(v+) x supp(v-)`` only, which is also the route of the
+curvature solvers in :mod:`wdbounds.curvature`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ MARGINAL_TOL = 1e-8
 GAP_TOL = 1e-7
 #: Coupling entries below this threshold are treated as zero in support logic.
 SUPPORT_TOL = 1e-10
+#: Signed transport: allowed primal/dual gap per unit of ``max|cost| * mass``.
+SIGNED_GAP_REL = 1e-9
+#: A signed vector sums to zero when ``|sum| <= ZERO_SUM_REL * max(1, |v|_1)``.
+ZERO_SUM_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,7 @@ class SignedRow:
     def __post_init__(self) -> None:
         v = np.ascontiguousarray(self.v, dtype=float)
         total = float(v.sum())
-        if abs(total) > 1e-9:
+        if abs(total) > ZERO_SUM_REL * max(1.0, float(np.abs(v).sum())):
             raise RowSumNotZero(self.index, total)
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
@@ -145,41 +151,38 @@ class WassersteinResult(NamedTuple):
     potential: Potential
 
 
-def _ot(p: np.ndarray, q: np.ndarray, metric: Metric, method: str):
+def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, method: str = "transport"):
     """Optimal transport between nonnegative vectors of equal total mass.
 
-    Returns ``(value, gamma, f)`` with ``f`` the double-c-transformed row
-    potential, shifted to minimum 0.
+    ``cost`` is the ``(p.size, q.size)`` block of transport costs; it may be
+    negative.  Returns ``(value, gamma, u)`` with ``u`` the row duals.  The
+    kernel's pricing tolerance is relative to ``max |cost|``, so rescaling the
+    costs rescales the answer without changing the pivots.
     """
-    d = metric.dist
-    n = metric.n
+    nr, nc = cost.shape
     if method == "transport":
-        status, gamma, u, v, _ = _kernels.transport_loop(
-            d, np.ascontiguousarray(p), np.ascontiguousarray(q), 1e-11, 200 * (2 * n) + 2000
+        tol = 1e-11 * float(np.abs(cost).max())
+        status, gamma, u, _, _ = _kernels.transport_loop(
+            cost, np.ascontiguousarray(p), np.ascontiguousarray(q), tol, 200 * (nr + nc) + 2000
         )
-        if status != _kernels.STATUS_OPTIMAL:
-            method = "lp"  # degenerate pivoting stalled; the generic route is Bland-guarded
-        else:
-            f = _potential_from_row_duals(u, metric)
-            value = float(np.sum(gamma * d))
-            return value, gamma, f
+        if status == _kernels.STATUS_OPTIMAL:
+            return float(np.sum(gamma * cost)), gamma, u
+        method = "lp"  # degenerate pivoting stalled; the generic route is Bland-guarded
     if method != "lp":
         raise ValueError(f"unknown method {method!r}; expected 'transport' or 'lp'")
 
-    # generic route: minimize <d, gamma> over the coupling polytope
-    a_eq = np.zeros((2 * n, n * n))
-    for r in range(n):
-        a_eq[r, r * n : (r + 1) * n] = 1.0
-        a_eq[n + r, r::n] = 1.0
+    # generic route: minimize <cost, gamma> over the coupling polytope
+    a_eq = np.zeros((nr + nc, nr * nc))
+    for r in range(nr):
+        a_eq[r, r * nc : (r + 1) * nc] = 1.0
+    for s in range(nc):
+        a_eq[nr + s, s::nc] = 1.0
     b_eq = np.concatenate([p, q])
-    sol = solve(LinearProgram(c=-d.ravel(), a_eq=a_eq, b_eq=b_eq))
+    sol = solve(LinearProgram(c=-cost.ravel(), a_eq=a_eq, b_eq=b_eq))
     if sol.status != LpStatus.OPTIMAL:
         raise NumericalFailure(f"transport LP ended with status {sol.status.value}")
-    gamma = sol.x.reshape(n, n)
-    u = -sol.duals[:n]
-    f = _potential_from_row_duals(u, metric)
-    value = float(np.sum(gamma * d))
-    return value, gamma, f
+    gamma = sol.x.reshape(nr, nc)
+    return float(np.sum(gamma * cost)), gamma, -sol.duals[:nr]
 
 
 def _potential_from_row_duals(u: np.ndarray, metric: Metric) -> np.ndarray:
@@ -188,6 +191,33 @@ def _potential_from_row_duals(u: np.ndarray, metric: Metric) -> np.ndarray:
     vbar = np.min(d - u[:, None], axis=0)
     f = np.min(d - vbar[None, :], axis=1)
     return f - f.min()
+
+
+def _signed_ot(v: np.ndarray, cost) -> float:
+    """Transport cost of a zero-sum vector's positive part onto its negative part.
+
+    Only the supports are solved: ``cost(rows, cols)`` returns the cost block
+    for the 0-based state indices ``rows = supp(v+)`` and ``cols = supp(v-)``.
+    Every nonzero entry counts, however small.  The value is certified by a
+    feasible dual (the c-transform of the row duals); a primal/dual gap above
+    ``SIGNED_GAP_REL * max|cost| * mass`` raises :class:`NumericalFailure`.
+    """
+    rows = np.flatnonzero(v > 0)
+    cols = np.flatnonzero(v < 0)
+    if rows.size == 0 or cols.size == 0:
+        return 0.0  # the vector is zero up to rounding
+    pos = v[rows]
+    neg = -v[cols]
+    mass = float(pos.sum())
+    # rebalance the rounding mismatch so the kernel sees equal masses
+    neg = neg * (mass / float(neg.sum()))
+    c = np.ascontiguousarray(cost(rows, cols), dtype=float)
+    value, _, u = _ot(pos, neg, c)
+    dual = float(pos @ u + neg @ np.min(c - u[:, None], axis=0))
+    gap = value - dual
+    if abs(gap) > SIGNED_GAP_REL * float(np.abs(c).max()) * mass:
+        raise NumericalFailure(f"signed transport primal/dual gap {gap:.3g} on mass {mass:.3g}")
+    return value
 
 
 def wasserstein(
@@ -203,7 +233,8 @@ def wasserstein(
         raise DimensionMismatch(
             f"distributions on {p.n} and {q.n} states with a {metric.n}-state metric"
         )
-    value, gamma, f = _ot(p.p, q.p, metric, method)
+    value, gamma, u = _ot(p.p, q.p, metric.dist, method)
+    f = _potential_from_row_duals(u, metric)
     gap = abs(float((p.p - q.p) @ f) - value)
     if gap > GAP_TOL:
         raise NumericalFailure(f"primal/dual gap {gap:.3g} exceeds {GAP_TOL}")
@@ -213,23 +244,14 @@ def wasserstein(
 
 def wasserstein_signed(row: SignedRow | np.ndarray, metric: Metric) -> float:
     """W of a zero-sum signed vector: the cost of moving its positive part
-    onto its negative part."""
+    onto its negative part, solved on the two supports only."""
     if not isinstance(row, SignedRow):
         row = SignedRow(np.asarray(row, dtype=float))
     v = row.v
     if v.size != metric.n:
         raise DimensionMismatch(f"row has {v.size} entries for a {metric.n}-state metric")
-    pos = np.where(v > 0, v, 0.0)
-    neg = np.where(v < 0, -v, 0.0)
-    mass = float(pos.sum())
-    neg_mass = float(neg.sum())
-    if mass <= 1e-15 or neg_mass <= 1e-15:
-        # one side is numerically empty; the row is zero up to rounding
-        return 0.0
-    # rebalance the tiny rounding mismatch so the kernel sees equal masses
-    neg *= mass / neg_mass
-    value, _, _ = _ot(pos, neg, metric, "transport")
-    return value
+    d = metric.dist
+    return _signed_ot(v, lambda rows, cols: d[np.ix_(rows, cols)])
 
 
 def row_wasserstein_vector(mat: np.ndarray, metric: Metric) -> np.ndarray:
@@ -258,7 +280,8 @@ def wasserstein_matrix_norm(mat: np.ndarray, metric: Metric) -> float:
         )
     if mat.shape[0] == 0:
         return 0.0
-    if np.abs(mat.sum(axis=1)).max() > 1e-9:
+    sums = np.abs(mat.sum(axis=1))
+    if (sums > ZERO_SUM_REL * np.maximum(1.0, np.abs(mat).sum(axis=1))).any():
         return math.inf
     return float(max(wasserstein_signed(row, metric) for row in mat))
 

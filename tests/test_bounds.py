@@ -268,6 +268,17 @@ def test_defect_vectors_ctmc_and_dtmc() -> None:
         defect_dtmc(pmat, metric, agg)
 
 
+def test_defect_scales_with_the_rates() -> None:
+    part = Partition(((1, 2, 3), (4, 5), (6, 7, 8)))
+    for seed in range(6):
+        gen, metric, _ = random_instance(8, seed, metric_kind=("line", "graph")[seed % 2])
+        v, norm = defect(gen, metric, partition_aggregation_ctmc(gen, part))
+        fast = Generator(gen.q * 1e6)
+        v6, norm6 = defect(fast, metric, partition_aggregation_ctmc(fast, part))
+        np.testing.assert_allclose(v6, 1e6 * v, rtol=1e-9, err_msg=f"seed {seed}")
+        assert norm6 == pytest.approx(1e6 * norm, rel=1e-9)
+
+
 def test_dtmc_bound_sequence_recurrence() -> None:
     # W_{k+1} = pi_k . v + (1 - kappa_P) W_k, checked by hand for two steps.
     pi_seq = np.array([[1.0, 0.0], [0.5, 0.5]])
@@ -353,11 +364,15 @@ def test_hybrid_and_exponential_edge_cases() -> None:
         w0=0.0, defect_vector=np.zeros(1), defect_norm=0.0, k_min=-2.0, K=3.0, d_max=5.0
     )
     np.testing.assert_allclose(bound_hybrid(null, t_grid), 0.0, atol=1e-15)
-    # kappa = 0 degenerates the exponential bound to W0 + B t.
-    flat = BoundInputs(
-        w0=1.0, defect_vector=np.array([2.0]), defect_norm=2.0, k_min=0.0, K=1.0, d_max=9.0
-    )
-    np.testing.assert_allclose(bound_exponential(flat, t_grid), 1.0 + 2.0 * t_grid, atol=1e-12)
+    # kappa = 0 degenerates the exponential bound to W0 + B t, and so does a
+    # rate at rounding level (what a flat chain's kappa_min comes out as).
+    for rate in (0.0, 1e-16, -1e-16):
+        flat = BoundInputs(
+            w0=1.0, defect_vector=np.array([2.0]), defect_norm=2.0, k_min=rate, K=1.0, d_max=9.0
+        )
+        np.testing.assert_allclose(
+            bound_exponential(flat, t_grid), 1.0 + 2.0 * t_grid, atol=1e-12
+        )
 
 
 def test_compute_bound_curve_interface(toy) -> None:

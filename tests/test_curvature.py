@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import wdbounds.curvature as curvature_mod
+import wdbounds.transport as transport_mod
+from wdbounds.aggregation import Partition, partition_aggregation_ctmc
+from wdbounds.bounds import defect
 from wdbounds.curvature import (
+    DERIVATIVE_PIN_SLACK,
     K_global,
     K_local,
     curvature_report,
@@ -16,12 +21,13 @@ from wdbounds.curvature import (
     kappa_ctmc,
     kappa_dtmc,
     kappa_min,
+    _lipschitz_value,
     wasserstein_derivative,
 )
 from wdbounds.errors import DimensionMismatch, SamePair, SingleState
 from wdbounds.markov import Generator, ProbVec, TransitionMatrix, uniformize
 from wdbounds.metric import discrete_metric, validate_metric
-from wdbounds.models import random_instance
+from wdbounds.models import Box, JumpDistribution, random_instance, translation_invariant_ctmc
 from wdbounds.transport import wasserstein
 
 from .oracles import kappa_finite_difference, transient_series
@@ -43,8 +49,7 @@ def toy():
 def test_toy_pair_table_both_methods(toy):
     gen, metric = toy
     for (r, s), (kap, klow) in TOY_TABLE.items():
-        assert kappa_ctmc(gen, metric, r, s, method="dual") == pytest.approx(kap, abs=1e-9)
-        assert kappa_ctmc(gen, metric, r, s, method="direct") == pytest.approx(kap, abs=1e-9)
+        assert kappa_ctmc(gen, metric, r, s) == pytest.approx(kap, abs=1e-9)
         # curvature is symmetric in the pair
         assert kappa_ctmc(gen, metric, s, r) == pytest.approx(kap, abs=1e-9)
         assert k_lower(gen, metric, r, s) == pytest.approx(klow, abs=1e-12)
@@ -87,14 +92,50 @@ def test_kappa_dominates_k_randomized():
         assert (kap[off] >= kmat[off] - 1e-7).all(), f"seed {seed}"
 
 
-def test_dual_and_direct_methods_agree():
-    for seed in range(10):
-        gen, metric, _ = random_instance(5, 100 + seed)
-        for r in range(1, 6):
-            for s in range(r + 1, 6):
-                a = kappa_ctmc(gen, metric, r, s, method="dual")
-                b = kappa_ctmc(gen, metric, r, s, method="direct")
-                assert a == pytest.approx(b, abs=1e-7), f"seed {seed} pair {(r, s)}"
+def test_kappa_matches_lp_oracles_randomized():
+    """The transport route against the dense LP that remains, on every pair.
+
+    ``_lipschitz_value`` with the pin held exact is the curvature LP itself.
+    ``-wasserstein_derivative(delta_r, delta_s) / d(r,s)`` relaxes the pin by
+    ``DERIVATIVE_PIN_SLACK``, which can only lower it, by at most the slack
+    times the pin's multiplier (at most the moved mass ``|obj+|_1``).
+    """
+    for seed in range(24):
+        kind = ("line", "graph", "discrete")[seed % 3]
+        n = int(np.random.default_rng(seed).integers(3, 9))
+        gen, metric, _ = random_instance(n, 100 + seed, metric_kind=kind)
+        eye = np.eye(n)
+        for r in range(1, n + 1):
+            for s in range(r + 1, n + 1):
+                kap = kappa_ctmc(gen, metric, r, s)
+                drs = metric.d(r, s)
+                obj = gen.row(r) - gen.row(s)
+                pin = eye[r - 1] - eye[s - 1]
+                exact_pin = -_lipschitz_value(obj, metric, pin, drs, drs) / drs
+                assert kap == pytest.approx(exact_pin, rel=1e-9, abs=1e-9), (seed, r, s)
+                oracle = -wasserstein_derivative(
+                    ProbVec(eye[r - 1]), ProbVec(eye[s - 1]), gen, metric
+                ) / drs
+                slack = DERIVATIVE_PIN_SLACK * float(obj[obj > 0].sum()) / drs
+                assert oracle <= kap + 1e-9 * max(1.0, abs(kap)), (seed, r, s)
+                assert kap - oracle <= 1e-9 * max(1.0, abs(kap)) + slack, (seed, r, s)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e9])
+def test_kappa_scale_invariance(c):
+    """kappa(Q; c d) = kappa(Q; d) and kappa(c Q; d) = c kappa(Q; d)."""
+    for seed in range(12):
+        kind = ("line", "graph", "discrete")[seed % 3]
+        n = int(np.random.default_rng(seed).integers(3, 9))
+        gen, metric, _ = random_instance(n, 700 + seed, metric_kind=kind)
+        scaled_metric = validate_metric(metric.dist * c)
+        scaled_gen = Generator(gen.q * c)
+        for r in range(1, n + 1):
+            for s in range(r + 1, n + 1):
+                kap = kappa_ctmc(gen, metric, r, s)
+                tol = 1e-9 * max(1.0, abs(kap))
+                assert abs(kappa_ctmc(gen, scaled_metric, r, s) - kap) <= tol, (seed, r, s)
+                assert abs(kappa_ctmc(scaled_gen, metric, r, s) / c - kap) <= tol, (seed, r, s)
 
 
 def test_kappa_matches_finite_difference_oracle(toy):
@@ -246,6 +287,55 @@ def test_curvature_report_modes(toy):
         curvature_report(gen, metric, pairs="everything")
 
 
+def test_curvature_report_min_solves_each_pair_once(monkeypatch):
+    gen, metric, _ = random_instance(7, 321, metric_kind="graph")
+    calls = []
+    solver = curvature_mod.kappa_ctmc
+
+    def counting(*args):
+        calls.append(args[2:])
+        return solver(*args)
+
+    monkeypatch.setattr(curvature_mod, "kappa_ctmc", counting)
+    rep = curvature_report(gen, metric, pairs="min", margin=1.0)
+    solved = rep.strategy.pairs_solved
+    assert len(solved) > 1
+    assert sorted(calls) == sorted(solved)
+    by_pair = {(p.r, p.s): p.kappa for p in rep.pairs}
+    for (r, s), kap in zip(solved, rep.strategy.kappa_solved):
+        assert by_pair[(r, s)] == kap
+        assert kap == pytest.approx(solver(gen, metric, r, s), abs=1e-12)
+    assert rep.kappa_min == min(rep.strategy.kappa_solved)
+
+
+def test_curvature_and_defect_make_no_lp_call(monkeypatch):
+    """kappa_min, kappa_dtmc and defect run on the transport kernel alone."""
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("dense LP called")
+
+    monkeypatch.setattr(curvature_mod, "solve", no_lp)
+    monkeypatch.setattr(transport_mod, "solve", no_lp)
+    instances = []
+    for seed in range(15):
+        n = int(np.random.default_rng(seed).integers(3, 10))
+        kind = ("line", "graph", "discrete")[seed % 3]
+        instances.append(random_instance(n, 800 + seed, metric_kind=kind)[:2])
+    # the benchmark's line walk (jumps +-1, +-2) and an 8x8 box walk
+    line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
+    instances.append(translation_invariant_ctmc(Box((0,), (23,)), 1.0, line))
+    grid = JumpDistribution((((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)))
+    instances.append(translation_invariant_ctmc(Box((0, 0), (7, 7)), 1.0, grid))
+    for gen, metric in instances:
+        kappa_min(gen, metric, margin=1.0)
+        pmat, _ = uniformize(gen)
+        for r, s in ((1, 2), (1, gen.n)):
+            kappa_dtmc(pmat, metric, r, s)
+        n = gen.n
+        blocks = [tuple(range(1, n // 2 + 1)), tuple(range(n // 2 + 1, n + 1))]
+        defect(gen, metric, partition_aggregation_ctmc(gen, Partition(tuple(blocks))))
+
+
 def test_error_conditions(toy):
     gen, metric = toy
     with pytest.raises(SamePair):
@@ -267,8 +357,3 @@ def test_error_conditions(toy):
         curvature_report(single, m1)
     with pytest.raises(ValueError):
         kappa_min(gen, metric, margin=-0.5)
-    with pytest.raises(ValueError):
-        kappa_ctmc(gen, metric, 1, 2, method="analytic")
-    big = Generator(np.zeros((201, 201)))
-    with pytest.raises(ValueError):
-        kappa_all_pairs(big, discrete_metric(201))

@@ -24,6 +24,7 @@ from wdbounds.metric import (
     shortest_path_metric,
     validate_metric,
 )
+from wdbounds.models import Box, JumpDistribution, translation_invariant_ctmc
 
 from .oracles import all_paths_shortest
 
@@ -75,6 +76,16 @@ def test_triangle_tolerance_absorbs_noise():
     d2[0, 2] = d2[2, 0] = 2.0 + 1e-8
     with pytest.raises(TriangleViolation):
         validate_metric(d2)
+
+
+def test_triangle_slack_scales_with_d_max():
+    grid = JumpDistribution((((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)))
+    _, euclid = translation_invariant_ctmc(Box((0, 0), (5, 5)), 1.0, grid)
+    validate_metric(euclid.dist * 1e9)  # rounding of a valid metric, far above 1e-9
+    one_percent = np.array([[0.0, 1.0, 2.02], [1.0, 0.0, 1.0], [2.02, 1.0, 0.0]])
+    for scale in (1.0, 1e-9, 1e9):
+        with pytest.raises(TriangleViolation):
+            validate_metric(one_percent * scale)
 
 
 def test_discrete_metric():
