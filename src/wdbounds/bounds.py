@@ -12,15 +12,31 @@ defect constant ``K``, the error ``W(t) = W1(p~_t, p_t)`` satisfies
 family implemented here:
 
 * ``bound_linear_K``            - ``W0 + t (B + K)``;
-* ``bound_linear_K_timevarying``- ``W0 + integral(pi_s . v) + t K`` with the
-  integral evaluated adaptively;
+* ``bound_linear_K_timevarying``- ``W0 + integral(pi_s . v) + t K`` and its
+  per-state refinement ``W0 + integral(pi_s . v + p~_s . K_loc)`` (variants
+  ``timevarying`` and ``local``), both from one forward sweep of occupation
+  times (below);
 * ``bound_exponential``         - ``(W0 - B/rate) e^{-rate t} + B/rate``
   (``W0 + B t`` when the rate is zero);
-* ``bound_local_K``             - ``W0 + integral(pi_s . v + p~_s . K_loc)``,
-  the per-state refinement of the linear bound;
 * ``bound_hybrid``              - exact integration of the pointwise best
   derivative ``min(B + K, B - rate W)``: exponential early, linear once the
   exponential's slope would exceed ``B + K``.
+
+The integrals have nonnegative rewards ``w`` (``v`` and ``v + A K_loc``),
+and ``integral_0^t pi_s . w ds = o_t . w`` with ``o_t`` the aggregated chain's
+expected occupation times.  Cumulative-reward uniformization (de Souza e
+Silva & Gail, J. ACM 1989) gives, over each grid interval of length ``h``
+started from ``pi``,
+
+    o = lam^{-1} sum_{k<=K} P(N > k) pi P^k,      N ~ Poisson(lam h),
+
+whose dropped tail has mass at most ``h P(N > K)`` (Fox & Glynn, CACM 1988);
+see :func:`wdbounds.markov.occupation_ctmc`.  The sweep goes grid point to
+grid point, carrying ``pi`` forward with :func:`transient_ctmc`, whose
+total-variation error ``eps`` costs at most ``max(w) h eps`` on the next
+interval.  The reported integral is the truncated sum plus ``max(w)`` times
+the Poisson tails and the carried error, so it is an upper bound by
+construction, not an estimate.
 
 All bounds are valid for every ``t`` in the requested grid; "clipped"
 variants additionally cap values at the metric diameter, which is always a
@@ -35,9 +51,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import Aggregation, aggregate_initial
-from .curvature import K_global, K_local, k_min, kappa_min
-from .errors import NegativeTime, RateUnavailable
-from .markov import Generator, ProbVec, TransitionMatrix, transient_ctmc
+from .curvature import _local_defects, k_matrix, kappa_min
+from .errors import NegativeTime, RateUnavailable, SingleState
+from .markov import (
+    Generator,
+    ProbVec,
+    TransitionMatrix,
+    occupation_ctmc,
+    transient_ctmc,
+    transient_tv_budget,
+    uniformize,
+)
 from .metric import Metric
 from .transport import row_wasserstein_vector, wasserstein
 
@@ -49,7 +73,6 @@ __all__ = [
     "bound_linear_K",
     "bound_linear_K_timevarying",
     "bound_exponential",
-    "bound_local_K",
     "bound_hybrid",
     "exact_error_curve",
     "dtmc_bound_sequence",
@@ -59,8 +82,6 @@ __all__ = [
 
 #: Default number of grid points for bound curves.
 GRID_POINTS = 200
-#: Adaptive quadrature stops when another halving changes an interval this little.
-QUAD_TOL = 1e-8
 
 
 def time_grid(horizon: float, points: int = GRID_POINTS) -> np.ndarray:
@@ -142,26 +163,28 @@ def prepare_bound_inputs(
     with_local: bool = False,
     margin: float | None = None,
 ) -> BoundInputs:
-    """Assemble :class:`BoundInputs` for a partition-based CTMC aggregation."""
+    """Assemble :class:`BoundInputs` for a partition-based CTMC aggregation.
+
+    ``k_min``, ``K`` and ``K_local`` all come from one :func:`k_matrix`.
+    """
+    if gen.n < 2:
+        raise SingleState()
     v, b = defect(gen, metric, agg)
     pi0 = aggregate_initial(p0, agg)
     ptilde0 = ProbVec(pi0.p @ agg.a)
     w0, _, _ = wasserstein(ptilde0, p0, metric)
     kap = kappa_min(gen, metric, margin=margin)[0] if with_kappa else None
-    kloc = (
-        np.array([K_local(gen, metric, r) for r in range(1, gen.n + 1)])
-        if with_local
-        else None
-    )
+    kmat = k_matrix(gen, metric)
+    kloc = _local_defects(kmat, metric)
     return BoundInputs(
         w0=w0,
         defect_vector=v,
         defect_norm=b,
-        k_min=k_min(gen, metric),
-        K=K_global(gen, metric),
+        k_min=float(np.nanmin(kmat)),
+        K=float(kloc.max()),
         d_max=metric.d_max,
         kappa_min=kap,
-        K_local=kloc,
+        K_local=kloc if with_local else None,
     )
 
 
@@ -178,106 +201,64 @@ def bound_exponential(
 
     Written as ``W0 e^{-rate t} + B (1 - e^{-rate t}) / rate`` with ``expm1``,
     so a rate at rounding level (``|rate| ~ 1e-16`` on a flat chain) gives the
-    linear limit instead of cancelling ``B / rate`` against itself.
+    linear limit instead of cancelling ``B / rate`` against itself.  A term
+    with a zero coefficient is zero even where ``e^{-rate t}`` overflows, so
+    the result is ``+inf`` there, never ``0 * inf = nan``.
     """
     t = _check_grid(t_grid)
     kap = inputs.rate(rate)
     b = inputs.defect_norm
+    w0 = inputs.w0
     if kap == 0.0:
-        return inputs.w0 + b * t
-    return inputs.w0 * np.exp(-kap * t) - b * np.expm1(-kap * t) / kap
-
-
-def _adaptive_interval(g, a: float, b: float, fa: float, fb: float, h0: float) -> float:
-    """Trapezoid value of ``integral_a^b g`` refined by halving to ``QUAD_TOL``."""
-    if b <= a:
-        return 0.0
-    pieces = max(1, int(math.ceil((b - a) / h0))) if h0 > 0 else 1
-    xs = np.linspace(a, b, pieces + 1)
-    ys = [fa] + [g(float(x)) for x in xs[1:-1]] + [fb]
-    val = float(np.trapezoid(ys, xs))
-    for _ in range(24):
-        mid = 0.5 * (xs[:-1] + xs[1:])
-        ym = [g(float(x)) for x in mid]
-        xs2 = np.empty(xs.size + mid.size)
-        xs2[0::2] = xs
-        xs2[1::2] = mid
-        ys2 = np.empty_like(xs2)
-        ys2[0::2] = ys
-        ys2[1::2] = ym
-        val2 = float(np.trapezoid(ys2, xs2))
-        xs, ys = xs2, list(ys2)
-        if abs(val2 - val) < QUAD_TOL * max(1.0, abs(val2)):
-            return val2
-        val = val2
-    return val
+        return w0 + b * t
+    with np.errstate(over="ignore"):
+        decay = w0 * np.exp(-kap * t) if w0 else np.zeros_like(t)
+        growth = -b * np.expm1(-kap * t) / kap if b else np.zeros_like(t)
+    return decay + growth
 
 
 def bound_linear_K_timevarying(
-    inputs: BoundInputs,
-    pi_path,
-    t_grid: np.ndarray,
-    rate: float | None = None,
-) -> np.ndarray:
-    """Time-varying linear bound ``W0 + integral_0^t pi_s . v ds + t K``.
+    inputs: BoundInputs, agg: Aggregation, pi0: ProbVec, t_grid: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Time-varying linear bounds from one forward sweep of occupation times.
 
-    ``pi_path(s)`` must return the aggregated distribution at time ``s`` as an
-    array.  The integral is a cumulative adaptive trapezoid rule per grid
-    interval (initial step also capped at ``0.01/rate`` when the aggregated
-    chain's uniformization rate is supplied).
+    Returns ``{"timevarying": W0 + integral_0^t pi_s . v ds + t K}`` and, when
+    ``inputs.K_local`` was computed, also
+    ``{"local": W0 + integral_0^t pi_s . (v + A K_loc) ds}`` (``p~_s . K_loc``
+    with ``p~_s = pi_s A``), where ``pi_s`` is the aggregated chain's law
+    started from ``pi0``.  Both integrate against the same occupation curve:
+    per grid interval of length ``h`` the truncated occupation series of
+    :func:`~wdbounds.markov.occupation_ctmc` plus ``max(w) * (tail + h eps)``,
+    ``eps`` the total-variation budget carried by the forward-stepped
+    ``pi``.  Each value is therefore an upper bound on the exact integral.
     """
+    if agg.theta is None:
+        raise ValueError("aggregation carries no CTMC generator")
     t = _check_grid(t_grid)
-    v = inputs.defect_vector
-
-    def g(s: float) -> float:
-        return float(np.asarray(pi_path(s)) @ v)
-
-    h0 = math.inf if rate is None or rate <= 0 else 0.01 / rate
-    out = np.empty(t.size)
-    acc = 0.0
-    prev_t = 0.0
-    prev_g = g(0.0)
+    theta = agg.theta
+    lam = uniformize(theta)[1]
+    occ = np.zeros((t.size, agg.m))  # cumulative truncated occupation at each t_i
+    slack = np.zeros(t.size)  # its budget in time units: missing mass times duration
+    state, acc, budget, tv, prev = pi0, np.zeros(agg.m), 0.0, 0.0, 0.0
     for i, ti in enumerate(t):
-        ti = float(ti)
-        if ti > prev_t:
-            gi = g(ti)
-            acc += _adaptive_interval(g, prev_t, ti, prev_g, gi, min(h0, ti - prev_t))
-            prev_t, prev_g = ti, gi
-        out[i] = inputs.w0 + acc + ti * inputs.K
-    return out
+        h = float(ti) - prev
+        if h > 0:
+            part, tail = occupation_ctmc(state, theta, h)
+            acc = acc + part
+            budget += tail + h * tv
+            state = transient_ctmc(state, theta, h)
+            tv += transient_tv_budget(lam * h)
+            prev = float(ti)
+        occ[i] = acc
+        slack[i] = budget
 
+    def integral(w: np.ndarray) -> np.ndarray:
+        return occ @ w + float(w.max()) * slack
 
-def bound_local_K(
-    inputs: BoundInputs,
-    agg: Aggregation,
-    pi_path,
-    t_grid: np.ndarray,
-    rate: float | None = None,
-) -> np.ndarray:
-    """Locally-weighted linear bound ``W0 + integral (pi_s . v + p~_s . K_loc)``."""
-    if inputs.K_local is None:
-        raise ValueError("K_local was not computed; prepare inputs with with_local=True")
-    t = _check_grid(t_grid)
     v = inputs.defect_vector
-    kloc = inputs.K_local
-    a = agg.a
-
-    def g(s: float) -> float:
-        pi = np.asarray(pi_path(s))
-        return float(pi @ v + (pi @ a) @ kloc)
-
-    h0 = math.inf if rate is None or rate <= 0 else 0.01 / rate
-    out = np.empty(t.size)
-    acc = 0.0
-    prev_t = 0.0
-    prev_g = g(0.0)
-    for i, ti in enumerate(t):
-        ti = float(ti)
-        if ti > prev_t:
-            gi = g(ti)
-            acc += _adaptive_interval(g, prev_t, ti, prev_g, gi, min(h0, ti - prev_t))
-            prev_t, prev_g = ti, gi
-        out[i] = inputs.w0 + acc
+    out = {"timevarying": inputs.w0 + integral(v) + t * inputs.K}
+    if inputs.K_local is not None:
+        out["local"] = inputs.w0 + integral(v + agg.a @ inputs.K_local)
     return out
 
 
@@ -318,18 +299,24 @@ def exact_error_curve(
     t_grid: np.ndarray,
     pi0: ProbVec | None = None,
 ) -> np.ndarray:
-    """The true aggregation error ``W1(p~_t, p_t)`` on a grid (reference curve)."""
+    """The true aggregation error ``W1(p~_t, p_t)`` on a grid (reference curve).
+
+    Both chains step forward from one grid point to the next, so the sweep
+    never restarts at ``t = 0`` and holds only the two current laws.
+    """
     if agg.theta is None:
         raise ValueError("aggregation carries no CTMC generator")
     t = _check_grid(t_grid)
     if pi0 is None:
         pi0 = aggregate_initial(p0, agg)
     out = np.empty(t.size)
+    pi_t, p_t, prev = pi0, p0, 0.0
     for i, ti in enumerate(t):
-        pi_t = transient_ctmc(pi0, agg.theta, float(ti))
-        ptilde = ProbVec(pi_t.p @ agg.a)
-        p_t = transient_ctmc(p0, gen, float(ti))
-        out[i] = wasserstein(ptilde, p_t, metric)[0]
+        h = float(ti) - prev
+        pi_t = transient_ctmc(pi_t, agg.theta, h)
+        p_t = transient_ctmc(p_t, gen, h)
+        prev = float(ti)
+        out[i] = wasserstein(ProbVec(pi_t.p @ agg.a), p_t, metric)[0]
     return out
 
 
@@ -395,28 +382,21 @@ def compute_bound_curve(
     inputs = prepare_bound_inputs(
         gen, metric, agg, p0, with_kappa=need_kappa, with_local=need_local, margin=margin
     )
-    pi0 = aggregate_initial(p0, agg)
-    theta_rate = float(max(1.0, np.max(-np.diagonal(agg.theta.q))))
-
-    cache: dict[float, np.ndarray] = {}
-
-    def pi_path(s: float) -> np.ndarray:
-        if s not in cache:
-            cache[s] = transient_ctmc(pi0, agg.theta, s).p
-        return cache[s]
-
+    integrals = (
+        bound_linear_K_timevarying(inputs, agg, aggregate_initial(p0, agg), t)
+        if {"timevarying", "local"} & set(variants)
+        else {}
+    )
     columns: dict[str, np.ndarray] = {}
     for name in variants:
         if name == "linear":
             columns[name] = bound_linear_K(inputs, t)
-        elif name == "timevarying":
-            columns[name] = bound_linear_K_timevarying(inputs, pi_path, t, rate=theta_rate)
+        elif name in integrals:
+            columns[name] = integrals[name]
         elif name == "exp-k":
             columns[name] = bound_exponential(inputs, t, rate="k_min")
         elif name == "exp-kappa":
             columns[name] = bound_exponential(inputs, t, rate="kappa_min")
-        elif name == "local":
-            columns[name] = bound_local_K(inputs, agg, pi_path, t, rate=theta_rate)
         elif name == "hybrid":
             columns[name] = bound_hybrid(inputs, t, rate="k_min")
         elif name == "hybrid-kappa":

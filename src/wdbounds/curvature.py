@@ -174,13 +174,17 @@ def k_min(gen: Generator, metric: Metric) -> float:
     return float(np.nanmin(kmat))
 
 
+def _local_defects(kmat: np.ndarray, metric: Metric) -> np.ndarray:
+    """``K_loc(r) = max(0, max_{s != r} -d(r,s) k(r,s))`` for every state, from
+    one :func:`k_matrix`; ``K`` of :func:`K_global` is their maximum."""
+    return np.maximum(0.0, np.nanmax(-metric.dist * kmat, axis=1))
+
+
 def K_global(gen: Generator, metric: Metric) -> float:
     """Curvature defect constant ``K = max(0, max_{r != s} -d(r,s) k(r,s))``."""
     if gen.n < 2:
         raise SingleState()
-    kmat = k_matrix(gen, metric)
-    prod = -metric.dist * kmat
-    return max(0.0, float(np.nanmax(prod)))
+    return float(_local_defects(k_matrix(gen, metric), metric).max())
 
 
 def K_local(gen: Generator, metric: Metric, r: int) -> float:
@@ -189,9 +193,7 @@ def K_local(gen: Generator, metric: Metric, r: int) -> float:
         raise SingleState()
     if not (1 <= r <= gen.n):
         raise DimensionMismatch(f"state index {r} out of range 1..{gen.n}")
-    kmat = k_matrix(gen, metric)
-    prod = -metric.dist[r - 1] * kmat[r - 1]
-    return max(0.0, float(np.nanmax(prod)))
+    return float(_local_defects(k_matrix(gen, metric), metric)[r - 1])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ off-diagonal rates, zero row sums); discrete-time chains by a row-stochastic
 matrix ``P``.  Transient distributions of a CTMC are computed by
 uniformization, which reduces matrix exponentials to a Poisson-weighted sum
 of powers of a stochastic matrix and allows an explicit truncation-error
-budget (total-variation error at most ``1e-12`` here).
+budget (total-variation error at most ``1e-12`` per chunk here).  The same
+series, with Poisson tail probabilities as weights, gives the expected
+occupation times over an interval, from below and with an explicit budget for
+the dropped tail (:func:`occupation_ctmc`).
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ __all__ = [
     "dirac",
     "uniformize",
     "transient_ctmc",
+    "transient_tv_budget",
+    "occupation_ctmc",
     "transient_dtmc",
 ]
 
@@ -31,8 +36,12 @@ __all__ = [
 CLAMP_TOL = 1e-12
 #: Allowed deviation of a probability mass (or generator row sum) from its target.
 SUM_TOL = 1e-9
-#: Total-variation budget for transient CTMC solutions.
+#: Total-variation budget of a transient CTMC solution, per chunk.
 TRANSIENT_TOL = 1e-12
+#: The Poisson series of a chunk stops once its remaining mass is below this.
+POISSON_TAIL = 1e-13
+#: Largest ``lam * t`` of one uniformization chunk (``exp(-500)`` is a normal double).
+CHUNK_LT = 500.0
 
 
 def _clean_distribution(p: np.ndarray, what: str) -> np.ndarray:
@@ -157,12 +166,22 @@ def _poisson_step_count(lt: float) -> int:
     return int(math.ceil(lt + 40.0 * math.sqrt(lt + 1.0) + 50.0))
 
 
-def _transient_chunk(p: np.ndarray, pmat: np.ndarray, lt: float) -> np.ndarray:
-    """One uniformization step: ``p @ expm(lt (P - I))`` with lt small enough
-    that ``exp(-lt)`` is comfortably inside double range."""
+def _transient_chunk(
+    p: np.ndarray, pmat: np.ndarray, lt: float, occupation: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """One uniformization chunk of ``lt = lam * h`` (small enough that
+    ``exp(-lt)`` is comfortably inside double range).
+
+    With ``N ~ Poisson(lt)`` it returns the truncated sums
+    ``sum_{k<=K} P(N = k) p P^k`` (the law at ``h``) and, if ``occupation``,
+    ``sum_{k<=K} P(N > k) p P^k`` (``lam`` times the occupation of ``[0, h]``),
+    plus the dropped Poisson mass ``1 - sum_{k<=K} P(N = k)``.  Every dropped
+    term is nonnegative, so both sums are entrywise below the series.
+    """
     w = math.exp(-lt)
     acc = w * p
     cum = w
+    occ = (1.0 - cum) * p if occupation else None
     v = p
     cap = _poisson_step_count(lt)
     for k in range(1, cap + 1):
@@ -170,9 +189,33 @@ def _transient_chunk(p: np.ndarray, pmat: np.ndarray, lt: float) -> np.ndarray:
         w *= lt / k
         acc = acc + w * v
         cum += w
-        if 1.0 - cum < 1e-13:
+        if occupation:
+            occ = occ + (1.0 - cum) * v
+        if 1.0 - cum < POISSON_TAIL:
             break
-    return acc
+    return acc, occ, max(0.0, 1.0 - cum)
+
+
+def _check_start(p0: ProbVec, gen: Generator, t: float) -> None:
+    if t < 0:
+        raise NegativeTime(t)
+    if p0.n != gen.n:
+        raise DimensionMismatch(
+            f"initial distribution has {p0.n} states but generator has {gen.n}"
+        )
+
+
+def _chunks(lt: float):
+    """Split ``lam * t`` into pieces of at most ``CHUNK_LT``."""
+    while lt > 0:
+        piece = min(lt, CHUNK_LT)
+        yield piece
+        lt -= piece
+
+
+def transient_tv_budget(lt: float) -> float:
+    """Total-variation budget of :func:`transient_ctmc` over ``lam * t = lt``."""
+    return TRANSIENT_TOL * math.ceil(lt / CHUNK_LT)
 
 
 def transient_ctmc(p0: ProbVec, gen: Generator, t: float) -> ProbVec:
@@ -181,25 +224,51 @@ def transient_ctmc(p0: ProbVec, gen: Generator, t: float) -> ProbVec:
     Uniformization with the Poisson series truncated once its tail is below
     ``1e-13``; horizons with ``lam * t`` beyond 500 are split into chunks so
     the leading Poisson weight stays representable.  The result is clamped
-    and renormalized, keeping the total-variation error within ``1e-12``.
+    and renormalized, keeping the total-variation error within ``1e-12`` per
+    chunk (:func:`transient_tv_budget`).
     """
-    if t < 0:
-        raise NegativeTime(t)
-    if p0.n != gen.n:
-        raise DimensionMismatch(
-            f"initial distribution has {p0.n} states but generator has {gen.n}"
-        )
+    _check_start(p0, gen, t)
     if t == 0:
         return p0
     pmat, lam = uniformize(gen)
-    remaining = lam * t
     v = p0.p
-    while remaining > 0:
-        lt = min(remaining, 500.0)
-        v = _transient_chunk(v, pmat.p, lt)
-        remaining -= lt
+    for lt in _chunks(lam * t):
+        v, _, _ = _transient_chunk(v, pmat.p, lt)
     v = np.where(v < 0, 0.0, v)
     return ProbVec(v / v.sum())
+
+
+def occupation_ctmc(p0: ProbVec, gen: Generator, h: float) -> tuple[np.ndarray, float]:
+    """Expected time spent in each state during ``[0, h]``, from below, and its tail budget.
+
+    Cumulative-reward uniformization (de Souza e Silva & Gail, J. ACM 1989):
+    with ``P = I + Q/lam`` and ``N ~ Poisson(lam h)``,
+
+        integral_0^h p0 e^{sQ} ds = lam^{-1} sum_k P(N > k) p0 P^k.
+
+    The series is truncated where :func:`transient_ctmc` truncates, in the
+    same chunks of ``lam h <= 500``.  The dropped terms are nonnegative and
+    their total mass is at most ``h P(N > K)`` per chunk (Fox & Glynn, CACM
+    1988), since ``sum_{k>K} P(N > k) <= E[N; N > K + 1] = lam h P(N > K)``;
+    a later chunk also starts from a law that lacks the earlier chunks' tails.
+    Returns ``(occ, budget)`` with, for every reward ``w >= 0``,
+
+        occ . w  <=  integral_0^h (p0 e^{sQ}) . w ds  <=  occ . w + max(w) * budget.
+    """
+    _check_start(p0, gen, h)
+    occ = np.zeros(gen.n)
+    if h == 0:
+        return occ, 0.0
+    pmat, lam = uniformize(gen)
+    v = p0.p
+    missing = 0.0  # mass the chunk's start law lacks
+    budget = 0.0
+    for lt in _chunks(lam * h):
+        v, part, tail = _transient_chunk(v, pmat.p, lt, occupation=True)
+        occ += part / lam
+        budget += (lt / lam) * (missing + tail)
+        missing += tail
+    return occ, budget
 
 
 def transient_dtmc(p0: ProbVec, pmat: TransitionMatrix, k: int) -> ProbVec:

@@ -57,8 +57,13 @@ __all__ = [
 
 #: Marginals of a coupling must match the prescribed distributions this well.
 MARGINAL_TOL = 1e-8
-#: Primal cost and dual potential value must agree this well.
+#: Primal cost and dual potential value must agree this well, per unit of
+#: ``d_max * mass``; a potential's complementary slackness, per unit of ``d_max``.
 GAP_TOL = 1e-7
+#: A potential is 1-Lipschitz when ``f(r) - f(s) <= d(r,s) + LIPSCHITZ_TOL * d_max``.
+LIPSCHITZ_TOL = 1e-8
+#: A potential's minimum is 0 when ``|min f| <= MIN_TOL * d_max``.
+MIN_TOL = 1e-9
 #: Coupling entries below this threshold are treated as zero in support logic.
 SUPPORT_TOL = 1e-10
 #: Signed transport: allowed primal/dual gap per unit of ``max|cost| * mass``.
@@ -106,7 +111,10 @@ class Coupling:
 
 @dataclass(frozen=True)
 class Potential:
-    """A Kantorovich potential: 1-Lipschitz, minimum 0 (so values in [0, d_max])."""
+    """A Kantorovich potential: 1-Lipschitz, minimum 0 (so values in [0, d_max]).
+
+    Both checks allow slack relative to ``d_max``, so they hold in any unit.
+    """
 
     f: np.ndarray
     metric: Metric = field(repr=False)
@@ -117,10 +125,11 @@ class Potential:
             raise DimensionMismatch(
                 f"potential has {f.size} entries for a {self.metric.n}-state metric"
             )
-        if abs(float(f.min())) > 1e-9:
+        scale = self.metric.d_max
+        if abs(float(f.min())) > MIN_TOL * scale:
             raise ValueError(f"potential minimum is {f.min()!r}, expected 0")
         lip = f[:, None] - f[None, :] - self.metric.dist
-        if lip.max() > 1e-8:
+        if lip.max() > LIPSCHITZ_TOL * scale:
             r, s = np.argwhere(lip == lip.max())[0]
             raise ValueError(
                 f"potential is not 1-Lipschitz: f({r + 1})-f({s + 1}) exceeds d by {lip.max():.3g}"
@@ -226,8 +235,9 @@ def wasserstein(
     """Exact W1 between two distributions, with optimal coupling and potential.
 
     The value is the primal transport cost; the returned potential achieves
-    the same value in the dual (checked to ``1e-7``, else
-    :class:`NumericalFailure`).
+    the same value in the dual (checked to ``GAP_TOL * d_max``).  A gap
+    beyond that, or a coupling or potential that fails its own validation,
+    raises :class:`NumericalFailure`.
     """
     if p.n != q.n or p.n != metric.n:
         raise DimensionMismatch(
@@ -236,10 +246,15 @@ def wasserstein(
     value, gamma, u = _ot(p.p, q.p, metric.dist, method)
     f = _potential_from_row_duals(u, metric)
     gap = abs(float((p.p - q.p) @ f) - value)
-    if gap > GAP_TOL:
-        raise NumericalFailure(f"primal/dual gap {gap:.3g} exceeds {GAP_TOL}")
-    coupling = canonicalize_coupling(Coupling(gamma, p.p, q.p), metric)
-    return WassersteinResult(value, coupling, Potential(f, metric))
+    tol = GAP_TOL * metric.d_max
+    if gap > tol:
+        raise NumericalFailure(f"primal/dual gap {gap:.3g} exceeds {tol:.3g}")
+    try:
+        coupling = canonicalize_coupling(Coupling(gamma, p.p, q.p), metric)
+        potential = Potential(f, metric)
+    except ValueError as err:
+        raise NumericalFailure(f"solver output failed validation: {err}") from err
+    return WassersteinResult(value, coupling, potential)
 
 
 def wasserstein_signed(row: SignedRow | np.ndarray, metric: Metric) -> float:
@@ -300,8 +315,8 @@ def canonicalize_coupling(coupling: Coupling, metric: Metric) -> Coupling:
     inflow, mass is rerouted from the length-two chain ``s -> r -> u`` to the
     direct edge ``s -> u`` plus the diagonal ``(r, r)``.  By the triangle
     inequality this never increases the cost, and on an optimal input the
-    cost is unchanged; a cost change beyond ``1e-9`` therefore raises
-    :class:`NotOptimalInput`.
+    cost is unchanged; a cost change beyond ``1e-9`` times the larger of the
+    cost and ``d_max * mass`` therefore raises :class:`NotOptimalInput`.
     """
     if coupling.gamma.shape[0] != metric.n:
         raise DimensionMismatch(
@@ -331,7 +346,8 @@ def canonicalize_coupling(coupling: Coupling, metric: Metric) -> Coupling:
     else:
         raise NumericalFailure("coupling canonicalization did not terminate")
     after = float(np.sum(g * metric.dist))
-    if abs(after - before) > 1e-9 * max(1.0, abs(before)):
+    scale = metric.d_max * float(coupling.p.sum())
+    if abs(after - before) > 1e-9 * max(scale, abs(before)):
         raise NotOptimalInput(
             f"cost moved from {before!r} to {after!r}; the input coupling was not optimal"
         )
@@ -344,12 +360,13 @@ class OptimalPairReport:
 
     * ``coupling_ok`` - marginals match within ``1e-8``;
     * ``one_sided_ok`` - no state both sends and receives off-diagonal mass;
-    * ``potential_ok`` - ``0 <= f <= d_max`` and 1-Lipschitz;
+    * ``potential_ok`` - ``0 <= f <= d_max`` and 1-Lipschitz (slacks as in
+      :class:`Potential`);
     * ``slackness_ok`` - mass only flows where the potential drops by the
       full distance (``gamma > 1e-10`` implies ``f(r)-f(s) = d(r,s)`` within
-      ``1e-7``);
+      ``1e-7 * d_max``);
     * ``duality_ok`` - primal cost equals the potential's objective within
-      ``1e-7``.
+      ``1e-7 * d_max * mass``.
     """
 
     coupling_ok: bool
@@ -387,15 +404,20 @@ def verify_optimal_pair(
     outflow = np.where(off, g, 0.0).sum(axis=1)
     inflow = np.where(off, g, 0.0).sum(axis=0)
     one_sided_ok = bool((np.minimum(outflow, inflow) <= SUPPORT_TOL).all())
+    dmax = metric.d_max
     lip = f[:, None] - f[None, :] - d
     potential_ok = (
-        f.min() >= -1e-9 and f.max() <= metric.d_max + 1e-8 and lip.max() <= 1e-8
+        f.min() >= -MIN_TOL * dmax
+        and f.max() <= dmax * (1.0 + LIPSCHITZ_TOL)
+        and lip.max() <= LIPSCHITZ_TOL * dmax
     )
     support = g > SUPPORT_TOL
-    slackness_ok = bool((np.abs(lip[support]) <= GAP_TOL).all()) if support.any() else True
+    slackness_ok = (
+        bool((np.abs(lip[support]) <= GAP_TOL * dmax).all()) if support.any() else True
+    )
     primal = float(np.sum(g * d))
     dual = float((coupling.p - coupling.q) @ f)
-    duality_ok = abs(primal - dual) <= GAP_TOL
+    duality_ok = abs(primal - dual) <= GAP_TOL * dmax * float(coupling.p.sum())
     return OptimalPairReport(
         coupling_ok=bool(coupling_ok),
         one_sided_ok=one_sided_ok,

@@ -19,7 +19,6 @@ from wdbounds.bounds import (
     bound_exponential,
     bound_linear_K,
     bound_linear_K_timevarying,
-    bound_local_K,
     compute_bound_curve,
     defect,
     defect_dtmc,
@@ -345,12 +344,8 @@ def test_c10_local_constant_improvement() -> None:
         agg = partition_aggregation_ctmc(gen, part)
         inputs = prepare_bound_inputs(gen, metric, agg, p0, with_local=True)
         pi0 = ProbVec(p0.p @ agg.lam)
-
-        def pi_path(s: float) -> np.ndarray:
-            return transient_ctmc(pi0, agg.theta, s).p
-
-        local = bound_local_K(inputs, agg, pi_path, t)
-        global_curve = bound_linear_K_timevarying(inputs, pi_path, t)
+        curves = bound_linear_K_timevarying(inputs, agg, pi0, t)
+        local, global_curve = curves["local"], curves["timevarying"]
         assert np.all(local <= global_curve + 1e-9)
         assert np.all(local <= bound_linear_K(inputs, t) + 1e-9)
     print("C10 local constant improvement: PASS (200 draws + curve domination)")

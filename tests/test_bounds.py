@@ -1,4 +1,4 @@
-"""Tests for the error-bound family: closed forms, quadrature, domination.
+"""Tests for the error-bound family: closed forms, occupation sweep, domination.
 
 The three-state chain with blocks {1,2} and {3} admits hand closed forms for
 every bound variant, so most tests compare solver output against analytic
@@ -24,7 +24,6 @@ from wdbounds.bounds import (
     bound_hybrid,
     bound_linear_K,
     bound_linear_K_timevarying,
-    bound_local_K,
     compute_bound_curve,
     defect,
     defect_dtmc,
@@ -36,7 +35,10 @@ from wdbounds.bounds import (
 from wdbounds.errors import NegativeTime, RateUnavailable
 from wdbounds.markov import Generator, ProbVec, transient_ctmc, uniformize
 from wdbounds.metric import discrete_metric, validate_metric
+from wdbounds import bounds as bounds_mod
+from wdbounds.curvature import K_global, K_local, k_min
 from wdbounds.models import random_instance
+from wdbounds.transport import wasserstein
 
 from .oracles import transient_series
 
@@ -87,13 +89,8 @@ def toy():
     return gen, metric, agg, p0, inputs
 
 
-def _toy_pi_path(agg):
-    pi0 = ProbVec(np.array([1.0, 0.0]))
-
-    def pi_path(s: float) -> np.ndarray:
-        return transient_ctmc(pi0, agg.theta, s).p
-
-    return pi_path
+def _toy_pi0() -> ProbVec:
+    return ProbVec(np.array([1.0, 0.0]))
 
 
 def test_toy_bound_inputs(toy) -> None:
@@ -162,7 +159,7 @@ def test_timevarying_equals_linear_for_constant_defect(toy) -> None:
     # pins the quadrature against an exact value.
     _, _, agg, _, inputs = toy
     t_grid = np.linspace(0.0, 1.0, 21)
-    curve = bound_linear_K_timevarying(inputs, _toy_pi_path(agg), t_grid, rate=4.0)
+    curve = bound_linear_K_timevarying(inputs, agg, _toy_pi0(), t_grid)["timevarying"]
     np.testing.assert_allclose(curve, 15.0 * t_grid, atol=1e-8)
 
 
@@ -172,7 +169,7 @@ def test_local_bound_matches_analytic_integral(toy) -> None:
     # gives integrand 1 + 7 + 7 e^{-4s}, hence 8t + (7/4)(1 - e^{-4t}).
     _, _, agg, _, inputs = toy
     t_grid = np.linspace(0.0, 1.0, 21)
-    curve = bound_local_K(inputs, agg, _toy_pi_path(agg), t_grid, rate=4.0)
+    curve = bound_linear_K_timevarying(inputs, agg, _toy_pi0(), t_grid)["local"]
     analytic = 8.0 * t_grid + (7.0 / 4.0) * (1.0 - np.exp(-4.0 * t_grid))
     np.testing.assert_allclose(curve, analytic, atol=1e-6)
     # The local refinement beats the uniform linear bound at every t > 0.
@@ -347,8 +344,7 @@ def test_missing_rates_raise(toy) -> None:
         bound_exponential(plain, t_grid, rate="kappa_min")
     with pytest.raises(ValueError, match="unknown rate"):
         bound_exponential(plain, t_grid, rate="steepest")
-    with pytest.raises(ValueError, match="K_local"):
-        bound_local_K(plain, agg, _toy_pi_path(agg), t_grid, rate=4.0)
+    assert set(bound_linear_K_timevarying(plain, agg, _toy_pi0(), t_grid)) == {"timevarying"}
 
 
 def test_hybrid_and_exponential_edge_cases() -> None:
@@ -407,3 +403,122 @@ def test_exact_error_against_series_oracle(toy) -> None:
     pi_t = transient_series(np.array([1.0, 0.0]), np.asarray(agg.theta.q), t)
     oracle = wasserstein(ProbVec(pi_t @ agg.a), ProbVec(p_t), metric).value
     assert curve[0] == pytest.approx(oracle, abs=1e-9)
+
+
+def _toy_local_closed_form(t: np.ndarray) -> np.ndarray:
+    """The toy local bound 8t + (7/4)(1 - e^{-4t}) (see the test above)."""
+    return 8.0 * t + 1.75 * (1.0 - np.exp(-4.0 * t))
+
+
+@pytest.mark.parametrize(
+    "t_grid",
+    [
+        np.linspace(0.0, 1.0, 21),
+        np.array([0.0, 0.0, 0.1, 0.1, 0.1, 0.5, 0.5, 0.9, 1.0, 1.0]),
+    ],
+    ids=["uniform", "repeated"],
+)
+def test_certified_integral_brackets_closed_form(toy, t_grid) -> None:
+    # The sweep adds the Poisson tail and the carried TV budget, so it can
+    # only land above the exact integral, and only by the budget.
+    _, _, agg, _, inputs = toy
+    curves = bound_linear_K_timevarying(inputs, agg, _toy_pi0(), t_grid)
+    for got, exact in (
+        (curves["local"], _toy_local_closed_form(t_grid)),
+        (curves["timevarying"], 15.0 * t_grid),
+    ):
+        excess = got - exact
+        assert excess.min() >= 0.0
+        assert excess.max() <= 1e-9
+
+
+def test_certified_integral_across_chunks(toy) -> None:
+    # The aggregated toy chain has lam = 2, so t = 300 is lam t = 600: the
+    # first interval below and the single one after it both cross a chunk.
+    _, _, agg, _, inputs = toy
+    for t_grid in (np.array([0.0, 300.0]), np.array([0.0, 10.0, 300.0]), np.linspace(0, 300, 7)):
+        local = bound_linear_K_timevarying(inputs, agg, _toy_pi0(), t_grid)["local"]
+        exact = _toy_local_closed_form(t_grid)
+        assert np.all(local >= exact)
+        # budget: max(w) = 15 times 1e-12 of carried TV per chunk and step
+        assert np.all(local - exact <= 1e-11 * np.maximum(exact, 1.0))
+
+
+def test_exact_error_curve_matches_restart_route() -> None:
+    # Stepping both chains forward must agree with restarting at t = 0.
+    t_grid = np.array([0.0, 0.1, 0.1, 0.35, 0.8, 1.5, 3.0])
+    for seed in range(20):
+        rng = np.random.default_rng(8000 + seed)
+        n = int(rng.integers(3, 9))
+        gen, metric, p0 = random_instance(n, 8000 + seed)
+        cut = int(rng.integers(1, n))
+        agg = partition_aggregation_ctmc(
+            gen, Partition((tuple(range(1, cut + 1)), tuple(range(cut + 1, n + 1))))
+        )
+        pi0 = ProbVec(p0.p @ agg.lam)
+        restart = [
+            wasserstein(
+                ProbVec(transient_ctmc(pi0, agg.theta, t).p @ agg.a),
+                transient_ctmc(p0, gen, t),
+                metric,
+            ).value
+            for t in t_grid
+        ]
+        stepped = exact_error_curve(p0, gen, metric, agg, t_grid)
+        np.testing.assert_allclose(stepped, restart, rtol=0, atol=1e-12, err_msg=f"seed {seed}")
+
+
+def test_bound_curve_makes_few_transient_calls(toy, monkeypatch) -> None:
+    # Two forward steps per grid point for the exact curve and one per
+    # interval for the integrals: at most three calls per grid point.
+    gen, metric, agg, p0, _ = toy
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return transient_ctmc(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "transient_ctmc", counted)
+    t_grid = np.linspace(0.0, 2.0, 41)
+    curve = compute_bound_curve(
+        gen, metric, agg, p0, t_grid, variants=ALL_VARIANTS, with_exact=True
+    )
+    assert 0 < len(calls) <= 3 * t_grid.size
+    assert sorted(curve.columns) == sorted(ALL_VARIANTS)
+
+
+def test_prepare_bound_inputs_builds_one_k_matrix(monkeypatch) -> None:
+    gen, metric, p0 = random_instance(7, 31)
+    agg = partition_aggregation_ctmc(gen, Partition(((1, 2, 3), (4, 5), (6, 7))))
+    calls = []
+    real = bounds_mod.k_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(bounds_mod, "k_matrix", counted)
+    inputs = prepare_bound_inputs(gen, metric, agg, p0, with_local=True)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(
+        inputs.K_local, [K_local(gen, metric, r) for r in range(1, gen.n + 1)]
+    )
+    assert inputs.K == K_global(gen, metric)
+    assert inputs.k_min == k_min(gen, metric)
+
+
+def test_exponential_bound_overflow_is_inf_not_nan(toy) -> None:
+    # W0 = 0 and e^{14 t} overflows at t = 60: the raw bound is +inf (not
+    # 0 * inf = nan) and the clipped bound is the diameter.
+    gen, metric, agg, p0, _ = toy
+    curve = compute_bound_curve(
+        gen, metric, agg, p0, np.array([0.0, 30.0, 60.0]), variants=("exp-k",)
+    )
+    raw = curve.columns["exp-k"]
+    assert raw[0] == 0.0 and np.isfinite(raw[1]) and raw[2] == math.inf
+    np.testing.assert_array_equal(curve.clipped()["exp-k"], [0.0, 5.0, 5.0])
+    # a zero coefficient stays zero however large the exponential gets
+    null = BoundInputs(
+        w0=0.0, defect_vector=np.zeros(1), defect_norm=0.0, k_min=-14.0, K=14.0, d_max=5.0
+    )
+    np.testing.assert_array_equal(bound_exponential(null, np.array([0.0, 60.0])), [0.0, 0.0])

@@ -15,8 +15,10 @@ from wdbounds.markov import (
     ProbVec,
     TransitionMatrix,
     dirac,
+    occupation_ctmc,
     transient_ctmc,
     transient_dtmc,
+    transient_tv_budget,
     uniformize,
 )
 
@@ -162,6 +164,62 @@ def test_transient_poisson_mixture_identity():
         acc = acc + w * v
     got = transient_ctmc(p0, gen, t).p
     assert np.allclose(got, acc, atol=1e-10)
+
+
+def _two_state_occupation(h: float) -> np.ndarray:
+    """Occupation of [0, h] for TWO_STATE from state 1: h/2 +- (1 - e^{-4h})/8."""
+    swing = (1.0 - math.exp(-4.0 * h)) / 8.0
+    return np.array([h / 2.0 + swing, h / 2.0 - swing])
+
+
+@pytest.mark.parametrize("h", [0.05, 1.0, 40.0, 300.0])
+def test_occupation_brackets_closed_form(h):
+    """The truncated occupation lies below the closed form, and adding the
+    tail budget to its total mass reaches the interval length; h = 300 is
+    lam * h = 600, past one uniformization chunk."""
+    occ, budget = occupation_ctmc(dirac(2, 1), Generator(TWO_STATE), h)
+    exact = _two_state_occupation(h)
+    assert np.all(occ <= exact + 1e-12 * h)
+    assert np.all(exact - occ <= budget + 1e-12 * h)
+    assert occ.sum() + budget >= h * (1.0 - 1e-15)
+    assert 0.0 <= budget <= 1e-12 * h
+
+
+def test_occupation_matches_poisson_tail_series():
+    """lam^{-1} sum_k P(N > k) p_0 P^k with the tail summed far past the cut."""
+    gen = Generator(TOY_Q)
+    p0 = ProbVec(np.array([0.3, 0.3, 0.4]))
+    h = 0.7
+    pmat, lam = uniformize(gen)
+    lt = lam * h
+    w = math.exp(-lt)
+    cum = w
+    acc = (1.0 - cum) * p0.p
+    v = p0.p
+    for k in range(1, 200):
+        v = v @ pmat.p
+        w *= lt / k
+        cum += w
+        acc = acc + (1.0 - cum) * v
+    occ, _ = occupation_ctmc(p0, gen, h)
+    assert np.allclose(occ, acc / lam, atol=1e-12)
+
+
+def test_occupation_zero_length_and_errors():
+    gen = Generator(TOY_Q)
+    p0 = ProbVec(np.array([0.7, 0.2, 0.1]))
+    occ, budget = occupation_ctmc(p0, gen, 0.0)
+    assert np.array_equal(occ, np.zeros(3)) and budget == 0.0
+    with pytest.raises(NegativeTime):
+        occupation_ctmc(p0, gen, -1.0)
+    with pytest.raises(DimensionMismatch):
+        occupation_ctmc(ProbVec(np.array([0.5, 0.5])), gen, 1.0)
+
+
+def test_transient_tv_budget_counts_chunks():
+    assert transient_tv_budget(0.0) == 0.0
+    assert transient_tv_budget(1.0) == transient_tv_budget(500.0) == 1e-12
+    assert transient_tv_budget(600.0) == 2e-12
 
 
 @given(st.integers(2, 5), st.integers(0, 10_000))

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wdbounds import transport
 from wdbounds.errors import (
     DimensionMismatch,
     NotOptimalInput,
+    NumericalFailure,
     RowSumNotZero,
 )
 from wdbounds.markov import ProbVec
 from wdbounds.metric import discrete_metric, line_metric, validate_metric
+from wdbounds.models import random_instance
 from wdbounds.transport import (
     Coupling,
     Potential,
@@ -264,3 +267,31 @@ def test_verify_detects_corruption():
     report2 = verify_optimal_pair(Coupling(GAMMA6_ONE_SIDED, P6, Q6), flat, LINE6)
     assert report2.potential_ok
     assert not report2.duality_ok
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e9])
+def test_wasserstein_scale_invariance(c):
+    """W1(p, q; c d) = c W1(p, q; d), and the certificate holds in either unit."""
+    for seed in range(20):
+        _, metric, p0 = random_instance(6, seed, metric_kind="graph")
+        q = ProbVec(np.random.default_rng(seed).dirichlet(np.ones(6)))
+        base = wasserstein(p0, q, metric).value
+        scaled_metric = validate_metric(metric.dist * c)
+        res = wasserstein(p0, q, scaled_metric)
+        assert abs(res.value / c - base) <= 1e-9 * base, seed
+        assert verify_optimal_pair(res.coupling, res.potential, scaled_metric).all_ok, seed
+
+
+def test_invalid_solver_potential_is_numerical_failure(monkeypatch):
+    # State 3 carries equal mass in p and q, so raising f(3) leaves the dual
+    # value (and the gap check) untouched but breaks the Lipschitz property.
+    p = ProbVec(np.array([0.5, 0.25, 0.25]))
+    q = ProbVec(np.array([0.25, 0.5, 0.25]))
+    real = transport._potential_from_row_duals
+
+    def broken(u, metric):
+        return real(u, metric) + np.array([0.0, 0.0, 10.0])
+
+    monkeypatch.setattr(transport, "_potential_from_row_duals", broken)
+    with pytest.raises(NumericalFailure, match="1-Lipschitz"):
+        wasserstein(p, q, discrete_metric(3))
