@@ -131,17 +131,26 @@ def transport_loop(cost, p, q, tol, max_iter):
     plan and ``(u, v)`` the row/column potentials, normalized by ``u[0]=0``,
     satisfying ``u_i + v_j = cost_ij`` on basic cells and
     ``u_i + v_j <= cost_ij + tol`` everywhere at optimality.
+
+    The basis is a spanning tree on row nodes ``0..n-1`` and column nodes
+    ``n..n+m-1``; basic edge ``k`` joins row ``bi[k]`` to column ``bj[k]``
+    and carries ``flow[k]``.  Each pivot walks the tree once, depth-first
+    from row node 0, which gives every node its parent, depth and potential.
+    The entering cell's cycle is the two climbs from its row and column
+    nodes to their common ancestor.  The walk and the climbs index Python
+    lists; only the pricing over all cells is vectorized.
     """
     n = p.shape[0]
     m = q.shape[0]
-    nb = n + m - 1
-    gamma = np.zeros((n, m))
-    bi = np.empty(nb, dtype=np.int64)
-    bj = np.empty(nb, dtype=np.int64)
+    nn = n + m
+    nb = nn - 1
+    bi = [0] * nb
+    bj = [0] * nb
+    flow = [0.0] * nb
 
     # north-west-corner initial basis (a staircase spanning tree)
-    a = p.copy()
-    b = q.copy()
+    a = p.tolist()
+    b = q.tolist()
     i = 0
     j = 0
     for k in range(nb):
@@ -150,7 +159,7 @@ def transport_loop(cost, p, q, tol, max_iter):
         ai = a[i]
         bjv = b[j]
         x = ai if ai < bjv else bjv
-        gamma[i, j] = x
+        flow[k] = x
         a[i] -= x
         b[j] -= x
         if k == nb - 1:
@@ -162,119 +171,102 @@ def transport_loop(cost, p, q, tol, max_iter):
         else:
             i += 1
 
-    u = np.zeros(n)
-    v = np.zeros(m)
-    uk = np.zeros(n, dtype=np.bool_)
-    vk = np.zeros(m, dtype=np.bool_)
+    cl = cost.tolist()
+    adj = [[] for _ in range(nn)]
+    for k in range(nb):
+        adj[bi[k]].append(k)
+        adj[n + bj[k]].append(k)
+    bi_arr = np.array(bi, dtype=np.int64)
+    bj_arr = np.array(bj, dtype=np.int64)
+    pot = [0.0] * nn
+    parent = [0] * nn
+    pedge = [0] * nn
+    depth = [0] * nn
+
+    def plan():
+        gamma = np.zeros((n, m))
+        gamma[bi_arr, bj_arr] = flow
+        return gamma
 
     it = 0
     while True:
-        # --- potentials from the basis tree ----------------------------
-        uk[:] = False
-        vk[:] = False
-        uk[0] = True
-        u[0] = 0.0
-        done = 1
-        for _ in range(n + m):
-            if done == n + m:
-                break
-            progressed = False
-            for k in range(nb):
+        # --- one depth-first walk: parents, depths and potentials -------
+        seen = [False] * nn
+        seen[0] = True
+        stack = [0]
+        reached = 1
+        while stack:
+            node = stack.pop()
+            pn = pot[node]
+            dn = depth[node] + 1
+            for k in adj[node]:
                 r = bi[k]
                 s = bj[k]
-                if uk[r] and not vk[s]:
-                    v[s] = cost[r, s] - u[r]
-                    vk[s] = True
-                    done += 1
-                    progressed = True
-                elif vk[s] and not uk[r]:
-                    u[r] = cost[r, s] - v[s]
-                    uk[r] = True
-                    done += 1
-                    progressed = True
-            if not progressed:
-                break
-        if done != n + m:
-            return STATUS_ITER_LIMIT, gamma, u, v, it  # basis lost connectivity
+                other = r + n + s - node
+                if not seen[other]:
+                    seen[other] = True
+                    pot[other] = cl[r][s] - pn
+                    parent[other] = node
+                    pedge[other] = k
+                    depth[other] = dn
+                    stack.append(other)
+                    reached += 1
+        u = np.array(pot[:n])
+        v = np.array(pot[n:])
+        if reached != nn:
+            return STATUS_ITER_LIMIT, plan(), u, v, it  # basis lost connectivity
 
         # --- pricing: most negative reduced cost ------------------------
         red = cost - u.reshape(n, 1) - v.reshape(1, m)
-        for k in range(nb):
-            red[bi[k], bj[k]] = 0.0
+        red[bi_arr, bj_arr] = 0.0
         flat = int(np.argmin(red))
         ei = flat // m
         ej = flat - ei * m
         if red[ei, ej] >= -tol:
-            return STATUS_OPTIMAL, gamma, u, v, it
+            return STATUS_OPTIMAL, plan(), u, v, it
         if it >= max_iter:
-            return STATUS_ITER_LIMIT, gamma, u, v, it
+            return STATUS_ITER_LIMIT, plan(), u, v, it
 
-        # --- find the tree path from row-node ei to column-node n+ej ---
-        deg = np.zeros(n + m, dtype=np.int64)
-        for k in range(nb):
-            deg[bi[k]] += 1
-            deg[n + bj[k]] += 1
-        offs = np.zeros(n + m + 1, dtype=np.int64)
-        for t in range(n + m):
-            offs[t + 1] = offs[t] + deg[t]
-        fill = offs[:-1].copy()
-        adj = np.empty(2 * nb, dtype=np.int64)
-        for k in range(nb):
-            adj[fill[bi[k]]] = k
-            fill[bi[k]] += 1
-            adj[fill[n + bj[k]]] = k
-            fill[n + bj[k]] += 1
+        # --- the cycle: climb from both ends to the common ancestor -----
+        x = ei
+        y = n + ej
+        up_row = []
+        up_col = []
+        while depth[x] > depth[y]:
+            up_row.append(pedge[x])
+            x = parent[x]
+        while depth[y] > depth[x]:
+            up_col.append(pedge[y])
+            y = parent[y]
+        while x != y:
+            up_row.append(pedge[x])
+            x = parent[x]
+            up_col.append(pedge[y])
+            y = parent[y]
+        # the path from column node n+ej to row node ei; signs alternate
+        # around the cycle, the edge at the entering cell's column gets -theta
+        path = up_col + up_row[::-1]
 
-        parent_edge = np.full(n + m, -1, dtype=np.int64)
-        visited = np.zeros(n + m, dtype=np.bool_)
-        queue = np.empty(n + m, dtype=np.int64)
-        queue[0] = ei
-        visited[ei] = True
-        head = 0
-        tail = 1
-        target = n + ej
-        while head < tail and not visited[target]:
-            node = queue[head]
-            head += 1
-            for a_idx in range(offs[node], offs[node + 1]):
-                k = adj[a_idx]
-                other = n + bj[k] if node < n else bi[k]
-                if not visited[other]:
-                    visited[other] = True
-                    parent_edge[other] = k
-                    queue[tail] = other
-                    tail += 1
-        if not visited[target]:
-            return STATUS_ITER_LIMIT, gamma, u, v, it
-
-        path = np.empty(n + m, dtype=np.int64)
-        plen = 0
-        node = target
-        while node != ei:
-            k = parent_edge[node]
-            path[plen] = k
-            plen += 1
-            node = bi[k] if node >= n else n + bj[k]
-
-        # signs alternate around the cycle; the edge at the entering cell's
-        # column gets -theta, so odd positions in `path` get +theta
         theta = np.inf
         leave_pos = -1
-        for t in range(0, plen, 2):
-            k = path[t]
-            g = gamma[bi[k], bj[k]]
+        for t in range(0, len(path), 2):
+            g = flow[path[t]]
             if g < theta:
                 theta = g
                 leave_pos = t
-        gamma[ei, ej] += theta
-        for t in range(plen):
-            k = path[t]
+        for t, k in enumerate(path):
             if t % 2 == 0:
-                gamma[bi[k], bj[k]] -= theta
+                flow[k] -= theta
             else:
-                gamma[bi[k], bj[k]] += theta
+                flow[k] += theta
         kleave = path[leave_pos]
-        gamma[bi[kleave], bj[kleave]] = 0.0
+        adj[bi[kleave]].remove(kleave)
+        adj[n + bj[kleave]].remove(kleave)
         bi[kleave] = ei
         bj[kleave] = ej
+        bi_arr[kleave] = ei
+        bj_arr[kleave] = ej
+        flow[kleave] = theta
+        adj[ei].append(kleave)
+        adj[n + ej].append(kleave)
         it += 1

@@ -62,10 +62,11 @@ __all__ = [
 ]
 
 #: Two-sided slack used when pinning the stage-1 optimum in the two-stage
-#: derivative LP (the argmax set is taken up to this tolerance).  The stage-1
-#: value is vertex-exact, so the slack only needs to absorb float rounding;
-#: any looseness here biases the stage-2 maximum proportionally.
-DERIVATIVE_PIN_SLACK = 1e-9
+#: derivative LP (the argmax set is taken up to this tolerance), per unit of
+#: ``d_max * |p - q|_1``.  The stage-1 value is vertex-exact, so the slack
+#: only needs to absorb float rounding; any looseness here biases the
+#: stage-2 maximum proportionally.
+DERIVATIVE_PIN_SLACK = 1e-11
 
 
 def _check_pair(n: int, r: int, s: int) -> None:
@@ -83,16 +84,25 @@ def _lipschitz_value(
 
     The feasible set always contains ``f = min(d(., x) ...)``-type potentials,
     and is compact, so the value is finite.  Solved as the LP dual, with one
-    row per state and one variable per ordered pair.
+    row per state and one variable per ordered pair, in units where
+    ``d_max = 1`` and ``max|obj| = 1``, so the LP's tolerances meet the same
+    numbers whatever the units of the metric and the rates; the value is
+    rescaled on return.
     """
-    d = metric.dist
     n = metric.n
-    dmax = metric.d_max
+    oscale = float(np.abs(obj).max())
+    if oscale == 0.0:
+        return 0.0
+    fscale = metric.d_max
+    d = metric.dist / fscale
+    obj = obj / oscale
+    lo = lo / fscale
+    hi = hi / fscale
     # Dual variables: gamma_ab >= 0 per ordered pair (a != b), mu+ >= 0 for
     # the row pin.f <= hi, mu- >= 0 for -pin.f <= -lo, beta_a >= 0 for the
-    # upper box f <= d_max.  One >=-constraint per state a:
+    # upper box f <= 1 (d_max).  One >=-constraint per state a:
     #   sum_b gamma_ab - sum_b gamma_ba + pin_a (mu+ - mu-) + beta_a >= obj_a
-    # minimizing  sum d_ab gamma_ab + hi mu+ - lo mu- + d_max sum beta.
+    # minimizing  sum d_ab gamma_ab + hi mu+ - lo mu- + sum beta.
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     npair = len(pairs)
     ncols = npair + 2 + n
@@ -108,12 +118,12 @@ def _lipschitz_value(
     cost[npair + 1] = -lo
     for a in range(n):
         rows[a, npair + 2 + a] = 1.0
-        cost[npair + 2 + a] = dmax
+        cost[npair + 2 + a] = 1.0
     # pose the minimization as:  maximize -cost . z  s.t.  -rows z <= -obj
     sol = solve(LinearProgram(c=-cost, a_ub=-rows, b_ub=-obj))
     if sol.status != LpStatus.OPTIMAL:
         raise NumericalFailure(f"Lipschitz dual LP ended with status {sol.status.value}")
-    return -float(sol.value)
+    return -float(sol.value) * fscale * oscale
 
 
 def kappa_ctmc(gen: Generator, metric: Metric, r: int, s: int) -> float:
@@ -129,7 +139,7 @@ def kappa_ctmc(gen: Generator, metric: Metric, r: int, s: int) -> float:
         via_pin = d[rows, j][:, None] - drs + d[i, cols][None, :]
         return np.minimum(d[np.ix_(rows, cols)], via_pin)
 
-    return -_signed_ot(gen.row(r) - gen.row(s), closed_cost) / drs
+    return -_signed_ot(gen.row(r) - gen.row(s), closed_cost).value / drs
 
 
 def kappa_dtmc(pmat: TransitionMatrix, metric: Metric, r: int, s: int) -> float:
@@ -276,14 +286,16 @@ def wasserstein_derivative(p: ProbVec, q: ProbVec, gen: Generator, metric: Metri
     Danskin's rule: the derivative is ``max (p - q) . (Q f)`` over the set of
     *optimal* Kantorovich potentials for ``W1(p, q)``.  Stage 1 computes the
     distance, stage 2 maximizes over feasible potentials whose objective is
-    pinned to the stage-1 optimum (within ``DERIVATIVE_PIN_SLACK``).
+    pinned to the stage-1 optimum (within ``DERIVATIVE_PIN_SLACK * d_max *
+    |p - q|_1``, so the pin means the same in any unit).
     """
     if p.n != q.n or p.n != gen.n or gen.n != metric.n:
         raise DimensionMismatch("p, q, generator and metric must share the state space")
     w, _, _ = wasserstein(p, q, metric)
     diff = p.p - q.p
     obj = diff @ gen.q
-    return _lipschitz_value(obj, metric, diff, w - DERIVATIVE_PIN_SLACK, w + DERIVATIVE_PIN_SLACK)
+    slack = DERIVATIVE_PIN_SLACK * metric.d_max * float(np.abs(diff).sum())
+    return _lipschitz_value(obj, metric, diff, w - slack, w + slack)
 
 
 @dataclass(frozen=True)

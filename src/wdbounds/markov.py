@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,14 @@ class Generator:
         """Row of 1-based state ``r``."""
         return self.q[r - 1]
 
+    @cached_property
+    def uniformized(self) -> tuple[TransitionMatrix, float]:
+        """``(P, lam)`` of :func:`uniformize`, built and validated once per generator."""
+        lam = float(np.max(-np.diagonal(self.q)))
+        if lam <= 0.0:
+            lam = 1.0
+        return TransitionMatrix(np.eye(self.n) + self.q / lam), lam
+
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -152,13 +161,11 @@ def uniformize(gen: Generator) -> tuple[TransitionMatrix, float]:
     """Uniformization ``P = I + Q/lam`` with ``lam`` the largest exit rate.
 
     For the zero generator ``lam = 1`` (any positive rate works; the choice
-    is fixed for determinism) and ``P`` is the identity.
+    is fixed for determinism) and ``P`` is the identity.  The pair is cached
+    on the (immutable) generator, so a time sweep builds and validates ``P``
+    once.
     """
-    lam = float(np.max(-np.diagonal(gen.q)))
-    if lam <= 0.0:
-        lam = 1.0
-    p = np.eye(gen.n) + gen.q / lam
-    return TransitionMatrix(p), lam
+    return gen.uniformized
 
 
 def _poisson_step_count(lt: float) -> int:

@@ -1,6 +1,9 @@
 """Exact 1-Wasserstein distances on finite metric spaces.
 
-Two independent routes compute the same number:
+The shared mass ``min(p, q)`` of two distributions stays in place (by the
+triangle inequality some optimal plan leaves it there), so ``W1(p, q)`` is
+the cost of moving ``(p - q)+`` onto ``(p - q)-``, and only the block
+``supp(p - q)+ x supp(p - q)-`` is solved.  Two independent routes solve it:
 
 * ``method="transport"`` (default) - a transportation simplex specialized to
   the coupling polytope (:func:`wdbounds._kernels.transport_loop`);
@@ -8,16 +11,18 @@ Two independent routes compute the same number:
   and handed to :func:`wdbounds.lp.solve`.
 
 Both return the optimal coupling and a Kantorovich potential.  The coupling
-is canonicalized so that no state both sends and receives off-diagonal mass
-(which some optimal vertices violate).  The potential is recovered from the
-row duals by a double c-transform, which makes it 1-Lipschitz with the same
-objective value as the primal cost, and it is shifted so its minimum is
-``0`` (hence ``0 <= f <= d_max``).
+is ``diag(min(p, q))`` plus the block's plan, so no state both sends and
+receives off-diagonal mass; :func:`canonicalize_coupling` is not a step of
+:func:`wasserstein`, it remains for couplings from elsewhere.  The
+potential is recovered from the block's row duals (``-inf`` off the rows)
+by a double c-transform, which makes it 1-Lipschitz with the same objective
+value as the primal cost, and it is shifted so its minimum is ``0`` (hence
+``0 <= f <= d_max``).
 
 Signed variants measure rows of generator-like matrices: a vector ``v``
 with ``sum(v) = 0`` has ``W(v) = W1(v+, v-)``, the cost of moving its
-positive part onto its negative part.  They run the same transportation
-simplex on ``supp(v+) x supp(v-)`` only, which is also the route of the
+positive part onto its negative part.  They run the same solver on
+``supp(v+) x supp(v-)`` (:func:`_signed_ot`), which is also the route of the
 curvature solvers in :mod:`wdbounds.curvature`.
 """
 
@@ -166,7 +171,8 @@ def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, method: str = "transport
     ``cost`` is the ``(p.size, q.size)`` block of transport costs; it may be
     negative.  Returns ``(value, gamma, u)`` with ``u`` the row duals.  The
     kernel's pricing tolerance is relative to ``max |cost|``, so rescaling the
-    costs rescales the answer without changing the pivots.
+    costs rescales the answer without changing the pivots.  ``method`` is
+    ``"transport"`` (the LP takes over if the kernel stalls) or ``"lp"``.
     """
     nr, nc = cost.shape
     if method == "transport":
@@ -176,9 +182,7 @@ def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, method: str = "transport
         )
         if status == _kernels.STATUS_OPTIMAL:
             return float(np.sum(gamma * cost)), gamma, u
-        method = "lp"  # degenerate pivoting stalled; the generic route is Bland-guarded
-    if method != "lp":
-        raise ValueError(f"unknown method {method!r}; expected 'transport' or 'lp'")
+        # degenerate pivoting stalled; the generic route is Bland-guarded
 
     # generic route: minimize <cost, gamma> over the coupling polytope
     a_eq = np.zeros((nr + nc, nr * nc))
@@ -202,8 +206,18 @@ def _potential_from_row_duals(u: np.ndarray, metric: Metric) -> np.ndarray:
     return f - f.min()
 
 
-def _signed_ot(v: np.ndarray, cost) -> float:
-    """Transport cost of a zero-sum vector's positive part onto its negative part.
+class _SignedPlan(NamedTuple):
+    """Optimal plan of a zero-sum vector on its two supports."""
+
+    value: float
+    rows: np.ndarray  # supp(v+), 0-based
+    cols: np.ndarray  # supp(v-), 0-based
+    gamma: np.ndarray  # (rows.size, cols.size) plan
+    u: np.ndarray  # row duals
+
+
+def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
+    """Optimal transport of a zero-sum vector's positive part onto its negative part.
 
     Only the supports are solved: ``cost(rows, cols)`` returns the cost block
     for the 0-based state indices ``rows = supp(v+)`` and ``cols = supp(v-)``.
@@ -214,19 +228,20 @@ def _signed_ot(v: np.ndarray, cost) -> float:
     rows = np.flatnonzero(v > 0)
     cols = np.flatnonzero(v < 0)
     if rows.size == 0 or cols.size == 0:
-        return 0.0  # the vector is zero up to rounding
+        # the vector is zero up to rounding
+        return _SignedPlan(0.0, rows, cols, np.zeros((rows.size, cols.size)), np.zeros(rows.size))
     pos = v[rows]
     neg = -v[cols]
     mass = float(pos.sum())
     # rebalance the rounding mismatch so the kernel sees equal masses
     neg = neg * (mass / float(neg.sum()))
     c = np.ascontiguousarray(cost(rows, cols), dtype=float)
-    value, _, u = _ot(pos, neg, c)
+    value, gamma, u = _ot(pos, neg, c, method)
     dual = float(pos @ u + neg @ np.min(c - u[:, None], axis=0))
     gap = value - dual
     if abs(gap) > SIGNED_GAP_REL * float(np.abs(c).max()) * mass:
         raise NumericalFailure(f"signed transport primal/dual gap {gap:.3g} on mass {mass:.3g}")
-    return value
+    return _SignedPlan(value, rows, cols, gamma, u)
 
 
 def wasserstein(
@@ -234,27 +249,42 @@ def wasserstein(
 ) -> WassersteinResult:
     """Exact W1 between two distributions, with optimal coupling and potential.
 
-    The value is the primal transport cost; the returned potential achieves
-    the same value in the dual (checked to ``GAP_TOL * d_max``).  A gap
-    beyond that, or a coupling or potential that fails its own validation,
-    raises :class:`NumericalFailure`.
+    The shared mass ``min(p, q)`` stays in place (the triangle inequality
+    makes that optimal), so only ``(p - q)+`` is moved onto ``(p - q)-``, on
+    ``supp(p - q)+ x supp(p - q)-``.  The coupling is ``diag(min(p, q))``
+    plus that plan; no state both sends and receives.  The potential is the
+    double c-transform of the plan's row duals, padded with ``-inf`` off
+    ``supp(p - q)+``.  The value is the primal transport cost; the potential
+    achieves the same value in the dual (checked to ``GAP_TOL * d_max``).  A
+    gap beyond that, or a coupling or potential that fails its own
+    validation, raises :class:`NumericalFailure`.
     """
     if p.n != q.n or p.n != metric.n:
         raise DimensionMismatch(
             f"distributions on {p.n} and {q.n} states with a {metric.n}-state metric"
         )
-    value, gamma, u = _ot(p.p, q.p, metric.dist, method)
-    f = _potential_from_row_duals(u, metric)
-    gap = abs(float((p.p - q.p) @ f) - value)
+    if method not in ("transport", "lp"):
+        raise ValueError(f"unknown method {method!r}; expected 'transport' or 'lp'")
+    d = metric.dist
+    plan = _signed_ot(p.p - q.p, lambda rows, cols: d[np.ix_(rows, cols)], method)
+    gamma = np.diag(np.minimum(p.p, q.p))
+    gamma[np.ix_(plan.rows, plan.cols)] += plan.gamma
+    if plan.gamma.size:
+        u = np.full(metric.n, -np.inf)
+        u[plan.rows] = plan.u
+        f = _potential_from_row_duals(u, metric)
+    else:
+        f = np.zeros(metric.n)
+    gap = abs(float((p.p - q.p) @ f) - plan.value)
     tol = GAP_TOL * metric.d_max
     if gap > tol:
         raise NumericalFailure(f"primal/dual gap {gap:.3g} exceeds {tol:.3g}")
     try:
-        coupling = canonicalize_coupling(Coupling(gamma, p.p, q.p), metric)
+        coupling = Coupling(gamma, p.p, q.p)
         potential = Potential(f, metric)
     except ValueError as err:
         raise NumericalFailure(f"solver output failed validation: {err}") from err
-    return WassersteinResult(value, coupling, potential)
+    return WassersteinResult(plan.value, coupling, potential)
 
 
 def wasserstein_signed(row: SignedRow | np.ndarray, metric: Metric) -> float:
@@ -266,7 +296,7 @@ def wasserstein_signed(row: SignedRow | np.ndarray, metric: Metric) -> float:
     if v.size != metric.n:
         raise DimensionMismatch(f"row has {v.size} entries for a {metric.n}-state metric")
     d = metric.dist
-    return _signed_ot(v, lambda rows, cols: d[np.ix_(rows, cols)])
+    return _signed_ot(v, lambda rows, cols: d[np.ix_(rows, cols)]).value
 
 
 def row_wasserstein_vector(mat: np.ndarray, metric: Metric) -> np.ndarray:

@@ -97,8 +97,9 @@ def test_kappa_matches_lp_oracles_randomized():
 
     ``_lipschitz_value`` with the pin held exact is the curvature LP itself.
     ``-wasserstein_derivative(delta_r, delta_s) / d(r,s)`` relaxes the pin by
-    ``DERIVATIVE_PIN_SLACK``, which can only lower it, by at most the slack
-    times the pin's multiplier (at most the moved mass ``|obj+|_1``).
+    ``DERIVATIVE_PIN_SLACK * d_max * |delta_r - delta_s|_1``, which can only
+    lower it, by at most the slack times the pin's multiplier (at most the
+    moved mass ``|obj+|_1``).
     """
     for seed in range(24):
         kind = ("line", "graph", "discrete")[seed % 3]
@@ -116,7 +117,8 @@ def test_kappa_matches_lp_oracles_randomized():
                 oracle = -wasserstein_derivative(
                     ProbVec(eye[r - 1]), ProbVec(eye[s - 1]), gen, metric
                 ) / drs
-                slack = DERIVATIVE_PIN_SLACK * float(obj[obj > 0].sum()) / drs
+                pin_slack = DERIVATIVE_PIN_SLACK * metric.d_max * 2.0
+                slack = pin_slack * float(obj[obj > 0].sum()) / drs
                 assert oracle <= kap + 1e-9 * max(1.0, abs(kap)), (seed, r, s)
                 assert kap - oracle <= 1e-9 * max(1.0, abs(kap)) + slack, (seed, r, s)
 
@@ -136,6 +138,21 @@ def test_kappa_scale_invariance(c):
                 tol = 1e-9 * max(1.0, abs(kap))
                 assert abs(kappa_ctmc(gen, scaled_metric, r, s) - kap) <= tol, (seed, r, s)
                 assert abs(kappa_ctmc(scaled_gen, metric, r, s) / c - kap) <= tol, (seed, r, s)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e9])
+def test_wasserstein_derivative_scale_invariance(c):
+    """d/dt W1 is linear in the metric and in the rates: the pin slack and
+    the LP see the same numbers in any unit."""
+    for seed in range(20):
+        gen, metric, p0 = random_instance(6, seed, metric_kind="graph")
+        q = ProbVec(np.random.default_rng(seed).dirichlet(np.ones(6)))
+        base = wasserstein_derivative(p0, q, gen, metric)
+        tol = 1e-6 * abs(base)
+        scaled_metric = validate_metric(metric.dist * c)
+        assert abs(wasserstein_derivative(p0, q, gen, scaled_metric) / c - base) <= tol, seed
+        scaled_gen = Generator(gen.q * c)
+        assert abs(wasserstein_derivative(p0, q, scaled_gen, metric) / c - base) <= tol, seed
 
 
 def test_kappa_matches_finite_difference_oracle(toy):

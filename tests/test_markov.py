@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wdbounds import markov
 from wdbounds.errors import DimensionMismatch, IndexOutOfRange, NegativeTime
 from wdbounds.markov import (
     Generator,
@@ -103,6 +104,28 @@ def test_uniformize_two_state_and_zero_generator():
     pmat0, lam0 = uniformize(Generator(np.zeros((3, 3))))
     assert lam0 == 1.0
     assert np.array_equal(pmat0.p, np.eye(3))
+
+
+def test_uniformize_builds_once_per_generator(monkeypatch):
+    """A sweep of transient and occupation steps validates ``P`` once."""
+    built = []
+
+    class Counting(TransitionMatrix):
+        def __post_init__(self) -> None:
+            built.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(markov, "TransitionMatrix", Counting)
+    gen = Generator(TOY_Q)
+    pi = dirac(3, 1)
+    for _ in range(5):
+        occupation_ctmc(pi, gen, 0.3)
+        pi = transient_ctmc(pi, gen, 0.3)
+    assert len(built) == 1
+    assert uniformize(gen) is uniformize(gen)
+    assert len(built) == 1
+    assert np.allclose(pi.p, transient_ctmc(dirac(3, 1), Generator(TOY_Q), 1.5).p, atol=1e-12)
+    assert len(built) == 2  # a new generator is uniformized anew
 
 
 def test_transient_two_state_closed_form():

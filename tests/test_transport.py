@@ -295,3 +295,81 @@ def test_invalid_solver_potential_is_numerical_failure(monkeypatch):
     monkeypatch.setattr(transport, "_potential_from_row_duals", broken)
     with pytest.raises(NumericalFailure, match="1-Lipschitz"):
         wasserstein(p, q, discrete_metric(3))
+
+
+def _record_kernel_shapes(monkeypatch) -> list:
+    shapes = []
+    real = transport._kernels.transport_loop
+
+    def recording(cost, p, q, tol, max_iter):
+        shapes.append(cost.shape)
+        return real(cost, p, q, tol, max_iter)
+
+    monkeypatch.setattr(transport._kernels, "transport_loop", recording)
+    return shapes
+
+
+def test_wasserstein_solves_only_the_supports_of_p_minus_q(monkeypatch):
+    shapes = _record_kernel_shapes(monkeypatch)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        p = rng.dirichlet(np.ones(n))
+        q = np.where(rng.random(n) < 0.4, p, rng.dirichlet(np.ones(n)))
+        p, q = ProbVec(p), ProbVec(q / q.sum())  # normalized, as wasserstein sees them
+        m = line_metric(np.cumsum(rng.uniform(0.2, 1.5, size=n)))
+        shapes.clear()
+        res = wasserstein(p, q, m)
+        diff = p.p - q.p
+        assert shapes == [(int((diff > 0).sum()), int((diff < 0).sum()))], seed
+        # the shared mass stays on the diagonal
+        assert np.all(np.diagonal(res.coupling.gamma) >= np.minimum(p.p, q.p))
+        assert verify_optimal_pair(res.coupling, res.potential, m).all_ok, seed
+    shapes.clear()
+    assert wasserstein(p, p, m).value == 0.0
+    assert shapes == []  # p = q makes no kernel call
+
+
+def test_wasserstein_coupling_is_one_sided_without_canonicalization(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("wasserstein must not canonicalize")
+
+    monkeypatch.setattr(transport, "canonicalize_coupling", forbidden)
+    # P6/Q6 admit the two-sided optimum GAMMA6_TWO_SIDED
+    for method in ("transport", "lp"):
+        res = wasserstein(ProbVec(P6), ProbVec(Q6), LINE6, method=method)
+        report = verify_optimal_pair(res.coupling, res.potential, LINE6)
+        assert report.one_sided_ok and report.all_ok, method
+        for seed in range(10):
+            p, q = _probvec_pair(seed, 7)
+            m = line_metric(np.arange(7.0))  # integer distances: many optimal plans
+            res = wasserstein(p, q, m, method=method)
+            assert verify_optimal_pair(res.coupling, res.potential, m).one_sided_ok, (method, seed)
+
+
+def test_stalled_kernel_falls_back_to_the_lp(monkeypatch):
+    """A kernel stopped at ``max_iter=0`` hands the block to the generic LP.
+
+    The metric is not a line metric: on a line the north-west-corner start
+    is already optimal and the kernel would not need a pivot.
+    """
+    real_loop = transport._kernels.transport_loop
+    real_solve = transport.solve
+    solves = []
+
+    def no_pivots(cost, p, q, tol, max_iter):
+        return real_loop(cost, p, q, tol, 0)
+
+    def counting(lp, *args, **kwargs):
+        solves.append(lp)
+        return real_solve(lp, *args, **kwargs)
+
+    _, m, p = random_instance(8, 5, metric_kind="graph")
+    q = ProbVec(np.random.default_rng(5).dirichlet(np.ones(8)))
+    expected = wasserstein(p, q, m).value
+    monkeypatch.setattr(transport._kernels, "transport_loop", no_pivots)
+    monkeypatch.setattr(transport, "solve", counting)
+    res = wasserstein(p, q, m)
+    assert len(solves) == 1
+    assert res.value == pytest.approx(expected, abs=1e-12)
+    assert verify_optimal_pair(res.coupling, res.potential, m).all_ok
