@@ -105,18 +105,21 @@ def canonical_json(obj) -> str:
 
 @dataclass
 class Model:
-    """A loaded model plus its canonical document (for round-tripping)."""
+    """A loaded model plus its canonical document (for round-tripping).
+
+    A built-in model has no source document, so ``canon`` is ``None``.
+    """
 
     n: int
-    gen: Generator | None
-    pmat: TransitionMatrix | None
-    metric: Metric | None
-    partition: Partition | None
-    alpha: list[np.ndarray] | None
-    initial: ProbVec | None
-    agg: Aggregation | None
-    agg_pi0: ProbVec | None
-    canon: dict
+    gen: Generator | None = None
+    pmat: TransitionMatrix | None = None
+    metric: Metric | None = None
+    partition: Partition | None = None
+    alpha: list[np.ndarray] | None = None
+    initial: ProbVec | None = None
+    agg: Aggregation | None = None
+    agg_pi0: ProbVec | None = None
+    canon: dict | None = None
     source: str = "<dict>"
 
 
@@ -334,8 +337,18 @@ def load_model(path: str) -> Model:
 
 
 def canonical_model_json(model: Model) -> str:
-    """The model's canonical serialization (ends with a newline)."""
-    return canonical_json(model.canon) + "\n"
+    """The model's canonical serialization (ends with a newline).
+
+    A built-in model is written as its generator and an explicit metric.
+    """
+    canon = model.canon
+    if canon is None:
+        canon = {
+            "n": model.n,
+            "generator": _matrix_doc(model.gen.q),
+            "metric": {"kind": "explicit", "dist": _matrix_doc(model.metric.dist)},
+        }
+    return canonical_json(canon) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -362,16 +375,13 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_model(args) -> Model:
+    """A model file, loaded and validated, or a built-in, whose constructor
+    has already validated its generator and metric."""
     if args.model is not None:
         return load_model(args.model)
     if args.builtin == "toy":
         gen, metric = toy_ctmc()
-        doc = {
-            "n": 3,
-            "generator": _matrix_doc(gen.q),
-            "metric": {"kind": "explicit", "dist": _matrix_doc(metric.dist)},
-        }
-        return load_model_dict(doc, source="builtin:toy")
+        return Model(n=gen.n, gen=gen, metric=metric, source="builtin:toy")
     lo = tuple(int(v) for v in args.grid_lo.split(","))
     hi = tuple(int(v) for v in args.grid_hi.split(","))
     jumps = JumpDistribution(
@@ -380,12 +390,7 @@ def _resolve_model(args) -> Model:
     gen, metric = translation_invariant_ctmc(
         Box(lo, hi), args.grid_rate, jumps, root=args.grid_root, root_rate=args.grid_root_rate
     )
-    doc = {
-        "n": gen.n,
-        "generator": _matrix_doc(gen.q),
-        "metric": {"kind": "explicit", "dist": _matrix_doc(metric.dist)},
-    }
-    return load_model_dict(doc, source="builtin:grid")
+    return Model(n=gen.n, gen=gen, metric=metric, source="builtin:grid")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -495,9 +500,15 @@ def _cmd_curvature(args) -> int:
             margin=args.margin,
             k_only=args.k_only,
         )
-        for pc in report.pairs:
-            kap = "" if pc.kappa is None else _fmt(pc.kappa)
-            lines.append(f"pair,{pc.r},{pc.s},{_fmt(pc.k)},{kap}")
+        k = report.k.tolist()
+        memo = {v: _fmt(v) for v in set(k)}  # k repeats a lot on symmetric walks
+        kappa = [""] * len(k)
+        for i in np.flatnonzero(~np.isnan(report.kappa)).tolist():
+            kappa[i] = _fmt(report.kappa[i])
+        lines += [
+            f"pair,{r},{s},{memo[kv]},{kap}"
+            for r, s, kv, kap in zip(report.r.tolist(), report.s.tolist(), k, kappa)
+        ]
         lines.append(f"k_min,,,{_fmt(report.k_min)},")
         lines.append(f"K_global,,,{_fmt(report.K_global)},")
         if report.kappa_min is not None:

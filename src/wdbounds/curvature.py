@@ -56,7 +56,6 @@ __all__ = [
     "kappa_all_pairs",
     "wasserstein_derivative",
     "KappaMinStrategy",
-    "PairCurvature",
     "CurvatureReport",
     "curvature_report",
 ]
@@ -234,12 +233,17 @@ def kappa_min(
     """
     if gen.n < 2:
         raise SingleState()
+    return _kappa_min(gen, metric, k_matrix(gen, metric), margin)
+
+
+def _kappa_min(
+    gen: Generator, metric: Metric, kmat: np.ndarray, margin: float | None
+) -> tuple[float, KappaMinStrategy]:
+    """:func:`kappa_min` on the pairwise ``k`` values ``kmat`` of ``gen`` and ``metric``."""
     if margin is not None and margin < 0:
         raise ValueError(f"margin must be nonnegative, got {margin!r}")
     start = time.perf_counter()
-    kmat = k_matrix(gen, metric)
-    n = gen.n
-    iu = np.triu_indices(n, k=1)
+    iu = np.triu_indices(gen.n, k=1)
     kvals = np.minimum(kmat[iu], kmat.T[iu])  # k is symmetric; belt and braces
     order = int(np.argmin(kvals))
     r0, s0 = int(iu[0][order]) + 1, int(iu[1][order]) + 1
@@ -247,14 +251,11 @@ def kappa_min(
     if margin is None:
         margin = 0.01 * (1.0 + abs(tau))
     threshold = tau + margin
-    solved = [(r0, s0)]
-    values = [tau]
-    for idx in range(kvals.size):
-        r, s = int(iu[0][idx]) + 1, int(iu[1][idx]) + 1
-        if (r, s) == (r0, s0) or kvals[idx] >= threshold:
-            continue
-        solved.append((r, s))
-        values.append(kappa_ctmc(gen, metric, r, s))
+    # pairs in row-major order; a nan k bounds nothing, so its pair is solved
+    rest = np.flatnonzero(~(kvals >= threshold))
+    rest = rest[rest != order]
+    solved = [(r0, s0)] + list(zip((iu[0][rest] + 1).tolist(), (iu[1][rest] + 1).tolist()))
+    values = [tau] + [kappa_ctmc(gen, metric, r, s) for r, s in solved[1:]]
     strategy = KappaMinStrategy(
         tau=tau,
         margin=float(margin),
@@ -298,19 +299,19 @@ def wasserstein_derivative(p: ProbVec, q: ProbVec, gen: Generator, metric: Metri
     return _lipschitz_value(obj, metric, diff, w - slack, w + slack)
 
 
-@dataclass(frozen=True)
-class PairCurvature:
-    r: int
-    s: int
-    k: float
-    kappa: float | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureReport:
-    """Pairwise curvature data plus the summary constants."""
+    """Pairwise curvature data plus the summary constants.
 
-    pairs: tuple[PairCurvature, ...]
+    Pair ``i`` is ``(r[i], s[i])``, 1-based with ``r < s``, in row-major
+    order; ``k[i]`` is its lower bound ``k(r,s)`` and ``kappa[i]`` its exact
+    curvature, ``nan`` where that was not solved.
+    """
+
+    r: np.ndarray
+    s: np.ndarray
+    k: np.ndarray
+    kappa: np.ndarray
     k_min: float
     K_global: float
     kappa_min: float | None
@@ -327,41 +328,39 @@ def curvature_report(
     """Assemble pairwise and summary curvature data (used by the CLI).
 
     ``pairs`` is ``"all"`` (exact kappa everywhere), ``"min"`` (exact kappa
-    only where the prefilter needs it) or a single 1-based pair.
+    only where the prefilter needs it) or a single 1-based pair.  Every
+    ``k`` value and constant comes from one :func:`k_matrix`.
     """
     if gen.n < 2:
         raise SingleState()
+    n = gen.n
     kmat = k_matrix(gen, metric)
-    kappa_vals: dict[tuple[int, int], float] = {}
     kap_min: float | None = None
     strategy: KappaMinStrategy | None = None
     if isinstance(pairs, tuple):
-        _check_pair(gen.n, pairs[0], pairs[1])
-        selected = [tuple(sorted(pairs))]
-        if not k_only:
-            kappa_vals[selected[0]] = kappa_ctmc(gen, metric, *selected[0])
-    elif pairs == "all":
-        selected = [(r, s) for r in range(1, gen.n + 1) for s in range(r + 1, gen.n + 1)]
-        if not k_only:
-            full = kappa_all_pairs(gen, metric)
-            for r, s in selected:
-                kappa_vals[(r, s)] = float(full[r - 1, s - 1])
-            kap_min = float(np.nanmin(full))
-    elif pairs == "min":
-        selected = [(r, s) for r in range(1, gen.n + 1) for s in range(r + 1, gen.n + 1)]
-        if not k_only:
-            kap_min, strategy = kappa_min(gen, metric, margin=margin)
-            kappa_vals.update(zip(strategy.pairs_solved, strategy.kappa_solved))
+        _check_pair(n, pairs[0], pairs[1])
+        r, s = (np.array([v]) for v in sorted(pairs))
+    elif pairs in ("all", "min"):
+        r, s = (idx + 1 for idx in np.triu_indices(n, k=1))
     else:
         raise ValueError(f"pairs must be 'all', 'min' or an (r, s) tuple, got {pairs!r}")
-    rows = tuple(
-        PairCurvature(r=r, s=s, k=float(kmat[r - 1, s - 1]), kappa=kappa_vals.get((r, s)))
-        for r, s in selected
-    )
+    kappa = np.full((n, n), np.nan)  # exact curvature where solved
+    if not k_only:
+        if isinstance(pairs, tuple):
+            kappa[r - 1, s - 1] = kappa_ctmc(gen, metric, int(r[0]), int(s[0]))
+        elif pairs == "all":
+            kappa = kappa_all_pairs(gen, metric)
+            kap_min = float(np.nanmin(kappa))
+        else:
+            kap_min, strategy = _kappa_min(gen, metric, kmat, margin)
+            kappa[tuple(np.transpose(strategy.pairs_solved) - 1)] = strategy.kappa_solved
     return CurvatureReport(
-        pairs=rows,
+        r=r,
+        s=s,
+        k=kmat[r - 1, s - 1],
+        kappa=kappa[r - 1, s - 1],
         k_min=float(np.nanmin(kmat)),
-        K_global=K_global(gen, metric),
+        K_global=float(_local_defects(kmat, metric).max()),
         kappa_min=kap_min,
         strategy=strategy,
     )

@@ -76,7 +76,7 @@ class ProbVec:
 
 @dataclass(frozen=True)
 class Generator:
-    """A CTMC generator: nonnegative off-diagonal rates, zero row sums.
+    """A CTMC generator: finite entries, nonnegative off-diagonal rates, zero row sums.
 
     The diagonal is recomputed as minus the off-diagonal row sum, so row
     sums are exactly zero; the input diagonal must agree within ``1e-9``.
@@ -89,6 +89,11 @@ class Generator:
         q = np.ascontiguousarray(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] == 0:
             raise ValueError(f"generator must be square and nonempty, got shape {q.shape}")
+        if not np.isfinite(q).all():
+            r, s = np.argwhere(~np.isfinite(q))[0]
+            raise ValueError(
+                f"generator entry Q({r + 1},{s + 1})={float(q[r, s])!r} is not finite"
+            )
         n = q.shape[0]
         off = q.copy()
         np.fill_diagonal(off, 0.0)

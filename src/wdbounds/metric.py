@@ -109,14 +109,20 @@ def validate_metric(dist: np.ndarray | Sequence[Sequence[float]], tol: float = T
         raise ZeroOffDiagonal(int(r) + 1, int(s) + 1)
 
     # Triangle inequality: d(r,u) <= d(r,s) + d(s,u) + tol * d_max for all
-    # r, s, u.  One pass per intermediate state keeps memory at O(n^2).
+    # r, s, u.  d is symmetric, so the triple (u, s, r) repeats (r, s, u) and
+    # r = u cannot violate: one pass per r covers u > r against every s, in
+    # an O(n^2) buffer holding excess[s, u - r - 1].
     slack = tol * float(d.max())
-    for s in range(n):
-        excess = d - (d[:, s : s + 1] + d[s : s + 1, :])
+    buf = np.empty(n * (n - 1))
+    for r in range(n - 1):
+        width = n - 1 - r
+        excess = buf[: n * width].reshape(n, width)
+        np.add(d[r, :, None], d[:, r + 1 :], out=excess)
+        np.subtract(d[r, r + 1 :], excess, out=excess)
         k = int(np.argmax(excess))
-        r, u = divmod(k, n)
-        if excess[r, u] > slack:
-            raise TriangleViolation(r + 1, s + 1, u + 1, float(excess[r, u]))
+        s, j = divmod(k, width)
+        if excess[s, j] > slack:
+            raise TriangleViolation(r + 1, s + 1, r + j + 2, float(excess[s, j]))
 
     return Metric(d)
 

@@ -13,8 +13,12 @@ import json
 import numpy as np
 import pytest
 
+import wdbounds.cli as cli_mod
+import wdbounds.metric as metric_mod
+import wdbounds.models as models_mod
 from wdbounds.cli import canonical_model_json, load_model, load_model_dict, main
 from wdbounds.errors import NumericalFailure
+from wdbounds.markov import Generator
 
 TOY_Q = [
     [-1.0, 0.0, 1.0],
@@ -457,6 +461,71 @@ def test_builtin_models(capsys) -> None:
     _, _, rows = parse_csv(out)
     kmin = next(float(r[4]) for r in rows if r[0] == "kappa_min")
     assert kmin >= -1e-7
+
+
+@pytest.fixture()
+def gate_counts(monkeypatch):
+    """Counts of validate_metric calls and Generator constructions."""
+    counts = {"metric": 0, "generator": 0}
+    validate = metric_mod.validate_metric
+    post_init = Generator.__post_init__
+
+    def counted_validate(*args, **kwargs):
+        counts["metric"] += 1
+        return validate(*args, **kwargs)
+
+    def counted_post_init(self):
+        counts["generator"] += 1
+        post_init(self)
+
+    for mod in (metric_mod, models_mod, cli_mod):
+        monkeypatch.setattr(mod, "validate_metric", counted_validate)
+    monkeypatch.setattr(Generator, "__post_init__", counted_post_init)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "builtin",
+    [
+        ["--builtin", "toy", "--pairs", "all"],
+        ["--builtin", "grid", "--grid-lo", "0,0", "--grid-hi", "3,3", "--grid-jumps",
+         "[[[1, 0], 0.5], [[0, -1], 0.5]]", "--k-only"],
+        ["--builtin", "grid", "--grid-hi", "6", "--pairs", "min"],
+    ],
+)
+def test_builtin_is_validated_once(capsys, gate_counts, builtin) -> None:
+    code, _, err = run_cli(capsys, "curvature", *builtin)
+    assert code == 0, err
+    assert gate_counts == {"metric": 1, "generator": 1}
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        ["--grid-rate", "nan"],
+        ["--grid-rate", "inf"],
+        ["--grid-root", "1", "--grid-root-rate", "nan"],
+    ],
+)
+def test_builtin_rejects_non_finite_rates(capsys, rates) -> None:
+    code, _, err = run_cli(capsys, "curvature", "--builtin", "grid", "--grid-hi", "3", *rates)
+    assert code == 2
+    assert "not finite" in err
+
+
+def test_model_file_is_validated_once(gate_counts, toy_model) -> None:
+    model = load_model(toy_model)
+    assert model.metric is not None and model.gen is not None
+    assert gate_counts == {"metric": 1, "generator": 1}
+
+
+def test_builtin_canonical_json_matches_its_model_document() -> None:
+    argv = ["w1", "--builtin", "toy", "--p", "uniform", "--q", "uniform"]
+    args = cli_mod.build_parser().parse_args(argv)
+    model = cli_mod._resolve_model(args)
+    assert model.canon is None
+    doc = {"n": 3, "generator": TOY_Q, "metric": {"kind": "explicit", "dist": TOY_D}}
+    assert canonical_model_json(model) == canonical_model_json(load_model_dict(doc))
 
 
 def test_cli_output_deterministic(capsys, tmp_path, line6_model) -> None:

@@ -272,12 +272,12 @@ def test_derivative_matches_finite_difference(toy):
 def test_curvature_report_modes(toy):
     gen, metric = toy
     rep = curvature_report(gen, metric, pairs="all")
-    assert len(rep.pairs) == 3
-    assert all(p.kappa is not None for p in rep.pairs)
+    assert len(rep.r) == 3
+    assert not np.isnan(rep.kappa).any()
     assert rep.k_min == pytest.approx(-14.0)
     assert rep.K_global == pytest.approx(14.0)
     assert rep.kappa_min == pytest.approx(-6.0, abs=1e-9)
-    by_pair = {(p.r, p.s): (p.kappa, p.k) for p in rep.pairs}
+    by_pair = {(r, s): (kap, k) for r, s, k, kap in zip(rep.r, rep.s, rep.k, rep.kappa)}
     for pair, (kap, klow) in TOY_TABLE.items():
         got_kap, got_k = by_pair[pair]
         assert got_kap == pytest.approx(kap, abs=1e-9)
@@ -286,17 +286,18 @@ def test_curvature_report_modes(toy):
     rep_min = curvature_report(gen, metric, pairs="min")
     assert rep_min.kappa_min == pytest.approx(-6.0, abs=1e-9)
     solved = {(1, 2)}
-    assert {(p.r, p.s) for p in rep_min.pairs if p.kappa is not None} == solved
+    has_kappa = ~np.isnan(rep_min.kappa)
+    assert set(zip(rep_min.r[has_kappa], rep_min.s[has_kappa])) == solved
     assert rep_min.strategy is not None
 
     rep_one = curvature_report(gen, metric, pairs=(3, 2))
-    assert len(rep_one.pairs) == 1
-    assert (rep_one.pairs[0].r, rep_one.pairs[0].s) == (2, 3)
-    assert rep_one.pairs[0].kappa == pytest.approx(4.75, abs=1e-9)
+    assert len(rep_one.r) == 1
+    assert (rep_one.r[0], rep_one.s[0]) == (2, 3)
+    assert rep_one.kappa[0] == pytest.approx(4.75, abs=1e-9)
     assert rep_one.kappa_min is None
 
     rep_k = curvature_report(gen, metric, pairs="all", k_only=True)
-    assert all(p.kappa is None for p in rep_k.pairs)
+    assert np.isnan(rep_k.kappa).all()
     assert rep_k.kappa_min is None
     assert rep_k.k_min == pytest.approx(-14.0)
 
@@ -318,11 +319,51 @@ def test_curvature_report_min_solves_each_pair_once(monkeypatch):
     solved = rep.strategy.pairs_solved
     assert len(solved) > 1
     assert sorted(calls) == sorted(solved)
-    by_pair = {(p.r, p.s): p.kappa for p in rep.pairs}
+    by_pair = {(r, s): kap for r, s, kap in zip(rep.r, rep.s, rep.kappa)}
     for (r, s), kap in zip(solved, rep.strategy.kappa_solved):
         assert by_pair[(r, s)] == kap
         assert kap == pytest.approx(solver(gen, metric, r, s), abs=1e-12)
     assert rep.kappa_min == min(rep.strategy.kappa_solved)
+
+
+@pytest.mark.parametrize("pairs", ["all", "min", (5, 2)])
+@pytest.mark.parametrize("k_only", [False, True])
+def test_curvature_report_builds_one_k_matrix(monkeypatch, pairs, k_only):
+    gen, metric, _ = random_instance(6, 17, metric_kind="graph")
+    calls = []
+    real = curvature_mod.k_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(curvature_mod, "k_matrix", counted)
+    rep = curvature_report(gen, metric, pairs=pairs, k_only=k_only)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert rep.K_global == K_global(gen, metric)
+    assert rep.k_min == k_min(gen, metric)
+    np.testing.assert_array_equal(rep.k, k_matrix(gen, metric)[rep.r - 1, rep.s - 1])
+
+
+def test_kappa_min_solves_the_prefiltered_pairs_in_row_major_order():
+    """The candidate pair first, then every other pair whose k does not reach
+    the threshold, in row-major order."""
+    for seed in range(6):
+        kind = ("line", "graph", "discrete")[seed % 3]
+        gen, metric, _ = random_instance(8, 330 + seed, metric_kind=kind)
+        _, strategy = kappa_min(gen, metric, margin=0.5)
+        kmat = k_matrix(gen, metric)
+        first = strategy.pairs_solved[0]
+        rest = [
+            (r, s)
+            for r in range(1, 9)
+            for s in range(r + 1, 9)
+            if (r, s) != first
+            and not min(kmat[r - 1, s - 1], kmat[s - 1, r - 1]) >= strategy.threshold
+        ]
+        assert strategy.pairs_solved == (first, *rest)
+        assert len(rest) > 0
 
 
 def test_curvature_and_defect_make_no_lp_call(monkeypatch):

@@ -64,6 +64,9 @@ def test_generator_validation_and_diagonal():
         Generator(np.array([[-1.0, 2.0], [1.0, -1.0]]))  # row sum nonzero
     with pytest.raises(ValueError):
         Generator(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            Generator(np.array([[-bad, bad], [1.0, -1.0]]))
     with pytest.raises(ValueError):
         v = Generator(TOY_Q)
         v.q[0, 1] = 7.0  # stored array is read-only

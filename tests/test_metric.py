@@ -18,13 +18,14 @@ from wdbounds.errors import (
     ZeroOffDiagonal,
 )
 from wdbounds.metric import (
+    TRIANGLE_TOL,
     discrete_metric,
     line_metric,
     product_metric,
     shortest_path_metric,
     validate_metric,
 )
-from wdbounds.models import Box, JumpDistribution, translation_invariant_ctmc
+from wdbounds.models import Box, JumpDistribution, random_instance, translation_invariant_ctmc
 
 from .oracles import all_paths_shortest
 
@@ -199,3 +200,40 @@ def test_validate_rejects_inflated_entry(n, seed):
     d[s, r] += 1.0  # symmetric again but the triangle breaks through a midpoint
     with pytest.raises(TriangleViolation):
         validate_metric(d)
+
+
+def _triangle_excess(d: np.ndarray) -> np.ndarray:
+    """``excess[r, s, u] = d(r,u) - (d(r,s) + d(s,u))`` over all triples."""
+    return d[:, None, :] - (d[:, :, None] + d[None, :, :])
+
+
+@given(
+    st.integers(3, 8),
+    st.integers(0, 10_000),
+    st.sampled_from(["line", "graph", "discrete"]),
+    st.integers(0, 3),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_triangle_check_agrees_with_brute_force(n, seed, kind, changes, at_slack):
+    """On symmetric matrices with entries lowered or raised, validate_metric
+    rejects exactly when some triple exceeds the slack, and names one."""
+    rng = np.random.default_rng(seed)
+    d = random_instance(n, seed, metric_kind=kind)[1].dist.copy()
+    for _ in range(changes):
+        r, s, u = rng.choice(n, size=3, replace=False)
+        if at_slack:  # within a few slacks of the limit d(r,s) + d(s,u)
+            nudge = rng.choice([-2.0, -0.5, 0.5, 2.0]) * TRIANGLE_TOL * d.max()
+            d[r, u] = d[u, r] = d[r, s] + d[s, u] + nudge
+        else:
+            d[r, u] = d[u, r] = d[r, u] * rng.uniform(0.3, 2.0)
+    slack = TRIANGLE_TOL * d.max()
+    violated = bool((_triangle_excess(d) > slack).any())
+    try:
+        validate_metric(d)
+    except TriangleViolation as exc:
+        assert violated
+        r, s, u = (v - 1 for v in exc.triple)
+        assert d[r, u] - (d[r, s] + d[s, u]) > slack
+    else:
+        assert not violated
