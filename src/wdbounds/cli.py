@@ -52,6 +52,7 @@ from .markov import Generator, ProbVec, TransitionMatrix, dirac
 from .metric import (
     Metric,
     discrete_metric,
+    irreducible_pairs,
     line_metric,
     product_metric,
     shortest_path_metric,
@@ -479,6 +480,24 @@ def _cmd_w1(args) -> int:
     return 0
 
 
+def _write_pair_rows(r: np.ndarray, s: np.ndarray, k: np.ndarray | None, kappa: np.ndarray) -> None:
+    """Write ``pair,r,s,k,kappa`` rows to stdout, one block per ``r``.
+
+    ``k`` is ``None`` for an empty k column; a NaN kappa (not solved) is
+    written as an empty field.
+    """
+    memo: dict[float, str] = {}  # k repeats a lot on symmetric walks
+    cuts = [0, *(np.flatnonzero(np.diff(r)) + 1).tolist(), len(r)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if k is None:
+            k_text = [""] * (hi - lo)
+        else:
+            k_text = [memo.get(v) or memo.setdefault(v, _fmt(v)) for v in k[lo:hi].tolist()]
+        kappa_text = ["" if v != v else _fmt(v) for v in kappa[lo:hi].tolist()]
+        rows = zip(r[lo:hi].tolist(), s[lo:hi].tolist(), k_text, kappa_text)
+        sys.stdout.write("".join(f"pair,{a},{b},{kv},{kap}\n" for a, b, kv, kap in rows))
+
+
 def _cmd_curvature(args) -> int:
     model = _resolve_model(args)
     _require(model.metric is not None, "curvature needs a model with a metric")
@@ -488,10 +507,6 @@ def _cmd_curvature(args) -> int:
         r, s = (int(v) for v in args.pairs.split(","))
         pairs = (r, s)
 
-    lines = [
-        _metadata_line(args, "curvature", ["pairs", "margin", "k_only"]),
-        "name,r,s,k,kappa",
-    ]
     if model.gen is not None:
         report = curvature_report(
             model.gen,
@@ -500,34 +515,28 @@ def _cmd_curvature(args) -> int:
             margin=args.margin,
             k_only=args.k_only,
         )
-        k = report.k.tolist()
-        memo = {v: _fmt(v) for v in set(k)}  # k repeats a lot on symmetric walks
-        kappa = [""] * len(k)
-        for i in np.flatnonzero(~np.isnan(report.kappa)).tolist():
-            kappa[i] = _fmt(report.kappa[i])
-        lines += [
-            f"pair,{r},{s},{memo[kv]},{kap}"
-            for r, s, kv, kap in zip(report.r.tolist(), report.s.tolist(), k, kappa)
-        ]
-        lines.append(f"k_min,,,{_fmt(report.k_min)},")
-        lines.append(f"K_global,,,{_fmt(report.K_global)},")
+        r, s, k, kappa = report.r, report.s, report.k, report.kappa
+        tail = [f"k_min,,,{_fmt(report.k_min)},", f"K_global,,,{_fmt(report.K_global)},"]
         if report.kappa_min is not None:
-            lines.append(f"kappa_min,,,,{_fmt(report.kappa_min)}")
+            tail.append(f"kappa_min,,,,{_fmt(report.kappa_min)}")
     else:
         _require(model.pmat is not None, "curvature needs a generator or a dtmc matrix")
         _require(not args.k_only, "--k-only applies only to generator (CTMC) models")
         if isinstance(pairs, tuple):
-            selected = [pairs]
+            r, s = (np.array([v]) for v in pairs)
         else:
-            selected = [
-                (r, s) for r in range(1, model.n + 1) for s in range(r + 1, model.n + 1)
-            ]
-        vals = {}
-        for r, s in selected:
-            vals[(r, s)] = kappa_dtmc(model.pmat, model.metric, r, s)
-            lines.append(f"pair,{r},{s},,{_fmt(vals[(r, s)])}")
-        lines.append(f"kappa_min,,,,{_fmt(min(vals.values()))}")
-    _emit_csv(lines)
+            r, s = (idx + 1 for idx in np.triu_indices(model.n, k=1))
+        # the minimum over all pairs is reached on the irreducible ones
+        solve = irreducible_pairs(model.metric) if pairs == "min" else np.ones(r.size, dtype=bool)
+        k = None
+        kappa = np.full(r.size, np.nan)
+        for i in np.flatnonzero(solve).tolist():
+            kappa[i] = kappa_dtmc(model.pmat, model.metric, int(r[i]), int(s[i]))
+        tail = [f"kappa_min,,,,{_fmt(np.nanmin(kappa))}"]
+    meta = _metadata_line(args, "curvature", ["pairs", "margin", "k_only"])
+    _emit_csv([meta, "name,r,s,k,kappa"])
+    _write_pair_rows(r, s, k, kappa)
+    _emit_csv(tail)
     return 0
 
 

@@ -22,13 +22,23 @@ neighbourhoods of ``r`` and ``s``.  The DTMC curvature transports
 only for :func:`wasserstein_derivative`, whose pinned Danskin problem has no
 transport structure.
 
+The minimum curvature is reached through exact metric structure.  If a
+third state ``z`` lies on a geodesic, ``d(r,z) + d(z,s) = d(r,s)``, then
+``W1`` is subadditive along ``r -> z -> s`` with equality at ``t = 0``, so
+``kappa(r,s) >= (d(r,z) kappa(r,z) + d(z,s) kappa(z,s)) / d(r,s)``, the
+``d``-weighted mean of two pairs at smaller distance (Ollivier, JFA 2009,
+Prop. 19).  By induction on ``d(r,s)`` the minimum over all pairs equals the
+minimum over the *irreducible* pairs, those with no state in between
+(:func:`wdbounds.metric.irreducible_pairs`, an exact test).  The same one-step
+argument holds for the DTMC curvature.
+
 ``k_lower`` is the closed-form lower bound ``k(r,s) <= kappa(r,s)`` obtained
 from the feasible potentials ``min(d(x,r), d(x,s))``-shaped candidates; it
-needs only two dot products per pair and powers the prefiltered exact
-minimum :func:`kappa_min`: solve the pair minimizing ``k`` exactly to get a
-candidate ``tau``, then solve exactly every pair with ``k < tau + margin``.
-Since ``kappa >= k`` pairwise, pairs above the threshold cannot beat the
-candidate, so the returned minimum is exact.
+needs only two dot products per pair and prefilters the irreducible pairs in
+:func:`kappa_min`: solve the irreducible pair minimizing ``k`` exactly to get
+a candidate ``tau``, then solve exactly every irreducible pair with
+``k < tau + margin``.  Since ``kappa >= k`` pairwise, pairs above the
+threshold cannot beat the candidate, so the returned minimum is exact.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalFailure, SamePair, SingleState
 from .lp import LinearProgram, LpStatus, solve
 from .markov import Generator, ProbVec, TransitionMatrix
-from .metric import Metric
+from .metric import _CHUNK, Metric, irreducible_pairs
 from .transport import _signed_ot, wasserstein, wasserstein_signed
 
 __all__ = [
@@ -163,11 +173,34 @@ def k_lower(gen: Generator, metric: Metric, r: int, s: int) -> float:
     return -num / metric.d(r, s)
 
 
+def _q_times_d(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``q @ d`` summed over each row's nonzeros in column order.
+
+    A BLAS product may split its sums differently with the thread count, so
+    its last bits would change with the machine.  Here row ``a`` lists its
+    nonzero columns first (a stable sort), padded with zero entries up to the
+    longest row, and ``g[a] = sum_j q[a, c_j] d[c_j]`` is summed over those
+    slots in order, in blocks of rows: the same bits everywhere, in
+    ``O(rows * slots * n)``.
+    """
+    n = q.shape[0]
+    zero = q == 0
+    width = n - int(zero.sum(axis=1).min(initial=n))
+    cols = np.argsort(zero, axis=1, kind="stable")[:, :width]
+    vals = q[np.arange(n)[:, None], cols]
+    g = np.empty((n, d.shape[1]))
+    step = max(1, _CHUNK // max(1, width * d.shape[1]))
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        np.sum(vals[block, :, None] * d[cols[block]], axis=1, out=g[block])
+    return g
+
+
 def k_matrix(gen: Generator, metric: Metric) -> np.ndarray:
     """All pairwise ``k(r,s)`` values at once (``nan`` on the diagonal)."""
     if gen.n != metric.n:
         raise DimensionMismatch(f"generator on {gen.n} states, metric on {metric.n}")
-    g = gen.q @ metric.dist  # g[a, b] = Q_a . d(., b)
+    g = _q_times_d(gen.q, metric.dist)  # g[a, b] = Q_a . d(., b)
     own = np.minimum(np.diagonal(g)[:, None], g)  # own[r, s] = min(g_rr, g_rs)
     kmat = np.full((gen.n, gen.n), np.nan)
     off = ~np.eye(gen.n, dtype=bool)
@@ -209,12 +242,13 @@ def K_local(gen: Generator, metric: Metric, r: int) -> float:
 class KappaMinStrategy:
     """How :func:`kappa_min` reached its answer."""
 
-    tau: float  # exact kappa on the pair with the smallest k
+    tau: float  # exact kappa on the irreducible pair with the smallest k
     margin: float
-    threshold: float  # pairs with k below this were solved exactly
+    threshold: float  # irreducible pairs with k below this were solved exactly
     pairs_solved: tuple[tuple[int, int], ...]
     kappa_solved: tuple[float, ...]  # exact kappa of each pair in pairs_solved
-    pairs_total: int
+    pairs_irreducible: int  # pairs with no state in between, the ones prefiltered
+    pairs_total: int  # all pairs r < s
     seconds: float
 
 
@@ -223,13 +257,14 @@ def kappa_min(
     metric: Metric,
     margin: float | None = None,
 ) -> tuple[float, KappaMinStrategy]:
-    """Exact minimum curvature over all pairs, via the k-prefilter.
+    """Exact minimum curvature over all pairs, via the irreducible pairs and the k-prefilter.
 
-    Pairs with ``k(r,s) >= tau + margin`` cannot have curvature below the
-    candidate ``tau`` (kappa dominates k), so only the remaining pairs are
-    solved exactly.  ``margin`` defaults to ``0.01 * (1 + |tau|)``; any
-    nonnegative value yields the same exact result, larger values just solve
-    more pairs.
+    The minimum over all pairs is the minimum over the irreducible pairs
+    (see the module docstring).  Among those, pairs with
+    ``k(r,s) >= tau + margin`` cannot have curvature below the candidate
+    ``tau`` (kappa dominates k), so only the remaining pairs are solved
+    exactly.  ``margin`` defaults to ``0.01 * (1 + |tau|)``; any nonnegative
+    value yields the same exact result, larger values just solve more pairs.
     """
     if gen.n < 2:
         raise SingleState()
@@ -245,14 +280,15 @@ def _kappa_min(
     start = time.perf_counter()
     iu = np.triu_indices(gen.n, k=1)
     kvals = np.minimum(kmat[iu], kmat.T[iu])  # k is symmetric; belt and braces
-    order = int(np.argmin(kvals))
+    reduced = np.flatnonzero(irreducible_pairs(metric))  # row-major
+    order = int(reduced[np.argmin(kvals[reduced])])
     r0, s0 = int(iu[0][order]) + 1, int(iu[1][order]) + 1
     tau = kappa_ctmc(gen, metric, r0, s0)
     if margin is None:
         margin = 0.01 * (1.0 + abs(tau))
     threshold = tau + margin
-    # pairs in row-major order; a nan k bounds nothing, so its pair is solved
-    rest = np.flatnonzero(~(kvals >= threshold))
+    # a nan k bounds nothing, so its pair is solved
+    rest = reduced[~(kvals[reduced] >= threshold)]
     rest = rest[rest != order]
     solved = [(r0, s0)] + list(zip((iu[0][rest] + 1).tolist(), (iu[1][rest] + 1).tolist()))
     values = [tau] + [kappa_ctmc(gen, metric, r, s) for r, s in solved[1:]]
@@ -262,6 +298,7 @@ def _kappa_min(
         threshold=float(threshold),
         pairs_solved=tuple(solved),
         kappa_solved=tuple(values),
+        pairs_irreducible=reduced.size,
         pairs_total=kvals.size,
         seconds=time.perf_counter() - start,
     )
@@ -328,8 +365,8 @@ def curvature_report(
     """Assemble pairwise and summary curvature data (used by the CLI).
 
     ``pairs`` is ``"all"`` (exact kappa everywhere), ``"min"`` (exact kappa
-    only where the prefilter needs it) or a single 1-based pair.  Every
-    ``k`` value and constant comes from one :func:`k_matrix`.
+    only on the irreducible pairs the prefilter keeps) or a single 1-based
+    pair.  Every ``k`` value and constant comes from one :func:`k_matrix`.
     """
     if gen.n < 2:
         raise SingleState()

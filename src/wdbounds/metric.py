@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AsymmetricMatrix,
@@ -40,6 +41,10 @@ __all__ = [
 
 #: Slack allowed when checking the triangle inequality, relative to ``d_max``.
 TRIANGLE_TOL = 1e-9
+
+#: Entries per block of the vectorized sums in :func:`lattice_metric`,
+#: :func:`irreducible_pairs` and :func:`wdbounds.curvature.k_matrix`.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,17 +73,13 @@ class Metric:
         return float(self.dist[r - 1, s - 1])
 
 
-def validate_metric(dist: np.ndarray | Sequence[Sequence[float]], tol: float = TRIANGLE_TOL) -> Metric:
-    """Check the metric axioms and wrap the matrix in a :class:`Metric`.
+def _checked_matrix(dist: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
+    """Every metric axiom except the triangle inequality; returns the float matrix.
 
     Raises
     ------
-    AsymmetricMatrix, NegativeDistance, NonzeroDiagonal, ZeroOffDiagonal,
-    TriangleViolation
-        Each names the offending 1-based indices.  The triangle check
-        allows a slack of ``tol * d_max`` so metrics assembled from
-        floating-point arithmetic (shortest paths, products) pass at any
-        scale of the distances.
+    AsymmetricMatrix, NegativeDistance, NonzeroDiagonal, ZeroOffDiagonal
+        Each names the offending 1-based indices.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -107,6 +108,23 @@ def validate_metric(dist: np.ndarray | Sequence[Sequence[float]], tol: float = T
     if zero_off.any():
         r, s = np.argwhere(zero_off)[0]
         raise ZeroOffDiagonal(int(r) + 1, int(s) + 1)
+    return d
+
+
+def validate_metric(dist: np.ndarray | Sequence[Sequence[float]], tol: float = TRIANGLE_TOL) -> Metric:
+    """Check the metric axioms and wrap the matrix in a :class:`Metric`.
+
+    Raises
+    ------
+    AsymmetricMatrix, NegativeDistance, NonzeroDiagonal, ZeroOffDiagonal,
+    TriangleViolation
+        Each names the offending 1-based indices.  The triangle check
+        allows a slack of ``tol * d_max`` so metrics assembled from
+        floating-point arithmetic (shortest paths, products) pass at any
+        scale of the distances.
+    """
+    d = _checked_matrix(dist)
+    n = d.shape[0]
 
     # Triangle inequality: d(r,u) <= d(r,s) + d(s,u) + tol * d_max for all
     # r, s, u.  d is symmetric, so the triple (u, s, r) repeats (r, s, u) and
@@ -125,6 +143,101 @@ def validate_metric(dist: np.ndarray | Sequence[Sequence[float]], tol: float = T
             raise TriangleViolation(r + 1, s + 1, r + j + 2, float(excess[s, j]))
 
     return Metric(d)
+
+
+def lattice_metric(f: np.ndarray) -> Metric:
+    """Translation-invariant metric ``d(x, y) = f[x - y]`` on the points of an integer box.
+
+    ``f`` holds one distance per difference of two points: a box of side
+    ``L_k`` along axis ``k`` has differences in ``[-(L_k - 1), L_k - 1]``, so
+    ``f`` has odd side ``2 L_k - 1`` with the zero difference at its centre.
+    It must equal its mirror image along every axis, bitwise, as ``|delta|``
+    does.  The states are the box's points in lexicographic order, last
+    coordinate fastest, as in :meth:`wdbounds.models.Box.points`.
+
+    The matrix is gathered from ``f`` and goes through the same axiom checks
+    as :func:`validate_metric`.  The triangle inequality is checked on
+    differences instead of triples of points: ``x, y = x + a, z = y + b``
+    lie in the box exactly when ``a``, ``b`` and ``a + b`` are differences
+    (per axis, ``{0, a, a + b}`` spans ``max(|a|, |b|, |a + b|)``), so the
+    check ``f[a + b] <= f[a] + f[b] + TRIANGLE_TOL * d_max`` over those pairs
+    covers every triple, in ``O(n * |f|)`` instead of ``O(n^3)``.  Reflecting
+    ``a`` and ``b`` together along the axes where ``a < 0`` maps each
+    inequality onto one with ``a >= 0`` and the same values of ``f``, so only
+    that orthant of ``a`` is scanned.  A :class:`TriangleViolation` names a
+    triple of 1-based states ``x, y, z`` that realizes the violation.
+
+    Raises
+    ------
+    ValueError
+        If ``f`` has an even side or is not mirror-symmetric along every axis.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.ndim == 0 or any(side % 2 == 0 for side in f.shape):
+        raise ValueError(f"difference table must have odd sides, got shape {f.shape}")
+    sides = tuple((side + 1) // 2 for side in f.shape)
+    centre = np.array(sides) - 1
+    pts = np.stack(np.unravel_index(np.arange(int(np.prod(sides))), sides), axis=1)
+    # flat offset of each point in f; the last point sits at the centre, so
+    # f.flat[key[i] - key[j] + key[-1]] = f[p_i - p_j + centre]
+    key = np.ravel_multi_index(tuple(pts.T), f.shape)
+    d = _checked_matrix(f.ravel()[key[:, None] - key[None, :] + key[-1]])
+
+    if not all(np.array_equal(f, np.flip(f, axis=k)) for k in range(f.ndim)):
+        raise ValueError("difference table must be mirror-symmetric along every axis")
+
+    slack = TRIANGLE_TOL * float(d.max())
+    # windows[a][b + centre] = f[a + b + centre] for a >= 0, -inf where a + b
+    # is not a difference, so those pairs never exceed the slack
+    padded = np.pad(f, [(c, c) for c in centre], constant_values=-np.inf)
+    orthant = tuple(slice(c, None) for c in centre)
+    windows = sliding_window_view(padded, f.shape)[orthant]
+    f_a = f[orthant]
+    tail = (...,) + (None,) * f.ndim
+    step = max(1, _CHUNK // (f.size * (f_a.size // f_a.shape[0])))
+    for i in range(0, f_a.shape[0], step):
+        excess = windows[i : i + step] - (f_a[i : i + step][tail] + f)
+        k = int(np.argmax(excess))
+        if excess.flat[k] > slack:
+            at = np.unravel_index(k, excess.shape)
+            a = np.array(at[: f.ndim])
+            a[0] += i
+            b = np.array(at[f.ndim :]) - centre
+            x = -np.minimum(0, np.minimum(a, a + b))
+            r, s, u = (np.ravel_multi_index(tuple(p), sides) + 1 for p in (x, x + a, x + a + b))
+            raise TriangleViolation(int(r), int(s), int(u), float(excess.flat[k]))
+
+    return Metric(d)
+
+
+def irreducible_pairs(metric: Metric) -> np.ndarray:
+    """Mask of the pairs ``r < s``, in ``np.triu_indices(n, 1)`` order, with no
+    state strictly between them.
+
+    A pair is reducible when some ``z`` other than ``r`` and ``s`` satisfies
+    ``d(r,z) + d(z,s) == d(r,s)`` in exact arithmetic.  The sum is screened
+    in floating point and confirmed with an error-free TwoSum (Knuth, TAOCP
+    vol. 2, 4.2.2): ``d(r,s)`` must equal the rounded sum and the rounding
+    error must be zero.  A sum that only rounds onto ``d(r,s)`` leaves the
+    pair irreducible.
+    """
+    d = metric.dist
+    n = metric.n
+    # an infinite d(z,z) keeps z = r and z = s, which add a zero distance, out
+    apart = d + np.diag(np.full(n, np.inf))
+    reducible = np.zeros((n, n), dtype=bool)
+    step = max(1, _CHUNK // (n * n))
+    for lo in range(0, n - 1, step):
+        rows = slice(lo, min(lo + step, n - 1))
+        # hits of d(r,z) + d(z,s) == d(r,s) for r in rows and s >= lo
+        r, z, s = np.nonzero(apart[rows, :, None] + apart[None, :, lo:] == d[rows, None, lo:])
+        r += lo
+        s += lo
+        first, second, rounded = d[r, z], d[z, s], d[r, s]
+        second_part = rounded - first
+        exact = (first - (rounded - second_part)) + (second - second_part) == 0
+        reducible[r[exact], s[exact]] = True
+    return ~reducible[np.triu_indices(n, k=1)]
 
 
 def discrete_metric(n: int) -> Metric:

@@ -18,7 +18,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySupport, IndexOutOfRange
 from .markov import Generator, ProbVec
-from .metric import Metric, discrete_metric, line_metric, shortest_path_metric, validate_metric
+from .metric import (
+    Metric,
+    discrete_metric,
+    lattice_metric,
+    line_metric,
+    shortest_path_metric,
+    validate_metric,
+)
 
 __all__ = [
     "Box",
@@ -163,9 +170,10 @@ def translation_invariant_ctmc(
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff.astype(float) ** 2).sum(axis=2))
-    return Generator(q), validate_metric(dist)
+    # |delta| for every difference delta of two points, centred in each axis
+    diff = np.stack(np.indices(tuple(2 * side - 1 for side in shape)), axis=-1)
+    diff -= np.asarray(shape, dtype=diff.dtype) - 1
+    return Generator(q), lattice_metric(np.sqrt((diff.astype(float) ** 2).sum(axis=-1)))
 
 
 def random_instance(

@@ -18,7 +18,9 @@ import wdbounds.metric as metric_mod
 import wdbounds.models as models_mod
 from wdbounds.cli import canonical_model_json, load_model, load_model_dict, main
 from wdbounds.errors import NumericalFailure
-from wdbounds.markov import Generator
+from wdbounds.markov import Generator, uniformize
+from wdbounds.metric import irreducible_pairs, validate_metric
+from wdbounds.models import random_instance
 
 TOY_Q = [
     [-1.0, 0.0, 1.0],
@@ -225,6 +227,41 @@ def test_curvature_dtmc_model(capsys, dtmc_model) -> None:
     )
     assert code == 2
     assert "k-only" in err
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dtmc_curvature_min_matches_all(capsys, tmp_path, seed) -> None:
+    """--pairs min solves the irreducible pairs only, with the same values
+    and the same minimum as --pairs all."""
+    kind = ("line", "graph", "discrete", "integer_line")[seed % 4]
+    n = 3 + seed % 6
+    gen, metric, _ = random_instance(n, 500 + seed, metric_kind=kind.replace("integer_", ""))
+    dist = metric.dist
+    if kind == "integer_line":
+        dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    pmat, _ = uniformize(gen)
+    doc = {"n": n, "dtmc": pmat.p.tolist(), "metric": {"kind": "explicit", "dist": dist.tolist()}}
+    path = tmp_path / "dtmc.json"
+    path.write_text(json.dumps(doc))
+    tables = {}
+    for mode in ("all", "min"):
+        code, out, err = run_cli(capsys, "curvature", "--model", str(path), "--pairs", mode)
+        assert code == 0, err
+        _, _, rows = parse_csv(out)
+        pairs = [r for r in rows if r[0] == "pair"]
+        assert [(int(r[1]), int(r[2])) for r in pairs] == [
+            (r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)
+        ]
+        tables[mode] = [r[4] for r in pairs] + [next(r[4] for r in rows if r[0] == "kappa_min")]
+    solved = irreducible_pairs(validate_metric(dist))
+    assert [v != "" for v in tables["min"][:-1]] == solved.tolist()
+    for full, reduced, keep in zip(tables["all"], tables["min"], solved):
+        if keep:
+            assert reduced == full
+    full_min, reduced_min = float(tables["all"][-1]), float(tables["min"][-1])
+    assert abs(reduced_min - full_min) <= 1e-12 * (1.0 + abs(full_min))
+    if kind == "integer_line":
+        assert solved.sum() == n - 1
 
 
 def test_curvature_single_state_exits_two(capsys, tmp_path) -> None:
@@ -465,21 +502,27 @@ def test_builtin_models(capsys) -> None:
 
 @pytest.fixture()
 def gate_counts(monkeypatch):
-    """Counts of validate_metric calls and Generator constructions."""
+    """Counts of metric gate calls (validate_metric, lattice_metric) and
+    Generator constructions."""
     counts = {"metric": 0, "generator": 0}
-    validate = metric_mod.validate_metric
     post_init = Generator.__post_init__
 
-    def counted_validate(*args, **kwargs):
-        counts["metric"] += 1
-        return validate(*args, **kwargs)
+    def counted(gate):
+        def wrapper(*args, **kwargs):
+            counts["metric"] += 1
+            return gate(*args, **kwargs)
+
+        return wrapper
 
     def counted_post_init(self):
         counts["generator"] += 1
         post_init(self)
 
-    for mod in (metric_mod, models_mod, cli_mod):
-        monkeypatch.setattr(mod, "validate_metric", counted_validate)
+    for name in ("validate_metric", "lattice_metric"):
+        wrapper = counted(getattr(metric_mod, name))
+        for mod in (metric_mod, models_mod, cli_mod):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapper)
     monkeypatch.setattr(Generator, "__post_init__", counted_post_init)
     return counts
 

@@ -9,6 +9,8 @@ no exact curvature was solved) shows up here.  For
 
 To record a new digest after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and paste what it prints.
+The output must not depend on the BLAS thread count; one test runs that
+script under ``OPENBLAS_NUM_THREADS=1`` and ``=2`` and compares.
 """
 
 from __future__ import annotations
@@ -17,11 +19,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import wdbounds
 from wdbounds.cli import main
 
 TOY_P = [[0.75, 0.0, 0.25], [0.25, 0.0, 0.75], [0.0, 0.5, 0.5]]
@@ -46,6 +52,7 @@ CASES: dict[str, list[str]] = {
     "line24_rooted_min": LINE24
     + ["--grid-root", "1", "--grid-root-rate", "0.05", "--pairs", "min"],
     "dtmc_all": ["--model", "<model>", "--pairs", "all"],
+    "dtmc_min": ["--model", "<model>", "--pairs", "min"],
     "dtmc_pair_2_3": ["--model", "<model>", "--pairs", "2,3"],
 }
 
@@ -55,12 +62,13 @@ GOLDEN = {
     "toy_min": "bfba1671e00a3f15dbbcd1d23b34c50e6ee792edfb28c82197177cd1bc0d9690",
     "toy_pair_1_3": "229842433b8c282b5a1f94fa859e0825995980431cd89d5cdc2a2919275c9aac",
     "toy_k_only": "2217ffb0998297dfdce8294ef525784739604fcb152434b03e93c19a514aa8de",
-    "box5_k_only": "7df96b6e542938e845c1bd8dbf29df04521fff4a9f04f2fe0815e03ac1135b65",
-    "box5_all": "53ad5cc2b3d56578c091ccd470a6b26d6bedb1a792b5fe78df9d5da7038e98ca",
-    "box20_k_only": "6001bb9abf3872e761eff060e63a1ddaaf92a5aad111166f7b8024240d9d1c53",
-    "line24_min": "154bd0eed36157b6f3840b7b80b778f8bc26f8e1dbbd125cec357defcc718a4e",
-    "line24_rooted_min": "f4076553a84b9c3e043eeda3dd9815df10640a2b97023d814edeabb6af197b73",
+    "box5_k_only": "6a6a6606bff5d4bf6bd59a550f640c4d9802e1cd5fb0d84357c32d6c65856961",
+    "box5_all": "91eea48c45599453e91e16a12ccf68b60d0710613289c1c30f5609b99eadb58c",
+    "box20_k_only": "58dee67b50dfc95ba61cdccce4ccf9a83f4ada9d2bf1568522d6b1a598395510",
+    "line24_min": "a32e498519b1175c362468a8b6b969e259900ee281eec3a7a92c73d42f60d02c",
+    "line24_rooted_min": "67d0b150d86d5375313e0185822d5de79b942b496001ba466dd1f9ea81deb70a",
     "dtmc_all": "50ef9c1129e1ab0d80314a57cb7ad858eec50b200b4372e05fbbd0b6365feecf",
+    "dtmc_min": "bdcc3a523afbe4a3227eb804d9bede3b8e739c3c3f87a4792035501d0b89f1ea",
     "dtmc_pair_2_3": "cf218572e40fe34a9872fd14f8dc6475208691bfd9f511f57695f6648ae3c0c5",
 }
 
@@ -84,6 +92,21 @@ def digest(text: str) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_curvature_stdout_matches_golden(case, tmp_path) -> None:
     assert digest(curvature_stdout(case, tmp_path)) == GOLDEN[case]
+
+
+def test_curvature_stdout_does_not_depend_on_blas_threads() -> None:
+    """Every golden case prints the same bytes with one and two BLAS threads."""
+    src = str(Path(wdbounds.__file__).parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, __file__], env=env, capture_output=True, text=True, check=True
+        )
+        printed.append(run.stdout)
+    assert printed[0] == printed[1]
+    assert len(printed[0].splitlines()) == len(CASES)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wdbounds.curvature as curvature_mod
 import wdbounds.transport as transport_mod
@@ -26,7 +28,7 @@ from wdbounds.curvature import (
 )
 from wdbounds.errors import DimensionMismatch, SamePair, SingleState
 from wdbounds.markov import Generator, ProbVec, TransitionMatrix, uniformize
-from wdbounds.metric import discrete_metric, validate_metric
+from wdbounds.metric import discrete_metric, irreducible_pairs, validate_metric
 from wdbounds.models import Box, JumpDistribution, random_instance, translation_invariant_ctmc
 from wdbounds.transport import wasserstein
 
@@ -81,6 +83,24 @@ def test_k_matrix_closed_form(toy):
                     k_lower(gen, metric, r, s), abs=1e-12
                 )
     assert np.allclose(kmat[~np.eye(3, dtype=bool)], kmat.T[~np.eye(3, dtype=bool)])
+
+
+@pytest.mark.parametrize("density", [1.0, 0.3, 0.0])
+def test_k_matrix_product_sums_nonzeros_in_column_order(density):
+    """``Q d`` inside k_matrix equals a plain loop over each row's nonzeros,
+    bit for bit, and a BLAS product to rounding."""
+    for seed in range(6):
+        gen, metric, _ = random_instance(3 + seed, 40 + seed, metric_kind="graph", density=density)
+        q, d = gen.q, metric.dist
+        got = curvature_mod._q_times_d(q, d)
+        for a in range(gen.n):
+            for b in range(gen.n):
+                acc = 0.0
+                for c in np.flatnonzero(q[a]):
+                    acc += float(q[a, c]) * float(d[c, b])
+                assert got[a, b] == acc
+        scale = np.abs(q).sum(axis=1).max() * d.max()
+        np.testing.assert_allclose(got, q @ d, rtol=0, atol=1e-13 * scale)
 
 
 def test_kappa_dominates_k_randomized():
@@ -183,15 +203,18 @@ def test_kappa_min_prefilter_toy(toy):
     val, strategy = kappa_min(gen, metric)
     assert val == pytest.approx(-6.0, abs=1e-9)
     assert strategy.tau == pytest.approx(-6.0, abs=1e-9)
-    # the k-gap between (1,2) and the rest is wide: one LP suffices
+    # the k-gap between (1,2) and the rest is wide: one solve suffices
     assert strategy.pairs_solved == ((1, 2),)
     assert strategy.pairs_total == 3
+    # d(1,2) + d(2,3) = d(1,3): state 2 lies between 1 and 3
+    assert strategy.pairs_irreducible == 2
     assert strategy.threshold == pytest.approx(strategy.tau + strategy.margin)
     # margins never change the answer, only the work
     for margin in (0.0, 1.0, 25.0):
         val_m, strat_m = kappa_min(gen, metric, margin=margin)
         assert val_m == pytest.approx(-6.0, abs=1e-9)
-    assert len(strat_m.pairs_solved) == 3  # margin 25 covers every pair
+    # margin 25 covers every irreducible pair; the reducible (1,3) is never solved
+    assert strat_m.pairs_solved == ((1, 2), (2, 3))
 
 
 def test_kappa_min_equals_all_pairs_minimum():
@@ -201,6 +224,51 @@ def test_kappa_min_equals_all_pairs_minimum():
         full_min = float(np.nanmin(kappa_all_pairs(gen, metric)))
         val, _ = kappa_min(gen, metric)
         assert val == pytest.approx(full_min, abs=1e-9), f"seed {seed}"
+
+
+def _rooted_line(n: int, seed: int):
+    """A walk on the integer line 0..n-1 (exact midpoints everywhere) with
+    random jumps of length 1 to 3 and a root that breaks translation invariance."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.choice([1, 2, 3], size=int(rng.integers(1, 4)), replace=False)
+    offsets = [((int(sign * v),), 1.0) for v in lengths for sign in (1, -1)]
+    jumps = JumpDistribution(tuple((off, w / len(offsets)) for off, w in offsets))
+    root = int(rng.integers(1, n + 1))
+    return translation_invariant_ctmc(
+        Box((0,), (n - 1,)), float(rng.uniform(0.5, 2.0)), jumps, root, float(rng.uniform(0, 1))
+    )
+
+
+@given(
+    st.sampled_from(["line", "graph", "discrete", "rooted_line"]),
+    st.integers(2, 10),
+    st.integers(0, 10_000),
+    st.sampled_from([None, 0.0, 1.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_kappa_min_over_irreducible_pairs_equals_all_pairs_minimum(kind, n, seed, margin):
+    if kind == "rooted_line":
+        gen, metric = _rooted_line(n, seed)
+    else:
+        gen, metric, _ = random_instance(n, seed, metric_kind=kind, density=0.7)
+    val, strategy = kappa_min(gen, metric, margin=margin)
+    full = float(np.nanmin(kappa_all_pairs(gen, metric)))
+    assert abs(val - full) <= 1e-12 * (1.0 + abs(full))
+    pairs = [(r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
+    reduced = {pair for pair, keep in zip(pairs, irreducible_pairs(metric)) if keep}
+    assert set(strategy.pairs_solved) <= reduced
+    assert strategy.pairs_irreducible == len(reduced)
+
+
+def test_kappa_min_solves_few_pairs_on_a_line():
+    """On integer lines only neighbours are irreducible."""
+    line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
+    for root in (None, 1):
+        gen, metric = translation_invariant_ctmc(Box((0,), (23,)), 1.0, line, root, 0.05)
+        _, strategy = kappa_min(gen, metric)
+        assert strategy.pairs_irreducible == 23
+        assert strategy.pairs_total == 276
+        assert all(s == r + 1 for r, s in strategy.pairs_solved)
 
 
 def test_dtmc_curvature_hand_values(toy):
@@ -347,21 +415,29 @@ def test_curvature_report_builds_one_k_matrix(monkeypatch, pairs, k_only):
 
 
 def test_kappa_min_solves_the_prefiltered_pairs_in_row_major_order():
-    """The candidate pair first, then every other pair whose k does not reach
-    the threshold, in row-major order."""
+    """The candidate pair first, then every other irreducible pair whose k
+    does not reach the threshold, in row-major order; the candidate is the
+    irreducible pair with the smallest k."""
+    instances = []
     for seed in range(6):
         kind = ("line", "graph", "discrete")[seed % 3]
-        gen, metric, _ = random_instance(8, 330 + seed, metric_kind=kind)
+        instances.append(random_instance(8, 330 + seed, metric_kind=kind)[:2])
+    # integer positions: most pairs have an exact midpoint
+    line = JumpDistribution((((1,), 0.5), ((-2,), 0.5)))
+    instances.append(translation_invariant_ctmc(Box((0,), (7,)), 1.0, line, root=3, root_rate=0.3))
+    for gen, metric in instances:
+        n = gen.n
         _, strategy = kappa_min(gen, metric, margin=0.5)
         kmat = k_matrix(gen, metric)
+        pairs = [(r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
+        mask = irreducible_pairs(metric)
+        reduced = [pair for pair, keep in zip(pairs, mask) if keep]
+        assert strategy.pairs_total == len(pairs)
+        assert strategy.pairs_irreducible == len(reduced)
+        k_of = {(r, s): min(kmat[r - 1, s - 1], kmat[s - 1, r - 1]) for r, s in pairs}
         first = strategy.pairs_solved[0]
-        rest = [
-            (r, s)
-            for r in range(1, 9)
-            for s in range(r + 1, 9)
-            if (r, s) != first
-            and not min(kmat[r - 1, s - 1], kmat[s - 1, r - 1]) >= strategy.threshold
-        ]
+        assert first == min(reduced, key=lambda pair: k_of[pair])
+        rest = [pair for pair in reduced if pair != first and not k_of[pair] >= strategy.threshold]
         assert strategy.pairs_solved == (first, *rest)
         assert len(rest) > 0
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,8 @@ from wdbounds.errors import (
 from wdbounds.metric import (
     TRIANGLE_TOL,
     discrete_metric,
+    irreducible_pairs,
+    lattice_metric,
     line_metric,
     product_metric,
     shortest_path_metric,
@@ -237,3 +242,159 @@ def test_triangle_check_agrees_with_brute_force(n, seed, kind, changes, at_slack
         assert d[r, u] - (d[r, s] + d[s, u]) > slack
     else:
         assert not violated
+
+
+def _irreducible_oracle(d: np.ndarray) -> np.ndarray:
+    """Pairs r < s (row-major) with no z != r, s on a geodesic, in exact
+    rational arithmetic."""
+    n = d.shape[0]
+    exact = [[Fraction(float(v)) for v in row] for row in d]
+    return np.array(
+        [
+            not any(
+                exact[r][z] + exact[z][s] == exact[r][s] for z in range(n) if z not in (r, s)
+            )
+            for r in range(n)
+            for s in range(r + 1, n)
+        ]
+    )
+
+
+def _metric_with_ties(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "integer_line":
+        return line_metric(np.sort(rng.choice(3 * n, size=n, replace=False))).dist
+    if kind == "dyadic_graph":  # weights in quarters: path sums are exact
+        edges = [(int(rng.integers(1, v)), v, rng.integers(1, 8) / 4) for v in range(2, n + 1)]
+        for u, v in rng.integers(1, n + 1, size=(n, 2)):
+            if u != v:
+                edges.append((int(u), int(v), rng.integers(1, 8) / 4))
+        return shortest_path_metric(n, edges).dist
+    if kind == "grid_l1":
+        side = line_metric(np.arange(3.0))
+        return product_metric([(side, 0.5), (line_metric(np.arange(n // 3 + 1.0)), 1.0)]).dist
+    return random_instance(n, seed, metric_kind=kind)[1].dist
+
+
+@given(
+    st.sampled_from(["integer_line", "dyadic_graph", "grid_l1", "line", "graph", "discrete"]),
+    st.integers(3, 9),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=80, deadline=None)
+def test_irreducible_pairs_match_exact_rational_oracle(kind, n, seed):
+    d = _metric_with_ties(kind, n, seed)
+    np.testing.assert_array_equal(irreducible_pairs(validate_metric(d)), _irreducible_oracle(d))
+
+
+def test_irreducible_pairs_need_an_exact_midpoint():
+    # toy: d(1,2) + d(2,3) = d(1,3), so (1,3) is reducible
+    np.testing.assert_array_equal(irreducible_pairs(validate_metric(TOY_DIST)), [True, False, True])
+    # 0.1 + 0.2 rounds onto the stored d(1,3), but its rounding error is not zero
+    c = 0.1 + 0.2
+    rounded = validate_metric([[0.0, 0.1, c], [0.1, 0.0, 0.2], [c, 0.2, 0.0]])
+    np.testing.assert_array_equal(irreducible_pairs(rounded), [True, True, True])
+    # a detour longer by one part in 1e12 is no midpoint either
+    near = 1.0 + 2.0 * (1 + 1e-12)
+    detour = validate_metric([[0.0, 1.0, near], [1.0, 0.0, 2.0], [near, 2.0, 0.0]])
+    np.testing.assert_array_equal(irreducible_pairs(detour), [True, True, True])
+    # 0.5 + 0.25 is exact
+    exact = validate_metric([[0.0, 0.5, 0.75], [0.5, 0.0, 0.25], [0.75, 0.25, 0.0]])
+    np.testing.assert_array_equal(irreducible_pairs(exact), [True, False, True])
+    # two states: the one pair is irreducible
+    np.testing.assert_array_equal(irreducible_pairs(discrete_metric(2)), [True])
+
+
+def _euclidean_differences(shape: tuple[int, ...]) -> np.ndarray:
+    diff = np.stack(np.indices(tuple(2 * side - 1 for side in shape)), axis=-1)
+    diff -= np.array(shape) - 1
+    return np.sqrt((diff.astype(float) ** 2).sum(axis=-1))
+
+
+def _gathered(f: np.ndarray) -> np.ndarray:
+    """``d[i, j] = f[p_i - p_j + centre]`` over the box's points, lexicographic."""
+    sides = tuple((side + 1) // 2 for side in f.shape)
+    pts = np.array(list(np.ndindex(*sides)))
+    centre = np.array(sides) - 1
+    return np.array([[f[tuple(p - q + centre)] for q in pts] for p in pts])
+
+
+BOX_SHAPES = [
+    shape for dim in (1, 2, 3) for shape in itertools.product(range(1, 7), repeat=dim)
+]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lattice_check_agrees_with_validate_metric_on_boxes(dim):
+    """Every box up to 6 per side: the gathered matrix is the explicit
+    Euclidean one, and both gates accept it."""
+    for shape in (s for s in BOX_SHAPES if len(s) == dim):
+        f = _euclidean_differences(shape)
+        pts = np.array(list(np.ndindex(*shape)))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]).astype(float) ** 2).sum(axis=2))
+        m = lattice_metric(f)
+        np.testing.assert_array_equal(m.dist, dist)
+        np.testing.assert_array_equal(validate_metric(dist).dist, m.dist)
+
+
+def _perturbed(shape, rng):
+    """A difference table with one entry scaled, together with its mirror
+    images along every axis."""
+    f = _euclidean_differences(shape)
+    centre = np.array(f.shape) // 2
+    at = np.array([rng.integers(0, side) for side in f.shape])
+    factor = rng.choice([0.3, 0.9, 1 + 0.5 * TRIANGLE_TOL, 1 + 4 * TRIANGLE_TOL, 1.5, 2.0])
+    for sign in set(itertools.product([1, -1], repeat=len(shape))):
+        f[tuple(centre + (at - centre) * np.array(sign))] *= factor
+    return f
+
+
+@given(st.integers(1, 3), st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+def test_lattice_check_flags_a_perturbed_table(dim, seed):
+    """On perturbed tables both gates accept or reject together; a rejected
+    table's triple is real and exceeds the slack."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(v) for v in rng.integers(2, 6, size=dim))
+    f = _perturbed(shape, rng)
+    d = _gathered(f)
+    try:
+        validate_metric(d)
+    except (TriangleViolation, ZeroOffDiagonal) as exc:
+        with pytest.raises(type(exc)) as caught:
+            lattice_metric(f)
+    else:
+        np.testing.assert_array_equal(lattice_metric(f).dist, d)
+        return
+    if isinstance(caught.value, TriangleViolation):
+        r, s, u = (v - 1 for v in caught.value.triple)
+        assert len({r, s, u}) == 3
+        assert d[r, u] - (d[r, s] + d[s, u]) > TRIANGLE_TOL * d.max()
+
+
+def test_lattice_check_rejects_a_table_that_is_not_mirrored():
+    """Lowering |(1,-1)| and |(-1,1)| keeps d symmetric but only breaks
+    d(x, x + (2,-2)) <= 2 |(1,-1)|, whose offsets a = b = (1,-1) lie outside
+    the orthant a >= 0 that is scanned; such a table is refused, not passed."""
+    f = _euclidean_differences((4, 4))
+    f[4, 2] = f[2, 4] = 0.9 * np.sqrt(2.0)
+    with pytest.raises(TriangleViolation):
+        validate_metric(_gathered(f))
+    with pytest.raises(ValueError, match="mirror"):
+        lattice_metric(f)
+
+
+def test_lattice_check_names_a_real_triple():
+    f = _euclidean_differences((4, 3))
+    f[5, 2] = f[1, 2] = 3.5  # |(+-2, 0)| raised above 1 + 1
+    with pytest.raises(TriangleViolation) as exc:
+        lattice_metric(f)
+    d = _gathered(f)
+    r, s, u = (v - 1 for v in exc.value.triple)
+    assert d[r, u] - (d[r, s] + d[s, u]) == pytest.approx(1.5)
+    with pytest.raises(AsymmetricMatrix):
+        g = _euclidean_differences((4, 3))
+        g[5, 2] = 2.5  # (+2, 0) without (-2, 0)
+        lattice_metric(g)
+    with pytest.raises(ValueError):
+        lattice_metric(np.zeros((2, 3)))
