@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import Aggregation, aggregate_initial
-from .curvature import _local_defects, k_matrix, kappa_min
+from .curvature import _kappa_min, _local_defects, k_matrix
 from .errors import NegativeTime, RateUnavailable, SingleState
 from .markov import (
     Generator,
@@ -160,12 +160,11 @@ def prepare_bound_inputs(
     agg: Aggregation,
     p0: ProbVec,
     with_kappa: bool = False,
-    with_local: bool = False,
-    margin: float | None = None,
 ) -> BoundInputs:
     """Assemble :class:`BoundInputs` for a partition-based CTMC aggregation.
 
-    ``k_min``, ``K`` and ``K_local`` all come from one :func:`k_matrix`.
+    ``k_min``, ``K``, ``K_local`` and, with ``with_kappa``, the prefilter of
+    ``kappa_min`` all come from one :func:`k_matrix`.
     """
     if gen.n < 2:
         raise SingleState()
@@ -173,8 +172,8 @@ def prepare_bound_inputs(
     pi0 = aggregate_initial(p0, agg)
     ptilde0 = ProbVec(pi0.p @ agg.a)
     w0, _, _ = wasserstein(ptilde0, p0, metric)
-    kap = kappa_min(gen, metric, margin=margin)[0] if with_kappa else None
     kmat = k_matrix(gen, metric)
+    kap = _kappa_min(gen, metric, kmat)[0] if with_kappa else None
     kloc = _local_defects(kmat, metric)
     return BoundInputs(
         w0=w0,
@@ -184,7 +183,7 @@ def prepare_bound_inputs(
         K=float(kloc.max()),
         d_max=metric.d_max,
         kappa_min=kap,
-        K_local=kloc if with_local else None,
+        K_local=kloc,
     )
 
 
@@ -223,9 +222,9 @@ def bound_linear_K_timevarying(
     """Time-varying linear bounds from one forward sweep of occupation times.
 
     Returns ``{"timevarying": W0 + integral_0^t pi_s . v ds + t K}`` and, when
-    ``inputs.K_local`` was computed, also
-    ``{"local": W0 + integral_0^t pi_s . (v + A K_loc) ds}`` (``p~_s . K_loc``
-    with ``p~_s = pi_s A``), where ``pi_s`` is the aggregated chain's law
+    ``inputs`` carries ``K_local`` (:func:`prepare_bound_inputs` always sets
+    it), also ``{"local": W0 + integral_0^t pi_s . (v + A K_loc) ds}``
+    (``p~_s . K_loc`` with ``p~_s = pi_s A``), where ``pi_s`` is the aggregated chain's law
     started from ``pi0``.  Both integrate against the same occupation curve:
     per grid interval of length ``h`` the truncated occupation series of
     :func:`~wdbounds.markov.occupation_ctmc` plus ``max(w) * (tail + h eps)``,
@@ -363,7 +362,6 @@ def compute_bound_curve(
     t_grid: np.ndarray,
     variants: tuple[str, ...] = ("linear", "exp-k", "hybrid"),
     with_exact: bool = False,
-    margin: float | None = None,
 ) -> BoundCurve:
     """Evaluate the requested bound variants on a grid.
 
@@ -378,10 +376,7 @@ def compute_bound_curve(
     if bad:
         raise ValueError(f"unknown bound variants: {sorted(bad)}")
     need_kappa = bool({"exp-kappa", "hybrid-kappa"} & set(variants))
-    need_local = "local" in variants
-    inputs = prepare_bound_inputs(
-        gen, metric, agg, p0, with_kappa=need_kappa, with_local=need_local, margin=margin
-    )
+    inputs = prepare_bound_inputs(gen, metric, agg, p0, with_kappa=need_kappa)
     integrals = (
         bound_linear_K_timevarying(inputs, agg, aggregate_initial(p0, agg), t)
         if {"timevarying", "local"} & set(variants)

@@ -47,7 +47,7 @@ from .aggregation import (
     partition_aggregation_dtmc,
 )
 from .curvature import curvature_report, kappa_dtmc
-from .errors import NumericalFailure, WdboundsError
+from .errors import NumericalFailure, SingleState, WdboundsError
 from .markov import Generator, ProbVec, TransitionMatrix, dirac
 from .metric import (
     Metric,
@@ -59,7 +59,7 @@ from .metric import (
     validate_metric,
 )
 from .models import Box, JumpDistribution, toy_ctmc, translation_invariant_ctmc
-from .transport import SUPPORT_TOL, canonicalize_coupling, wasserstein
+from .transport import SUPPORT_TOL, wasserstein
 
 __all__ = ["main", "Model", "load_model", "load_model_dict", "canonical_model_json"]
 
@@ -465,10 +465,7 @@ def _cmd_w1(args) -> int:
     lines = [_metadata_line(args, "w1", ["p", "q", "method"]), "kind,r,s,value"]
     lines.append(f"w1,,,{_fmt(result.value)}")
     if args.coupling:
-        coupling = result.coupling
-        if args.canonical:
-            coupling = canonicalize_coupling(coupling, model.metric)
-        gamma = coupling.gamma
+        gamma = result.coupling.gamma
         for r in range(model.n):
             for s in range(model.n):
                 if gamma[r, s] > SUPPORT_TOL:
@@ -508,13 +505,7 @@ def _cmd_curvature(args) -> int:
         pairs = (r, s)
 
     if model.gen is not None:
-        report = curvature_report(
-            model.gen,
-            model.metric,
-            pairs=pairs,
-            margin=args.margin,
-            k_only=args.k_only,
-        )
+        report = curvature_report(model.gen, model.metric, pairs=pairs, k_only=args.k_only)
         r, s, k, kappa = report.r, report.s, report.k, report.kappa
         tail = [f"k_min,,,{_fmt(report.k_min)},", f"K_global,,,{_fmt(report.K_global)},"]
         if report.kappa_min is not None:
@@ -522,8 +513,10 @@ def _cmd_curvature(args) -> int:
     else:
         _require(model.pmat is not None, "curvature needs a generator or a dtmc matrix")
         _require(not args.k_only, "--k-only applies only to generator (CTMC) models")
+        if model.n < 2:
+            raise SingleState()
         if isinstance(pairs, tuple):
-            r, s = (np.array([v]) for v in pairs)
+            r, s = (np.array([v]) for v in sorted(pairs))
         else:
             r, s = (idx + 1 for idx in np.triu_indices(model.n, k=1))
         # the minimum over all pairs is reached on the irreducible ones
@@ -533,7 +526,7 @@ def _cmd_curvature(args) -> int:
         for i in np.flatnonzero(solve).tolist():
             kappa[i] = kappa_dtmc(model.pmat, model.metric, int(r[i]), int(s[i]))
         tail = [f"kappa_min,,,,{_fmt(np.nanmin(kappa))}"]
-    meta = _metadata_line(args, "curvature", ["pairs", "margin", "k_only"])
+    meta = _metadata_line(args, "curvature", ["pairs", "k_only"])
     _emit_csv([meta, "name,r,s,k,kappa"])
     _write_pair_rows(r, s, k, kappa)
     _emit_csv(tail)
@@ -561,14 +554,7 @@ def _cmd_bounds(args) -> int:
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     t = bounds_mod.time_grid(args.T, args.grid)
     curve = bounds_mod.compute_bound_curve(
-        model.gen,
-        model.metric,
-        agg,
-        p0,
-        t,
-        variants=variants,
-        with_exact=args.exact,
-        margin=args.margin,
+        model.gen, model.metric, agg, p0, t, variants=variants, with_exact=args.exact
     )
     header = ["t"]
     if args.exact:
@@ -641,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     w1.add_argument("--q", required=True, help="second distribution spec")
     w1.add_argument("--coupling", action="store_true", help="emit the optimal coupling")
     w1.add_argument("--potential", action="store_true", help="emit the optimal potential")
-    w1.add_argument("--canonical", action="store_true", help="canonicalize the coupling")
     w1.add_argument(
         "--method", choices=["transport", "lp"], default="transport", help="solver route"
     )
@@ -650,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     curv = subs.add_parser("curvature", help="pairwise coarse Ricci curvature")
     _add_model_args(curv)
     curv.add_argument("--pairs", default="min", help="'all', 'min' or 'r,s'")
-    curv.add_argument("--margin", type=float, default=None, help="prefilter margin")
     curv.add_argument("--k-only", action="store_true", help="skip all exact curvature solves")
     curv.set_defaults(func=_cmd_curvature)
 
@@ -665,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bnd.add_argument("--exact", action="store_true", help="also compute the exact error")
     bnd.add_argument("--p0", default=None, help="initial distribution spec")
-    bnd.add_argument("--margin", type=float, default=None, help="kappa_min prefilter margin")
     bnd.add_argument(
         "--partition-from-file", default=None, help="JSON file with partition blocks"
     )

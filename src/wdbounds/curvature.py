@@ -36,14 +36,14 @@ argument holds for the DTMC curvature.
 from the feasible potentials ``min(d(x,r), d(x,s))``-shaped candidates; it
 needs only two dot products per pair and prefilters the irreducible pairs in
 :func:`kappa_min`: solve the irreducible pair minimizing ``k`` exactly to get
-a candidate ``tau``, then solve exactly every irreducible pair with
-``k < tau + margin``.  Since ``kappa >= k`` pairwise, pairs above the
-threshold cannot beat the candidate, so the returned minimum is exact.
+a candidate ``tau``, then solve exactly every other irreducible pair with
+``k < tau``.  Since ``kappa >= k`` pairwise, a pair with ``k >= tau`` cannot
+go below the candidate, so the returned minimum is exact.  The cut has no
+parameter: it scales with the rates and does not depend on the unit of ``d``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,67 +240,53 @@ def K_local(gen: Generator, metric: Metric, r: int) -> float:
 
 @dataclass(frozen=True)
 class KappaMinStrategy:
-    """How :func:`kappa_min` reached its answer."""
+    """How :func:`kappa_min` reached its answer.
 
-    tau: float  # exact kappa on the irreducible pair with the smallest k
-    margin: float
-    threshold: float  # irreducible pairs with k below this were solved exactly
+    The candidate comes first: ``pairs_solved[0]`` is the irreducible pair
+    with the smallest ``k`` and ``kappa_solved[0]`` its curvature ``tau``.
+    The other irreducible pairs whose ``k`` is not ``>= tau`` (a ``nan`` ``k``
+    included) follow in row-major order.
+    """
+
     pairs_solved: tuple[tuple[int, int], ...]
     kappa_solved: tuple[float, ...]  # exact kappa of each pair in pairs_solved
     pairs_irreducible: int  # pairs with no state in between, the ones prefiltered
     pairs_total: int  # all pairs r < s
-    seconds: float
 
 
-def kappa_min(
-    gen: Generator,
-    metric: Metric,
-    margin: float | None = None,
-) -> tuple[float, KappaMinStrategy]:
+def kappa_min(gen: Generator, metric: Metric) -> tuple[float, KappaMinStrategy]:
     """Exact minimum curvature over all pairs, via the irreducible pairs and the k-prefilter.
 
     The minimum over all pairs is the minimum over the irreducible pairs
-    (see the module docstring).  Among those, pairs with
-    ``k(r,s) >= tau + margin`` cannot have curvature below the candidate
-    ``tau`` (kappa dominates k), so only the remaining pairs are solved
-    exactly.  ``margin`` defaults to ``0.01 * (1 + |tau|)``; any nonnegative
-    value yields the same exact result, larger values just solve more pairs.
+    (see the module docstring).  Among those, a pair with ``k(r,s) >= tau``
+    cannot have curvature below the candidate ``tau`` (kappa dominates k),
+    so only the remaining pairs are solved exactly.
     """
     if gen.n < 2:
         raise SingleState()
-    return _kappa_min(gen, metric, k_matrix(gen, metric), margin)
+    return _kappa_min(gen, metric, k_matrix(gen, metric))
 
 
 def _kappa_min(
-    gen: Generator, metric: Metric, kmat: np.ndarray, margin: float | None
+    gen: Generator, metric: Metric, kmat: np.ndarray
 ) -> tuple[float, KappaMinStrategy]:
     """:func:`kappa_min` on the pairwise ``k`` values ``kmat`` of ``gen`` and ``metric``."""
-    if margin is not None and margin < 0:
-        raise ValueError(f"margin must be nonnegative, got {margin!r}")
-    start = time.perf_counter()
     iu = np.triu_indices(gen.n, k=1)
     kvals = np.minimum(kmat[iu], kmat.T[iu])  # k is symmetric; belt and braces
     reduced = np.flatnonzero(irreducible_pairs(metric))  # row-major
     order = int(reduced[np.argmin(kvals[reduced])])
     r0, s0 = int(iu[0][order]) + 1, int(iu[1][order]) + 1
     tau = kappa_ctmc(gen, metric, r0, s0)
-    if margin is None:
-        margin = 0.01 * (1.0 + abs(tau))
-    threshold = tau + margin
     # a nan k bounds nothing, so its pair is solved
-    rest = reduced[~(kvals[reduced] >= threshold)]
+    rest = reduced[~(kvals[reduced] >= tau)]
     rest = rest[rest != order]
     solved = [(r0, s0)] + list(zip((iu[0][rest] + 1).tolist(), (iu[1][rest] + 1).tolist()))
     values = [tau] + [kappa_ctmc(gen, metric, r, s) for r, s in solved[1:]]
     strategy = KappaMinStrategy(
-        tau=tau,
-        margin=float(margin),
-        threshold=float(threshold),
         pairs_solved=tuple(solved),
         kappa_solved=tuple(values),
         pairs_irreducible=reduced.size,
         pairs_total=kvals.size,
-        seconds=time.perf_counter() - start,
     )
     return min(values), strategy
 
@@ -359,7 +345,6 @@ def curvature_report(
     gen: Generator,
     metric: Metric,
     pairs: str | tuple[int, int] = "min",
-    margin: float | None = None,
     k_only: bool = False,
 ) -> CurvatureReport:
     """Assemble pairwise and summary curvature data (used by the CLI).
@@ -389,7 +374,7 @@ def curvature_report(
             kappa = kappa_all_pairs(gen, metric)
             kap_min = float(np.nanmin(kappa))
         else:
-            kap_min, strategy = _kappa_min(gen, metric, kmat, margin)
+            kap_min, strategy = _kappa_min(gen, metric, kmat)
             kappa[tuple(np.transpose(strategy.pairs_solved) - 1)] = strategy.kappa_solved
     return CurvatureReport(
         r=r,

@@ -111,7 +111,7 @@ def _checked_matrix(dist: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
     return d
 
 
-def validate_metric(dist: np.ndarray | Sequence[Sequence[float]], tol: float = TRIANGLE_TOL) -> Metric:
+def validate_metric(dist: np.ndarray | Sequence[Sequence[float]]) -> Metric:
     """Check the metric axioms and wrap the matrix in a :class:`Metric`.
 
     Raises
@@ -119,18 +119,18 @@ def validate_metric(dist: np.ndarray | Sequence[Sequence[float]], tol: float = T
     AsymmetricMatrix, NegativeDistance, NonzeroDiagonal, ZeroOffDiagonal,
     TriangleViolation
         Each names the offending 1-based indices.  The triangle check
-        allows a slack of ``tol * d_max`` so metrics assembled from
+        allows a slack of ``TRIANGLE_TOL * d_max`` so metrics assembled from
         floating-point arithmetic (shortest paths, products) pass at any
         scale of the distances.
     """
     d = _checked_matrix(dist)
     n = d.shape[0]
 
-    # Triangle inequality: d(r,u) <= d(r,s) + d(s,u) + tol * d_max for all
-    # r, s, u.  d is symmetric, so the triple (u, s, r) repeats (r, s, u) and
-    # r = u cannot violate: one pass per r covers u > r against every s, in
-    # an O(n^2) buffer holding excess[s, u - r - 1].
-    slack = tol * float(d.max())
+    # Triangle inequality: d(r,u) <= d(r,s) + d(s,u) + TRIANGLE_TOL * d_max
+    # for all r, s, u.  d is symmetric, so the triple (u, s, r) repeats
+    # (r, s, u) and r = u cannot violate: one pass per r covers u > r against
+    # every s, in an O(n^2) buffer holding excess[s, u - r - 1].
+    slack = TRIANGLE_TOL * float(d.max())
     buf = np.empty(n * (n - 1))
     for r in range(n - 1):
         width = n - 1 - r

@@ -342,7 +342,7 @@ def test_c10_local_constant_improvement() -> None:
         cases.append((gen, metric, _random_partition(rng, n), p0))
     for gen, metric, part, p0 in cases:
         agg = partition_aggregation_ctmc(gen, part)
-        inputs = prepare_bound_inputs(gen, metric, agg, p0, with_local=True)
+        inputs = prepare_bound_inputs(gen, metric, agg, p0)
         pi0 = ProbVec(p0.p @ agg.lam)
         curves = bound_linear_K_timevarying(inputs, agg, pi0, t)
         local, global_curve = curves["local"], curves["timevarying"]

@@ -8,6 +8,7 @@ oracle (series transient + exact transport) in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,7 +37,8 @@ from wdbounds.errors import NegativeTime, RateUnavailable
 from wdbounds.markov import Generator, ProbVec, transient_ctmc, uniformize
 from wdbounds.metric import discrete_metric, validate_metric
 from wdbounds import bounds as bounds_mod
-from wdbounds.curvature import K_global, K_local, k_min
+from wdbounds import curvature as curvature_mod
+from wdbounds.curvature import K_global, K_local, k_min, kappa_min
 from wdbounds.models import random_instance
 from wdbounds.transport import wasserstein
 
@@ -85,7 +87,7 @@ def toy():
     metric = validate_metric(TOY_D)
     agg = partition_aggregation_ctmc(gen, Partition(TOY_BLOCKS))
     p0 = ProbVec(TOY_P0)
-    inputs = prepare_bound_inputs(gen, metric, agg, p0, with_kappa=True, with_local=True)
+    inputs = prepare_bound_inputs(gen, metric, agg, p0, with_kappa=True)
     return gen, metric, agg, p0, inputs
 
 
@@ -338,13 +340,14 @@ def test_time_grid_and_grid_validation() -> None:
 def test_missing_rates_raise(toy) -> None:
     gen, metric, agg, p0, _ = toy
     plain = prepare_bound_inputs(gen, metric, agg, p0)
-    assert plain.kappa_min is None and plain.K_local is None
+    assert plain.kappa_min is None and plain.K_local is not None
     t_grid = np.linspace(0.0, 1.0, 5)
     with pytest.raises(RateUnavailable):
         bound_exponential(plain, t_grid, rate="kappa_min")
     with pytest.raises(ValueError, match="unknown rate"):
         bound_exponential(plain, t_grid, rate="steepest")
-    assert set(bound_linear_K_timevarying(plain, agg, _toy_pi0(), t_grid)) == {"timevarying"}
+    no_local = dataclasses.replace(plain, K_local=None)
+    assert set(bound_linear_K_timevarying(no_local, agg, _toy_pi0(), t_grid)) == {"timevarying"}
 
 
 def test_hybrid_and_exponential_edge_cases() -> None:
@@ -498,8 +501,13 @@ def test_prepare_bound_inputs_builds_one_k_matrix(monkeypatch) -> None:
         return real(*args)
 
     monkeypatch.setattr(bounds_mod, "k_matrix", counted)
-    inputs = prepare_bound_inputs(gen, metric, agg, p0, with_local=True)
-    assert len(calls) == 1
+    monkeypatch.setattr(curvature_mod, "k_matrix", counted)
+    for with_kappa in (False, True):
+        calls.clear()
+        inputs = prepare_bound_inputs(gen, metric, agg, p0, with_kappa=with_kappa)
+        assert len(calls) == 1, with_kappa
+    monkeypatch.undo()
+    assert inputs.kappa_min == kappa_min(gen, metric)[0]
     np.testing.assert_array_equal(
         inputs.K_local, [K_local(gen, metric, r) for r in range(1, gen.n + 1)]
     )

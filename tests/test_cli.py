@@ -109,7 +109,6 @@ def test_w1_line_example(capsys, tmp_path, line6_model) -> None:
         q_spec,
         "--coupling",
         "--potential",
-        "--canonical",
     )
     assert code == 0, err
     meta, header, rows = parse_csv(out)
@@ -127,7 +126,7 @@ def test_w1_line_example(capsys, tmp_path, line6_model) -> None:
     np.testing.assert_allclose(gamma.sum(axis=1), P6, atol=1e-9)
     np.testing.assert_allclose(gamma.sum(axis=0), Q6, atol=1e-9)
     assert float(np.sum(gamma * dist)) == pytest.approx(value, abs=1e-9)
-    # canonical coupling: no state both sends and receives mass
+    # one-sided coupling: no state both sends and receives mass
     off = gamma - np.diag(np.diag(gamma))
     assert not np.any((off.sum(axis=1) > 1e-10) & (off.sum(axis=0) > 1e-10))
 
@@ -266,10 +265,41 @@ def test_dtmc_curvature_min_matches_all(capsys, tmp_path, seed) -> None:
 
 def test_curvature_single_state_exits_two(capsys, tmp_path) -> None:
     path = tmp_path / "one.json"
-    path.write_text(json.dumps({"n": 1, "generator": [[0.0]], "metric": {"kind": "discrete"}}))
-    code, _, err = run_cli(capsys, "curvature", "--model", str(path), "--pairs", "min")
-    assert code == 2
-    assert "SingleState" in err
+    for chain in ({"generator": [[0.0]]}, {"dtmc": [[1.0]]}):
+        path.write_text(json.dumps({"n": 1, **chain, "metric": {"kind": "discrete"}}))
+        code, _, err = run_cli(capsys, "curvature", "--model", str(path), "--pairs", "min")
+        assert code == 2, chain
+        assert err.startswith("SingleState"), err
+
+
+@pytest.mark.parametrize("model", ["toy_model", "dtmc_model"])
+def test_curvature_pair_order_does_not_matter(capsys, request, model) -> None:
+    """``--pairs 3,2`` prints the row of ``2,3``; only the metadata line,
+    which echoes the command line, differs."""
+    path = request.getfixturevalue(model)
+    printed = []
+    for pair in ("3,2", "2,3"):
+        code, out, err = run_cli(capsys, "curvature", "--model", path, "--pairs", pair)
+        assert code == 0, err
+        assert out.startswith(f"# wdbounds curvature model={path} pairs={pair} ")
+        printed.append(out.split("\n", 1)[1])
+    assert printed[0] == printed[1]
+    assert "\npair,2,3," in printed[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--builtin", "toy", "--margin", "1"],
+        ["bounds", "--builtin", "toy", "--margin", "1"],
+        ["w1", "--builtin", "toy", "--p", "dirac:1", "--q", "dirac:2", "--canonical"],
+    ],
+)
+def test_removed_flags_are_rejected(capsys, argv) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bounds_csv(capsys, tmp_path, toy_model) -> None:

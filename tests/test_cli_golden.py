@@ -58,18 +58,18 @@ CASES: dict[str, list[str]] = {
 
 #: sha256 of each case's stdout.
 GOLDEN = {
-    "toy_all": "c774bbcd33a49cc0f872a126af094a09aaa60785628ddc2763f73c8d01cc7d71",
-    "toy_min": "bfba1671e00a3f15dbbcd1d23b34c50e6ee792edfb28c82197177cd1bc0d9690",
-    "toy_pair_1_3": "229842433b8c282b5a1f94fa859e0825995980431cd89d5cdc2a2919275c9aac",
-    "toy_k_only": "2217ffb0998297dfdce8294ef525784739604fcb152434b03e93c19a514aa8de",
-    "box5_k_only": "6a6a6606bff5d4bf6bd59a550f640c4d9802e1cd5fb0d84357c32d6c65856961",
-    "box5_all": "91eea48c45599453e91e16a12ccf68b60d0710613289c1c30f5609b99eadb58c",
-    "box20_k_only": "58dee67b50dfc95ba61cdccce4ccf9a83f4ada9d2bf1568522d6b1a598395510",
-    "line24_min": "a32e498519b1175c362468a8b6b969e259900ee281eec3a7a92c73d42f60d02c",
-    "line24_rooted_min": "67d0b150d86d5375313e0185822d5de79b942b496001ba466dd1f9ea81deb70a",
-    "dtmc_all": "50ef9c1129e1ab0d80314a57cb7ad858eec50b200b4372e05fbbd0b6365feecf",
-    "dtmc_min": "bdcc3a523afbe4a3227eb804d9bede3b8e739c3c3f87a4792035501d0b89f1ea",
-    "dtmc_pair_2_3": "cf218572e40fe34a9872fd14f8dc6475208691bfd9f511f57695f6648ae3c0c5",
+    "toy_all": "f35bb80890e2f913f32105eccfad83a8573299330606ab92a5bd706d34a6921d",
+    "toy_min": "8acd4eb666c81744c58025c26202cc35219b53c3351bced51020879a033eab7d",
+    "toy_pair_1_3": "e72835a47fbe15f4200b5eaf4519c37b1c2d34fdd7207c9ed8c2a775056abe3f",
+    "toy_k_only": "a4117ed29e1cceaa7af66c5a3fafa6326833e12e5ab505df95dfb179054dc757",
+    "box5_k_only": "2cdd305517183f657541c1474e5df715ecaad8f21d39c5c945296318d856d4ba",
+    "box5_all": "9e6adc539043c24ffcca2e8f526c369b50e96323dd74f1b003b939c23d52ffde",
+    "box20_k_only": "374f7cf835d8d9a36b34ed643dc42c8fc0991e68930f2c5c06a478491757dfd9",
+    "line24_min": "d03751193988cc00ed5ca983a31126b7ee4737207a4c36900f20fd38f2af1fa7",
+    "line24_rooted_min": "f77d5006eb733886124c648772669dc9c70dd23eb31faa4050f24b0197230b8f",
+    "dtmc_all": "d23a7755418a3543765704f7b21aa95e1db449631b9cd909438148ff82dce64c",
+    "dtmc_min": "2a43dfafeaa40ae2f8cf6ac20959cd5a08e5be9c28a2310f0ccf0b890f5b3d96",
+    "dtmc_pair_2_3": "9dad9b91bcb0beeb7285512859e8908e7b9c4b711062fb7e4b1e19c39d9584e4",
 }
 
 

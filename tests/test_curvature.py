@@ -202,19 +202,12 @@ def test_kappa_min_prefilter_toy(toy):
     gen, metric = toy
     val, strategy = kappa_min(gen, metric)
     assert val == pytest.approx(-6.0, abs=1e-9)
-    assert strategy.tau == pytest.approx(-6.0, abs=1e-9)
-    # the k-gap between (1,2) and the rest is wide: one solve suffices
+    assert strategy.kappa_solved == (val,)
+    # k(2,3) = 4.75 >= tau = -6: one solve suffices
     assert strategy.pairs_solved == ((1, 2),)
     assert strategy.pairs_total == 3
     # d(1,2) + d(2,3) = d(1,3): state 2 lies between 1 and 3
     assert strategy.pairs_irreducible == 2
-    assert strategy.threshold == pytest.approx(strategy.tau + strategy.margin)
-    # margins never change the answer, only the work
-    for margin in (0.0, 1.0, 25.0):
-        val_m, strat_m = kappa_min(gen, metric, margin=margin)
-        assert val_m == pytest.approx(-6.0, abs=1e-9)
-    # margin 25 covers every irreducible pair; the reducible (1,3) is never solved
-    assert strat_m.pairs_solved == ((1, 2), (2, 3))
 
 
 def test_kappa_min_equals_all_pairs_minimum():
@@ -243,15 +236,14 @@ def _rooted_line(n: int, seed: int):
     st.sampled_from(["line", "graph", "discrete", "rooted_line"]),
     st.integers(2, 10),
     st.integers(0, 10_000),
-    st.sampled_from([None, 0.0, 1.0]),
 )
 @settings(max_examples=80, deadline=None)
-def test_kappa_min_over_irreducible_pairs_equals_all_pairs_minimum(kind, n, seed, margin):
+def test_kappa_min_over_irreducible_pairs_equals_all_pairs_minimum(kind, n, seed):
     if kind == "rooted_line":
         gen, metric = _rooted_line(n, seed)
     else:
         gen, metric, _ = random_instance(n, seed, metric_kind=kind, density=0.7)
-    val, strategy = kappa_min(gen, metric, margin=margin)
+    val, strategy = kappa_min(gen, metric)
     full = float(np.nanmin(kappa_all_pairs(gen, metric)))
     assert abs(val - full) <= 1e-12 * (1.0 + abs(full))
     pairs = [(r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
@@ -269,6 +261,32 @@ def test_kappa_min_solves_few_pairs_on_a_line():
         assert strategy.pairs_irreducible == 23
         assert strategy.pairs_total == 276
         assert all(s == r + 1 for r, s in strategy.pairs_solved)
+        # neighbours whose k reaches tau are not solved
+        assert len(strategy.pairs_solved) == (21 if root is None else 22)
+
+
+@given(
+    st.sampled_from(["line", "graph", "discrete", "rooted_line"]),
+    st.integers(2, 10),
+    st.integers(0, 10_000),
+    st.sampled_from([-30, 30]),
+)
+@settings(max_examples=60, deadline=None)
+def test_kappa_min_work_is_scale_free(kind, n, seed, j):
+    """Scaling the rates or the metric by ``2^j`` solves the same pairs and
+    scales kappa_min by ``2^j`` or 1, exactly: the cut at tau has no unit."""
+    if kind == "rooted_line":
+        gen, metric = _rooted_line(n, seed)
+    else:
+        gen, metric, _ = random_instance(n, seed, metric_kind=kind, density=0.7)
+    val, strategy = kappa_min(gen, metric)
+    c = 2.0**j
+    for (scaled, scaled_strategy), factor in (
+        (kappa_min(Generator(gen.q * c), metric), c),
+        (kappa_min(gen, validate_metric(metric.dist * c)), 1.0),
+    ):
+        assert scaled_strategy.pairs_solved == strategy.pairs_solved
+        assert scaled == val * factor
 
 
 def test_dtmc_curvature_hand_values(toy):
@@ -383,7 +401,7 @@ def test_curvature_report_min_solves_each_pair_once(monkeypatch):
         return solver(*args)
 
     monkeypatch.setattr(curvature_mod, "kappa_ctmc", counting)
-    rep = curvature_report(gen, metric, pairs="min", margin=1.0)
+    rep = curvature_report(gen, metric, pairs="min")
     solved = rep.strategy.pairs_solved
     assert len(solved) > 1
     assert sorted(calls) == sorted(solved)
@@ -416,8 +434,8 @@ def test_curvature_report_builds_one_k_matrix(monkeypatch, pairs, k_only):
 
 def test_kappa_min_solves_the_prefiltered_pairs_in_row_major_order():
     """The candidate pair first, then every other irreducible pair whose k
-    does not reach the threshold, in row-major order; the candidate is the
-    irreducible pair with the smallest k."""
+    does not reach the candidate's kappa, in row-major order; the candidate
+    is the irreducible pair with the smallest k."""
     instances = []
     for seed in range(6):
         kind = ("line", "graph", "discrete")[seed % 3]
@@ -427,7 +445,7 @@ def test_kappa_min_solves_the_prefiltered_pairs_in_row_major_order():
     instances.append(translation_invariant_ctmc(Box((0,), (7,)), 1.0, line, root=3, root_rate=0.3))
     for gen, metric in instances:
         n = gen.n
-        _, strategy = kappa_min(gen, metric, margin=0.5)
+        _, strategy = kappa_min(gen, metric)
         kmat = k_matrix(gen, metric)
         pairs = [(r, s) for r in range(1, n + 1) for s in range(r + 1, n + 1)]
         mask = irreducible_pairs(metric)
@@ -437,7 +455,8 @@ def test_kappa_min_solves_the_prefiltered_pairs_in_row_major_order():
         k_of = {(r, s): min(kmat[r - 1, s - 1], kmat[s - 1, r - 1]) for r, s in pairs}
         first = strategy.pairs_solved[0]
         assert first == min(reduced, key=lambda pair: k_of[pair])
-        rest = [pair for pair in reduced if pair != first and not k_of[pair] >= strategy.threshold]
+        tau = strategy.kappa_solved[0]
+        rest = [pair for pair in reduced if pair != first and not k_of[pair] >= tau]
         assert strategy.pairs_solved == (first, *rest)
         assert len(rest) > 0
 
@@ -461,7 +480,7 @@ def test_curvature_and_defect_make_no_lp_call(monkeypatch):
     grid = JumpDistribution((((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)))
     instances.append(translation_invariant_ctmc(Box((0, 0), (7, 7)), 1.0, grid))
     for gen, metric in instances:
-        kappa_min(gen, metric, margin=1.0)
+        kappa_min(gen, metric)
         pmat, _ = uniformize(gen)
         for r, s in ((1, 2), (1, gen.n)):
             kappa_dtmc(pmat, metric, r, s)
@@ -489,5 +508,3 @@ def test_error_conditions(toy):
         kappa_min(single, m1)
     with pytest.raises(SingleState):
         curvature_report(single, m1)
-    with pytest.raises(ValueError):
-        kappa_min(gen, metric, margin=-0.5)
