@@ -88,6 +88,8 @@ def time_grid(horizon: float, points: int = GRID_POINTS) -> np.ndarray:
     """Uniform grid ``0..horizon`` with ``points`` entries."""
     if horizon < 0:
         raise NegativeTime(horizon)
+    if not math.isfinite(horizon):
+        raise ValueError(f"time horizon must be finite, got {horizon!r}")
     if points < 2:
         raise ValueError(f"need at least two grid points, got {points}")
     return np.linspace(0.0, horizon, points)
@@ -99,6 +101,8 @@ def _check_grid(t_grid: np.ndarray) -> np.ndarray:
         raise ValueError("time grid is empty")
     if t[0] < 0:
         raise NegativeTime(float(t[0]))
+    if not np.isfinite(t).all():
+        raise ValueError("time grid contains non-finite entries")
     if (np.diff(t) < 0).any():
         raise ValueError("time grid must be nondecreasing")
     return t

@@ -31,6 +31,7 @@ Distribution specs: ``dirac:<i>``, ``uniform``, ``uniform-block:<b>``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -477,22 +478,35 @@ def _cmd_w1(args) -> int:
     return 0
 
 
+def _column_text(values: np.ndarray, nan_text: str, end: str) -> list[str]:
+    """Each value's ``_fmt`` text (``nan_text`` for NaN) plus ``end``.
+
+    Each distinct value is formatted once and gathered back into place.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    text = [(nan_text if v != v else _fmt(v)) + end for v in distinct.tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
 def _write_pair_rows(r: np.ndarray, s: np.ndarray, k: np.ndarray | None, kappa: np.ndarray) -> None:
     """Write ``pair,r,s,k,kappa`` rows to stdout, one block per ``r``.
 
     ``k`` is ``None`` for an empty k column; a NaN kappa (not solved) is
-    written as an empty field.
+    written as an empty field.  Each column is formatted once, each distinct
+    value once: k and kappa repeat a lot on symmetric walks.
     """
-    memo: dict[float, str] = {}  # k repeats a lot on symmetric walks
+    states = np.array([f"{i}," for i in range(int(s.max(initial=0)) + 1)], dtype=object)
+    s_text = states[s].tolist()
+    k_text = [","] * len(r) if k is None else _column_text(k, "nan", ",")
+    kappa_text = _column_text(kappa, "", "\n")
     cuts = [0, *(np.flatnonzero(np.diff(r)) + 1).tolist(), len(r)]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if k is None:
-            k_text = [""] * (hi - lo)
-        else:
-            k_text = [memo.get(v) or memo.setdefault(v, _fmt(v)) for v in k[lo:hi].tolist()]
-        kappa_text = ["" if v != v else _fmt(v) for v in kappa[lo:hi].tolist()]
-        rows = zip(r[lo:hi].tolist(), s[lo:hi].tolist(), k_text, kappa_text)
-        sys.stdout.write("".join(f"pair,{a},{b},{kv},{kap}\n" for a, b, kv, kap in rows))
+        # a row is "pair,<r>," "<s>," "<k>," "<kappa>\n"
+        row_parts = [f"pair,{r[lo]},"] * (4 * (hi - lo))
+        row_parts[1::4] = s_text[lo:hi]
+        row_parts[2::4] = k_text[lo:hi]
+        row_parts[3::4] = kappa_text[lo:hi]
+        sys.stdout.write("".join(row_parts))
 
 
 def _cmd_curvature(args) -> int:
@@ -614,7 +628,9 @@ def _cmd_aggregate(args) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="wdbounds",
         description="Certified Wasserstein error bounds for aggregated Markov chains.",

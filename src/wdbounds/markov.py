@@ -211,6 +211,8 @@ def _transient_chunk(
 def _check_start(p0: ProbVec, gen: Generator, t: float) -> None:
     if t < 0:
         raise NegativeTime(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     if p0.n != gen.n:
         raise DimensionMismatch(
             f"initial distribution has {p0.n} states but generator has {gen.n}"
@@ -219,6 +221,8 @@ def _check_start(p0: ProbVec, gen: Generator, t: float) -> None:
 
 def _chunks(lt: float):
     """Split ``lam * t`` into pieces of at most ``CHUNK_LT``."""
+    if not math.isfinite(lt):  # a finite t can overflow lam * t
+        raise ValueError(f"lam * t must be finite, got {lt!r}")
     while lt > 0:
         piece = min(lt, CHUNK_LT)
         yield piece

@@ -337,6 +337,20 @@ def test_time_grid_and_grid_validation() -> None:
         bound_linear_K(ins, np.array([-0.1, 0.2]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_times_are_rejected(toy, bad) -> None:
+    gen, metric, agg, p0, inputs = toy
+    with pytest.raises(ValueError, match="finite"):
+        time_grid(bad)
+    t_grid = np.array([0.0, bad])
+    with pytest.raises(ValueError, match="non-finite"):
+        bound_linear_K(inputs, t_grid)
+    with pytest.raises(ValueError, match="non-finite"):
+        exact_error_curve(p0, gen, metric, agg, t_grid)
+    with pytest.raises(ValueError, match="non-finite"):
+        compute_bound_curve(gen, metric, agg, p0, t_grid, variants=("timevarying",))
+
+
 def test_missing_rates_raise(toy) -> None:
     gen, metric, agg, p0, _ = toy
     plain = prepare_bound_inputs(gen, metric, agg, p0)

@@ -8,15 +8,26 @@ and its uniformization).
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wdbounds.cli as cli_mod
 import wdbounds.metric as metric_mod
 import wdbounds.models as models_mod
-from wdbounds.cli import canonical_model_json, load_model, load_model_dict, main
+from wdbounds.cli import (
+    _fmt,
+    _write_pair_rows,
+    canonical_model_json,
+    load_model,
+    load_model_dict,
+    main,
+)
 from wdbounds.errors import NumericalFailure
 from wdbounds.markov import Generator, uniformize
 from wdbounds.metric import irreducible_pairs, validate_metric
@@ -302,6 +313,78 @@ def test_removed_flags_are_rejected(capsys, argv) -> None:
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+#: values that repeat, -0.0, NaN and infinities, plus arbitrary floats
+PAIR_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -1.25, 1 / 3, 1e-300, np.nan, np.inf]), st.floats()
+)
+
+
+@st.composite
+def pair_tables(draw):
+    """Row-major ``r < s`` pairs of up to 7 states, with k (or None) and kappa columns."""
+    n = draw(st.integers(2, 7))
+    all_pairs = [(r, s) for r in range(1, n) for s in range(r + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True))
+    r, s = (np.array(col) for col in zip(*sorted(chosen)))
+    k = draw(st.none() | st.lists(PAIR_VALUES, min_size=r.size, max_size=r.size))
+    kappa = draw(st.lists(PAIR_VALUES, min_size=r.size, max_size=r.size))
+    return r, s, None if k is None else np.array(k), np.array(kappa)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_tables())
+def test_pair_rows_match_a_plain_writer(table) -> None:
+    r, s, k, kappa = table
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_pair_rows(r, s, k, kappa)
+    k_col = [None] * r.size if k is None else k.tolist()
+    expected = "".join(
+        f"pair,{a},{b},{'' if kv is None else _fmt(kv)},{'' if kap != kap else _fmt(kap)}\n"
+        for a, b, kv, kap in zip(r.tolist(), s.tolist(), k_col, kappa.tolist())
+    )
+    assert out.getvalue() == expected
+
+
+def _subcommand_argv(toy_model: str) -> dict[str, list[str]]:
+    return {
+        "w1": ["w1", "--model", toy_model, "--p", "dirac:1", "--q", "dirac:3", "--coupling"],
+        "curvature": ["curvature", "--model", toy_model, "--pairs", "all"],
+        "bounds": ["bounds", "--model", toy_model, "--T", "0.5", "--grid", "3", "--exact"],
+        "aggregate": ["aggregate", "--model", toy_model],
+    }
+
+
+def test_one_parser_per_process(capsys, toy_model) -> None:
+    cli_mod.build_parser.cache_clear()
+    for argv in _subcommand_argv(toy_model).values():
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+    info = cli_mod.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.mark.parametrize("command", ["w1", "curvature", "bounds", "aggregate"])
+def test_argparse_failure_leaves_the_parser_unchanged(capsys, toy_model, command) -> None:
+    argv = _subcommand_argv(toy_model)[command]
+    code, first, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    # the failing call sets every option it can before argparse rejects it
+    bad = {
+        "w1": ["--potential", "--method", "lp", "--p", "uniform"],
+        "curvature": ["--k-only", "--pairs", "1,2"],
+        "bounds": ["--T", "2", "--grid", "9", "--variants", "linear", "--p0", "dirac:2"],
+        "aggregate": ["--eps", "0.5"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + bad + ["--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, second, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert second == first
+
+
 def test_bounds_csv(capsys, tmp_path, toy_model) -> None:
     code, out, err = run_cli(
         capsys,
@@ -363,6 +446,15 @@ def test_bounds_singleton_partition_exact_zero(capsys, tmp_path, toy_model) -> N
     _, header, rows = parse_csv(out)
     exact = np.array([float(r[header.index("exact")]) for r in rows])
     np.testing.assert_allclose(exact, 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_bounds_non_finite_horizon_exits_two(capsys, tmp_path, toy_model, horizon) -> None:
+    code, out, err = run_cli(
+        capsys, "bounds", "--model", toy_model, "--T", horizon, "--exact", "--variants", "linear"
+    )
+    assert code == 2 and out == ""
+    assert "finite" in err
 
 
 def test_bounds_discrete_metric_model(capsys, tmp_path) -> None:

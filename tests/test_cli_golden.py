@@ -1,11 +1,13 @@
-"""Golden output of ``wdbounds curvature``.
+"""Golden output of the ``wdbounds`` subcommands.
 
 Each case runs the command in-process and compares the sha256 of its stdout
 with a recorded digest, so any change to the rows, their order or their
 formatting (``.17g``, ``-0.0`` written as ``0``, an empty kappa field where
-no exact curvature was solved) shows up here.  For
-``--model`` cases the file path in the metadata line is replaced by
-``<model>`` before hashing.
+no exact curvature was solved) shows up here.  ``CASES`` pins
+``curvature``; ``OTHER_CASES`` pins ``bounds``, ``w1`` and ``aggregate``.
+For ``--model`` cases the file path in the metadata line is replaced by
+``<model>`` before hashing; ``<toy-part>`` and ``<box8-part>`` name partition
+files written next to the model.
 
 To record a new digest after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and paste what it prints.
@@ -39,6 +41,19 @@ JUMPS_LINE = json.dumps([[[1], 0.25], [[-1], 0.25], [[2], 0.25], [[-2], 0.25]])
 BOX5 = ["--builtin", "grid", "--grid-lo", "0,0", "--grid-hi", "4,4", "--grid-jumps", JUMPS_2D]
 BOX20 = ["--builtin", "grid", "--grid-lo", "0,0", "--grid-hi", "19,19", "--grid-jumps", JUMPS_2D]
 LINE24 = ["--builtin", "grid", "--grid-lo", "0", "--grid-hi", "23", "--grid-jumps", JUMPS_LINE]
+BOX8 = ["--builtin", "grid", "--grid-lo", "0,0", "--grid-hi", "7,7", "--grid-jumps", JUMPS_2D]
+
+#: partition files: the toy chain's {1,2},{3}, and the 8x8 box (states
+#: numbered row by row from 1) in 2x2 blocks
+PARTITIONS = {
+    "<toy-part>": [[1, 2], [3]],
+    "<box8-part>": [
+        [8 * i + j + 1 for i in (bi, bi + 1) for j in (bj, bj + 1)]
+        for bi in range(0, 8, 2)
+        for bj in range(0, 8, 2)
+    ],
+}
+ALL_VARIANTS = "linear,timevarying,exp-k,exp-kappa,local,hybrid,hybrid-kappa"
 
 CASES: dict[str, list[str]] = {
     "toy_all": ["--builtin", "toy", "--pairs", "all"],
@@ -56,6 +71,23 @@ CASES: dict[str, list[str]] = {
     "dtmc_pair_2_3": ["--model", "<model>", "--pairs", "2,3"],
 }
 
+#: full command lines of the other subcommands
+OTHER_CASES: dict[str, list[str]] = {
+    "bounds_toy_all_variants": [
+        "bounds", "--builtin", "toy", "--p0", "dirac:1", "--partition-from-file", "<toy-part>",
+        "--variants", ALL_VARIANTS, "--exact", "--grid", "5",
+    ],
+    "bounds_box8_2x2": ["bounds"] + BOX8 + [
+        "--p0", "dirac:1", "--partition-from-file", "<box8-part>", "--grid", "200",
+    ],
+    "w1_toy_coupling_potential": [
+        "w1", "--builtin", "toy", "--p", "dirac:1", "--q", "dirac:3", "--coupling", "--potential",
+    ],
+    "aggregate_toy_partition": [
+        "aggregate", "--builtin", "toy", "--partition-from-file", "<toy-part>",
+    ],
+}  # fmt: skip
+
 #: sha256 of each case's stdout.
 GOLDEN = {
     "toy_all": "f35bb80890e2f913f32105eccfad83a8573299330606ab92a5bd706d34a6921d",
@@ -72,17 +104,31 @@ GOLDEN = {
     "dtmc_pair_2_3": "9dad9b91bcb0beeb7285512859e8908e7b9c4b711062fb7e4b1e19c39d9584e4",
 }
 
+#: sha256 of each other case's stdout.
+OTHER_GOLDEN = {
+    "bounds_toy_all_variants": "f3270dde1486915fa4fed81057865379982cd82b4c31a2e8878ff6238a1b85f9",
+    "bounds_box8_2x2": "a63909aec9a8e45486f5d16504f24f2bc13030deb6d49030fe07feb0e4c19707",
+    "w1_toy_coupling_potential": "b8170f9d037724fcda2e6ae4c6bd2015038123740092daf2c3806fd077d6f703",
+    "aggregate_toy_partition": "f36685d29f6a0e25ff53b0cb1a164a352365cbc55ab8cbc21bfa054b9c694cbb",
+}
 
-def curvature_stdout(case: str, workdir: Path) -> str:
-    """Stdout of ``wdbounds curvature`` for ``case``; the exit code must be 0."""
-    model = workdir / "dtmc.json"
-    model.write_text(json.dumps(DTMC_DOC))
-    argv = ["curvature"] + [str(model) if a == "<model>" else a for a in CASES[case]]
+
+def run_stdout(argv: list[str], workdir: Path) -> str:
+    """Stdout of ``wdbounds argv`` with its placeholders filled; the exit code must be 0."""
+    files = {"<model>": workdir / "dtmc.json"}
+    files["<model>"].write_text(json.dumps(DTMC_DOC))
+    for name, blocks in PARTITIONS.items():
+        files[name] = workdir / f"{name.strip('<>')}.json"
+        files[name].write_text(json.dumps(blocks))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
-    assert code == 0, f"{case}: exit code {code}"
-    return out.getvalue().replace(str(model), "<model>")
+        code = main([str(files[a]) if a in files else a for a in argv])
+    assert code == 0, f"{argv}: exit code {code}"
+    return out.getvalue().replace(str(files["<model>"]), "<model>")
+
+
+def curvature_stdout(case: str, workdir: Path) -> str:
+    return run_stdout(["curvature"] + CASES[case], workdir)
 
 
 def digest(text: str) -> str:
@@ -92,6 +138,11 @@ def digest(text: str) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_curvature_stdout_matches_golden(case, tmp_path) -> None:
     assert digest(curvature_stdout(case, tmp_path)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_CASES))
+def test_other_subcommand_stdout_matches_golden(case, tmp_path) -> None:
+    assert digest(run_stdout(OTHER_CASES[case], tmp_path)) == OTHER_GOLDEN[case]
 
 
 def test_curvature_stdout_does_not_depend_on_blas_threads() -> None:
@@ -106,10 +157,12 @@ def test_curvature_stdout_does_not_depend_on_blas_threads() -> None:
         )
         printed.append(run.stdout)
     assert printed[0] == printed[1]
-    assert len(printed[0].splitlines()) == len(CASES)
+    assert len(printed[0].splitlines()) == len(CASES) + len(OTHER_CASES)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
             print(f'    "{name}": "{digest(curvature_stdout(name, Path(tmp)))}",')
+        for name, argv in OTHER_CASES.items():
+            print(f'    "{name}": "{digest(run_stdout(argv, Path(tmp)))}",')

@@ -242,6 +242,18 @@ def test_occupation_zero_length_and_errors():
         occupation_ctmc(ProbVec(np.array([0.5, 0.5])), gen, 1.0)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, 1e308])
+def test_non_finite_time_is_rejected(t):
+    """``inf - 500 = inf`` would chunk forever, ``nan`` yields no chunk, and
+    ``lam * 1e308`` overflows to ``inf`` (``lam = 4``)."""
+    gen = Generator(TOY_Q)
+    p0 = ProbVec(np.array([0.7, 0.2, 0.1]))
+    with pytest.raises(ValueError, match="finite"):
+        transient_ctmc(p0, gen, t)
+    with pytest.raises(ValueError, match="finite"):
+        occupation_ctmc(p0, gen, t)
+
+
 def test_transient_tv_budget_counts_chunks():
     assert transient_tv_budget(0.0) == 0.0
     assert transient_tv_budget(1.0) == transient_tv_budget(500.0) == 1e-12
