@@ -123,8 +123,57 @@ def simplex_loop(T, basis, at_upper, ub, can_enter, dantzig_cap, max_iter, tol):
         it += 1
 
 
+def matrix_minimum_start(cost, p, q):
+    """Matrix-minimum initial basis of the transportation simplex.
+
+    Scans the cells once by increasing cost (a stable sort, so ties go in
+    row-major order).  A cell whose row and column are both still open ships
+    ``min(a_i, b_j)`` of the remaining masses and closes one of its two
+    lines: the row if ``a_i <= b_j`` and another row is open, or if it is in
+    the last open column; otherwise the column.  Every step closes exactly
+    one line and never the last open row or column, so the ``n+m-1`` cells
+    form a spanning tree.  Returns the lists ``(bi, bj, flow)`` of the basic
+    cells' rows, columns and flows.
+    """
+    n = p.shape[0]
+    m = q.shape[0]
+    nb = n + m - 1
+    bi = [0] * nb
+    bj = [0] * nb
+    flow = [0.0] * nb
+    a = p.tolist()
+    b = q.tolist()
+    row_open = [True] * n
+    col_open = [True] * m
+    rows_left = n
+    cols_left = m
+    order = np.argsort(cost, axis=None, kind="stable")
+    k = 0
+    for i, j in zip((order // m).tolist(), (order % m).tolist()):
+        if not (row_open[i] and col_open[j]):
+            continue
+        ai = a[i]
+        bjv = b[j]
+        x = ai if ai < bjv else bjv
+        bi[k] = i
+        bj[k] = j
+        flow[k] = x
+        a[i] -= x
+        b[j] -= x
+        k += 1
+        if k == nb:
+            break
+        if (ai <= bjv and rows_left > 1) or cols_left == 1:
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            col_open[j] = False
+            cols_left -= 1
+    return bi, bj, flow
+
+
 def transport_loop(cost, p, q, tol, max_iter):
-    """Transportation simplex: north-west-corner start plus MODI pivoting.
+    """Transportation simplex: matrix-minimum start plus MODI pivoting.
 
     ``p`` and ``q`` are nonnegative with equal totals (not necessarily 1).
     Returns ``(status, gamma, u, v, iterations)`` with ``gamma`` the optimal
@@ -132,44 +181,20 @@ def transport_loop(cost, p, q, tol, max_iter):
     satisfying ``u_i + v_j = cost_ij`` on basic cells and
     ``u_i + v_j <= cost_ij + tol`` everywhere at optimality.
 
-    The basis is a spanning tree on row nodes ``0..n-1`` and column nodes
-    ``n..n+m-1``; basic edge ``k`` joins row ``bi[k]`` to column ``bj[k]``
-    and carries ``flow[k]``.  Each pivot walks the tree once, depth-first
-    from row node 0, which gives every node its parent, depth and potential.
-    The entering cell's cycle is the two climbs from its row and column
-    nodes to their common ancestor.  The walk and the climbs index Python
-    lists; only the pricing over all cells is vectorized.
+    The basis starts from :func:`matrix_minimum_start` and stays a spanning
+    tree on row nodes ``0..n-1`` and column nodes ``n..n+m-1``; basic edge
+    ``k`` joins row ``bi[k]`` to column ``bj[k]`` and carries ``flow[k]``.
+    Each pivot walks the tree once, depth-first from row node 0, which gives
+    every node its parent, depth and potential.  The entering cell's cycle
+    is the two climbs from its row and column nodes to their common
+    ancestor.  The walk and the climbs index Python lists; only the sort of
+    the start and the pricing over all cells are vectorized.
     """
     n = p.shape[0]
     m = q.shape[0]
     nn = n + m
     nb = nn - 1
-    bi = [0] * nb
-    bj = [0] * nb
-    flow = [0.0] * nb
-
-    # north-west-corner initial basis (a staircase spanning tree)
-    a = p.tolist()
-    b = q.tolist()
-    i = 0
-    j = 0
-    for k in range(nb):
-        bi[k] = i
-        bj[k] = j
-        ai = a[i]
-        bjv = b[j]
-        x = ai if ai < bjv else bjv
-        flow[k] = x
-        a[i] -= x
-        b[j] -= x
-        if k == nb - 1:
-            break
-        if ai <= bjv and i < n - 1:
-            i += 1
-        elif j < m - 1:
-            j += 1
-        else:
-            i += 1
+    bi, bj, flow = matrix_minimum_start(cost, p, q)
 
     cl = cost.tolist()
     adj = [[] for _ in range(nn)]

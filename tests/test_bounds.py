@@ -19,6 +19,8 @@ from wdbounds.aggregation import (
     partition_aggregation_ctmc,
     partition_aggregation_dtmc,
 )
+from wdbounds import _kernels
+from wdbounds import transport as transport_mod
 from wdbounds.bounds import (
     BoundInputs,
     bound_exponential,
@@ -34,12 +36,12 @@ from wdbounds.bounds import (
     time_grid,
 )
 from wdbounds.errors import NegativeTime, RateUnavailable
-from wdbounds.markov import Generator, ProbVec, transient_ctmc, uniformize
+from wdbounds.markov import Generator, ProbVec, dirac, transient_ctmc, uniformize
 from wdbounds.metric import discrete_metric, validate_metric
 from wdbounds import bounds as bounds_mod
 from wdbounds import curvature as curvature_mod
 from wdbounds.curvature import K_global, K_local, k_min, kappa_min
-from wdbounds.models import random_instance
+from wdbounds.models import Box, JumpDistribution, random_instance, translation_invariant_ctmc
 from wdbounds.transport import wasserstein
 
 from .oracles import transient_series
@@ -483,6 +485,55 @@ def test_exact_error_curve_matches_restart_route() -> None:
         ]
         stepped = exact_error_curve(p0, gen, metric, agg, t_grid)
         np.testing.assert_allclose(stepped, restart, rtol=0, atol=1e-12, err_msg=f"seed {seed}")
+
+
+def _box_grid_curves():
+    """The 8x8 walk in 2x2 blocks and the 9x9 walk in 3x3 blocks, from corner state 1.
+
+    Each case is ``(p0, gen, metric, agg, t_grid)`` with four points on [0.5, 2].
+    """
+    jumps = JumpDistribution((((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)))
+    for side, b in ((8, 2), (9, 3)):
+        gen, metric = translation_invariant_ctmc(Box((0, 0), (side - 1, side - 1)), 1.0, jumps)
+        blocks = tuple(
+            tuple(i * side + j + 1 for i in range(bi, bi + b) for j in range(bj, bj + b))
+            for bi in range(0, side, b)
+            for bj in range(0, side, b)
+        )
+        agg = partition_aggregation_ctmc(gen, Partition(blocks))
+        yield dirac(gen.n, 1), gen, metric, agg, np.array([0.5, 1.0, 1.5, 2.0])
+
+
+def test_exact_curve_pivots_on_box_grids(monkeypatch) -> None:
+    # W1 on supports gives skewed blocks here (63x1 ... 78x3); from the
+    # matrix-minimum start they take 33 pivots in all, from the north-west
+    # corner 302.
+    pivots = []
+    real = _kernels.transport_loop
+
+    def counted(cost, p, q, tol, max_iter):
+        out = real(cost, p, q, tol, max_iter)
+        pivots.append(out[4])
+        return out
+
+    monkeypatch.setattr(_kernels, "transport_loop", counted)
+    for case in _box_grid_curves():
+        exact_error_curve(*case)
+    assert len(pivots) == 8
+    assert sum(pivots) <= 60
+
+
+def test_w1_and_exact_curve_make_no_lp_call(monkeypatch) -> None:
+    def no_lp(*args, **kwargs):
+        raise AssertionError("dense LP called")
+
+    monkeypatch.setattr(transport_mod, "solve", no_lp)
+    for p0, gen, metric, agg, t_grid in _box_grid_curves():
+        exact_error_curve(p0, gen, metric, agg, t_grid)
+        uniform = ProbVec(np.full(gen.n, 1.0 / gen.n))
+        for t in t_grid:
+            wasserstein(p0, transient_ctmc(p0, gen, t), metric)
+            wasserstein(transient_ctmc(p0, gen, t), uniform, metric)
 
 
 def test_bound_curve_makes_few_transient_calls(toy, monkeypatch) -> None:

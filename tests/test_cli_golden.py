@@ -95,7 +95,7 @@ GOLDEN = {
     "toy_pair_1_3": "e72835a47fbe15f4200b5eaf4519c37b1c2d34fdd7207c9ed8c2a775056abe3f",
     "toy_k_only": "a4117ed29e1cceaa7af66c5a3fafa6326833e12e5ab505df95dfb179054dc757",
     "box5_k_only": "2cdd305517183f657541c1474e5df715ecaad8f21d39c5c945296318d856d4ba",
-    "box5_all": "9e6adc539043c24ffcca2e8f526c369b50e96323dd74f1b003b939c23d52ffde",
+    "box5_all": "8c5f7827301a3f06eb40f0ced2f0ca35e332ed57e02299699bd0e4acb488b492",
     "box20_k_only": "374f7cf835d8d9a36b34ed643dc42c8fc0991e68930f2c5c06a478491757dfd9",
     "line24_min": "d03751193988cc00ed5ca983a31126b7ee4737207a4c36900f20fd38f2af1fa7",
     "line24_rooted_min": "f77d5006eb733886124c648772669dc9c70dd23eb31faa4050f24b0197230b8f",

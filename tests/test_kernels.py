@@ -1,9 +1,11 @@
-"""The transport kernel against a frozen copy of its previous version."""
+"""The transport kernel against a frozen copy of an earlier version."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdbounds import _kernels
 
@@ -11,10 +13,11 @@ from wdbounds import _kernels
 def _reference_transport_loop(cost, p, q, tol, max_iter):
     """The transportation simplex as it was before the one-walk rewrite.
 
-    Frozen reference: potentials by repeated sweeps over the basis edges,
-    and the entering cycle by a breadth-first search over an adjacency
-    array rebuilt each pivot.  Same start, pricing and ratio test as
-    :func:`wdbounds._kernels.transport_loop`.
+    Frozen reference: the north-west-corner start, potentials by repeated
+    sweeps over the basis edges, and the entering cycle by a breadth-first
+    search over an adjacency array rebuilt each pivot.  Same pricing and
+    ratio test as :func:`wdbounds._kernels.transport_loop`, which starts
+    from the matrix minimum instead.
     """
     n = p.shape[0]
     m = q.shape[0]
@@ -180,30 +183,127 @@ def _problems(kind: str, count: int):
         yield cost, p, q * (p.sum() / q.sum())
 
 
+def _check_plan(gamma, p, q):
+    """Nonnegative flows whose row and column sums are p and q, to rounding."""
+    slack = 1e-12 * float(p.sum())
+    assert np.all(gamma >= 0.0)
+    assert np.allclose(gamma.sum(axis=1), p, rtol=0.0, atol=slack)
+    assert np.allclose(gamma.sum(axis=0), q, rtol=0.0, atol=slack)
+
+
+def _check_optimal(got, ref, cost, p, q, tol):
+    """``got`` is optimal: the reference's objective and dual-feasible potentials."""
+    status, gamma, u, v, _ = got
+    assert status == ref[0] == _kernels.STATUS_OPTIMAL
+    _check_plan(gamma, p, q)
+    scale = float(np.abs(cost).max()) * float(p.sum())
+    assert abs(float(np.sum(gamma * cost)) - float(np.sum(ref[1] * cost))) <= 1e-12 * scale
+    red = cost - u.reshape(-1, 1) - v.reshape(1, -1)
+    assert red.min() >= -tol
+    # complementary slackness: flow only on cells of zero reduced cost
+    assert np.all(np.abs(red[gamma > 0.0]) <= 1e-12 * float(np.abs(cost).max()))
+
+
 @pytest.mark.parametrize("kind", ["dense", "negative", "degenerate"])
 def test_transport_loop_matches_frozen_reference(kind):
-    """Same pivots, same plan, same potentials, bit for bit."""
+    """Same optimum as the frozen north-west loop, in no more pivots.
+
+    The starts differ, so plans may differ where the optimum is not unique;
+    the objective, the plan's margins and the potentials' dual feasibility
+    must not.
+    """
     pivots = 0
+    ref_pivots = 0
     for cost, p, q in _problems(kind, 60):
         tol = 1e-11 * float(np.abs(cost).max())
         max_iter = 200 * sum(cost.shape) + 2000
         ref = _reference_transport_loop(cost, p, q, tol, max_iter)
         got = _kernels.transport_loop(cost, p, q, tol, max_iter)
-        assert got[0] == ref[0] == _kernels.STATUS_OPTIMAL
-        assert got[4] == ref[4]
-        for a, b in zip(got[1:4], ref[1:4]):
-            assert np.array_equal(a, b)
-        assert float(np.sum(got[1] * cost)) == float(np.sum(ref[1] * cost))
+        _check_optimal(got, ref, cost, p, q, tol)
         pivots += got[4]
-    assert pivots > 100  # the battery exercises the pivoting, not just the start
+        ref_pivots += ref[4]
+    assert ref_pivots > 100  # the battery exercises the pivoting, not just the start
+    assert 0 < pivots <= ref_pivots
 
 
 def test_transport_loop_iteration_limit():
-    """With ``max_iter=0`` a non-optimal start ends at the limit, as before."""
-    cost, p, q = next(_problems("dense", 1))
+    """With ``max_iter=0`` a non-optimal start ends at the limit.
+
+    The matrix-minimum start is greedy: here it takes the zero-cost cell
+    (0, 0) first, which forces the costly cell (1, 1) and a plan of cost 3,
+    while the optimum ships along the anti-diagonal for 2.
+    """
+    cost = np.array([[0.0, 1.0], [1.0, 3.0]])
+    p = np.ones(2)
+    q = np.ones(2)
     tol = 1e-11 * float(np.abs(cost).max())
-    ref = _reference_transport_loop(cost, p, q, tol, 0)
-    got = _kernels.transport_loop(cost, p, q, tol, 0)
-    assert got[0] == ref[0] == _kernels.STATUS_ITER_LIMIT
-    assert got[4] == ref[4] == 0
-    assert np.array_equal(got[1], ref[1])
+    status, gamma, _, _, it = _kernels.transport_loop(cost, p, q, tol, 0)
+    assert status == _kernels.STATUS_ITER_LIMIT
+    assert it == 0
+    assert np.array_equal(gamma, np.eye(2))
+    status, gamma, _, _, it = _kernels.transport_loop(cost, p, q, tol, 10)
+    assert status == _kernels.STATUS_OPTIMAL
+    assert it == 1
+    assert np.array_equal(gamma, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@st.composite
+def _blocks(draw):
+    """Cost blocks of 1x1 to 8x8, tied or negative costs, exactly tied masses."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        entries = st.integers(-3, 3).map(float)  # many ties, as on lattice metrics
+    else:
+        entries = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+    cost = np.array(draw(st.lists(entries, min_size=n * m, max_size=n * m))).reshape(n, m)
+    # small integer masses with equal totals: a_i == b_j happens often
+    p = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=float)
+    total = int(p.sum())
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=m - 1, max_size=m - 1)))
+    q = np.diff([0, *cuts, total]).astype(float)
+    # dividing by the total leaves ties exact but the two totals may differ
+    # in the last bit, as they do for the normalized masses W1 solves
+    unit = draw(st.sampled_from([1.0, 3.0, 10.0, float(total)]))
+    return cost, p / unit, q / unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks())
+def test_matrix_minimum_start_is_a_spanning_tree(block):
+    """The start is a feasible spanning-tree basis, and the kernel ends optimal from it.
+
+    A start that is not a spanning tree makes the kernel report
+    ``STATUS_ITER_LIMIT``, and ``transport._ot`` then falls back to the LP
+    without a word, so this is checked on every shape from 1x1 up.
+    """
+    cost, p, q = block
+    n, m = cost.shape
+    bi, bj, flow = _kernels.matrix_minimum_start(cost, p, q)
+    assert len(bi) == len(bj) == len(flow) == n + m - 1
+    # n+m-1 edges on n+m nodes and no cycle: a spanning tree
+    root = list(range(n + m))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i, j in zip(bi, bj):
+        a, b = find(i), find(n + j)
+        assert a != b, "the start's cells close a cycle"
+        root[a] = b
+    start = np.zeros((n, m))
+    start[bi, bj] = flow
+    _check_plan(start, p, q)
+
+    tol = 1e-11 * float(np.abs(cost).max())
+    status, gamma, _, _, it = _kernels.transport_loop(cost, p, q, tol, 0)
+    assert it == 0
+    assert status in (_kernels.STATUS_OPTIMAL, _kernels.STATUS_ITER_LIMIT)
+    assert np.array_equal(gamma, start)
+
+    max_iter = 200 * (n + m) + 2000
+    got = _kernels.transport_loop(cost, p, q, tol, max_iter)
+    ref = _reference_transport_loop(cost, p, q, tol, max_iter)
+    _check_optimal(got, ref, cost, p, q, tol)

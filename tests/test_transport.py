@@ -350,12 +350,18 @@ def test_wasserstein_coupling_is_one_sided_without_canonicalization(monkeypatch)
 def test_stalled_kernel_falls_back_to_the_lp(monkeypatch):
     """A kernel stopped at ``max_iter=0`` hands the block to the generic LP.
 
-    The metric is not a line metric: on a line the north-west-corner start
-    is already optimal and the kernel would not need a pivot.
+    The instance is one where the matrix-minimum start is not optimal (its
+    3x5 block takes two pivots), so the stopped kernel really stalls.
     """
     real_loop = transport._kernels.transport_loop
     real_solve = transport.solve
     solves = []
+    pivots = []
+
+    def counting_pivots(cost, p, q, tol, max_iter):
+        out = real_loop(cost, p, q, tol, max_iter)
+        pivots.append(out[4])
+        return out
 
     def no_pivots(cost, p, q, tol, max_iter):
         return real_loop(cost, p, q, tol, 0)
@@ -364,9 +370,11 @@ def test_stalled_kernel_falls_back_to_the_lp(monkeypatch):
         solves.append(lp)
         return real_solve(lp, *args, **kwargs)
 
-    _, m, p = random_instance(8, 5, metric_kind="graph")
-    q = ProbVec(np.random.default_rng(5).dirichlet(np.ones(8)))
+    _, m, p = random_instance(8, 7, metric_kind="graph")
+    q = ProbVec(np.random.default_rng(7).dirichlet(np.ones(8)))
+    monkeypatch.setattr(transport._kernels, "transport_loop", counting_pivots)
     expected = wasserstein(p, q, m).value
+    assert pivots and pivots[0] > 0
     monkeypatch.setattr(transport._kernels, "transport_loop", no_pivots)
     monkeypatch.setattr(transport, "solve", counting)
     res = wasserstein(p, q, m)
