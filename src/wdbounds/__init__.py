@@ -35,17 +35,13 @@ from .bounds import (
 from .curvature import (
     CurvatureReport,
     KappaMinStrategy,
-    K_global,
-    K_local,
     curvature_report,
-    k_lower,
     k_matrix,
     k_min,
     kappa_all_pairs,
     kappa_ctmc,
     kappa_dtmc,
     kappa_min,
-    wasserstein_derivative,
 )
 from .errors import (
     AsymmetricMatrix,
@@ -59,7 +55,6 @@ from .errors import (
     NegativeDistance,
     NegativeTime,
     NonzeroDiagonal,
-    NotOptimalInput,
     NumericalFailure,
     RateUnavailable,
     RowSumNotZero,
@@ -95,12 +90,9 @@ from .transport import (
     Potential,
     SignedRow,
     WassersteinResult,
-    canonicalize_coupling,
     row_wasserstein_vector,
-    tv_distance,
     verify_optimal_pair,
     wasserstein,
-    wasserstein_matrix_norm,
     wasserstein_signed,
 )
 
@@ -138,21 +130,14 @@ __all__ = [
     "wasserstein",
     "wasserstein_signed",
     "row_wasserstein_vector",
-    "wasserstein_matrix_norm",
-    "tv_distance",
-    "canonicalize_coupling",
     "verify_optimal_pair",
     # curvature
     "kappa_ctmc",
     "kappa_dtmc",
-    "k_lower",
     "k_matrix",
     "k_min",
-    "K_global",
-    "K_local",
     "kappa_min",
     "kappa_all_pairs",
-    "wasserstein_derivative",
     "KappaMinStrategy",
     "CurvatureReport",
     "curvature_report",
@@ -199,7 +184,6 @@ __all__ = [
     "IndexOutOfRange",
     "NumericalFailure",
     "RowSumNotZero",
-    "NotOptimalInput",
     "SamePair",
     "SingleState",
     "BadAlpha",

@@ -187,7 +187,7 @@ def disaggregate(pi: ProbVec, agg: Aggregation) -> ProbVec:
 def epsilon_partition(metric: Metric, eps: float) -> Partition:
     """Greedy metric clustering: scan states in order; each unassigned state
     opens a block and absorbs all later unassigned states within ``eps``."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
     n = metric.n
     assigned = np.zeros(n, dtype=bool)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -125,6 +126,21 @@ class Model:
     source: str = "<dict>"
 
 
+def _typed(val, kind: type, what: str):
+    """``val`` as a JSON object, array, integer or number (``kind`` is ``dict``,
+    ``list``, ``int`` or ``float``); other values, booleans too, are refused."""
+    types = {dict: dict, list: (list, tuple), int: numbers.Integral, float: numbers.Real}[kind]
+    if isinstance(val, bool) or not isinstance(val, types):
+        raise ValueError(f"{what} must be {kind.__name__}, got {val!r}")
+    return kind(val) if kind in (int, float) else val
+
+
+def _partition(doc) -> Partition:
+    """Partition blocks as a JSON array of arrays of 1-based states."""
+    blocks = [_typed(b, list, "partition block") for b in _typed(doc, list, "partition")]
+    return Partition(tuple(tuple(_typed(v, int, "partition state") for v in b) for b in blocks))
+
+
 def _float_matrix(val, rows: int, cols: int, what: str) -> np.ndarray:
     mat = np.asarray(val, dtype=float)
     if mat.shape != (rows, cols):
@@ -149,7 +165,7 @@ def _parse_metric_spec(spec, n: int) -> tuple[Metric, dict]:
         "explicit": {"kind", "dist"},
         "product": {"kind", "components"},
     }
-    if kind not in known_fields:
+    if not isinstance(kind, str) or kind not in known_fields:
         raise ValueError(f"unknown metric kind {kind!r}")
     unknown = set(spec) - known_fields[kind]
     if unknown:
@@ -157,16 +173,17 @@ def _parse_metric_spec(spec, n: int) -> tuple[Metric, dict]:
     if kind == "discrete":
         return discrete_metric(n), {"kind": "discrete"}
     if kind == "line":
-        positions = [float(v) for v in spec["positions"]]
+        positions = _typed(spec["positions"], list, "line positions")
+        positions = [_typed(v, float, "line position") for v in positions]
         if len(positions) != n:
             raise ValueError(f"line metric needs {n} positions, got {len(positions)}")
         return line_metric(np.array(positions)), {"kind": "line", "positions": positions}
     if kind == "graph":
         edges = []
-        for e in spec["edges"]:
-            if len(e) != 3:
+        for e in _typed(spec["edges"], list, "graph edges"):
+            if len(_typed(e, list, "graph edge")) != 3:
                 raise ValueError(f"graph edge must be [r, s, weight], got {e!r}")
-            r, s, w = int(e[0]), int(e[1]), float(e[2])
+            r, s, w = (_typed(v, typ, "graph edge entry") for v, typ in zip(e, (int, int, float)))
             edges.append((min(r, s), max(r, s), w))
         metric = shortest_path_metric(n, edges)
         # canonical: endpoints ordered, parallel edges collapsed to the
@@ -183,11 +200,11 @@ def _parse_metric_spec(spec, n: int) -> tuple[Metric, dict]:
     # product
     comps = []
     canon_comps = []
-    for comp in spec["components"]:
+    for comp in _typed(spec["components"], list, "product components"):
         if not isinstance(comp, dict) or "weight" not in comp or "n" not in comp:
             raise ValueError("product component must carry 'n', 'weight' and a metric spec")
-        weight = float(comp["weight"])
-        sub_n = int(comp["n"])
+        weight = _typed(comp["weight"], float, "component weight")
+        sub_n = _typed(comp["n"], int, "component n")
         sub_spec = {k: v for k, v in comp.items() if k not in ("weight", "n")}
         sub_metric, sub_canon = _parse_metric_spec(sub_spec, sub_n)
         comps.append((sub_metric, weight))
@@ -205,10 +222,10 @@ def _parse_generator(val, n: int) -> Generator:
             raise ValueError(f"unknown generator fields: {sorted(unknown)}")
         q = np.zeros((n, n))
         seen = set()
-        for t in val["triplets"]:
-            if len(t) != 3:
+        for t in _typed(val["triplets"], list, "triplets"):
+            if len(_typed(t, list, "generator triplet")) != 3:
                 raise ValueError(f"generator triplet must be [r, s, rate], got {t!r}")
-            r, s, rate = int(t[0]), int(t[1]), float(t[2])
+            r, s, rate = (_typed(v, typ, "triplet entry") for v, typ in zip(t, (int, int, float)))
             if not (1 <= r <= n and 1 <= s <= n):
                 raise ValueError(f"triplet index ({r},{s}) out of range 1..{n}")
             if (r, s) in seen:
@@ -235,7 +252,7 @@ def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
         raise ValueError(f"unknown model fields: {sorted(unknown)}")
     if "n" not in doc:
         raise ValueError("model file must declare 'n'")
-    n = int(doc["n"])
+    n = _typed(doc["n"], int, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     canon: dict = {"n": n}
@@ -257,8 +274,7 @@ def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
 
     partition = None
     if "partition" in doc:
-        blocks = tuple(tuple(int(v) for v in block) for block in doc["partition"])
-        partition = Partition(blocks)
+        partition = _partition(doc["partition"])
         if partition.n != n:
             raise ValueError(f"partition covers {partition.n} states but the model has {n}")
         canon["partition"] = [list(b) for b in partition.blocks]
@@ -267,7 +283,8 @@ def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
     if "alpha" in doc:
         if partition is None:
             raise ValueError("'alpha' requires a 'partition'")
-        alpha = [np.asarray(a, dtype=float) for a in doc["alpha"]]
+        blocks = _typed(doc["alpha"], list, "alpha")
+        alpha = [np.asarray(_typed(a, list, "alpha block"), dtype=float) for a in blocks]
         canon["alpha"] = [[float(v) for v in a] for a in alpha]
 
     initial = None
@@ -281,7 +298,7 @@ def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
     agg = None
     agg_pi0 = None
     if "aggregation" in doc:
-        spec = doc["aggregation"]
+        spec = _typed(doc["aggregation"], dict, "aggregation")
         unknown = set(spec) - {"a", "theta", "pi", "lam", "pi0"}
         if unknown:
             raise ValueError(f"unknown aggregation fields: {sorted(unknown)}")
@@ -386,9 +403,12 @@ def _resolve_model(args) -> Model:
         return Model(n=gen.n, gen=gen, metric=metric, source="builtin:toy")
     lo = tuple(int(v) for v in args.grid_lo.split(","))
     hi = tuple(int(v) for v in args.grid_hi.split(","))
-    jumps = JumpDistribution(
-        tuple((tuple(off), float(p)) for off, p in json.loads(args.grid_jumps))
-    )
+    support = []
+    for jump in _typed(json.loads(args.grid_jumps), list, "--grid-jumps"):
+        _require(len(_typed(jump, list, "jump")) == 2, f"jump {jump!r} is not [offset, p]")
+        off = tuple(_typed(v, int, "jump offset") for v in _typed(jump[0], list, "jump offset"))
+        support.append((off, _typed(jump[1], float, "jump probability")))
+    jumps = JumpDistribution(tuple(support))
     gen, metric = translation_invariant_ctmc(
         Box(lo, hi), args.grid_rate, jumps, root=args.grid_root, root_rate=args.grid_root_rate
     )
@@ -549,8 +569,7 @@ def _cmd_curvature(args) -> int:
 
 def _load_partition_file(path: str) -> Partition:
     with open(path, encoding="utf-8") as fh:
-        blocks = json.load(fh)
-    return Partition(tuple(tuple(int(v) for v in block) for block in blocks))
+        return _partition(json.load(fh))
 
 
 def _cmd_bounds(args) -> int:

@@ -18,9 +18,7 @@ pin ``f(r) - f(s) = d(r,s)`` acts as one extra arc ``s -> r`` of cost
 and ``V(r,s)`` is the cost of transporting ``(Q_r - Q_s)+`` onto
 ``(Q_r - Q_s)-`` under ``c'``, on the two supports, which lie in the
 neighbourhoods of ``r`` and ``s``.  The DTMC curvature transports
-``(P_r - P_s)+`` onto ``(P_r - P_s)-`` under ``d``.  The dense LP remains
-only for :func:`wasserstein_derivative`, whose pinned Danskin problem has no
-transport structure.
+``(P_r - P_s)+`` onto ``(P_r - P_s)-`` under ``d``.
 
 The minimum curvature is reached through exact metric structure.  If a
 third state ``z`` lies on a geodesic, ``d(r,z) + d(z,s) = d(r,s)``, then
@@ -32,14 +30,15 @@ minimum over the *irreducible* pairs, those with no state in between
 (:func:`wdbounds.metric.irreducible_pairs`, an exact test).  The same one-step
 argument holds for the DTMC curvature.
 
-``k_lower`` is the closed-form lower bound ``k(r,s) <= kappa(r,s)`` obtained
-from the feasible potentials ``min(d(x,r), d(x,s))``-shaped candidates; it
-needs only two dot products per pair and prefilters the irreducible pairs in
-:func:`kappa_min`: solve the irreducible pair minimizing ``k`` exactly to get
-a candidate ``tau``, then solve exactly every other irreducible pair with
-``k < tau``.  Since ``kappa >= k`` pairwise, a pair with ``k >= tau`` cannot
-go below the candidate, so the returned minimum is exact.  The cut has no
-parameter: it scales with the rates and does not depend on the unit of ``d``.
+:func:`k_matrix` returns the closed-form lower bound ``k(r,s) <= kappa(r,s)``
+of every pair at once, obtained from the feasible potentials
+``min(d(x,r), d(x,s))``-shaped candidates; it needs one product ``Q d`` and
+prefilters the irreducible pairs in :func:`kappa_min`: solve the irreducible
+pair minimizing ``k`` exactly to get a candidate ``tau``, then solve exactly
+every other irreducible pair with ``k < tau``.  Since ``kappa >= k``
+pairwise, a pair with ``k >= tau`` cannot go below the candidate, so the
+returned minimum is exact.  The cut has no parameter: it scales with the
+rates and does not depend on the unit of ``d``.
 """
 
 from __future__ import annotations
@@ -48,34 +47,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalFailure, SamePair, SingleState
-from .lp import LinearProgram, LpStatus, solve
-from .markov import Generator, ProbVec, TransitionMatrix
+from .errors import DimensionMismatch, SamePair, SingleState
+from .markov import Generator, TransitionMatrix
 from .metric import _CHUNK, Metric, irreducible_pairs
-from .transport import _signed_ot, wasserstein, wasserstein_signed
+from .transport import _signed_ot, wasserstein_signed
 
 __all__ = [
     "kappa_ctmc",
     "kappa_dtmc",
-    "k_lower",
     "k_matrix",
     "k_min",
-    "K_global",
-    "K_local",
     "kappa_min",
     "kappa_all_pairs",
-    "wasserstein_derivative",
     "KappaMinStrategy",
     "CurvatureReport",
     "curvature_report",
 ]
-
-#: Two-sided slack used when pinning the stage-1 optimum in the two-stage
-#: derivative LP (the argmax set is taken up to this tolerance), per unit of
-#: ``d_max * |p - q|_1``.  The stage-1 value is vertex-exact, so the slack
-#: only needs to absorb float rounding; any looseness here biases the
-#: stage-2 maximum proportionally.
-DERIVATIVE_PIN_SLACK = 1e-11
 
 
 def _check_pair(n: int, r: int, s: int) -> None:
@@ -84,55 +71,6 @@ def _check_pair(n: int, r: int, s: int) -> None:
             raise DimensionMismatch(f"state index {idx} out of range 1..{n}")
     if r == s:
         raise SamePair(r)
-
-
-def _lipschitz_value(
-    obj: np.ndarray, metric: Metric, pin: np.ndarray, lo: float, hi: float
-) -> float:
-    """``max obj . f`` over ``{0 <= f <= d_max, 1-Lipschitz, lo <= pin.f <= hi}``.
-
-    The feasible set always contains ``f = min(d(., x) ...)``-type potentials,
-    and is compact, so the value is finite.  Solved as the LP dual, with one
-    row per state and one variable per ordered pair, in units where
-    ``d_max = 1`` and ``max|obj| = 1``, so the LP's tolerances meet the same
-    numbers whatever the units of the metric and the rates; the value is
-    rescaled on return.
-    """
-    n = metric.n
-    oscale = float(np.abs(obj).max())
-    if oscale == 0.0:
-        return 0.0
-    fscale = metric.d_max
-    d = metric.dist / fscale
-    obj = obj / oscale
-    lo = lo / fscale
-    hi = hi / fscale
-    # Dual variables: gamma_ab >= 0 per ordered pair (a != b), mu+ >= 0 for
-    # the row pin.f <= hi, mu- >= 0 for -pin.f <= -lo, beta_a >= 0 for the
-    # upper box f <= 1 (d_max).  One >=-constraint per state a:
-    #   sum_b gamma_ab - sum_b gamma_ba + pin_a (mu+ - mu-) + beta_a >= obj_a
-    # minimizing  sum d_ab gamma_ab + hi mu+ - lo mu- + sum beta.
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    npair = len(pairs)
-    ncols = npair + 2 + n
-    rows = np.zeros((n, ncols))
-    cost = np.empty(ncols)
-    for col, (a, b) in enumerate(pairs):
-        rows[a, col] += 1.0
-        rows[b, col] -= 1.0
-        cost[col] = d[a, b]
-    rows[:, npair] = pin
-    rows[:, npair + 1] = -pin
-    cost[npair] = hi
-    cost[npair + 1] = -lo
-    for a in range(n):
-        rows[a, npair + 2 + a] = 1.0
-        cost[npair + 2 + a] = 1.0
-    # pose the minimization as:  maximize -cost . z  s.t.  -rows z <= -obj
-    sol = solve(LinearProgram(c=-cost, a_ub=-rows, b_ub=-obj))
-    if sol.status != LpStatus.OPTIMAL:
-        raise NumericalFailure(f"Lipschitz dual LP ended with status {sol.status.value}")
-    return -float(sol.value) * fscale * oscale
 
 
 def kappa_ctmc(gen: Generator, metric: Metric, r: int, s: int) -> float:
@@ -157,20 +95,6 @@ def kappa_dtmc(pmat: TransitionMatrix, metric: Metric, r: int, s: int) -> float:
         raise DimensionMismatch(f"transition matrix on {pmat.n} states, metric on {metric.n}")
     _check_pair(pmat.n, r, s)
     return 1.0 - wasserstein_signed(pmat.row(r) - pmat.row(s), metric) / metric.d(r, s)
-
-
-def k_lower(gen: Generator, metric: Metric, r: int, s: int) -> float:
-    """Closed-form lower bound ``k(r,s) <= kappa_ctmc(r,s)``; two dot products."""
-    if gen.n != metric.n:
-        raise DimensionMismatch(f"generator on {gen.n} states, metric on {metric.n}")
-    _check_pair(gen.n, r, s)
-    d = metric.dist
-    qr = gen.row(r)
-    qs = gen.row(s)
-    num = min(float(qr @ d[:, r - 1]), float(qr @ d[:, s - 1])) + min(
-        float(qs @ d[:, s - 1]), float(qs @ d[:, r - 1])
-    )
-    return -num / metric.d(r, s)
 
 
 def _q_times_d(q: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -218,24 +142,8 @@ def k_min(gen: Generator, metric: Metric) -> float:
 
 def _local_defects(kmat: np.ndarray, metric: Metric) -> np.ndarray:
     """``K_loc(r) = max(0, max_{s != r} -d(r,s) k(r,s))`` for every state, from
-    one :func:`k_matrix`; ``K`` of :func:`K_global` is their maximum."""
+    one :func:`k_matrix`; the defect constant ``K`` is their maximum."""
     return np.maximum(0.0, np.nanmax(-metric.dist * kmat, axis=1))
-
-
-def K_global(gen: Generator, metric: Metric) -> float:
-    """Curvature defect constant ``K = max(0, max_{r != s} -d(r,s) k(r,s))``."""
-    if gen.n < 2:
-        raise SingleState()
-    return float(_local_defects(k_matrix(gen, metric), metric).max())
-
-
-def K_local(gen: Generator, metric: Metric, r: int) -> float:
-    """Per-state defect constant ``K_loc(r) = max(0, max_{s != r} -d(r,s) k(r,s))``."""
-    if gen.n < 2:
-        raise SingleState()
-    if not (1 <= r <= gen.n):
-        raise DimensionMismatch(f"state index {r} out of range 1..{gen.n}")
-    return float(_local_defects(k_matrix(gen, metric), metric)[r - 1])
 
 
 @dataclass(frozen=True)
@@ -302,24 +210,6 @@ def kappa_all_pairs(gen: Generator, metric: Metric) -> np.ndarray:
             val = kappa_ctmc(gen, metric, r, s)
             out[r - 1, s - 1] = out[s - 1, r - 1] = val
     return out
-
-
-def wasserstein_derivative(p: ProbVec, q: ProbVec, gen: Generator, metric: Metric) -> float:
-    """Right derivative at ``t=0`` of ``t -> W1(p e^{tQ}, q e^{tQ})``.
-
-    Danskin's rule: the derivative is ``max (p - q) . (Q f)`` over the set of
-    *optimal* Kantorovich potentials for ``W1(p, q)``.  Stage 1 computes the
-    distance, stage 2 maximizes over feasible potentials whose objective is
-    pinned to the stage-1 optimum (within ``DERIVATIVE_PIN_SLACK * d_max *
-    |p - q|_1``, so the pin means the same in any unit).
-    """
-    if p.n != q.n or p.n != gen.n or gen.n != metric.n:
-        raise DimensionMismatch("p, q, generator and metric must share the state space")
-    w, _, _ = wasserstein(p, q, metric)
-    diff = p.p - q.p
-    obj = diff @ gen.q
-    slack = DERIVATIVE_PIN_SLACK * metric.d_max * float(np.abs(diff).sum())
-    return _lipschitz_value(obj, metric, diff, w - slack, w + slack)
 
 
 @dataclass(frozen=True, eq=False)

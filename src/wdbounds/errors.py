@@ -26,7 +26,6 @@ __all__ = [
     "IndexOutOfRange",
     "NumericalFailure",
     "RowSumNotZero",
-    "NotOptimalInput",
     "SamePair",
     "SingleState",
     "BadAlpha",
@@ -141,10 +140,6 @@ class RowSumNotZero(WdboundsError):
         super().__init__(f"{where} sums to {total:.3g}, expected 0")
         self.index = index
         self.total = total
-
-
-class NotOptimalInput(WdboundsError):
-    """An operation that presumes an optimal coupling detected a non-optimal one."""
 
 
 class SamePair(WdboundsError):

@@ -12,9 +12,7 @@ the cost of moving ``(p - q)+`` onto ``(p - q)-``, and only the block
 
 Both return the optimal coupling and a Kantorovich potential.  The coupling
 is ``diag(min(p, q))`` plus the block's plan, so no state both sends and
-receives off-diagonal mass; :func:`canonicalize_coupling` is not a step of
-:func:`wasserstein`, it remains for couplings from elsewhere.  The
-potential is recovered from the block's row duals (``-inf`` off the rows)
+receives off-diagonal mass.  The potential is recovered from the block's row duals (``-inf`` off the rows)
 by a double c-transform, which makes it 1-Lipschitz with the same objective
 value as the primal cost, and it is shifted so its minimum is ``0`` (hence
 ``0 <= f <= d_max``).
@@ -28,19 +26,13 @@ curvature solvers in :mod:`wdbounds.curvature`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    DimensionMismatch,
-    NotOptimalInput,
-    NumericalFailure,
-    RowSumNotZero,
-)
+from .errors import DimensionMismatch, NumericalFailure, RowSumNotZero
 from .lp import LinearProgram, LpStatus, solve
 from .markov import ProbVec
 from .metric import Metric
@@ -54,10 +46,7 @@ __all__ = [
     "wasserstein",
     "wasserstein_signed",
     "row_wasserstein_vector",
-    "wasserstein_matrix_norm",
-    "canonicalize_coupling",
     "verify_optimal_pair",
-    "tv_distance",
 ]
 
 #: Marginals of a coupling must match the prescribed distributions this well.
@@ -313,75 +302,6 @@ def row_wasserstein_vector(mat: np.ndarray, metric: Metric) -> np.ndarray:
     for i in range(mat.shape[0]):
         out[i] = wasserstein_signed(SignedRow(mat[i], index=i + 1), metric)
     return out
-
-
-def wasserstein_matrix_norm(mat: np.ndarray, metric: Metric) -> float:
-    """Max of the per-row signed Wasserstein, or ``+inf`` when some row has
-    nonzero total mass (such a matrix has no finite defect)."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] != metric.n:
-        raise DimensionMismatch(
-            f"matrix shape {mat.shape} does not match a {metric.n}-state metric"
-        )
-    if mat.shape[0] == 0:
-        return 0.0
-    sums = np.abs(mat.sum(axis=1))
-    if (sums > ZERO_SUM_REL * np.maximum(1.0, np.abs(mat).sum(axis=1))).any():
-        return math.inf
-    return float(max(wasserstein_signed(row, metric) for row in mat))
-
-
-def tv_distance(p: ProbVec, q: ProbVec) -> float:
-    """Total-variation distance ``0.5 * sum |p - q|``."""
-    if p.n != q.n:
-        raise DimensionMismatch(f"distributions on {p.n} and {q.n} states")
-    return 0.5 * float(np.abs(p.p - q.p).sum())
-
-
-def canonicalize_coupling(coupling: Coupling, metric: Metric) -> Coupling:
-    """Rewrite an *optimal* coupling so no state both sends and receives.
-
-    Repeatedly, for the lowest state ``r`` with off-diagonal outflow and
-    inflow, mass is rerouted from the length-two chain ``s -> r -> u`` to the
-    direct edge ``s -> u`` plus the diagonal ``(r, r)``.  By the triangle
-    inequality this never increases the cost, and on an optimal input the
-    cost is unchanged; a cost change beyond ``1e-9`` times the larger of the
-    cost and ``d_max * mass`` therefore raises :class:`NotOptimalInput`.
-    """
-    if coupling.gamma.shape[0] != metric.n:
-        raise DimensionMismatch(
-            f"coupling on {coupling.gamma.shape[0]} states with a {metric.n}-state metric"
-        )
-    g = coupling.gamma.copy()
-    n = metric.n
-    before = float(np.sum(g * metric.dist))
-    off = ~np.eye(n, dtype=bool)
-    max_steps = n * n * n + 1000
-    for _ in range(max_steps):
-        outflow = np.where(off, g, 0.0).sum(axis=1)
-        inflow = np.where(off, g, 0.0).sum(axis=0)
-        both = (outflow > SUPPORT_TOL) & (inflow > SUPPORT_TOL)
-        if not both.any():
-            break
-        r = int(np.argmax(both))
-        row = np.where(off[r], g[r], 0.0)
-        col = np.where(off[:, r], g[:, r], 0.0)
-        u = int(np.argmax(row > SUPPORT_TOL))
-        s = int(np.argmax(col > SUPPORT_TOL))
-        eps = min(g[r, u], g[s, r])
-        g[r, u] -= eps
-        g[s, r] -= eps
-        g[s, u] += eps
-        g[r, r] += eps
-    else:
-        raise NumericalFailure("coupling canonicalization did not terminate")
-    after = float(np.sum(g * metric.dist))
-    scale = metric.d_max * float(coupling.p.sum())
-    if abs(after - before) > 1e-9 * max(scale, abs(before)):
-        raise NotOptimalInput(
-            f"cost moved from {before!r} to {after!r}; the input coupling was not optimal"
-        )
-    return Coupling(g, coupling.p, coupling.q)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,14 @@ Each oracle avoids the code paths of the implementation it verifies:
   enumeration (the package uses Floyd-Warshall);
 * :func:`kappa_finite_difference` - coarse Ricci curvature from its
   definition as a derivative of the Wasserstein distance, via Richardson
-  extrapolation (the package solves a dedicated LP that never evaluates the
-  distance itself);
+  extrapolation (the package solves a small transport problem that never
+  evaluates the distance itself);
+* :func:`wasserstein_derivative` - the Danskin derivative of ``W1`` at
+  ``t = 0``, whose value at two point masses is ``-kappa(r,s) d(r,s)``: a
+  dense linear program over all 1-Lipschitz potentials, solved by the
+  package's LP (:func:`wdbounds.lp.solve`), not by the transport kernel that
+  the package's curvature runs on (only the stage-1 distance comes from
+  :func:`wdbounds.transport.wasserstein`);
 * :func:`lp_vertex_maximum` - linear-program optimum over a box-bounded
   polytope by enumerating candidate active sets (the package runs a
   two-phase bounded-variable simplex).
@@ -27,6 +33,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from wdbounds.errors import DimensionMismatch, NumericalFailure
+from wdbounds.lp import LinearProgram, LpStatus, solve
+from wdbounds.markov import Generator, ProbVec
+from wdbounds.metric import Metric
+from wdbounds.transport import wasserstein
+
 __all__ = [
     "taylor_expm",
     "transient_series",
@@ -34,6 +46,8 @@ __all__ = [
     "all_paths_shortest",
     "kappa_finite_difference",
     "lp_vertex_maximum",
+    "DERIVATIVE_PIN_SLACK",
+    "wasserstein_derivative",
 ]
 
 
@@ -233,3 +247,78 @@ def lp_vertex_maximum(
         if best is None or val > best:
             best = val
     return best
+
+
+#: Two-sided slack used when pinning the stage-1 optimum in the two-stage
+#: derivative LP (the argmax set is taken up to this tolerance), per unit of
+#: ``d_max * |p - q|_1``.  The stage-1 value is vertex-exact, so the slack
+#: only needs to absorb float rounding; any looseness here biases the
+#: stage-2 maximum proportionally.
+DERIVATIVE_PIN_SLACK = 1e-11
+
+
+def _lipschitz_value(
+    obj: np.ndarray, metric: Metric, pin: np.ndarray, lo: float, hi: float
+) -> float:
+    """``max obj . f`` over ``{0 <= f <= d_max, 1-Lipschitz, lo <= pin.f <= hi}``.
+
+    The feasible set always contains ``f = min(d(., x) ...)``-type potentials,
+    and is compact, so the value is finite.  Solved as the LP dual, with one
+    row per state and one variable per ordered pair, in units where
+    ``d_max = 1`` and ``max|obj| = 1``, so the LP's tolerances meet the same
+    numbers whatever the units of the metric and the rates; the value is
+    rescaled on return.
+    """
+    n = metric.n
+    oscale = float(np.abs(obj).max())
+    if oscale == 0.0:
+        return 0.0
+    fscale = metric.d_max
+    d = metric.dist / fscale
+    obj = obj / oscale
+    lo = lo / fscale
+    hi = hi / fscale
+    # Dual variables: gamma_ab >= 0 per ordered pair (a != b), mu+ >= 0 for
+    # the row pin.f <= hi, mu- >= 0 for -pin.f <= -lo, beta_a >= 0 for the
+    # upper box f <= 1 (d_max).  One >=-constraint per state a:
+    #   sum_b gamma_ab - sum_b gamma_ba + pin_a (mu+ - mu-) + beta_a >= obj_a
+    # minimizing  sum d_ab gamma_ab + hi mu+ - lo mu- + sum beta.
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    npair = len(pairs)
+    ncols = npair + 2 + n
+    rows = np.zeros((n, ncols))
+    cost = np.empty(ncols)
+    for col, (a, b) in enumerate(pairs):
+        rows[a, col] += 1.0
+        rows[b, col] -= 1.0
+        cost[col] = d[a, b]
+    rows[:, npair] = pin
+    rows[:, npair + 1] = -pin
+    cost[npair] = hi
+    cost[npair + 1] = -lo
+    for a in range(n):
+        rows[a, npair + 2 + a] = 1.0
+        cost[npair + 2 + a] = 1.0
+    # pose the minimization as:  maximize -cost . z  s.t.  -rows z <= -obj
+    sol = solve(LinearProgram(c=-cost, a_ub=-rows, b_ub=-obj))
+    if sol.status != LpStatus.OPTIMAL:
+        raise NumericalFailure(f"Lipschitz dual LP ended with status {sol.status.value}")
+    return -float(sol.value) * fscale * oscale
+
+
+def wasserstein_derivative(p: ProbVec, q: ProbVec, gen: Generator, metric: Metric) -> float:
+    """Right derivative at ``t=0`` of ``t -> W1(p e^{tQ}, q e^{tQ})``.
+
+    Danskin's rule: the derivative is ``max (p - q) . (Q f)`` over the set of
+    *optimal* Kantorovich potentials for ``W1(p, q)``.  Stage 1 computes the
+    distance, stage 2 maximizes over feasible potentials whose objective is
+    pinned to the stage-1 optimum (within ``DERIVATIVE_PIN_SLACK * d_max *
+    |p - q|_1``, so the pin means the same in any unit).
+    """
+    if p.n != q.n or p.n != gen.n or gen.n != metric.n:
+        raise DimensionMismatch("p, q, generator and metric must share the state space")
+    w, _, _ = wasserstein(p, q, metric)
+    diff = p.p - q.p
+    obj = diff @ gen.q
+    slack = DERIVATIVE_PIN_SLACK * metric.d_max * float(np.abs(diff).sum())
+    return _lipschitz_value(obj, metric, diff, w - slack, w + slack)

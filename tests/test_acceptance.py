@@ -28,15 +28,13 @@ from wdbounds.bounds import (
     time_grid,
 )
 from wdbounds.curvature import (
-    K_global,
-    K_local,
-    k_lower,
+    _local_defects,
+    k_matrix,
     k_min,
     kappa_all_pairs,
     kappa_ctmc,
     kappa_dtmc,
     kappa_min,
-    wasserstein_derivative,
 )
 from wdbounds.markov import Generator, ProbVec, dirac, transient_ctmc, uniformize
 from wdbounds.metric import discrete_metric, line_metric, validate_metric
@@ -49,7 +47,7 @@ from wdbounds.models import (
 )
 from wdbounds.transport import verify_optimal_pair, wasserstein
 
-from .oracles import transport_vertex_minimum
+from .oracles import transport_vertex_minimum, wasserstein_derivative
 
 TOY_BLOCKS = ((1, 2), (3,))
 ALL_VARIANTS = (
@@ -61,6 +59,11 @@ ALL_VARIANTS = (
     "hybrid",
     "hybrid-kappa",
 )
+
+
+def _defect_constant(gen: Generator, metric) -> float:
+    """``K = max(0, max_{r != s} -d(r,s) k(r,s))``, the maximum of the local defects."""
+    return float(_local_defects(k_matrix(gen, metric), metric).max())
 
 
 def _random_partition(rng: np.random.Generator, n: int) -> Partition:
@@ -94,15 +97,17 @@ def test_c01_worked_w1_example() -> None:
 def test_c02_toy_curvature_table() -> None:
     gen, metric = toy_ctmc()
     expected = {(1, 2): (-6.0, -14.0), (1, 3): (2.6, 2.6), (2, 3): (4.75, 4.75)}
+    kmat = k_matrix(gen, metric)
     for (r, s), (kap, k) in expected.items():
         assert kappa_ctmc(gen, metric, r, s) == pytest.approx(kap, abs=1e-7)
-        assert k_lower(gen, metric, r, s) == pytest.approx(k, abs=1e-7)
+        assert kmat[r - 1, s - 1] == pytest.approx(k, abs=1e-7)
 
     disc = discrete_metric(3)
     expected_disc = {(1, 2): (2.0, 1.0), (1, 3): (1.0, 1.0), (2, 3): (5.0, 5.0)}
+    kmat = k_matrix(gen, disc)
     for (r, s), (kap, k) in expected_disc.items():
         assert kappa_ctmc(gen, disc, r, s) == pytest.approx(kap, abs=1e-7)
-        assert k_lower(gen, disc, r, s) == pytest.approx(k, abs=1e-7)
+        assert kmat[r - 1, s - 1] == pytest.approx(k, abs=1e-7)
     print("C02 toy curvature table: PASS (both metrics, 1e-7)")
 
 
@@ -118,7 +123,7 @@ def test_c03_toy_aggregation_pipeline() -> None:
     v, norm = defect(gen, metric, agg)
     np.testing.assert_allclose(v, [1.0, 1.0], atol=1e-9)
     assert k_min(gen, metric) == pytest.approx(-14.0, abs=1e-9)
-    assert K_global(gen, metric) == pytest.approx(14.0, abs=1e-9)
+    assert _defect_constant(gen, metric) == pytest.approx(14.0, abs=1e-9)
     assert kappa_min(gen, metric)[0] == pytest.approx(-6.0, abs=1e-7)
 
     t = time_grid(1.0, 200)
@@ -156,7 +161,7 @@ def test_c05_discrete_metric_recovery() -> None:
     gen, _ = toy_ctmc()
     disc = discrete_metric(3)
     agg = partition_aggregation_ctmc(gen, Partition(TOY_BLOCKS))
-    assert K_global(gen, disc) == 0.0
+    assert _defect_constant(gen, disc) == 0.0
 
     t = time_grid(1.5, 50)
     for p0 in (ProbVec(np.array([0.5, 0.5, 0.0])), dirac(3, 1)):
@@ -251,7 +256,8 @@ def test_c08_curvature_identity_suite() -> None:
         gen, metric, _ = random_instance(n, 80_000 + i, metric_kind=kind)
         r = int(rng.integers(1, n))
         s = int(rng.integers(r + 1, n + 1))
-        assert kappa_ctmc(gen, metric, r, s) >= k_lower(gen, metric, r, s) - 1e-9, (i, r, s)
+        k_rs = k_matrix(gen, metric)[r - 1, s - 1]
+        assert kappa_ctmc(gen, metric, r, s) >= k_rs - 1e-9, (i, r, s)
 
     h = 1e-6
     worst_fd = 0.0
@@ -329,9 +335,9 @@ def test_c10_local_constant_improvement() -> None:
     for i in range(200):
         n = int(rng.integers(3, 11))
         gen, metric, _ = random_instance(n, 100_000 + i)
-        k_loc = np.array([K_local(gen, metric, r) for r in range(1, n + 1)])
+        k_loc = _local_defects(k_matrix(gen, metric), metric)
         p_tilde = rng.dirichlet(np.ones(n))
-        assert float(p_tilde @ k_loc) <= K_global(gen, metric) + 1e-9, i
+        assert float(p_tilde @ k_loc) <= k_loc.max() + 1e-9, i
 
     # the locally weighted curve never exceeds the global-K curve
     t = np.linspace(0.0, 1.0, 11)

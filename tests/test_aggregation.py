@@ -155,8 +155,10 @@ def test_epsilon_partition_cases():
     assert epsilon_partition(metric, 0.0).blocks == ((1,), (2,), (3,))
     assert epsilon_partition(metric, 5.0).blocks == ((1, 2, 3),)
     assert epsilon_partition(metric, 4.0).blocks == ((1, 2), (3,))
-    with pytest.raises(ValueError):
-        epsilon_partition(metric, -1.0)
+    assert epsilon_partition(metric, float("inf")).blocks == ((1, 2, 3),)
+    for eps in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            epsilon_partition(metric, eps)
 
 
 @given(st.integers(2, 9), st.integers(0, 10_000), st.floats(0.0, 3.0))

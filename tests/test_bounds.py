@@ -40,7 +40,7 @@ from wdbounds.markov import Generator, ProbVec, dirac, transient_ctmc, uniformiz
 from wdbounds.metric import discrete_metric, validate_metric
 from wdbounds import bounds as bounds_mod
 from wdbounds import curvature as curvature_mod
-from wdbounds.curvature import K_global, K_local, k_min, kappa_min
+from wdbounds.curvature import _local_defects, k_matrix, k_min, kappa_min
 from wdbounds.models import Box, JumpDistribution, random_instance, translation_invariant_ctmc
 from wdbounds.transport import wasserstein
 
@@ -573,10 +573,9 @@ def test_prepare_bound_inputs_builds_one_k_matrix(monkeypatch) -> None:
         assert len(calls) == 1, with_kappa
     monkeypatch.undo()
     assert inputs.kappa_min == kappa_min(gen, metric)[0]
-    np.testing.assert_array_equal(
-        inputs.K_local, [K_local(gen, metric, r) for r in range(1, gen.n + 1)]
-    )
-    assert inputs.K == K_global(gen, metric)
+    k_loc = _local_defects(k_matrix(gen, metric), metric)
+    np.testing.assert_array_equal(inputs.K_local, k_loc)
+    assert inputs.K == k_loc.max()
     assert inputs.k_min == k_min(gen, metric)
 
 

@@ -570,6 +570,46 @@ def test_model_validation_errors(capsys, tmp_path) -> None:
         assert "ValueError" in err
 
 
+# model documents with one field of the wrong JSON type: the loader refuses
+# each with a one-line message, and never truncates "n" to an integer
+WRONG_TYPED_MODELS = {
+    "partition-nested": {"n": 3, "partition": [[1, [2]], [3]]},
+    "n-array": {"n": [2]},
+    "n-fraction": {"n": 2.7, "metric": {"kind": "discrete"}},
+    "n-boolean": {"n": True, "metric": {"kind": "discrete"}},
+    "triplets-scalar": {"n": 3, "generator": {"triplets": 5}},
+    "positions-scalar": {"n": 3, "metric": {"kind": "line", "positions": 5}},
+    "edge-scalar": {"n": 3, "metric": {"kind": "graph", "edges": [5]}},
+    "alpha-scalar": {"n": 3, "partition": [[1, 2], [3]], "alpha": 5},
+    "components-scalar": {"n": 3, "metric": {"kind": "product", "components": 5}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        *(
+            pytest.param(doc, ["w1", "--p", "uniform", "--q", "uniform"], id=name)
+            for name, doc in WRONG_TYPED_MODELS.items()
+        ),
+        *(
+            pytest.param(None, ["curvature", "--builtin", "grid", "--grid-jumps", jumps], id=name)
+            for name, jumps in (("jumps-flat", "[[1, 0.5]]"), ("jumps-null", "null"), ("jumps-5", "5"))
+        ),
+        pytest.param(None, ["aggregate", "--builtin", "toy", "--eps", "nan"], id="eps-nan"),
+    ],
+)
+def test_wrong_typed_input_exits_two(capsys, tmp_path, doc, argv) -> None:
+    if doc is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, "--model", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2, err
+    assert "Traceback" not in err and len(err.splitlines()) == 1, err
+    assert out == ""
+
+
 def test_dist_specs(capsys, toy_model) -> None:
     code, out, _ = run_cli(
         capsys, "w1", "--model", toy_model, "--p", "uniform-block:1", "--q", "dirac:3"

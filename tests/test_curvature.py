@@ -12,19 +12,14 @@ import wdbounds.transport as transport_mod
 from wdbounds.aggregation import Partition, partition_aggregation_ctmc
 from wdbounds.bounds import defect
 from wdbounds.curvature import (
-    DERIVATIVE_PIN_SLACK,
-    K_global,
-    K_local,
+    _local_defects,
     curvature_report,
-    k_lower,
     k_matrix,
     k_min,
     kappa_all_pairs,
     kappa_ctmc,
     kappa_dtmc,
     kappa_min,
-    _lipschitz_value,
-    wasserstein_derivative,
 )
 from wdbounds.errors import DimensionMismatch, SamePair, SingleState
 from wdbounds.markov import Generator, ProbVec, TransitionMatrix, uniformize
@@ -32,7 +27,13 @@ from wdbounds.metric import discrete_metric, irreducible_pairs, validate_metric
 from wdbounds.models import Box, JumpDistribution, random_instance, translation_invariant_ctmc
 from wdbounds.transport import wasserstein
 
-from .oracles import kappa_finite_difference, transient_series
+from .oracles import (
+    DERIVATIVE_PIN_SLACK,
+    _lipschitz_value,
+    kappa_finite_difference,
+    transient_series,
+    wasserstein_derivative,
+)
 
 TOY_Q = np.array([[-1.0, 0.0, 1.0], [1.0, -4.0, 3.0], [0.0, 2.0, -2.0]])
 TOY_D = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
@@ -48,28 +49,40 @@ def toy():
     return Generator(TOY_Q), validate_metric(TOY_D)
 
 
+def _k_pair(gen, metric, r, s):
+    """``k(r,s)`` from its closed form, two dot products for the one pair."""
+    d = metric.dist
+    qr, qs = gen.row(r), gen.row(s)
+    own_r = min(float(qr @ d[:, r - 1]), float(qr @ d[:, s - 1]))
+    own_s = min(float(qs @ d[:, s - 1]), float(qs @ d[:, r - 1]))
+    return -(own_r + own_s) / metric.d(r, s)
+
+
 def test_toy_pair_table_both_methods(toy):
     gen, metric = toy
+    kmat = k_matrix(gen, metric)
     for (r, s), (kap, klow) in TOY_TABLE.items():
         assert kappa_ctmc(gen, metric, r, s) == pytest.approx(kap, abs=1e-9)
         # curvature is symmetric in the pair
         assert kappa_ctmc(gen, metric, s, r) == pytest.approx(kap, abs=1e-9)
-        assert k_lower(gen, metric, r, s) == pytest.approx(klow, abs=1e-12)
+        assert kmat[r - 1, s - 1] == pytest.approx(klow, abs=1e-12)
     assert k_min(gen, metric) == pytest.approx(-14.0, abs=1e-12)
-    assert K_global(gen, metric) == pytest.approx(14.0, abs=1e-12)
+    k_loc = _local_defects(kmat, metric)
+    assert k_loc.max() == pytest.approx(14.0, abs=1e-12)
     for r, want in ((1, 14.0), (2, 14.0), (3, 0.0)):
-        assert K_local(gen, metric, r) == pytest.approx(want, abs=1e-12)
+        assert k_loc[r - 1] == pytest.approx(want, abs=1e-12)
 
 
 def test_toy_discrete_metric_table(toy):
     gen, _ = toy
     metric = discrete_metric(3)
+    kmat = k_matrix(gen, metric)
     for (r, s), (kap, klow) in TOY_TABLE_DISCRETE.items():
         assert kappa_ctmc(gen, metric, r, s) == pytest.approx(kap, abs=1e-9)
-        assert k_lower(gen, metric, r, s) == pytest.approx(klow, abs=1e-12)
+        assert kmat[r - 1, s - 1] == pytest.approx(klow, abs=1e-12)
         # discrete metric: k(r,s) = Q(r,s) + Q(s,r)
         assert klow == TOY_Q[r - 1, s - 1] + TOY_Q[s - 1, r - 1]
-    assert K_global(gen, metric) == 0.0  # k > 0 everywhere here
+    assert _local_defects(kmat, metric).max() == 0.0  # k > 0 everywhere here
 
 
 def test_k_matrix_closed_form(toy):
@@ -80,7 +93,7 @@ def test_k_matrix_closed_form(toy):
         for s in range(1, 4):
             if r != s:
                 assert kmat[r - 1, s - 1] == pytest.approx(
-                    k_lower(gen, metric, r, s), abs=1e-12
+                    _k_pair(gen, metric, r, s), abs=1e-12
                 )
     assert np.allclose(kmat[~np.eye(3, dtype=bool)], kmat.T[~np.eye(3, dtype=bool)])
 
@@ -427,7 +440,7 @@ def test_curvature_report_builds_one_k_matrix(monkeypatch, pairs, k_only):
     rep = curvature_report(gen, metric, pairs=pairs, k_only=k_only)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert rep.K_global == K_global(gen, metric)
+    assert rep.K_global == _local_defects(k_matrix(gen, metric), metric).max()
     assert rep.k_min == k_min(gen, metric)
     np.testing.assert_array_equal(rep.k, k_matrix(gen, metric)[rep.r - 1, rep.s - 1])
 
@@ -467,7 +480,6 @@ def test_curvature_and_defect_make_no_lp_call(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("dense LP called")
 
-    monkeypatch.setattr(curvature_mod, "solve", no_lp)
     monkeypatch.setattr(transport_mod, "solve", no_lp)
     instances = []
     for seed in range(15):
@@ -497,13 +509,10 @@ def test_error_conditions(toy):
         kappa_ctmc(gen, metric, 1, 4)
     with pytest.raises(DimensionMismatch):
         kappa_ctmc(gen, discrete_metric(4), 1, 2)
-    with pytest.raises(DimensionMismatch):
-        K_local(gen, metric, 0)
     single = Generator(np.zeros((1, 1)))
     m1 = validate_metric(np.zeros((1, 1)))
-    for fn in (k_min, K_global):
-        with pytest.raises(SingleState):
-            fn(single, m1)
+    with pytest.raises(SingleState):
+        k_min(single, m1)
     with pytest.raises(SingleState):
         kappa_min(single, m1)
     with pytest.raises(SingleState):

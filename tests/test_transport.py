@@ -1,4 +1,4 @@
-"""Exact W1: both solver routes, optimal-pair checks, canonicalization."""
+"""Exact W1: both solver routes, optimal-pair checks, one-sided couplings."""
 
 from __future__ import annotations
 
@@ -10,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wdbounds import transport
-from wdbounds.errors import (
-    DimensionMismatch,
-    NotOptimalInput,
-    NumericalFailure,
-    RowSumNotZero,
-)
+from wdbounds.errors import DimensionMismatch, NumericalFailure, RowSumNotZero
 from wdbounds.markov import ProbVec
 from wdbounds.metric import discrete_metric, line_metric, validate_metric
 from wdbounds.models import random_instance
@@ -23,12 +18,9 @@ from wdbounds.transport import (
     Coupling,
     Potential,
     SignedRow,
-    canonicalize_coupling,
     row_wasserstein_vector,
-    tv_distance,
     verify_optimal_pair,
     wasserstein,
-    wasserstein_matrix_norm,
     wasserstein_signed,
 )
 
@@ -84,25 +76,15 @@ def test_six_state_line_example():
     assert verify_optimal_pair(res_lp.coupling, res_lp.potential, LINE6).all_ok
 
 
-def test_canonicalize_reroutes_two_sided_states():
+def test_verify_optimal_pair_flags_two_sided_states():
     coup = Coupling(GAMMA6_TWO_SIDED, P6, Q6)
     assert coup.cost(LINE6) == pytest.approx(0.975, abs=1e-12)
     report = verify_optimal_pair(coup, Potential(F6, LINE6), LINE6)
     assert not report.one_sided_ok  # states 3 and 5 send and receive
-    canon = canonicalize_coupling(coup, LINE6)
-    assert np.allclose(canon.gamma, GAMMA6_ONE_SIDED, atol=1e-12)
-    assert canon.cost(LINE6) == pytest.approx(0.975, abs=1e-12)
-    assert verify_optimal_pair(canon, Potential(F6, LINE6), LINE6).all_ok
-    # idempotent on an already one-sided plan
-    again = canonicalize_coupling(canon, LINE6)
-    assert np.array_equal(again.gamma, canon.gamma)
-
-
-def test_canonicalize_rejects_suboptimal_coupling():
-    indep = Coupling(np.outer(P6, Q6), P6, Q6)
-    assert indep.cost(LINE6) > 0.975 + 1e-6
-    with pytest.raises(NotOptimalInput):
-        canonicalize_coupling(indep, LINE6)
+    # the same optimum rerouted so that no state both sends and receives
+    one_sided = Coupling(GAMMA6_ONE_SIDED, P6, Q6)
+    assert one_sided.cost(LINE6) == pytest.approx(0.975, abs=1e-12)
+    assert verify_optimal_pair(one_sided, Potential(F6, LINE6), LINE6).all_ok
 
 
 def test_identical_distributions():
@@ -191,7 +173,7 @@ def test_signed_rows_and_matrix_norm():
     defect = theta @ a - a @ toy_q
     vec = row_wasserstein_vector(defect, toy_d)
     assert np.allclose(vec, [1.0, 1.0], atol=1e-12)
-    assert wasserstein_matrix_norm(defect, toy_d) == pytest.approx(1.0, abs=1e-12)
+    assert vec.max() == pytest.approx(1.0, abs=1e-12)
     # scalar signed rows
     assert wasserstein_signed(np.array([0.5, -0.5, 0.0]), toy_d) == pytest.approx(0.5, abs=1e-12)
     assert wasserstein_signed(np.zeros(3), toy_d) == 0.0
@@ -207,8 +189,6 @@ def test_signed_rows_and_matrix_norm():
     direct = wasserstein(ProbVec(pos / mass), ProbVec(neg / mass), toy_d).value
     assert wasserstein_signed(v, toy_d) == pytest.approx(mass * direct, abs=1e-12)
     # a row with nonzero sum has no finite signed distance
-    assert wasserstein_matrix_norm(np.array([[0.5, 0.5, 0.0]]), toy_d) == np.inf
-    assert wasserstein_matrix_norm(np.zeros((0, 3)), toy_d) == 0.0
     with pytest.raises(RowSumNotZero) as exc:
         row_wasserstein_vector(np.array([[0.5, -0.5, 0.0], [1.0, 1.0, 1.0]]), toy_d)
     assert "2" in str(exc.value)
@@ -222,7 +202,8 @@ def test_tv_identity_under_discrete_metric():
         p = ProbVec(rng.dirichlet(np.ones(n)))
         q = ProbVec(rng.dirichlet(np.ones(n)))
         res = wasserstein(p, q, discrete_metric(n))
-        assert abs(res.value - tv_distance(p, q)) <= 1e-12, f"seed {seed}"
+        tv = 0.5 * float(np.abs(p.p - q.p).sum())
+        assert abs(res.value - tv) <= 1e-12, f"seed {seed}"
 
 
 def test_validation_errors():
@@ -330,11 +311,7 @@ def test_wasserstein_solves_only_the_supports_of_p_minus_q(monkeypatch):
     assert shapes == []  # p = q makes no kernel call
 
 
-def test_wasserstein_coupling_is_one_sided_without_canonicalization(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("wasserstein must not canonicalize")
-
-    monkeypatch.setattr(transport, "canonicalize_coupling", forbidden)
+def test_wasserstein_coupling_is_one_sided_without_canonicalization():
     # P6/Q6 admit the two-sided optimum GAMMA6_TWO_SIDED
     for method in ("transport", "lp"):
         res = wasserstein(ProbVec(P6), ProbVec(Q6), LINE6, method=method)
