@@ -12,6 +12,8 @@ Status codes shared by both kernels:
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 STATUS_OPTIMAL = 0
@@ -184,11 +186,18 @@ def transport_loop(cost, p, q, tol, max_iter):
     The basis starts from :func:`matrix_minimum_start` and stays a spanning
     tree on row nodes ``0..n-1`` and column nodes ``n..n+m-1``; basic edge
     ``k`` joins row ``bi[k]`` to column ``bj[k]`` and carries ``flow[k]``.
-    Each pivot walks the tree once, depth-first from row node 0, which gives
-    every node its parent, depth and potential.  The entering cell's cycle
-    is the two climbs from its row and column nodes to their common
-    ancestor.  The walk and the climbs index Python lists; only the sort of
-    the start and the pricing over all cells are vectorized.
+    One walk from row node 0 gives every node its parent, depth and
+    potential, and checks that the start is a spanning tree.  The entering
+    cell's cycle is the two climbs from its row and column nodes to their
+    common ancestor.  The leaving edge cuts off the subtree holding one of
+    the two endpoints (the column node if the edge lies on the column's
+    climb, else the row node); that endpoint is hung under the other one
+    and only its subtree is walked again, and only its entries of the
+    potential arrays ``u`` and ``v`` are rewritten.  Each potential is still
+    the sum along its path from row node 0 that a full walk computes, so
+    pricing and pivots are those of a full walk per pivot, bit for bit.
+    The walks and the climbs index Python lists; only the sort of the
+    start and the pricing over all cells are vectorized.
     """
     n = p.shape[0]
     m = q.shape[0]
@@ -201,50 +210,53 @@ def transport_loop(cost, p, q, tol, max_iter):
     for k in range(nb):
         adj[bi[k]].append(k)
         adj[n + bj[k]].append(k)
-    bi_arr = np.array(bi, dtype=np.int64)
-    bj_arr = np.array(bj, dtype=np.int64)
+    cell = np.array(bi, dtype=np.int64) * m + np.array(bj, dtype=np.int64)
     pot = [0.0] * nn
-    parent = [0] * nn
-    pedge = [0] * nn
+    parent = [-1] * nn
+    pedge = [-1] * nn
     depth = [0] * nn
 
-    def plan():
-        gamma = np.zeros((n, m))
-        gamma[bi_arr, bj_arr] = flow
-        return gamma
+    def hang(root):
+        """Walk the subtree below ``root``, whose own entries are set; return its nodes.
 
-    it = 0
-    while True:
-        # --- one depth-first walk: parents, depths and potentials -------
-        seen = [False] * nn
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            node = stack.pop()
+        At most ``nn`` nodes are expanded, so on a start with a cycle the
+        walk ends, with more than ``nn`` entries, instead of going round it.
+        """
+        nodes = [root]
+        for node in islice(nodes, nn):
             pn = pot[node]
             dn = depth[node] + 1
+            up = pedge[node]
             for k in adj[node]:
-                r = bi[k]
-                s = bj[k]
-                other = r + n + s - node
-                if not seen[other]:
-                    seen[other] = True
+                if k != up:
+                    r = bi[k]
+                    s = bj[k]
+                    other = r + n + s - node
                     pot[other] = cl[r][s] - pn
                     parent[other] = node
                     pedge[other] = k
                     depth[other] = dn
-                    stack.append(other)
-                    reached += 1
-        u = np.array(pot[:n])
-        v = np.array(pot[n:])
-        if reached != nn:
-            return STATUS_ITER_LIMIT, plan(), u, v, it  # basis lost connectivity
+                    nodes.append(other)
+        return nodes
 
+    def plan():
+        gamma = np.zeros(n * m)
+        gamma[cell] = flow
+        return gamma.reshape(n, m)
+
+    it = 0
+    connected = len(hang(0)) == nn
+    uv = np.array(pot)
+    u = uv[:n]
+    v = uv[n:]
+    if not connected:
+        return STATUS_ITER_LIMIT, plan(), u, v, it
+    while True:
         # --- pricing: most negative reduced cost ------------------------
-        red = cost - u.reshape(n, 1) - v.reshape(1, m)
-        red[bi_arr, bj_arr] = 0.0
-        flat = int(np.argmin(red))
+        red = np.subtract(cost, u[:, None], order="C")
+        red -= v
+        red.ravel()[cell] = 0.0
+        flat = int(red.argmin())
         ei = flat // m
         ej = flat - ei * m
         if red[ei, ej] >= -tol:
@@ -289,9 +301,20 @@ def transport_loop(cost, p, q, tol, max_iter):
         adj[n + bj[kleave]].remove(kleave)
         bi[kleave] = ei
         bj[kleave] = ej
-        bi_arr[kleave] = ei
-        bj_arr[kleave] = ej
+        cell[kleave] = flat
         flow[kleave] = theta
         adj[ei].append(kleave)
         adj[n + ej].append(kleave)
+
+        # --- re-hang the cut-off endpoint under the other one -----------
+        if leave_pos < len(up_col):
+            child, top = n + ej, ei
+        else:
+            child, top = ei, n + ej
+        pot[child] = cl[ei][ej] - pot[top]
+        parent[child] = top
+        pedge[child] = kleave
+        depth[child] = depth[top] + 1
+        moved = hang(child)
+        uv[moved] = [pot[x] for x in moved]
         it += 1

@@ -305,7 +305,10 @@ def exact_error_curve(
     """The true aggregation error ``W1(p~_t, p_t)`` on a grid (reference curve).
 
     Both chains step forward from one grid point to the next, so the sweep
-    never restarts at ``t = 0`` and holds only the two current laws.
+    never restarts at ``t = 0`` and holds only the two current laws.  Each
+    point is ``wasserstein(..., value_only=True)``: the solve on the supports
+    of ``p~_t - p_t``, certified by the plan's margins and the dual gap,
+    without the n x n coupling and potential.
     """
     if agg.theta is None:
         raise ValueError("aggregation carries no CTMC generator")
@@ -319,7 +322,7 @@ def exact_error_curve(
         pi_t = transient_ctmc(pi_t, agg.theta, h)
         p_t = transient_ctmc(p_t, gen, h)
         prev = float(ti)
-        out[i] = wasserstein(ProbVec(pi_t.p @ agg.a), p_t, metric)[0]
+        out[i] = wasserstein(ProbVec(pi_t.p @ agg.a), p_t, metric, value_only=True).value
     return out
 
 

@@ -141,8 +141,24 @@ def _partition(doc) -> Partition:
     return Partition(tuple(tuple(_typed(v, int, "partition state") for v in b) for b in blocks))
 
 
+def _float_array(val, ndim: int, what: str) -> np.ndarray:
+    """``val``, ``ndim`` levels of JSON arrays of numbers, as a float array.
+
+    Objects, strings, null, ragged rows and all-boolean arrays give numpy
+    another dtype or shape than an ``ndim``-d array of numbers, and are refused.
+    """
+    try:
+        arr = np.asarray(val)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+        kind = "an array of numbers" if ndim == 1 else "a matrix of numbers with equal rows"
+        raise ValueError(f"{what} must be {kind}")
+    return arr.astype(float, copy=False)
+
+
 def _float_matrix(val, rows: int, cols: int, what: str) -> np.ndarray:
-    mat = np.asarray(val, dtype=float)
+    mat = _float_array(val, 2, what)
     if mat.shape != (rows, cols):
         raise ValueError(f"{what} must be {rows}x{cols}, got shape {mat.shape}")
     if not np.isfinite(mat).all():
@@ -284,12 +300,12 @@ def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
         if partition is None:
             raise ValueError("'alpha' requires a 'partition'")
         blocks = _typed(doc["alpha"], list, "alpha")
-        alpha = [np.asarray(_typed(a, list, "alpha block"), dtype=float) for a in blocks]
+        alpha = [_float_array(a, 1, "alpha block") for a in blocks]
         canon["alpha"] = [[float(v) for v in a] for a in alpha]
 
     initial = None
     if "initial" in doc:
-        vec = np.asarray(doc["initial"], dtype=float)
+        vec = _float_array(doc["initial"], 1, "initial distribution")
         if vec.shape != (n,):
             raise ValueError(f"initial distribution must have {n} entries")
         initial = ProbVec(vec)
@@ -304,7 +320,7 @@ def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
             raise ValueError(f"unknown aggregation fields: {sorted(unknown)}")
         if "a" not in spec:
             raise ValueError("explicit aggregation must carry 'a'")
-        a = np.asarray(spec["a"], dtype=float)
+        a = _float_array(spec["a"], 2, "aggregation matrix")
         if a.ndim != 2 or a.shape[1] != n:
             raise ValueError(f"aggregation matrix must have {n} columns")
         m = a.shape[0]
@@ -326,7 +342,7 @@ def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
         if pi_spec is not None:
             canon_agg["pi"] = _matrix_doc(pi_spec.p)
         if "pi0" in spec:
-            vec = np.asarray(spec["pi0"], dtype=float)
+            vec = _float_array(spec["pi0"], 1, "pi0")
             if vec.shape != (m,):
                 raise ValueError(f"pi0 must have {m} entries")
             agg_pi0 = ProbVec(vec)
@@ -437,7 +453,7 @@ def _parse_dist(spec: str, model: Model) -> ProbVec:
         return ProbVec(p)
     if spec.startswith("file:"):
         with open(spec.split(":", 1)[1], encoding="utf-8") as fh:
-            vec = np.asarray(json.load(fh), dtype=float)
+            vec = _float_array(json.load(fh), 1, "distribution file")
         _require(vec.shape == (n,), f"distribution file must hold {n} entries")
         return ProbVec(vec)
     raise ValueError(

@@ -150,8 +150,8 @@ class SignedRow:
 
 class WassersteinResult(NamedTuple):
     value: float
-    coupling: Coupling
-    potential: Potential
+    coupling: Coupling | None  # None when only the value was asked for
+    potential: Potential | None
 
 
 def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, method: str = "transport"):
@@ -162,9 +162,21 @@ def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, method: str = "transport
     kernel's pricing tolerance is relative to ``max |cost|``, so rescaling the
     costs rescales the answer without changing the pivots.  ``method`` is
     ``"transport"`` (the LP takes over if the kernel stalls) or ``"lp"``.
+
+    With ``method="transport"`` a block with one row or one column has a
+    forced plan (the one row ships to every column, or every row ships to
+    the one column) and is solved here, with the duals the kernel's tree
+    walk would give: ``u = [0]`` for one row, ``u = cost[:, 0] - cost[0, 0]``
+    for one column.
     """
     nr, nc = cost.shape
     if method == "transport":
+        if nr == 1:
+            gamma = q.reshape(1, nc)
+            return float(np.sum(gamma * cost)), gamma, np.zeros(1)
+        if nc == 1:
+            gamma = p.reshape(nr, 1)
+            return float(np.sum(gamma * cost)), gamma, cost[:, 0] - cost[0, 0]
         tol = 1e-11 * float(np.abs(cost).max())
         status, gamma, u, _, _ = _kernels.transport_loop(
             cost, np.ascontiguousarray(p), np.ascontiguousarray(q), tol, 200 * (nr + nc) + 2000
@@ -210,9 +222,12 @@ def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
 
     Only the supports are solved: ``cost(rows, cols)`` returns the cost block
     for the 0-based state indices ``rows = supp(v+)`` and ``cols = supp(v-)``.
-    Every nonzero entry counts, however small.  The value is certified by a
+    Every nonzero entry counts, however small.  The plan must be feasible:
+    flows at least ``-MARGINAL_TOL * mass`` and row and column sums within
+    ``MARGINAL_TOL * mass`` of the two parts.  The value is certified by a
     feasible dual (the c-transform of the row duals); a primal/dual gap above
-    ``SIGNED_GAP_REL * max|cost| * mass`` raises :class:`NumericalFailure`.
+    ``SIGNED_GAP_REL * max|cost| * mass`` or an infeasible plan raises
+    :class:`NumericalFailure`.
     """
     rows = np.flatnonzero(v > 0)
     cols = np.flatnonzero(v < 0)
@@ -226,6 +241,13 @@ def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
     neg = neg * (mass / float(neg.sum()))
     c = np.ascontiguousarray(cost(rows, cols), dtype=float)
     value, gamma, u = _ot(pos, neg, c, method)
+    slack = MARGINAL_TOL * mass
+    if (
+        gamma.min() < -slack
+        or np.abs(gamma.sum(axis=1) - pos).max() > slack
+        or np.abs(gamma.sum(axis=0) - neg).max() > slack
+    ):
+        raise NumericalFailure(f"signed transport plan misses its margins on mass {mass:.3g}")
     dual = float(pos @ u + neg @ np.min(c - u[:, None], axis=0))
     gap = value - dual
     if abs(gap) > SIGNED_GAP_REL * float(np.abs(c).max()) * mass:
@@ -234,7 +256,7 @@ def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
 
 
 def wasserstein(
-    p: ProbVec, q: ProbVec, metric: Metric, method: str = "transport"
+    p: ProbVec, q: ProbVec, metric: Metric, method: str = "transport", value_only: bool = False
 ) -> WassersteinResult:
     """Exact W1 between two distributions, with optimal coupling and potential.
 
@@ -247,6 +269,10 @@ def wasserstein(
     achieves the same value in the dual (checked to ``GAP_TOL * d_max``).  A
     gap beyond that, or a coupling or potential that fails its own
     validation, raises :class:`NumericalFailure`.
+
+    With ``value_only=True`` the coupling and potential are ``None``: the
+    value is certified by the block plan's margins and dual gap alone
+    (:func:`_signed_ot`), and no n x n array is built.
     """
     if p.n != q.n or p.n != metric.n:
         raise DimensionMismatch(
@@ -256,6 +282,8 @@ def wasserstein(
         raise ValueError(f"unknown method {method!r}; expected 'transport' or 'lp'")
     d = metric.dist
     plan = _signed_ot(p.p - q.p, lambda rows, cols: d[np.ix_(rows, cols)], method)
+    if value_only:
+        return WassersteinResult(plan.value, None, None)
     gamma = np.diag(np.minimum(p.p, q.p))
     gamma[np.ix_(plan.rows, plan.cols)] += plan.gamma
     if plan.gamma.size:

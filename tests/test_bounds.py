@@ -16,6 +16,7 @@ import pytest
 
 from wdbounds.aggregation import (
     Partition,
+    aggregate_initial,
     partition_aggregation_ctmc,
     partition_aggregation_dtmc,
 )
@@ -505,9 +506,10 @@ def _box_grid_curves():
 
 
 def test_exact_curve_pivots_on_box_grids(monkeypatch) -> None:
-    # W1 on supports gives skewed blocks here (63x1 ... 78x3); from the
-    # matrix-minimum start they take 33 pivots in all, from the north-west
-    # corner 302.
+    # W1 on supports gives skewed blocks here (63x1 ... 78x3); the four with
+    # one column have forced plans and never reach the kernel.  From the
+    # matrix-minimum start the other four take 33 pivots in all, from the
+    # north-west corner 302.
     pivots = []
     real = _kernels.transport_loop
 
@@ -519,8 +521,33 @@ def test_exact_curve_pivots_on_box_grids(monkeypatch) -> None:
     monkeypatch.setattr(_kernels, "transport_loop", counted)
     for case in _box_grid_curves():
         exact_error_curve(*case)
-    assert len(pivots) == 8
+    assert len(pivots) == 4
     assert sum(pivots) <= 60
+
+
+def test_exact_curve_builds_no_coupling_or_potential(toy, monkeypatch) -> None:
+    """The curve needs W1 only: no n x n coupling or potential per grid point.
+
+    With both classes patched to raise it still runs, and each value equals
+    ``wasserstein(...).value`` on the same stepped laws bit for bit.
+    """
+    gen, metric, agg, p0, _ = toy
+    cases = [(p0, gen, metric, agg, np.linspace(0.0, 3.0, 7)), *_box_grid_curves()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("n x n object built")
+
+    monkeypatch.setattr(transport_mod, "Coupling", refuse)
+    monkeypatch.setattr(transport_mod, "Potential", refuse)
+    curves = [exact_error_curve(*case) for case in cases]
+    monkeypatch.undo()
+    for (p0, gen, metric, agg, t_grid), curve in zip(cases, curves):
+        pi_t, p_t, prev = aggregate_initial(p0, agg), p0, 0.0
+        for t, value in zip(t_grid, curve):
+            pi_t = transient_ctmc(pi_t, agg.theta, float(t) - prev)
+            p_t = transient_ctmc(p_t, gen, float(t) - prev)
+            prev = float(t)
+            assert value == wasserstein(ProbVec(pi_t.p @ agg.a), p_t, metric).value
 
 
 def test_w1_and_exact_curve_make_no_lp_call(monkeypatch) -> None:

@@ -582,6 +582,19 @@ WRONG_TYPED_MODELS = {
     "edge-scalar": {"n": 3, "metric": {"kind": "graph", "edges": [5]}},
     "alpha-scalar": {"n": 3, "partition": [[1, 2], [3]], "alpha": 5},
     "components-scalar": {"n": 3, "metric": {"kind": "product", "components": 5}},
+    # an object, a string or a ragged row where a numeric array belongs
+    "initial-object": {"n": 3, "initial": [{}, 1, 0]},
+    "initial-string": {"n": 2, "initial": ["0.5", 0.5], "metric": {"kind": "discrete"}},
+    "generator-object": {"n": 1, "generator": [[{}]]},
+    "generator-ragged": {"n": 2, "generator": [[0, 1], [1]]},
+    "dtmc-object": {"n": 1, "dtmc": [[{}]]},
+    "alpha-object": {"n": 3, "partition": [[1, 2], [3]], "alpha": [[{}], [1]]},
+    "aggregation-a-object": {"n": 3, "aggregation": {"a": [[{}]]}},
+    "aggregation-pi0-object": {
+        "n": 3,
+        "generator": TOY_Q,
+        "aggregation": {"a": [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], "pi0": [{}, 1]},
+    },
 }
 
 
@@ -607,6 +620,16 @@ def test_wrong_typed_input_exits_two(capsys, tmp_path, doc, argv) -> None:
     code, out, err = run_cli(capsys, *argv)
     assert code == 2, err
     assert "Traceback" not in err and len(err.splitlines()) == 1, err
+    assert out == ""
+
+
+def test_wrong_typed_distribution_file_exits_two(capsys, tmp_path) -> None:
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps([{}, 1, 0]))
+    code, out, err = run_cli(capsys, "w1", "--builtin", "toy", "--p", f"file:{path}", "--q", "uniform")
+    assert code == 2, err
+    assert "Traceback" not in err and len(err.splitlines()) == 1, err
+    assert "distribution file" in err
     assert out == ""
 
 

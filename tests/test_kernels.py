@@ -1,4 +1,4 @@
-"""The transport kernel against a frozen copy of an earlier version."""
+"""The transport kernel against frozen copies of earlier versions."""
 
 from __future__ import annotations
 
@@ -167,6 +167,123 @@ def _reference_transport_loop(cost, p, q, tol, max_iter):
         it += 1
 
 
+def _one_walk_transport_loop(cost, p, q, tol, max_iter):
+    """The transportation simplex as it was before the subtree re-hang.
+
+    Frozen reference: the matrix-minimum start, then one depth-first walk
+    of the whole basis tree per pivot for parents, depths and potentials.
+    Its pricing, cycle and ratio test are those of
+    :func:`wdbounds._kernels.transport_loop`, which walks the tree once and
+    then re-walks only the subtree that each pivot cuts off; the two must
+    agree bit for bit.
+    """
+    n = p.shape[0]
+    m = q.shape[0]
+    nn = n + m
+    nb = nn - 1
+    bi, bj, flow = _kernels.matrix_minimum_start(cost, p, q)
+
+    cl = cost.tolist()
+    adj = [[] for _ in range(nn)]
+    for k in range(nb):
+        adj[bi[k]].append(k)
+        adj[n + bj[k]].append(k)
+    bi_arr = np.array(bi, dtype=np.int64)
+    bj_arr = np.array(bj, dtype=np.int64)
+    pot = [0.0] * nn
+    parent = [0] * nn
+    pedge = [0] * nn
+    depth = [0] * nn
+
+    def plan():
+        gamma = np.zeros((n, m))
+        gamma[bi_arr, bj_arr] = flow
+        return gamma
+
+    it = 0
+    while True:
+        # --- one depth-first walk: parents, depths and potentials -------
+        seen = [False] * nn
+        seen[0] = True
+        stack = [0]
+        reached = 1
+        while stack:
+            node = stack.pop()
+            pn = pot[node]
+            dn = depth[node] + 1
+            for k in adj[node]:
+                r = bi[k]
+                s = bj[k]
+                other = r + n + s - node
+                if not seen[other]:
+                    seen[other] = True
+                    pot[other] = cl[r][s] - pn
+                    parent[other] = node
+                    pedge[other] = k
+                    depth[other] = dn
+                    stack.append(other)
+                    reached += 1
+        u = np.array(pot[:n])
+        v = np.array(pot[n:])
+        if reached != nn:
+            return _kernels.STATUS_ITER_LIMIT, plan(), u, v, it  # basis lost connectivity
+
+        # --- pricing: most negative reduced cost ------------------------
+        red = cost - u.reshape(n, 1) - v.reshape(1, m)
+        red[bi_arr, bj_arr] = 0.0
+        flat = int(np.argmin(red))
+        ei = flat // m
+        ej = flat - ei * m
+        if red[ei, ej] >= -tol:
+            return _kernels.STATUS_OPTIMAL, plan(), u, v, it
+        if it >= max_iter:
+            return _kernels.STATUS_ITER_LIMIT, plan(), u, v, it
+
+        # --- the cycle: climb from both ends to the common ancestor -----
+        x = ei
+        y = n + ej
+        up_row = []
+        up_col = []
+        while depth[x] > depth[y]:
+            up_row.append(pedge[x])
+            x = parent[x]
+        while depth[y] > depth[x]:
+            up_col.append(pedge[y])
+            y = parent[y]
+        while x != y:
+            up_row.append(pedge[x])
+            x = parent[x]
+            up_col.append(pedge[y])
+            y = parent[y]
+        # the path from column node n+ej to row node ei; signs alternate
+        # around the cycle, the edge at the entering cell's column gets -theta
+        path = up_col + up_row[::-1]
+
+        theta = np.inf
+        leave_pos = -1
+        for t in range(0, len(path), 2):
+            g = flow[path[t]]
+            if g < theta:
+                theta = g
+                leave_pos = t
+        for t, k in enumerate(path):
+            if t % 2 == 0:
+                flow[k] -= theta
+            else:
+                flow[k] += theta
+        kleave = path[leave_pos]
+        adj[bi[kleave]].remove(kleave)
+        adj[n + bj[kleave]].remove(kleave)
+        bi[kleave] = ei
+        bj[kleave] = ej
+        bi_arr[kleave] = ei
+        bj_arr[kleave] = ej
+        flow[kleave] = theta
+        adj[ei].append(kleave)
+        adj[n + ej].append(kleave)
+        it += 1
+
+
 def _problems(kind: str, count: int):
     rng = np.random.default_rng({"dense": 1, "negative": 2, "degenerate": 3}[kind])
     for _ in range(count):
@@ -204,13 +321,23 @@ def _check_optimal(got, ref, cost, p, q, tol):
     assert np.all(np.abs(red[gamma > 0.0]) <= 1e-12 * float(np.abs(cost).max()))
 
 
+def _check_bit_identical(got, ref):
+    """Same status and pivot count, and the same plan and potentials bit for bit."""
+    assert got[0] == ref[0]
+    assert got[4] == ref[4]
+    for a, b in zip(got[1:4], ref[1:4]):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("kind", ["dense", "negative", "degenerate"])
 def test_transport_loop_matches_frozen_reference(kind):
     """Same optimum as the frozen north-west loop, in no more pivots.
 
     The starts differ, so plans may differ where the optimum is not unique;
     the objective, the plan's margins and the potentials' dual feasibility
-    must not.
+    must not.  Against the frozen one-walk loop, which has the same start,
+    every output is equal bit for bit.
     """
     pivots = 0
     ref_pivots = 0
@@ -220,6 +347,7 @@ def test_transport_loop_matches_frozen_reference(kind):
         ref = _reference_transport_loop(cost, p, q, tol, max_iter)
         got = _kernels.transport_loop(cost, p, q, tol, max_iter)
         _check_optimal(got, ref, cost, p, q, tol)
+        _check_bit_identical(got, _one_walk_transport_loop(cost, p, q, tol, max_iter))
         pivots += got[4]
         ref_pivots += ref[4]
     assert ref_pivots > 100  # the battery exercises the pivoting, not just the start
@@ -248,10 +376,10 @@ def test_transport_loop_iteration_limit():
 
 
 @st.composite
-def _blocks(draw):
-    """Cost blocks of 1x1 to 8x8, tied or negative costs, exactly tied masses."""
-    n = draw(st.integers(1, 8))
-    m = draw(st.integers(1, 8))
+def _blocks(draw, side=8):
+    """Cost blocks of 1x1 to ``side`` x ``side``, tied or negative costs, exactly tied masses."""
+    n = draw(st.integers(1, side))
+    m = draw(st.integers(1, side))
     if draw(st.booleans()):
         entries = st.integers(-3, 3).map(float)  # many ties, as on lattice metrics
     else:
@@ -307,3 +435,37 @@ def test_matrix_minimum_start_is_a_spanning_tree(block):
     got = _kernels.transport_loop(cost, p, q, tol, max_iter)
     ref = _reference_transport_loop(cost, p, q, tol, max_iter)
     _check_optimal(got, ref, cost, p, q, tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks(side=10), st.sampled_from(["zero", "one", "normal"]))
+def test_transport_loop_matches_the_one_walk_loop_bit_for_bit(block, limit):
+    """Re-walking only the cut-off subtree changes no bit of the result.
+
+    Every potential is the same path sum from row node 0 as in a full walk,
+    so status, plan, potentials and pivot count equal the frozen one-walk
+    loop's exactly, also when the iteration limit stops both early.
+    """
+    cost, p, q = block
+    n, m = cost.shape
+    tol = 1e-11 * float(np.abs(cost).max())
+    max_iter = {"zero": 0, "one": 1, "normal": 200 * (n + m) + 2000}[limit]
+    got = _kernels.transport_loop(cost, p, q, tol, max_iter)
+    _check_bit_identical(got, _one_walk_transport_loop(cost, p, q, tol, max_iter))
+
+
+def test_transport_loop_stops_on_a_start_with_a_cycle(monkeypatch):
+    """A start that is not a spanning tree ends at the limit, not in an endless walk.
+
+    On 2 rows and 3 columns the cells (0,0), (0,1), (1,1), (1,0) are 4 = n+m-1
+    edges that close a cycle and leave column 2 unreached.
+    """
+    monkeypatch.setattr(
+        _kernels,
+        "matrix_minimum_start",
+        lambda cost, p, q: ([0, 0, 1, 1], [0, 1, 1, 0], [0.5, 0.5, 0.5, 0.5]),
+    )
+    cost = np.arange(6.0).reshape(2, 3)
+    out = _kernels.transport_loop(cost, np.ones(2), np.array([1.0, 1.0, 0.0]), 1e-11, 100)
+    assert out[0] == _kernels.STATUS_ITER_LIMIT
+    assert out[4] == 0

@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wdbounds import transport
+from wdbounds.aggregation import Partition, partition_aggregation_ctmc
+from wdbounds.bounds import exact_error_curve
+from wdbounds.curvature import kappa_ctmc
 from wdbounds.errors import DimensionMismatch, NumericalFailure, RowSumNotZero
-from wdbounds.markov import ProbVec
+from wdbounds.markov import ProbVec, dirac
 from wdbounds.metric import discrete_metric, line_metric, validate_metric
-from wdbounds.models import random_instance
+from wdbounds.models import Box, JumpDistribution, random_instance, translation_invariant_ctmc
 from wdbounds.transport import (
     Coupling,
     Potential,
@@ -144,6 +147,8 @@ def test_both_routes_agree_and_verify(n, seed):
     assert res_t.value == pytest.approx(res_l.value, abs=1e-8)
     assert verify_optimal_pair(res_t.coupling, res_t.potential, m).all_ok
     assert verify_optimal_pair(res_l.coupling, res_l.potential, m).all_ok
+    # the value-only route makes the same solve and builds no coupling or potential
+    assert wasserstein(p, q, m, value_only=True) == (res_t.value, None, None)
 
 
 @given(st.integers(2, 6), st.integers(0, 10_000))
@@ -291,7 +296,9 @@ def _record_kernel_shapes(monkeypatch) -> list:
 
 
 def test_wasserstein_solves_only_the_supports_of_p_minus_q(monkeypatch):
+    # blocks with one row or one column have forced plans and skip the kernel
     shapes = _record_kernel_shapes(monkeypatch)
+    forced = set()
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 12))
@@ -302,10 +309,16 @@ def test_wasserstein_solves_only_the_supports_of_p_minus_q(monkeypatch):
         shapes.clear()
         res = wasserstein(p, q, m)
         diff = p.p - q.p
-        assert shapes == [(int((diff > 0).sum()), int((diff < 0).sum()))], seed
+        block = (int((diff > 0).sum()), int((diff < 0).sum()))
+        if min(block) == 1:
+            forced.add(block[0] == 1)
+            assert shapes == [], seed
+        else:
+            assert shapes == [block], seed
         # the shared mass stays on the diagonal
         assert np.all(np.diagonal(res.coupling.gamma) >= np.minimum(p.p, q.p))
         assert verify_optimal_pair(res.coupling, res.potential, m).all_ok, seed
+    assert forced == {True, False}  # both a single row and a single column
     shapes.clear()
     assert wasserstein(p, p, m).value == 0.0
     assert shapes == []  # p = q makes no kernel call
@@ -358,3 +371,86 @@ def test_stalled_kernel_falls_back_to_the_lp(monkeypatch):
     assert len(solves) == 1
     assert res.value == pytest.approx(expected, abs=1e-12)
     assert verify_optimal_pair(res.coupling, res.potential, m).all_ok
+
+
+def test_forced_plans_skip_the_kernel(monkeypatch):
+    """A block with one row or one column is solved in closed form.
+
+    The plan ships the one row to every column (or every row to the one
+    column); its value matches the kernel's on the same block within
+    ``1e-15 * max|cost| * mass`` and its row duals equal the kernel's bit for bit.
+    """
+    real = transport._kernels.transport_loop
+    calls = []
+
+    def recording(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(transport._kernels, "transport_loop", recording)
+    rng = np.random.default_rng(12)
+    for case in range(400):
+        k = int(rng.integers(1, 13))
+        shape = (1, k) if case % 2 else (k, 1)
+        if case % 3:
+            cost = rng.uniform(-10.0, 10.0, size=shape)
+        else:
+            cost = rng.integers(-3, 4, size=shape).astype(float)
+        cost[0, 0] = 1.0  # max|cost| > 0
+        p = rng.dirichlet(np.ones(shape[0])) * rng.uniform(0.1, 5.0)
+        q = rng.dirichlet(np.ones(shape[1]))
+        q *= float(p.sum()) / float(q.sum())
+        value, gamma, u = transport._ot(p, q, cost)
+        assert calls == [], case
+        forced = q.reshape(1, -1) if shape[0] == 1 else p.reshape(-1, 1)
+        assert np.array_equal(gamma, forced), case
+        tol = 1e-11 * float(np.abs(cost).max())
+        status, kgamma, ku, _, _ = real(cost, p, q, tol, 200 * sum(shape) + 2000)
+        assert status == transport._kernels.STATUS_OPTIMAL
+        scale = float(np.abs(cost).max()) * float(p.sum())
+        assert abs(value - float(np.sum(kgamma * cost))) <= 1e-15 * scale, case
+        assert np.array_equal(u, ku), case
+    # through the public entry points: one sending and one receiving state
+    line = line_metric(np.arange(5.0))
+    assert wasserstein_signed(np.array([1.0, -0.25, 0.0, -0.5, -0.25]), line) == 2.75
+    assert wasserstein_signed(np.array([0.25, 0.0, 0.5, -1.0, 0.25]), line) == 1.5
+    assert calls == []
+
+
+def test_plan_missing_a_margin_raises(monkeypatch):
+    """Every caller of the signed solve checks the plan's margins.
+
+    The patched kernel's plan ships only half of its first row's mass.
+    """
+    real = transport._kernels.transport_loop
+    calls = []
+
+    def short(cost, p, q, tol, max_iter):
+        status, gamma, u, v, it = real(cost, p, q, tol, max_iter)
+        calls.append(cost.shape)
+        gamma[0] *= 0.5
+        return status, gamma, u, v, it
+
+    monkeypatch.setattr(transport._kernels, "transport_loop", short)
+    with pytest.raises(NumericalFailure, match="margins"):
+        wasserstein_signed(np.array([0.5, 0.5, -0.5, -0.5]), line_metric(np.arange(4.0)))
+    assert calls == [(2, 2)]
+
+    gen, metric, _ = random_instance(6, 0, "graph")
+    calls.clear()
+    with pytest.raises(NumericalFailure, match="margins"):
+        kappa_ctmc(gen, metric, 1, 3)  # a 3x3 block
+    assert calls
+
+    jumps = JumpDistribution((((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)))
+    gen, metric = translation_invariant_ctmc(Box((0, 0), (5, 5)), 1.0, jumps)
+    blocks = tuple(
+        tuple(i * 6 + j + 1 for i in range(bi, bi + 3) for j in range(bj, bj + 3))
+        for bi in (0, 3)
+        for bj in (0, 3)
+    )
+    agg = partition_aggregation_ctmc(gen, Partition(blocks))
+    calls.clear()
+    with pytest.raises(NumericalFailure, match="margins"):
+        exact_error_curve(dirac(gen.n, 1), gen, metric, agg, np.array([0.0, 1.0, 2.0]))
+    assert calls
