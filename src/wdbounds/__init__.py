@@ -64,7 +64,7 @@ from .errors import (
     WdboundsError,
     ZeroOffDiagonal,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, solve
+from .lp import LpSolution, solve
 from .markov import (
     Generator,
     ProbVec,
@@ -117,9 +117,7 @@ __all__ = [
     "occupation_ctmc",
     "transient_dtmc",
     # lp
-    "LinearProgram",
     "LpSolution",
-    "LpStatus",
     "solve",
     # transport
     "Coupling",

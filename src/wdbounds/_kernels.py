@@ -1,13 +1,15 @@
 """Hot numerical kernels: the dense simplex and the transportation simplex.
 
-The loops over tableau *rows* stay explicit (row counts are small), while
-everything proportional to the column count is vectorized.
+The dense simplex works on an equality-form tableau over ``x >= 0``
+(:mod:`wdbounds.lp`).  Its loops over tableau *rows* stay explicit (row
+counts are small), while everything proportional to the column count is
+vectorized.
 
 Status codes shared by both kernels:
 
 * ``0`` - optimal,
 * ``1`` - unbounded (simplex only),
-* ``2`` - iteration limit hit (caller decides how to recover).
+* ``2`` - iteration limit hit (the caller raises or falls back).
 """
 
 from __future__ import annotations
@@ -31,26 +33,26 @@ def pivot(T, row, col):
     T[row, col] = 1.0
 
 
-def simplex_loop(T, basis, at_upper, ub, can_enter, dantzig_cap, max_iter, tol):
-    """Bounded-variable primal simplex iterations on a dense tableau.
+def simplex_loop(T, basis, can_enter, max_iter, tol):
+    """Primal simplex iterations on a dense tableau over ``x >= 0``.
 
     ``T`` is ``(m+1, n+1)``: row 0 holds reduced costs (maximization, so the
     basis is optimal when all eligible entries are ``<= tol``) with ``-value``
     in its last entry; rows ``1..m`` hold the constraint system with the
     right-hand side in the last column.  ``basis[i]`` is the column basic in
-    row ``i+1``.  Columns currently substituted by ``x = ub - x'`` are marked
-    in ``at_upper``.  Pricing is Dantzig for the first ``dantzig_cap``
-    iterations, then Bland's rule (with lowest-basic-index tie-breaking in
-    the ratio test) to guarantee termination.
+    row ``i+1``, and only columns marked in ``can_enter`` may enter.  Pricing
+    is Dantzig for the first ``20 (m + n) + 200`` iterations, then Bland's
+    rule (with lowest-basic-index tie-breaking in the ratio test) to
+    guarantee termination.
 
-    Returns ``(status, iterations, column)`` where ``column`` is the entering
-    column that proved unboundedness (else ``-1``).
+    Returns ``(status, iterations)``: optimal, unbounded (an entering column
+    with no positive entry) or the iteration limit.
     """
     m = T.shape[0] - 1
     ncols = T.shape[1] - 1
+    dantzig_cap = 20 * (m + ncols) + 200
     in_basis = np.zeros(ncols, dtype=np.bool_)
-    for i in range(m):
-        in_basis[basis[i]] = True
+    in_basis[basis] = True
 
     it = 0
     while True:
@@ -61,67 +63,34 @@ def simplex_loop(T, basis, at_upper, ub, can_enter, dantzig_cap, max_iter, tol):
             masked = np.where(eligible, red, -np.inf)
             jstar = int(np.argmax(masked))
             if not (masked[jstar] > tol):
-                return STATUS_OPTIMAL, it, -1
+                return STATUS_OPTIMAL, it
         else:
-            jstar = -1
-            for j in range(ncols):
-                if eligible[j] and red[j] > tol:
-                    jstar = j
-                    break
-            if jstar == -1:
-                return STATUS_OPTIMAL, it, -1
+            candidates = np.flatnonzero(eligible & (red > tol))
+            if candidates.size == 0:
+                return STATUS_OPTIMAL, it
+            jstar = int(candidates[0])
         if it >= max_iter:
-            return STATUS_ITER_LIMIT, it, jstar
+            return STATUS_ITER_LIMIT, it
 
-        # --- ratio test ------------------------------------------------
-        theta = ub[jstar]
+        # --- ratio test: the basic variable that drops to zero first ----
+        theta = np.inf
         leave_row = -1
-        leave_kind = 0  # 0: entering flips to its own bound
         for i in range(1, m + 1):
             a = T[i, jstar]
             if a > tol:
-                cand = T[i, ncols] / a
-                ckind = 1  # basic variable drops to zero
-            elif a < -tol:
-                u_b = ub[basis[i - 1]]
-                if u_b == np.inf:
-                    continue
-                cand = (u_b - T[i, ncols]) / (-a)
-                ckind = 2  # basic variable reaches its upper bound
-            else:
-                continue
-            if cand < 0.0:
-                cand = 0.0  # numerical residue from degenerate rows
-            if cand < theta - 1e-12:
-                theta = cand
-                leave_row = i
-                leave_kind = ckind
-            elif cand < theta + 1e-12 and leave_kind != 0:
-                if leave_row == -1 or basis[i - 1] < basis[leave_row - 1]:
+                cand = max(T[i, ncols] / a, 0.0)  # clamp degenerate-row residue
+                if cand < theta - 1e-12:
+                    theta = cand
                     leave_row = i
-                    leave_kind = ckind
-        if theta == np.inf:
-            return STATUS_UNBOUNDED, it, jstar
+                elif cand < theta + 1e-12 and basis[i - 1] < basis[leave_row - 1]:
+                    leave_row = i
+        if leave_row == -1:
+            return STATUS_UNBOUNDED, it
 
-        # --- update ----------------------------------------------------
-        if leave_kind == 0:
-            # entering variable jumps to its upper bound: substitute x = ub - x'
-            T[:, ncols] -= ub[jstar] * T[:, jstar]
-            T[:, jstar] = -T[:, jstar]
-            at_upper[jstar] = not at_upper[jstar]
-        else:
-            if leave_kind == 2:
-                # leaving basic variable exits at its upper bound: flip its
-                # column first, then restore the +1 unit coefficient
-                jb = basis[leave_row - 1]
-                T[:, ncols] -= ub[jb] * T[:, jb]
-                T[:, jb] = -T[:, jb]
-                T[leave_row, :] = -T[leave_row, :]
-                at_upper[jb] = not at_upper[jb]
-            pivot(T, leave_row, jstar)
-            in_basis[basis[leave_row - 1]] = False
-            in_basis[jstar] = True
-            basis[leave_row - 1] = jstar
+        pivot(T, leave_row, jstar)
+        in_basis[basis[leave_row - 1]] = False
+        in_basis[jstar] = True
+        basis[leave_row - 1] = jstar
         it += 1
 
 

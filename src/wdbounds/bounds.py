@@ -175,7 +175,7 @@ def prepare_bound_inputs(
     v, b = defect(gen, metric, agg)
     pi0 = aggregate_initial(p0, agg)
     ptilde0 = ProbVec(pi0.p @ agg.a)
-    w0, _, _ = wasserstein(ptilde0, p0, metric)
+    w0 = wasserstein(ptilde0, p0, metric, value_only=True).value
     kmat = k_matrix(gen, metric)
     kap = _kappa_min(gen, metric, kmat)[0] if with_kappa else None
     kloc = _local_defects(kmat, metric)

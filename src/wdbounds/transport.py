@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatch, NumericalFailure, RowSumNotZero
-from .lp import LinearProgram, LpStatus, solve
+from .lp import solve
 from .markov import ProbVec
 from .metric import Metric
 
@@ -162,6 +162,9 @@ def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, method: str = "transport
     kernel's pricing tolerance is relative to ``max |cost|``, so rescaling the
     costs rescales the answer without changing the pivots.  ``method`` is
     ``"transport"`` (the LP takes over if the kernel stalls) or ``"lp"``.
+    The LP's tolerances are absolute, so it solves the block in units of
+    ``max |cost|`` and of the mass, and its plan, value and duals are scaled
+    back: neither route depends on units.
 
     With ``method="transport"`` a block with one row or one column has a
     forced plan (the one row ships to every column, or every row ships to
@@ -186,17 +189,16 @@ def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, method: str = "transport
         # degenerate pivoting stalled; the generic route is Bland-guarded
 
     # generic route: minimize <cost, gamma> over the coupling polytope
+    cscale = float(np.abs(cost).max()) or 1.0
+    mass = float(p.sum())
     a_eq = np.zeros((nr + nc, nr * nc))
     for r in range(nr):
         a_eq[r, r * nc : (r + 1) * nc] = 1.0
     for s in range(nc):
         a_eq[nr + s, s::nc] = 1.0
-    b_eq = np.concatenate([p, q])
-    sol = solve(LinearProgram(c=-cost.ravel(), a_eq=a_eq, b_eq=b_eq))
-    if sol.status != LpStatus.OPTIMAL:
-        raise NumericalFailure(f"transport LP ended with status {sol.status.value}")
-    gamma = sol.x.reshape(nr, nc)
-    return float(np.sum(gamma * cost)), gamma, -sol.duals[:nr]
+    sol = solve(-cost.ravel() / cscale, a_eq, np.concatenate([p, q]) / mass)
+    gamma = sol.x.reshape(nr, nc) * mass
+    return float(np.sum(gamma * cost)), gamma, -sol.duals[:nr] * cscale
 
 
 def _potential_from_row_duals(u: np.ndarray, metric: Metric) -> np.ndarray:

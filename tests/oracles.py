@@ -23,7 +23,7 @@ Each oracle avoids the code paths of the implementation it verifies:
   :func:`wdbounds.transport.wasserstein`);
 * :func:`lp_vertex_maximum` - linear-program optimum over a box-bounded
   polytope by enumerating candidate active sets (the package runs a
-  two-phase bounded-variable simplex).
+  two-phase simplex over equality rows and ``x >= 0``).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from wdbounds.errors import DimensionMismatch, NumericalFailure
-from wdbounds.lp import LinearProgram, LpStatus, solve
+from wdbounds.errors import DimensionMismatch
+from wdbounds.lp import solve
 from wdbounds.markov import Generator, ProbVec
 from wdbounds.metric import Metric
 from wdbounds.transport import wasserstein
@@ -299,10 +299,9 @@ def _lipschitz_value(
     for a in range(n):
         rows[a, npair + 2 + a] = 1.0
         cost[npair + 2 + a] = 1.0
-    # pose the minimization as:  maximize -cost . z  s.t.  -rows z <= -obj
-    sol = solve(LinearProgram(c=-cost, a_ub=-rows, b_ub=-obj))
-    if sol.status != LpStatus.OPTIMAL:
-        raise NumericalFailure(f"Lipschitz dual LP ended with status {sol.status.value}")
+    # pose the minimization as:  maximize -cost . z  s.t.  rows z - s = obj,
+    # with one surplus column s_a >= 0 per state
+    sol = solve(np.concatenate([-cost, np.zeros(n)]), np.hstack([rows, -np.eye(n)]), obj)
     return -float(sol.value) * fscale * oscale
 
 

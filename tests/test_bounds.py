@@ -526,21 +526,33 @@ def test_exact_curve_pivots_on_box_grids(monkeypatch) -> None:
 
 
 def test_exact_curve_builds_no_coupling_or_potential(toy, monkeypatch) -> None:
-    """The curve needs W1 only: no n x n coupling or potential per grid point.
+    """The curve and the bounds' W0 need W1 only: no n x n coupling or potential.
 
-    With both classes patched to raise it still runs, and each value equals
-    ``wasserstein(...).value`` on the same stepped laws bit for bit.
+    With both classes patched to raise, the exact curve and every bound
+    variant still run; each exact value equals ``wasserstein(...).value`` on
+    the same stepped laws bit for bit, and the bounds equal an unpatched run.
     """
     gen, metric, agg, p0, _ = toy
     cases = [(p0, gen, metric, agg, np.linspace(0.0, 3.0, 7)), *_box_grid_curves()]
+    variants = ("linear", "timevarying", "exp-k", "exp-kappa", "local", "hybrid", "hybrid-kappa")
 
     def refuse(*args, **kwargs):
         raise AssertionError("n x n object built")
 
+    def bound_curves():
+        return [
+            compute_bound_curve(gen, metric, agg, p0, t_grid, variants).columns
+            for p0, gen, metric, agg, t_grid in cases
+        ]
+
     monkeypatch.setattr(transport_mod, "Coupling", refuse)
     monkeypatch.setattr(transport_mod, "Potential", refuse)
     curves = [exact_error_curve(*case) for case in cases]
+    bounds = bound_curves()
     monkeypatch.undo()
+    for patched, plain in zip(bounds, bound_curves()):
+        assert patched.keys() == plain.keys()
+        assert all(np.array_equal(patched[name], plain[name]) for name in variants)
     for (p0, gen, metric, agg, t_grid), curve in zip(cases, curves):
         pi_t, p_t, prev = aggregate_initial(p0, agg), p0, 0.0
         for t, value in zip(t_grid, curve):

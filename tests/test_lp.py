@@ -1,195 +1,130 @@
-"""Two-phase bounded-variable simplex: statuses, certificates, duals."""
+"""Two-phase simplex in equality form: optima, duals and the raising statuses."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from wdbounds.lp import LinearProgram, LpStatus, solve
+from wdbounds import lp
+from wdbounds.errors import NumericalFailure
+from wdbounds.lp import solve
 
 from .oracles import lp_vertex_maximum
 
 
-def _assert_farkas(lp: LinearProgram, y: np.ndarray, tol: float = 1e-9) -> None:
-    """An infeasibility certificate aggregates the rows into a constraint
-    ``g . x <= y . b`` that already fails at the cheapest point of the box."""
-    k_ub = lp.b_ub.size
-    assert (y[:k_ub] >= -tol).all()
-    rows = np.vstack([lp.a_ub, lp.a_eq])
-    rhs = np.concatenate([lp.b_ub, lp.b_eq])
-    g = y @ rows
-    g = np.where(np.abs(g) < 1e-11, 0.0, g)  # avoid 0 * inf on open box sides
-    contrib = np.zeros_like(g)
-    contrib[g > 0] = g[g > 0] * lp.lower[g > 0]
-    contrib[g < 0] = g[g < 0] * lp.upper[g < 0]
-    box_min = float(contrib.sum())
-    assert np.isfinite(box_min)
-    assert box_min > float(y @ rhs) + tol
+def _with_slacks(a_ub, b_ub, a_eq=None, b_eq=None):
+    """Rows ``a_ub x <= b_ub`` and ``a_eq x == b_eq`` as equality rows over
+    ``(x, s) >= 0``, with one slack column per inequality row."""
+    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+    k, n = a_ub.shape
+    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+    rows = np.vstack([np.hstack([a_ub, np.eye(k)]), np.hstack([a_eq, np.zeros((len(a_eq), k))])])
+    return rows, np.concatenate([np.asarray(b_ub, dtype=float), b_eq])
 
 
-def _assert_ray(lp: LinearProgram, ray: np.ndarray, tol: float = 1e-9) -> None:
-    """An unbounded certificate is a recession direction with growing value."""
-    assert float(lp.c @ ray) > tol
-    if lp.b_ub.size:
-        assert (lp.a_ub @ ray <= tol).all()
-    if lp.b_eq.size:
-        assert np.abs(lp.a_eq @ ray).max() <= tol
-    assert (ray >= -tol)[np.isfinite(lp.lower)].all()
-    assert (ray <= tol)[np.isfinite(lp.upper)].all()
+def _padded(c, cols):
+    return np.concatenate([np.asarray(c, dtype=float), np.zeros(cols - len(c))])
 
 
 def test_known_optimum_and_duals():
-    lp = LinearProgram(
-        c=[3.0, 2.0],
-        a_ub=[[1.0, 1.0], [1.0, 0.0]],
-        b_ub=[4.0, 2.0],
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert np.allclose(sol.x, [2.0, 2.0], atol=1e-9)
+    a, b = _with_slacks([[1.0, 1.0], [1.0, 0.0]], [4.0, 2.0])
+    sol = solve(_padded([3.0, 2.0], 4), a, b)
+    assert np.allclose(sol.x[:2], [2.0, 2.0], atol=1e-9)
     assert sol.value == pytest.approx(10.0, abs=1e-9)
-    # without finite upper bounds the optimum equals duals . b
-    assert sol.value == pytest.approx(float(sol.duals @ lp.b_ub), abs=1e-8)
-    assert (sol.duals_ub >= -1e-9).all()
-    assert np.allclose(sol.duals_ub, [2.0, 1.0], atol=1e-8)
-
-
-def test_box_only_problem():
-    sol = solve(LinearProgram(c=[2.0, -1.0], upper=[5.0, 3.0]))
-    assert sol.status is LpStatus.OPTIMAL
-    assert np.allclose(sol.x, [5.0, 0.0], atol=1e-12)
-    assert sol.value == pytest.approx(10.0, abs=1e-12)
+    # the optimum equals duals . b, and the slack columns make the duals >= 0
+    assert sol.value == pytest.approx(float(sol.duals @ b), abs=1e-8)
+    assert np.allclose(sol.duals, [2.0, 1.0], atol=1e-8)
+    assert sol.iterations > 0
 
 
 def test_equality_row_and_dual():
-    lp = LinearProgram(c=[2.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
+    sol = solve([2.0, 1.0], [[1.0, 1.0]], [1.0])
     assert np.allclose(sol.x, [1.0, 0.0], atol=1e-9)
     assert sol.value == pytest.approx(2.0, abs=1e-10)
-    assert sol.duals_eq[0] == pytest.approx(2.0, abs=1e-8)
-    assert sol.duals_ub.size == 0
-
-
-def test_variable_transformations():
-    # shift: finite nonzero lower bound
-    sol = solve(LinearProgram(c=[-1.0], lower=[-2.0]))
-    assert sol.x[0] == pytest.approx(-2.0, abs=1e-12)
-    assert sol.value == pytest.approx(2.0, abs=1e-12)
-    # mirror: only an upper bound is finite
-    sol = solve(LinearProgram(c=[1.0], lower=[-np.inf], upper=[4.0]))
-    assert sol.x[0] == pytest.approx(4.0, abs=1e-12)
-    # split: fully free variable pinned by rows
-    sol = solve(
-        LinearProgram(c=[1.0], a_ub=[[1.0]], b_ub=[3.0], lower=[-np.inf])
-    )
-    assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
-    sol = solve(
-        LinearProgram(c=[-1.0], a_eq=[[1.0]], b_eq=[-7.5], lower=[-np.inf])
-    )
-    assert sol.x[0] == pytest.approx(-7.5, abs=1e-9)
-    assert sol.value == pytest.approx(7.5, abs=1e-9)
+    assert sol.duals.shape == (1,)
+    assert sol.duals[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_negative_rhs_rows():
-    """x >= 2 written as -x <= -2 exercises row normalization."""
-    sol = solve(LinearProgram(c=[-1.0], a_ub=[[-1.0]], b_ub=[-2.0], upper=[5.0]))
-    assert sol.status is LpStatus.OPTIMAL
+    """x >= 2 written as -x + s = -2 exercises row normalization; x <= 5 as a row."""
+    a, b = _with_slacks([[-1.0], [1.0]], [-2.0, 5.0])
+    sol = solve(_padded([-1.0], 3), a, b)
     assert sol.x[0] == pytest.approx(2.0, abs=1e-9)
     assert sol.value == pytest.approx(-2.0, abs=1e-9)
+    assert sol.value == pytest.approx(float(sol.duals @ b), abs=1e-9)
 
 
 def test_upper_bounds_reached_through_phase_one():
-    """Optimum with every variable at its finite upper bound; the value must
-    include the flipped columns' contribution even when the flips happen
-    before phase 2 rebuilds the objective row."""
-    lp = LinearProgram(
-        c=[2.0, 3.0],
-        a_ub=[[-1.0, -1.0]],
-        b_ub=[-6.0],
-        upper=[5.0, 4.0],
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert np.allclose(sol.x, [5.0, 4.0], atol=1e-9)
+    """Optimum with every variable at its upper bound (posed as rows), where
+    the row x1 + x2 >= 6 starts phase 1 from an infeasible slack basis."""
+    a, b = _with_slacks([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-6.0, 5.0, 4.0])
+    c = _padded([2.0, 3.0], 5)
+    sol = solve(c, a, b)
+    assert np.allclose(sol.x[:2], [5.0, 4.0], atol=1e-9)
     assert sol.value == pytest.approx(22.0, abs=1e-9)
-    assert sol.value == pytest.approx(float(lp.c @ sol.x), abs=1e-9)
+    assert sol.value == pytest.approx(float(c @ sol.x), abs=1e-9)
 
 
-def test_infeasible_certificates():
-    # contradictory inequality rows
-    lp = LinearProgram(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -3.0])
-    sol = solve(lp)
-    assert sol.status is LpStatus.INFEASIBLE
-    _assert_farkas(lp, sol.certificate)
+def test_infeasible_programs_raise():
+    # contradictory inequality rows: x <= 1 and x >= 3
+    a, b = _with_slacks([[1.0], [-1.0]], [1.0, -3.0])
+    with pytest.raises(NumericalFailure, match="infeasible"):
+        solve(_padded([1.0], 3), a, b)
     # contradictory equalities
-    lp = LinearProgram(
-        c=[0.0, 0.0],
-        a_eq=[[1.0, 1.0], [1.0, 1.0]],
-        b_eq=[1.0, 3.0],
-        upper=[9.0, 9.0],
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.INFEASIBLE
-    _assert_farkas(lp, sol.certificate)
-    # row demands more than the box can deliver
-    lp = LinearProgram(c=[1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-5.0], upper=[1.0, 1.0])
-    sol = solve(lp)
-    assert sol.status is LpStatus.INFEASIBLE
-    _assert_farkas(lp, sol.certificate)
+    with pytest.raises(NumericalFailure, match="infeasible"):
+        solve([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 3.0])
+    # a row that demands more than the box rows allow
+    a, b = _with_slacks([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-5.0, 1.0, 1.0])
+    with pytest.raises(NumericalFailure, match="infeasible"):
+        solve(_padded([1.0, 1.0], 5), a, b)
 
 
-def test_unbounded_certificates():
-    lp = LinearProgram(c=[1.0])
-    sol = solve(lp)
-    assert sol.status is LpStatus.UNBOUNDED
-    _assert_ray(lp, sol.certificate)
-    # free pair escaping along x1 - x2 with a row that cancels on the ray
-    lp = LinearProgram(
-        c=[1.0, -1.0],
-        a_ub=[[1.0, 1.0]],
-        b_ub=[1.0],
-        lower=[-np.inf, -np.inf],
-    )
-    sol = solve(lp)
-    assert sol.status is LpStatus.UNBOUNDED
-    _assert_ray(lp, sol.certificate)
+def test_unbounded_programs_raise():
+    with pytest.raises(NumericalFailure, match="unbounded"):
+        solve([1.0], np.zeros((0, 1)), np.zeros(0))
+    # a free pair (x1, x2), split into nonnegative parts, escaping along
+    # x1 - x2 while the row x1 + x2 <= 1 holds on the ray
+    with pytest.raises(NumericalFailure, match="unbounded"):
+        solve([1.0, -1.0, -1.0, 1.0, 0.0], [[1.0, -1.0, 1.0, -1.0, 1.0]], [1.0])
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        LinearProgram(c=[1.0, 2.0], lower=[1.0, 1.0], upper=[0.5, 2.0])
+        solve([1.0, 2.0], [[1.0]], [1.0])
     with pytest.raises(ValueError):
-        LinearProgram(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
+        solve([1.0], [[1.0, 1.0]], [1.0])
     with pytest.raises(ValueError):
-        LinearProgram(c=[1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        solve([1.0], [[1.0]], [1.0, 2.0])
 
 
 def test_degenerate_and_tiny_problems():
     # single variable fixed by an equality, zero objective
-    sol = solve(LinearProgram(c=[0.0], a_eq=[[2.0]], b_eq=[1.0]))
-    assert sol.status is LpStatus.OPTIMAL
+    sol = solve([0.0], [[2.0]], [1.0])
     assert sol.x[0] == pytest.approx(0.5, abs=1e-12)
     assert sol.value == pytest.approx(0.0, abs=1e-12)
     # redundant equality rows must not derail phase 1
-    sol = solve(
-        LinearProgram(
-            c=[1.0, 1.0],
-            a_eq=[[1.0, 1.0], [2.0, 2.0]],
-            b_eq=[1.0, 2.0],
-        )
-    )
-    assert sol.status is LpStatus.OPTIMAL
+    b = np.array([1.0, 2.0])
+    sol = solve([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], b)
     assert sol.value == pytest.approx(1.0, abs=1e-9)
-    # zero-width box pins the point
-    sol = solve(LinearProgram(c=[3.0], lower=[2.0], upper=[2.0]))
+    assert sol.value == pytest.approx(float(sol.duals @ b), abs=1e-9)
+    # nearly redundant rows still bind: 1e-8 x3 = 0 (above) and -5e-8 x3 = 0
+    # (below) pin x3 to 0, though phase 1 ends with an artificial in the row
+    for eps in (1e-8, -5e-8):
+        sol = solve([0.0, 0.0, 1.0], [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0 + eps]], [1.0, 1.0])
+        assert sol.x[2] == pytest.approx(0.0, abs=1e-12)
+        assert sol.value == pytest.approx(0.0, abs=1e-12)
+    # a zero-width box, x <= 2 and x >= 2 as rows, pins the point
+    a, b = _with_slacks([[1.0], [-1.0]], [2.0, -2.0])
+    sol = solve(_padded([3.0], 3), a, b)
     assert sol.x[0] == pytest.approx(2.0, abs=1e-12)
     assert sol.value == pytest.approx(6.0, abs=1e-12)
 
 
 def test_random_battery_against_vertex_enumeration():
-    """120 random box-bounded programs; the simplex must match exhaustive
-    vertex enumeration on both status and optimal value."""
+    """120 random box-bounded programs, the box and the inequality rows posed
+    as equality rows with slack columns; the simplex raises exactly when the
+    brute force finds the program infeasible and matches its value otherwise."""
     n_optimal = n_infeasible = 0
     for seed in range(120):
         rng = np.random.default_rng(seed)
@@ -201,28 +136,27 @@ def test_random_battery_against_vertex_enumeration():
         b_ub = rng.uniform(-1.0, 3.0, size=k_ub)
         a_eq = rng.uniform(-2.0, 2.0, size=(k_eq, n))
         b_eq = rng.uniform(-1.0, 2.0, size=k_eq)
-        lower = np.zeros(n)
         upper = rng.uniform(0.5, 3.0, size=n)
-        lp = LinearProgram(c, a_ub, b_ub, a_eq, b_eq, lower, upper)
-        sol = solve(lp)
-        brute = lp_vertex_maximum(c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lower, upper)
-        if sol.status is LpStatus.OPTIMAL:
-            assert brute is not None, f"seed {seed}: simplex optimal, brute infeasible"
-            assert sol.value == pytest.approx(brute, abs=1e-7), f"seed {seed}"
-            assert sol.value == pytest.approx(float(c @ sol.x), abs=1e-8)
-            n_optimal += 1
-        else:
-            assert sol.status is LpStatus.INFEASIBLE, f"seed {seed}"
-            assert brute is None, f"seed {seed}: simplex infeasible, brute {brute}"
-            _assert_farkas(lp, sol.certificate, tol=1e-7)
+        brute = lp_vertex_maximum(c, a_ub, b_ub, a_eq, b_eq, np.zeros(n), upper)
+        a, b = _with_slacks(np.vstack([a_ub, np.eye(n)]), np.concatenate([b_ub, upper]), a_eq, b_eq)
+        cc = _padded(c, a.shape[1])
+        if brute is None:
+            with pytest.raises(NumericalFailure, match="infeasible"):
+                solve(cc, a, b)
             n_infeasible += 1
+            continue
+        sol = solve(cc, a, b)
+        assert sol.value == pytest.approx(brute, abs=1e-7), f"seed {seed}"
+        assert sol.value == pytest.approx(float(cc @ sol.x), abs=1e-8)
+        n_optimal += 1
     # the battery must genuinely exercise both outcomes
     assert n_optimal >= 40 and n_infeasible >= 10
 
 
 def test_random_duals_identity_without_upper_bounds():
-    """With only default bounds, optimal value equals duals . b and the
-    inequality duals are nonnegative with complementary slackness."""
+    """The optimal value equals duals . b, the duals are dual feasible
+    (``a^T y >= c``), and the inequality rows' duals are nonnegative with
+    complementary slackness."""
     for seed in range(40):
         rng = np.random.default_rng(1_000 + seed)
         n = int(rng.integers(2, 5))
@@ -233,22 +167,18 @@ def test_random_duals_identity_without_upper_bounds():
         # a simplex row keeps the program bounded
         a_ub = np.vstack([a_ub, np.ones(n)])
         b_ub = np.concatenate([b_ub, [rng.uniform(1.0, 4.0)]])
-        lp = LinearProgram(c, a_ub, b_ub)
-        sol = solve(lp)
-        assert sol.status is LpStatus.OPTIMAL, f"seed {seed}"
-        assert sol.value == pytest.approx(float(sol.duals @ b_ub), abs=1e-7)
-        assert (sol.duals_ub >= -1e-9).all()
-        slack = b_ub - lp.a_ub @ sol.x
-        assert np.abs(sol.duals_ub * slack).max() < 1e-6
+        a, b = _with_slacks(a_ub, b_ub)
+        cc = _padded(c, a.shape[1])
+        sol = solve(cc, a, b)
+        assert sol.value == pytest.approx(float(sol.duals @ b), abs=1e-7)
+        assert (a.T @ sol.duals >= cc - 1e-9).all()
+        assert (sol.duals >= -1e-9).all()
+        slack = b_ub - a_ub @ sol.x[:n]
+        assert np.abs(sol.duals * slack).max() < 1e-6
 
 
-def test_iteration_limit_raises():
-    from wdbounds.errors import NumericalFailure
-
-    lp = LinearProgram(
-        c=np.ones(6),
-        a_ub=np.vstack([np.eye(6), np.ones((1, 6))]),
-        b_ub=np.concatenate([np.ones(6), [3.0]]),
-    )
-    with pytest.raises(NumericalFailure):
-        solve(lp, max_iter=1)
+def test_iteration_limit_raises(monkeypatch):
+    a, b = _with_slacks(np.vstack([np.eye(6), np.ones((1, 6))]), [1.0] * 6 + [3.0])
+    monkeypatch.setattr(lp, "MAX_ITER", 1)
+    with pytest.raises(NumericalFailure, match="iteration limit"):
+        solve(_padded(np.ones(6), a.shape[1]), a, b)

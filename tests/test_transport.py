@@ -136,19 +136,38 @@ def test_vertex_oracle_battery():
         assert res.value == pytest.approx(exact, abs=1e-11), f"seed {seed}"
 
 
-@given(st.integers(2, 8), st.integers(0, 10_000))
+@given(st.integers(2, 8), st.integers(0, 10_000), st.integers(-15, 12))
 @settings(max_examples=60, deadline=None)
-def test_both_routes_agree_and_verify(n, seed):
+def test_both_routes_agree_and_verify(n, seed, k):
+    """Both routes give the same W1 in any distance unit 10^k."""
     rng = np.random.default_rng(seed)
     p, q = _probvec_pair(seed, n)
-    m = line_metric(np.cumsum(rng.uniform(0.2, 1.5, size=n)))
+    m = line_metric(np.cumsum(rng.uniform(0.2, 1.5, size=n)) * 10.0**k)
     res_t = wasserstein(p, q, m, method="transport")
     res_l = wasserstein(p, q, m, method="lp")
-    assert res_t.value == pytest.approx(res_l.value, abs=1e-8)
+    assert abs(res_l.value - res_t.value) <= 1e-9 * res_t.value
     assert verify_optimal_pair(res_t.coupling, res_t.potential, m).all_ok
     assert verify_optimal_pair(res_l.coupling, res_l.potential, m).all_ok
     # the value-only route makes the same solve and builds no coupling or potential
     assert wasserstein(p, q, m, value_only=True) == (res_t.value, None, None)
+
+
+def test_signed_routes_agree_at_any_mass():
+    """Both routes of the signed solve agree on zero-sum vectors of mass
+    1e-13 ... 1, the size of the residue that defect rows carry."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 9))
+        d = line_metric(np.cumsum(rng.uniform(0.2, 1.5, size=n))).dist
+        v = rng.normal(size=n)
+        v -= v.mean()
+        v /= np.abs(v).sum() / 2.0  # unit mass in each part
+        for k in range(-13, 1):
+            values = [
+                transport._signed_ot(v * 10.0**k, lambda r, s: d[np.ix_(r, s)], method).value
+                for method in ("transport", "lp")
+            ]
+            assert abs(values[1] - values[0]) <= 1e-9 * values[0], (seed, k)
 
 
 @given(st.integers(2, 6), st.integers(0, 10_000))
@@ -371,6 +390,13 @@ def test_stalled_kernel_falls_back_to_the_lp(monkeypatch):
     assert len(solves) == 1
     assert res.value == pytest.approx(expected, abs=1e-12)
     assert verify_optimal_pair(res.coupling, res.potential, m).all_ok
+    # the fallback does not depend on the distance unit
+    for unit in (1e-15, 1e12):
+        scaled = validate_metric(m.dist * unit)
+        res = wasserstein(p, q, scaled)
+        assert abs(res.value - expected * unit) <= 1e-9 * expected * unit, unit
+        assert verify_optimal_pair(res.coupling, res.potential, scaled).all_ok, unit
+    assert len(solves) == 3
 
 
 def test_forced_plans_skip_the_kernel(monkeypatch):
