@@ -32,13 +32,19 @@ argument holds for the DTMC curvature.
 
 :func:`k_matrix` returns the closed-form lower bound ``k(r,s) <= kappa(r,s)``
 of every pair at once, obtained from the feasible potentials
-``min(d(x,r), d(x,s))``-shaped candidates; it needs one product ``Q d`` and
-prefilters the irreducible pairs in :func:`kappa_min`: solve the irreducible
-pair minimizing ``k`` exactly to get a candidate ``tau``, then solve exactly
-every other irreducible pair with ``k < tau``.  Since ``kappa >= k``
-pairwise, a pair with ``k >= tau`` cannot go below the candidate, so the
-returned minimum is exact.  The cut has no parameter: it scales with the
-rates and does not depend on the unit of ``d``.
+``min(d(x,r), d(x,s))``-shaped candidates; it needs one product ``Q d``.
+:func:`kappa_min` visits the irreducible pairs in increasing ``k`` with the
+running minimum ``tau`` (``+inf`` before the first solve) and cuts every pair
+with ``k >= tau``: since ``kappa >= k`` pairwise, such a pair cannot go below
+``tau``.  The transport problem behind ``kappa`` is a minimization, so any
+feasible plan bounds it as well, ``kappa(r,s) >= -cost/d(r,s)``.  Each other
+pair's local problem is therefore solved with the target ``-tau d(r,s)``: the
+kernel stops at the first plan that reaches it, which settles the pair,
+and a pair whose optimum stays above it is solved exactly and lowers
+``tau``.  The returned minimum is exact.  Neither cut has a parameter: both
+scale with the rates and the unit of ``d``.  On random chains the plans
+settle most pairs; on box walks, where ``kappa`` is about 0 almost
+everywhere, the kernel reaches the target only near the optimum.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import numpy as np
 from .errors import DimensionMismatch, SamePair, SingleState
 from .markov import Generator, TransitionMatrix
 from .metric import _CHUNK, Metric, irreducible_pairs
-from .transport import _signed_ot, wasserstein_signed
+from .transport import _SignedPlan, _signed_ot, wasserstein_signed
 
 __all__ = [
     "kappa_ctmc",
@@ -78,15 +84,22 @@ def kappa_ctmc(gen: Generator, metric: Metric, r: int, s: int) -> float:
     if gen.n != metric.n:
         raise DimensionMismatch(f"generator on {gen.n} states, metric on {metric.n}")
     _check_pair(gen.n, r, s)
+    return -_pair_plan(gen, metric, r - 1, s - 1).value / metric.d(r, s)
+
+
+def _pair_plan(
+    gen: Generator, metric: Metric, i: int, j: int, target: float = -np.inf
+) -> _SignedPlan:
+    """The local transport problem of the 0-based pair ``(i, j)``, solved by
+    :func:`wdbounds.transport._signed_ot` with the given ``target``."""
     d = metric.dist
-    i, j = r - 1, s - 1
-    drs = metric.d(r, s)
+    dij = d[i, j]
 
     def closed_cost(rows, cols):  # c'(a, b) on supp(obj+) x supp(obj-)
-        via_pin = d[rows, j][:, None] - drs + d[i, cols][None, :]
+        via_pin = d[rows, j][:, None] - dij + d[i, cols][None, :]
         return np.minimum(d[np.ix_(rows, cols)], via_pin)
 
-    return -_signed_ot(gen.row(r) - gen.row(s), closed_cost).value / drs
+    return _signed_ot(gen.q[i] - gen.q[j], closed_cost, target=target)
 
 
 def kappa_dtmc(pmat: TransitionMatrix, metric: Metric, r: int, s: int) -> float:
@@ -150,25 +163,32 @@ def _local_defects(kmat: np.ndarray, metric: Metric) -> np.ndarray:
 class KappaMinStrategy:
     """How :func:`kappa_min` reached its answer.
 
-    The candidate comes first: ``pairs_solved[0]`` is the irreducible pair
-    with the smallest ``k`` and ``kappa_solved[0]`` its curvature ``tau``.
-    The other irreducible pairs whose ``k`` is not ``>= tau`` (a ``nan`` ``k``
-    included) follow in row-major order.
+    The irreducible pairs are visited in increasing ``k`` (ties in row-major
+    order, a ``nan`` ``k`` last) with the running minimum ``tau``.  A pair
+    with ``k >= tau`` is cut; the others are solved with the target
+    ``-tau d(r,s)`` and either settled by a plan that reaches it or solved
+    exactly.  ``pairs_solved`` lists the exact solves in that order, the
+    first being the pair with the smallest ``k``, and ``kappa_solved`` their
+    curvatures; the pairs cut by ``k`` are the irreducible ones neither
+    solved nor settled.
     """
 
     pairs_solved: tuple[tuple[int, int], ...]
     kappa_solved: tuple[float, ...]  # exact kappa of each pair in pairs_solved
+    pairs_settled: int  # pairs whose plan reached the target: kappa >= tau
     pairs_irreducible: int  # pairs with no state in between, the ones prefiltered
     pairs_total: int  # all pairs r < s
 
 
 def kappa_min(gen: Generator, metric: Metric) -> tuple[float, KappaMinStrategy]:
-    """Exact minimum curvature over all pairs, via the irreducible pairs and the k-prefilter.
+    """Exact minimum curvature over all pairs, via the irreducible pairs, the
+    k-prefilter and plans that settle pairs which cannot lower the minimum.
 
     The minimum over all pairs is the minimum over the irreducible pairs
     (see the module docstring).  Among those, a pair with ``k(r,s) >= tau``
-    cannot have curvature below the candidate ``tau`` (kappa dominates k),
-    so only the remaining pairs are solved exactly.
+    cannot have curvature below the running minimum ``tau`` (kappa
+    dominates k), nor can a pair with a feasible plan of cost
+    ``<= -tau d(r,s)``, so only the remaining pairs are solved exactly.
     """
     if gen.n < 2:
         raise SingleState()
@@ -182,21 +202,34 @@ def _kappa_min(
     iu = np.triu_indices(gen.n, k=1)
     kvals = np.minimum(kmat[iu], kmat.T[iu])  # k is symmetric; belt and braces
     reduced = np.flatnonzero(irreducible_pairs(metric))  # row-major
-    order = int(reduced[np.argmin(kvals[reduced])])
-    r0, s0 = int(iu[0][order]) + 1, int(iu[1][order]) + 1
-    tau = kappa_ctmc(gen, metric, r0, s0)
-    # a nan k bounds nothing, so its pair is solved
-    rest = reduced[~(kvals[reduced] >= tau)]
-    rest = rest[rest != order]
-    solved = [(r0, s0)] + list(zip((iu[0][rest] + 1).tolist(), (iu[1][rest] + 1).tolist()))
-    values = [tau] + [kappa_ctmc(gen, metric, r, s) for r, s in solved[1:]]
+    order = reduced[np.argsort(kvals[reduced], kind="stable")]  # increasing k, nan last
+    d = metric.dist
+    solved: list[tuple[int, int]] = []
+    values: list[float] = []
+    settled = 0
+    tau = np.inf
+    for pair, k in zip(order.tolist(), kvals[order].tolist()):
+        if k >= tau:  # the k cut at the running tau; a nan k bounds nothing
+            continue
+        i, j = int(iu[0][pair]), int(iu[1][pair])
+        dij = float(d[i, j])
+        # kappa >= -cost/d for every feasible plan, so one of cost <= -tau d settles the pair
+        plan = _pair_plan(gen, metric, i, j, -tau * dij)
+        if plan.u is None:
+            settled += 1
+            continue
+        kap = -plan.value / dij
+        solved.append((i + 1, j + 1))
+        values.append(kap)
+        tau = min(tau, kap)
     strategy = KappaMinStrategy(
         pairs_solved=tuple(solved),
         kappa_solved=tuple(values),
+        pairs_settled=settled,
         pairs_irreducible=reduced.size,
         pairs_total=kvals.size,
     )
-    return min(values), strategy
+    return tau, strategy
 
 
 def kappa_all_pairs(gen: Generator, metric: Metric) -> np.ndarray:
@@ -240,7 +273,7 @@ def curvature_report(
     """Assemble pairwise and summary curvature data (used by the CLI).
 
     ``pairs`` is ``"all"`` (exact kappa everywhere), ``"min"`` (exact kappa
-    only on the irreducible pairs the prefilter keeps) or a single 1-based
+    only on the pairs :func:`kappa_min` solves exactly) or a single 1-based
     pair.  Every ``k`` value and constant comes from one :func:`k_matrix`.
     """
     if gen.n < 2:

@@ -189,23 +189,44 @@ def _transient_chunk(
     ``sum_{k<=K} P(N > k) p P^k`` (``lam`` times the occupation of ``[0, h]``),
     plus the dropped Poisson mass ``1 - sum_{k<=K} P(N = k)``.  Every dropped
     term is nonnegative, so both sums are entrywise below the series.
+
+    The weights come first, as Python floats, and fix ``K``: the series
+    stops once the remaining Poisson mass is below ``POISSON_TAIL``.  The
+    powers ``p P^k`` then fill one ``(K + 1, n)`` block, one product each,
+    and each output is one sum over the block's rows in the order ``k = 0,
+    1, ..., K`` (:func:`_row_ordered_sum`), term for term the sums of a
+    loop that adds one power at a time.
     """
     w = math.exp(-lt)
-    acc = w * p
     cum = w
-    occ = (1.0 - cum) * p if occupation else None
-    v = p
-    cap = _poisson_step_count(lt)
-    for k in range(1, cap + 1):
-        v = v @ pmat
+    weights = [w]  # P(N = k)
+    tails = [1.0 - cum]  # P(N > k)
+    for k in range(1, _poisson_step_count(lt) + 1):
         w *= lt / k
-        acc = acc + w * v
         cum += w
-        if occupation:
-            occ = occ + (1.0 - cum) * v
+        weights.append(w)
+        tails.append(1.0 - cum)
         if 1.0 - cum < POISSON_TAIL:
             break
+    powers = np.empty((len(weights), p.size))
+    powers[0] = p
+    for k in range(1, len(weights)):
+        np.dot(powers[k - 1], pmat, out=powers[k])
+    acc = _row_ordered_sum(np.array(weights)[:, None] * powers)
+    occ = _row_ordered_sum(np.array(tails)[:, None] * powers) if occupation else None
     return acc, occ, max(0.0, 1.0 - cum)
+
+
+def _row_ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms[0] + terms[1] + ...`` added in row order.
+
+    numpy reduces a C-contiguous block over its rows one row at a time, but
+    a block of one column is a contiguous vector, which it sums pairwise;
+    that one is accumulated in order instead.
+    """
+    if terms.shape[1] == 1:
+        return np.cumsum(terms, axis=0)[-1]
+    return terms.sum(axis=0)
 
 
 def _check_start(p0: ProbVec, gen: Generator, t: float) -> None:

@@ -154,17 +154,28 @@ class WassersteinResult(NamedTuple):
     potential: Potential | None
 
 
-def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, method: str = "transport"):
+def _ot(
+    p: np.ndarray,
+    q: np.ndarray,
+    cost: np.ndarray,
+    cmax: float,
+    method: str = "transport",
+    target: float = -np.inf,
+):
     """Optimal transport between nonnegative vectors of equal total mass.
 
     ``cost`` is the ``(p.size, q.size)`` block of transport costs; it may be
-    negative.  Returns ``(value, gamma, u)`` with ``u`` the row duals.  The
-    kernel's pricing tolerance is relative to ``max |cost|``, so rescaling the
-    costs rescales the answer without changing the pivots.  ``method`` is
-    ``"transport"`` (the LP takes over if the kernel stalls) or ``"lp"``.
-    The LP's tolerances are absolute, so it solves the block in units of
-    ``max |cost|`` and of the mass, and its plan, value and duals are scaled
-    back: neither route depends on units.
+    negative, and ``cmax`` is ``max |cost|``.  Returns ``(value, gamma, u)``
+    with ``u`` the row duals.  The kernel's pricing tolerance is relative to
+    ``cmax``, so rescaling the costs rescales the answer without changing
+    the pivots.  ``method`` is ``"transport"`` (the LP takes over if the
+    kernel stalls) or ``"lp"``.  The LP's tolerances are absolute, so it
+    solves the block in units of ``cmax`` and of the mass, and its plan,
+    value and duals are scaled back: neither route depends on units.
+
+    With a finite ``target`` the first plan of cost ``<= target`` is
+    returned, whether or not it is optimal, with ``u = None``: a forced plan
+    or one the kernel stopped at.
 
     With ``method="transport"`` a block with one row or one column has a
     forced plan (the one row ships to every column, or every row ships to
@@ -174,22 +185,26 @@ def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, method: str = "transport
     """
     nr, nc = cost.shape
     if method == "transport":
-        if nr == 1:
-            gamma = q.reshape(1, nc)
-            return float(np.sum(gamma * cost)), gamma, np.zeros(1)
-        if nc == 1:
-            gamma = p.reshape(nr, 1)
-            return float(np.sum(gamma * cost)), gamma, cost[:, 0] - cost[0, 0]
-        tol = 1e-11 * float(np.abs(cost).max())
+        if nr == 1 or nc == 1:
+            gamma = q.reshape(1, nc) if nr == 1 else p.reshape(nr, 1)
+            value = float(np.sum(gamma * cost))
+            if value <= target:
+                return value, gamma, None
+            return value, gamma, np.zeros(1) if nr == 1 else cost[:, 0] - cost[0, 0]
         status, gamma, u, _, _ = _kernels.transport_loop(
-            cost, np.ascontiguousarray(p), np.ascontiguousarray(q), tol, 200 * (nr + nc) + 2000
+            cost,
+            np.ascontiguousarray(p),
+            np.ascontiguousarray(q),
+            1e-11 * cmax,
+            200 * (nr + nc) + 2000,
+            target,
         )
-        if status == _kernels.STATUS_OPTIMAL:
+        if status in (_kernels.STATUS_OPTIMAL, _kernels.STATUS_TARGET):
             return float(np.sum(gamma * cost)), gamma, u
         # degenerate pivoting stalled; the generic route is Bland-guarded
 
     # generic route: minimize <cost, gamma> over the coupling polytope
-    cscale = float(np.abs(cost).max()) or 1.0
+    cscale = cmax or 1.0
     mass = float(p.sum())
     a_eq = np.zeros((nr + nc, nr * nc))
     for r in range(nr):
@@ -216,10 +231,12 @@ class _SignedPlan(NamedTuple):
     rows: np.ndarray  # supp(v+), 0-based
     cols: np.ndarray  # supp(v-), 0-based
     gamma: np.ndarray  # (rows.size, cols.size) plan
-    u: np.ndarray  # row duals
+    u: np.ndarray | None  # row duals; None for a plan stopped at its target
 
 
-def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
+def _signed_ot(
+    v: np.ndarray, cost, method: str = "transport", target: float = -np.inf
+) -> _SignedPlan:
     """Optimal transport of a zero-sum vector's positive part onto its negative part.
 
     Only the supports are solved: ``cost(rows, cols)`` returns the cost block
@@ -230,6 +247,11 @@ def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
     feasible dual (the c-transform of the row duals); a primal/dual gap above
     ``SIGNED_GAP_REL * max|cost| * mass`` or an infeasible plan raises
     :class:`NumericalFailure`.
+
+    With a finite ``target`` the solve may stop at the first plan of cost
+    ``<= target`` (:func:`_ot`).  That plan passes the same margin check,
+    since a bound read from it rests on its feasibility, but it is no
+    optimum: its ``u`` is ``None`` and it has no dual gap to check.
     """
     rows = np.flatnonzero(v > 0)
     cols = np.flatnonzero(v < 0)
@@ -242,7 +264,8 @@ def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
     # rebalance the rounding mismatch so the kernel sees equal masses
     neg = neg * (mass / float(neg.sum()))
     c = np.ascontiguousarray(cost(rows, cols), dtype=float)
-    value, gamma, u = _ot(pos, neg, c, method)
+    cmax = float(np.abs(c).max())
+    value, gamma, u = _ot(pos, neg, c, cmax, method, target)
     slack = MARGINAL_TOL * mass
     if (
         gamma.min() < -slack
@@ -250,9 +273,11 @@ def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
         or np.abs(gamma.sum(axis=0) - neg).max() > slack
     ):
         raise NumericalFailure(f"signed transport plan misses its margins on mass {mass:.3g}")
+    if u is None:
+        return _SignedPlan(value, rows, cols, gamma, None)
     dual = float(pos @ u + neg @ np.min(c - u[:, None], axis=0))
     gap = value - dual
-    if abs(gap) > SIGNED_GAP_REL * float(np.abs(c).max()) * mass:
+    if abs(gap) > SIGNED_GAP_REL * cmax * mass:
         raise NumericalFailure(f"signed transport primal/dual gap {gap:.3g} on mass {mass:.3g}")
     return _SignedPlan(value, rows, cols, gamma, u)
 

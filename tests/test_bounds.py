@@ -513,8 +513,8 @@ def test_exact_curve_pivots_on_box_grids(monkeypatch) -> None:
     pivots = []
     real = _kernels.transport_loop
 
-    def counted(cost, p, q, tol, max_iter):
-        out = real(cost, p, q, tol, max_iter)
+    def counted(cost, p, q, tol, max_iter, target):
+        out = real(cost, p, q, tol, max_iter, target)
         pivots.append(out[4])
         return out
 

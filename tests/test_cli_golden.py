@@ -97,8 +97,8 @@ GOLDEN = {
     "box5_k_only": "2cdd305517183f657541c1474e5df715ecaad8f21d39c5c945296318d856d4ba",
     "box5_all": "8c5f7827301a3f06eb40f0ced2f0ca35e332ed57e02299699bd0e4acb488b492",
     "box20_k_only": "374f7cf835d8d9a36b34ed643dc42c8fc0991e68930f2c5c06a478491757dfd9",
-    "line24_min": "d03751193988cc00ed5ca983a31126b7ee4737207a4c36900f20fd38f2af1fa7",
-    "line24_rooted_min": "f77d5006eb733886124c648772669dc9c70dd23eb31faa4050f24b0197230b8f",
+    "line24_min": "eb72974801538030a257de041af8f76c8910eaee81cacb154d2d7e7d95894956",
+    "line24_rooted_min": "24d060126ecc680e66e08ddbd1d7379bdbae2f9f411680fd01ed0154cc265ad9",
     "dtmc_all": "d23a7755418a3543765704f7b21aa95e1db449631b9cd909438148ff82dce64c",
     "dtmc_min": "2a43dfafeaa40ae2f8cf6ac20959cd5a08e5be9c28a2310f0ccf0b890f5b3d96",
     "dtmc_pair_2_3": "9dad9b91bcb0beeb7285512859e8908e7b9c4b711062fb7e4b1e19c39d9584e4",

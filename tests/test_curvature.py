@@ -266,16 +266,20 @@ def test_kappa_min_over_irreducible_pairs_equals_all_pairs_minimum(kind, n, seed
 
 
 def test_kappa_min_solves_few_pairs_on_a_line():
-    """On integer lines only neighbours are irreducible."""
+    """On integer lines only neighbours are irreducible, and plans settle all
+    but the first: the pair with the least k is solved exactly, every other
+    neighbour with ``k < tau`` is settled by a plan, the rest are cut by k."""
     line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
-    for root in (None, 1):
+    for root, first, below_tau in ((None, (3, 4), 21), (1, (21, 22), 22)):
         gen, metric = translation_invariant_ctmc(Box((0,), (23,)), 1.0, line, root, 0.05)
-        _, strategy = kappa_min(gen, metric)
+        val, strategy = kappa_min(gen, metric)
         assert strategy.pairs_irreducible == 23
         assert strategy.pairs_total == 276
-        assert all(s == r + 1 for r, s in strategy.pairs_solved)
-        # neighbours whose k reaches tau are not solved
-        assert len(strategy.pairs_solved) == (21 if root is None else 22)
+        assert strategy.pairs_solved == (first,)
+        assert strategy.kappa_solved == (val,)
+        kmat = k_matrix(gen, metric)
+        assert sum(kmat[r - 1, r] < val for r in range(1, 24)) == below_tau
+        assert strategy.pairs_settled == below_tau - 1
 
 
 @given(
@@ -300,6 +304,61 @@ def test_kappa_min_work_is_scale_free(kind, n, seed, j):
     ):
         assert scaled_strategy.pairs_solved == strategy.pairs_solved
         assert scaled == val * factor
+
+
+@given(
+    st.sampled_from(["line", "graph", "discrete", "rooted_line"]),
+    st.integers(2, 10),
+    st.integers(0, 10_000),
+    st.sampled_from([-30, 0, 30]),
+)
+@settings(max_examples=60, deadline=None)
+def test_kappa_min_settles_pairs_by_valid_plan_bounds(kind, n, seed, j):
+    """Every plan that settles a pair bounds its kappa from below.
+
+    On the chain with its rates or its metric scaled by ``2^j``, each pair
+    that ``kappa_min`` settles has ``-cost/d(r,s) <= kappa(r,s)``, up to the
+    rounding of the two costs; kappa_min equals the minimum over all pairs
+    within ``1e-12`` relative, and the same pairs are solved and settled
+    at every scale.
+    """
+    if kind == "rooted_line":
+        gen, metric = _rooted_line(n, seed)
+    else:
+        gen, metric, _ = random_instance(n, seed, metric_kind=kind, density=0.7)
+    plans = []
+    pair_plan = curvature_mod._pair_plan
+
+    def recording(gen, metric, a, b, target):
+        plan = pair_plan(gen, metric, a, b, target)
+        plans.append((a, b, plan))
+        return plan
+
+    c = 2.0**j
+    runs = []
+    for scaled_gen, scaled_metric in (
+        (gen, metric),
+        (Generator(gen.q * c), metric),
+        (gen, validate_metric(metric.dist * c)),
+    ):
+        plans.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curvature_mod, "_pair_plan", recording)
+            val, strategy = kappa_min(scaled_gen, scaled_metric)
+        full = kappa_all_pairs(scaled_gen, scaled_metric)
+        assert abs(val - np.nanmin(full)) <= 1e-12 * (1.0 + abs(np.nanmin(full)))
+        stopped = [(a, b, plan) for a, b, plan in plans if plan.u is None]
+        assert len(stopped) == strategy.pairs_settled
+        for a, b, plan in stopped:
+            dab = scaled_metric.dist[a, b]
+            mass = float(np.abs(scaled_gen.q[a] - scaled_gen.q[b]).sum())
+            slack = 1e-12 * mass * scaled_metric.d_max / dab
+            assert -plan.value / dab <= full[a, b] + slack, (a, b)
+            # a settled pair cannot lower the minimum (up to the rounding of two solves)
+            assert full[a, b] >= val - 1e-12 * (1.0 + abs(val))
+        runs.append(([(a, b) for a, b, _ in stopped], strategy.pairs_solved))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_dtmc_curvature_hand_values(toy):
@@ -407,21 +466,25 @@ def test_curvature_report_modes(toy):
 def test_curvature_report_min_solves_each_pair_once(monkeypatch):
     gen, metric, _ = random_instance(7, 321, metric_kind="graph")
     calls = []
-    solver = curvature_mod.kappa_ctmc
+    pair_plan = curvature_mod._pair_plan
 
-    def counting(*args):
-        calls.append(args[2:])
-        return solver(*args)
+    def counting(gen, metric, i, j, target):
+        calls.append((i + 1, j + 1))
+        return pair_plan(gen, metric, i, j, target)
 
-    monkeypatch.setattr(curvature_mod, "kappa_ctmc", counting)
+    monkeypatch.setattr(curvature_mod, "_pair_plan", counting)
     rep = curvature_report(gen, metric, pairs="min")
+    monkeypatch.undo()
     solved = rep.strategy.pairs_solved
     assert len(solved) > 1
-    assert sorted(calls) == sorted(solved)
+    # one local problem per visited pair, solved or settled
+    assert len(calls) == len(set(calls)) == len(solved) + rep.strategy.pairs_settled
+    assert set(solved) <= set(calls)
     by_pair = {(r, s): kap for r, s, kap in zip(rep.r, rep.s, rep.kappa)}
     for (r, s), kap in zip(solved, rep.strategy.kappa_solved):
         assert by_pair[(r, s)] == kap
-        assert kap == pytest.approx(solver(gen, metric, r, s), abs=1e-12)
+        assert kap == kappa_ctmc(gen, metric, r, s)
+    assert np.count_nonzero(~np.isnan(rep.kappa)) == len(solved)
     assert rep.kappa_min == min(rep.strategy.kappa_solved)
 
 
@@ -445,10 +508,11 @@ def test_curvature_report_builds_one_k_matrix(monkeypatch, pairs, k_only):
     np.testing.assert_array_equal(rep.k, k_matrix(gen, metric)[rep.r - 1, rep.s - 1])
 
 
-def test_kappa_min_solves_the_prefiltered_pairs_in_row_major_order():
-    """The candidate pair first, then every other irreducible pair whose k
-    does not reach the candidate's kappa, in row-major order; the candidate
-    is the irreducible pair with the smallest k."""
+def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
+    """The irreducible pairs in increasing k (ties in row-major order) with
+    the running minimum tau: a pair with ``k >= tau`` is cut, every other
+    one is solved exactly or settled by a plan, and a settled pair has
+    ``kappa >= tau``, so it could not have lowered the minimum."""
     instances = []
     for seed in range(6):
         kind = ("line", "graph", "discrete")[seed % 3]
@@ -456,6 +520,7 @@ def test_kappa_min_solves_the_prefiltered_pairs_in_row_major_order():
     # integer positions: most pairs have an exact midpoint
     line = JumpDistribution((((1,), 0.5), ((-2,), 0.5)))
     instances.append(translation_invariant_ctmc(Box((0,), (7,)), 1.0, line, root=3, root_rate=0.3))
+    settled_anywhere = 0
     for gen, metric in instances:
         n = gen.n
         _, strategy = kappa_min(gen, metric)
@@ -466,12 +531,26 @@ def test_kappa_min_solves_the_prefiltered_pairs_in_row_major_order():
         assert strategy.pairs_total == len(pairs)
         assert strategy.pairs_irreducible == len(reduced)
         k_of = {(r, s): min(kmat[r - 1, s - 1], kmat[s - 1, r - 1]) for r, s in pairs}
-        first = strategy.pairs_solved[0]
-        assert first == min(reduced, key=lambda pair: k_of[pair])
-        tau = strategy.kappa_solved[0]
-        rest = [pair for pair in reduced if pair != first and not k_of[pair] >= tau]
-        assert strategy.pairs_solved == (first, *rest)
-        assert len(rest) > 0
+        solved = iter(zip(strategy.pairs_solved, strategy.kappa_solved))
+        next_solved = next(solved)
+        tau = np.inf
+        settled = 0
+        for pair in sorted(reduced, key=lambda pair: k_of[pair]):
+            if k_of[pair] >= tau:
+                continue
+            kap = kappa_ctmc(gen, metric, *pair)
+            if next_solved is not None and pair == next_solved[0]:
+                assert next_solved[1] == kap
+                tau = min(tau, kap)
+                next_solved = next(solved, None)
+            else:
+                assert tau < np.inf  # the first pair visited is solved
+                assert kap >= tau
+                settled += 1
+        assert next_solved is None  # every solved pair was visited, in this order
+        assert strategy.pairs_settled == settled
+        settled_anywhere += settled
+    assert settled_anywhere > 0
 
 
 def test_curvature_and_defect_make_no_lp_call(monkeypatch):

@@ -301,3 +301,52 @@ def test_transient_dtmc_matches_matrix_power():
     got = transient_dtmc(p0, pmat, 7).p
     want = p0.p @ np.linalg.matrix_power(pmat.p, 7)
     assert np.allclose(got, want, atol=1e-12)
+
+
+def _reference_transient_chunk(p, pmat, lt, occupation=False):
+    """The uniformization chunk as it was before the Krylov block.
+
+    Frozen reference: one product ``v @ P`` per term, each term added to
+    the running sums as soon as its Poisson weight is known.
+    """
+    w = math.exp(-lt)
+    acc = w * p
+    cum = w
+    occ = (1.0 - cum) * p if occupation else None
+    v = p
+    for k in range(1, markov._poisson_step_count(lt) + 1):
+        v = v @ pmat
+        w *= lt / k
+        acc = acc + w * v
+        cum += w
+        if occupation:
+            occ = occ + (1.0 - cum) * v
+        if 1.0 - cum < markov.POISSON_TAIL:
+            break
+    return acc, occ, max(0.0, 1.0 - cum)
+
+
+@given(
+    st.integers(1, 12),
+    st.floats(math.log(1e-3), math.log(500.0)),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=300, deadline=None)
+def test_transient_chunk_matches_the_term_by_term_loop_bit_for_bit(n, log_lt, occupation, seed):
+    """The Krylov block sums the same terms in the same order as the frozen
+    loop, so the law, the occupation and the dropped mass are equal bit for
+    bit, also on one state, whose one-column block numpy would sum pairwise."""
+    rng = np.random.default_rng(seed)
+    pmat = rng.random((n, n)) * (rng.random((n, n)) < 0.6) + np.eye(n) * 1e-3
+    pmat /= pmat.sum(axis=1, keepdims=True)
+    p = rng.dirichlet(np.ones(n))
+    lt = math.exp(log_lt)
+    got = markov._transient_chunk(p, pmat, lt, occupation)
+    ref = _reference_transient_chunk(p, pmat, lt, occupation)
+    assert np.array_equal(got[0], ref[0])
+    assert got[2] == ref[2]
+    if occupation:
+        assert np.array_equal(got[1], ref[1])
+    else:
+        assert got[1] is None

@@ -306,9 +306,9 @@ def _record_kernel_shapes(monkeypatch) -> list:
     shapes = []
     real = transport._kernels.transport_loop
 
-    def recording(cost, p, q, tol, max_iter):
+    def recording(cost, p, q, tol, max_iter, target):
         shapes.append(cost.shape)
-        return real(cost, p, q, tol, max_iter)
+        return real(cost, p, q, tol, max_iter, target)
 
     monkeypatch.setattr(transport._kernels, "transport_loop", recording)
     return shapes
@@ -367,13 +367,13 @@ def test_stalled_kernel_falls_back_to_the_lp(monkeypatch):
     solves = []
     pivots = []
 
-    def counting_pivots(cost, p, q, tol, max_iter):
-        out = real_loop(cost, p, q, tol, max_iter)
+    def counting_pivots(cost, p, q, tol, max_iter, target):
+        out = real_loop(cost, p, q, tol, max_iter, target)
         pivots.append(out[4])
         return out
 
-    def no_pivots(cost, p, q, tol, max_iter):
-        return real_loop(cost, p, q, tol, 0)
+    def no_pivots(cost, p, q, tol, max_iter, target):
+        return real_loop(cost, p, q, tol, 0, target)
 
     def counting(lp, *args, **kwargs):
         solves.append(lp)
@@ -426,7 +426,7 @@ def test_forced_plans_skip_the_kernel(monkeypatch):
         p = rng.dirichlet(np.ones(shape[0])) * rng.uniform(0.1, 5.0)
         q = rng.dirichlet(np.ones(shape[1]))
         q *= float(p.sum()) / float(q.sum())
-        value, gamma, u = transport._ot(p, q, cost)
+        value, gamma, u = transport._ot(p, q, cost, float(np.abs(cost).max()))
         assert calls == [], case
         forced = q.reshape(1, -1) if shape[0] == 1 else p.reshape(-1, 1)
         assert np.array_equal(gamma, forced), case
@@ -451,8 +451,8 @@ def test_plan_missing_a_margin_raises(monkeypatch):
     real = transport._kernels.transport_loop
     calls = []
 
-    def short(cost, p, q, tol, max_iter):
-        status, gamma, u, v, it = real(cost, p, q, tol, max_iter)
+    def short(cost, p, q, tol, max_iter, target):
+        status, gamma, u, v, it = real(cost, p, q, tol, max_iter, target)
         calls.append(cost.shape)
         gamma[0] *= 0.5
         return status, gamma, u, v, it
