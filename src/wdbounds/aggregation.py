@@ -13,12 +13,12 @@ aggregated chain from ``pi_0 = Lambda^T p_0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BadAlpha, DimensionMismatch
-from .markov import Generator, ProbVec, TransitionMatrix
+from .markov import Generator, ProbVec, TransitionMatrix, _clean_distribution
 from .metric import Metric
 
 __all__ = [
@@ -70,10 +70,11 @@ class Partition:
 class Aggregation:
     """A (possibly non-partition) aggregation of a Markov chain.
 
-    ``a`` is the ``(m, n)`` disaggregation matrix; ``lam`` the ``(n, m)``
-    membership matrix when the aggregation comes from a partition (``None``
-    otherwise).  Exactly one of ``theta`` (CTMC) / ``pi_mat`` (DTMC) is set.
-    When ``lam`` is present, ``a @ lam = I`` must hold to 1e-9.
+    ``a`` is the ``(m, n)`` disaggregation matrix, its rows passed by the
+    probability gate :func:`wdbounds.markov._clean_distribution`; ``lam`` the
+    ``(n, m)`` membership matrix of a partition (``None`` otherwise), with
+    ``a @ lam = I`` to 1e-9.  Exactly one of ``theta`` (CTMC) / ``pi_mat``
+    (DTMC) is set.
     """
 
     a: np.ndarray
@@ -86,14 +87,7 @@ class Aggregation:
         a = np.ascontiguousarray(self.a, dtype=float)
         if a.ndim != 2 or a.shape[0] == 0:
             raise ValueError(f"disaggregation matrix must be 2-d, got shape {a.shape}")
-        if (a < -1e-12).any():
-            raise ValueError("disaggregation matrix has negative entries")
-        a = np.where(a < 0, 0.0, a)
-        rowsum = a.sum(axis=1)
-        if np.abs(rowsum - 1.0).max() > 1e-9:
-            b = int(np.argmax(np.abs(rowsum - 1.0)))
-            raise ValueError(f"row {b + 1} of the disaggregation matrix sums to {rowsum[b]!r}")
-        a = a / rowsum[:, None]
+        a = _clean_distribution(a, "disaggregation matrix")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
         if self.lam is not None:
@@ -102,8 +96,9 @@ class Aggregation:
                 raise DimensionMismatch(
                     f"membership matrix shape {lam.shape} does not match A {a.shape}"
                 )
-            if np.abs(a @ lam - np.eye(a.shape[0])).max() > 1e-9:
-                raise ValueError("A @ Lambda is not the identity")
+            with np.errstate(invalid="ignore"):  # a NaN or inf entry fails the test
+                if not np.abs(a @ lam - np.eye(a.shape[0])).max() <= 1e-9:
+                    raise ValueError("A @ Lambda is not the identity")
             lam.setflags(write=False)
             object.__setattr__(self, "lam", lam)
 
@@ -117,7 +112,8 @@ class Aggregation:
 
 
 def _alpha_rows(partition: Partition, alpha: Sequence[np.ndarray] | None) -> np.ndarray:
-    """Build the rows of ``A`` from per-block weightings (uniform by default)."""
+    """The rows of ``A`` from per-block weightings (uniform by default), each
+    passed by :func:`wdbounds.markov._clean_distribution` and put in as given."""
     a = np.zeros((partition.m, partition.n))
     if alpha is None:
         for b, blk in enumerate(partition.blocks):
@@ -131,10 +127,10 @@ def _alpha_rows(partition: Partition, alpha: Sequence[np.ndarray] | None) -> np.
             raise BadAlpha(
                 f"block {b + 1} has {len(blk)} states but its weighting has shape {w.shape}"
             )
-        if (w < 0).any():
-            raise BadAlpha(f"block {b + 1} weighting has a negative entry")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise BadAlpha(f"block {b + 1} weighting sums to {w.sum()!r}, expected 1")
+        try:
+            _clean_distribution(w, f"block {b + 1} weighting")
+        except ValueError as err:
+            raise BadAlpha(str(err)) from None
         a[b, [i - 1 for i in blk]] = w
     return a
 
@@ -171,7 +167,7 @@ def aggregate_initial(p0: ProbVec, agg: Aggregation | Partition) -> ProbVec:
     """Project an initial distribution onto the aggregates: ``pi_0 = Lambda^T p_0``."""
     lam = agg.membership() if isinstance(agg, Partition) else agg.lam
     if lam is None:
-        raise ValueError("aggregation has no membership matrix; supply pi_0 directly")
+        raise ValueError("aggregation has no membership matrix 'lam' to project p_0 with")
     if p0.n != lam.shape[0]:
         raise DimensionMismatch(f"p0 has {p0.n} states but the aggregation has {lam.shape[0]}")
     return ProbVec(p0.p @ lam)

@@ -273,7 +273,9 @@ def bound_hybrid(
     For a negative rate the exponential branch is steeper once ``W`` exceeds
     ``K / (-rate)``, so the curve follows the exponential until that level and
     a line of slope ``B + K`` afterwards; for a nonnegative rate the
-    exponential branch is never worse.  Dominated by both pure bounds.
+    exponential branch is never worse.  The first part is :func:`bound_exponential`
+    at ``min(t, t*)``, so ``t = 0`` gives ``W0`` exactly.  Dominated by both
+    pure bounds.
     """
     t = _check_grid(t_grid)
     kap = inputs.rate(rate)
@@ -285,11 +287,9 @@ def bound_hybrid(
     w_switch = big_k / (-kap)
     if w0 >= w_switch:
         return w0 + (b + big_k) * t
-    amp = w0 - b / kap
-    if amp <= 0:  # B = 0 and W0 = 0: the error stays at zero
-        return np.zeros_like(t)
-    t_star = math.log((w_switch - b / kap) / amp) / (-kap)
-    exp_part = amp * np.exp(-kap * np.minimum(t, t_star)) + b / kap
+    amp = w0 - b / kap  # 0 only for B = W0 = 0, where the error stays at zero
+    t_star = math.log((w_switch - b / kap) / amp) / (-kap) if amp > 0 else math.inf
+    exp_part = bound_exponential(inputs, np.minimum(t, t_star), rate)
     lin_part = np.where(t > t_star, (t - t_star) * (b + big_k), 0.0)
     return exp_part + lin_part
 

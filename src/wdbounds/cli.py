@@ -43,7 +43,6 @@ from . import bounds as bounds_mod
 from .aggregation import (
     Aggregation,
     Partition,
-    aggregate_initial,
     epsilon_partition,
     partition_aggregation_ctmc,
     partition_aggregation_dtmc,
@@ -121,7 +120,6 @@ class Model:
     alpha: list[np.ndarray] | None = None
     initial: ProbVec | None = None
     agg: Aggregation | None = None
-    agg_pi0: ProbVec | None = None
     canon: dict | None = None
     source: str = "<dict>"
 
@@ -158,11 +156,11 @@ def _float_array(val, ndim: int, what: str) -> np.ndarray:
 
 
 def _float_matrix(val, rows: int, cols: int, what: str) -> np.ndarray:
+    """A ``rows x cols`` :func:`_float_array`.  NaN and inf are refused by the
+    object built from it: a generator, transition matrix, metric or ``A Lambda = I``."""
     mat = _float_array(val, 2, what)
     if mat.shape != (rows, cols):
         raise ValueError(f"{what} must be {rows}x{cols}, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError(f"{what} contains non-finite entries")
     return mat
 
 
@@ -312,10 +310,9 @@ def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
         canon["initial"] = [float(v) for v in initial.p]
 
     agg = None
-    agg_pi0 = None
     if "aggregation" in doc:
         spec = _typed(doc["aggregation"], dict, "aggregation")
-        unknown = set(spec) - {"a", "theta", "pi", "lam", "pi0"}
+        unknown = set(spec) - {"a", "theta", "pi", "lam"}
         if unknown:
             raise ValueError(f"unknown aggregation fields: {sorted(unknown)}")
         if "a" not in spec:
@@ -341,12 +338,6 @@ def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
             canon_agg["theta"] = _matrix_doc(theta.q)
         if pi_spec is not None:
             canon_agg["pi"] = _matrix_doc(pi_spec.p)
-        if "pi0" in spec:
-            vec = _float_array(spec["pi0"], 1, "pi0")
-            if vec.shape != (m,):
-                raise ValueError(f"pi0 must have {m} entries")
-            agg_pi0 = ProbVec(vec)
-            canon_agg["pi0"] = [float(v) for v in agg_pi0.p]
         canon["aggregation"] = canon_agg
 
     return Model(
@@ -358,7 +349,6 @@ def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
         alpha=alpha,
         initial=initial,
         agg=agg,
-        agg_pi0=agg_pi0,
         canon=canon,
         source=source,
     )

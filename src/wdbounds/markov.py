@@ -46,20 +46,33 @@ CHUNK_LT = 500.0
 
 
 def _clean_distribution(p: np.ndarray, what: str) -> np.ndarray:
-    """Clamp tiny negatives, check the mass, and normalize exactly to 1."""
-    if (p < -CLAMP_TOL).any():
-        i = int(np.argmin(p))
-        raise ValueError(f"{what} has negative entry {p[i]!r} at position {i + 1}")
+    """The package's one probability gate: ``p`` is a distribution, or one per
+    row (``<what> row <r>`` in messages).  Entries below ``-CLAMP_TOL`` are
+    refused and other negatives set to 0; a row whose mass is not within
+    ``SUM_TOL`` of 1, NaN and infinite entries included, is refused; each row
+    is then divided by its mass."""
+    low = p < -CLAMP_TOL
+    if low.any():
+        *row, i = np.argwhere(low)[0]
+        name = f"{what} row {row[0] + 1}" if row else what
+        raise ValueError(f"{name} has negative entry {float(p[(*row, i)])!r} at position {i + 1}")
     p = np.where(p < 0, 0.0, p)
-    total = float(p.sum())
-    if abs(total - 1.0) > SUM_TOL:
+    if p.ndim == 1:  # in Python floats: a ProbVec is built at every transient step
+        total = float(p.sum())
+        if abs(total - 1.0) <= SUM_TOL:
+            return p / total
         raise ValueError(f"{what} sums to {total!r}, expected 1")
-    return p / total
+    totals = p.sum(axis=1)
+    ok = np.abs(totals - 1.0) <= SUM_TOL
+    if ok.all():
+        return p / totals[:, None]
+    r = int(np.argmin(ok))
+    raise ValueError(f"{what} row {r + 1} sums to {float(totals[r])!r}, expected 1")
 
 
 @dataclass(frozen=True)
 class ProbVec:
-    """A probability distribution over states ``1..n``."""
+    """A probability distribution over states ``1..n``, passed by :func:`_clean_distribution`."""
 
     p: np.ndarray
     n: int = field(init=False)
@@ -130,7 +143,7 @@ class Generator:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """A row-stochastic matrix: each row is a probability distribution."""
+    """A row-stochastic matrix; all rows pass :func:`_clean_distribution` at once."""
 
     p: np.ndarray
     n: int = field(init=False)
@@ -139,11 +152,7 @@ class TransitionMatrix:
         p = np.ascontiguousarray(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
             raise ValueError(f"transition matrix must be square and nonempty, got shape {p.shape}")
-        rows = [
-            _clean_distribution(p[r], f"transition-matrix row {r + 1}")
-            for r in range(p.shape[0])
-        ]
-        p = np.vstack(rows)
+        p = _clean_distribution(p, "transition matrix")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", p.shape[0])
@@ -260,8 +269,8 @@ def transient_ctmc(p0: ProbVec, gen: Generator, t: float) -> ProbVec:
 
     Uniformization with the Poisson series truncated once its tail is below
     ``1e-13``; horizons with ``lam * t`` beyond 500 are split into chunks so
-    the leading Poisson weight stays representable.  The result is clamped
-    and renormalized, keeping the total-variation error within ``1e-12`` per
+    the leading Poisson weight stays representable.  The result, a sum of
+    nonnegative terms, is renormalized, keeping the total-variation error within ``1e-12`` per
     chunk (:func:`transient_tv_budget`).
     """
     _check_start(p0, gen, t)
@@ -271,7 +280,6 @@ def transient_ctmc(p0: ProbVec, gen: Generator, t: float) -> ProbVec:
     v = p0.p
     for lt in _chunks(lam * t):
         v, _, _ = _transient_chunk(v, pmat.p, lt)
-    v = np.where(v < 0, 0.0, v)
     return ProbVec(v / v.sum())
 
 

@@ -85,7 +85,7 @@ class JumpDistribution:
                 raise ValueError(f"negative jump probability {prob!r} for offset {off}")
             norm.append((off, prob))
             total += prob
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # a NaN or infinite probability fails too
             raise ValueError(f"jump probabilities sum to {total!r}, expected 1")
         dims = {len(off) for off, _ in norm}
         if len(dims) != 1:

@@ -26,6 +26,7 @@ curvature solvers in :mod:`wdbounds.curvature`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -86,10 +87,10 @@ class Coupling:
             r, s = np.argwhere(g < -1e-12)[0]
             raise ValueError(f"coupling entry ({r + 1},{s + 1}) is negative: {g[r, s]!r}")
         g = np.where(g < 0, 0.0, g)
-        if np.abs(g.sum(axis=1) - p).max() > MARGINAL_TOL:
+        if not np.abs(g.sum(axis=1) - p).max() <= MARGINAL_TOL:  # NaN fails too
             r = int(np.argmax(np.abs(g.sum(axis=1) - p)))
             raise ValueError(f"row marginal {r + 1} deviates beyond {MARGINAL_TOL}")
-        if np.abs(g.sum(axis=0) - q).max() > MARGINAL_TOL:
+        if not np.abs(g.sum(axis=0) - q).max() <= MARGINAL_TOL:
             s = int(np.argmax(np.abs(g.sum(axis=0) - q)))
             raise ValueError(f"column marginal {s + 1} deviates beyond {MARGINAL_TOL}")
         for arr in (g, p, q):
@@ -120,11 +121,11 @@ class Potential:
                 f"potential has {f.size} entries for a {self.metric.n}-state metric"
             )
         scale = self.metric.d_max
-        if abs(float(f.min())) > MIN_TOL * scale:
+        if not abs(float(f.min())) <= MIN_TOL * scale:  # NaN fails too
             raise ValueError(f"potential minimum is {f.min()!r}, expected 0")
         lip = f[:, None] - f[None, :] - self.metric.dist
-        if lip.max() > LIPSCHITZ_TOL * scale:
-            r, s = np.argwhere(lip == lip.max())[0]
+        if not lip.max() <= LIPSCHITZ_TOL * scale:
+            r, s = np.unravel_index(np.argmax(lip), lip.shape)
             raise ValueError(
                 f"potential is not 1-Lipschitz: f({r + 1})-f({s + 1}) exceeds d by {lip.max():.3g}"
             )
@@ -134,7 +135,7 @@ class Potential:
 
 @dataclass(frozen=True)
 class SignedRow:
-    """A signed vector with zero total mass (a generator-like matrix row)."""
+    """A signed vector with finite entries and zero sum (a generator-like row)."""
 
     v: np.ndarray
     index: int | None = None
@@ -142,7 +143,8 @@ class SignedRow:
     def __post_init__(self) -> None:
         v = np.ascontiguousarray(self.v, dtype=float)
         total = float(v.sum())
-        if abs(total) > ZERO_SUM_REL * max(1.0, float(np.abs(v).sum())):
+        scale = float(np.abs(v).sum())  # inf or NaN when an entry is not finite
+        if not (abs(total) <= ZERO_SUM_REL * max(1.0, scale) and math.isfinite(scale)):
             raise RowSumNotZero(self.index, total)
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
@@ -244,9 +246,9 @@ def _signed_ot(
     Every nonzero entry counts, however small.  The plan must be feasible:
     flows at least ``-MARGINAL_TOL * mass`` and row and column sums within
     ``MARGINAL_TOL * mass`` of the two parts.  The value is certified by a
-    feasible dual (the c-transform of the row duals); a primal/dual gap above
-    ``SIGNED_GAP_REL * max|cost| * mass`` or an infeasible plan raises
-    :class:`NumericalFailure`.
+    feasible dual (the c-transform of the row duals); a value or primal/dual
+    gap that is not finite, a gap above ``SIGNED_GAP_REL * max|cost| * mass``
+    or an infeasible plan raises :class:`NumericalFailure`.
 
     With a finite ``target`` the solve may stop at the first plan of cost
     ``<= target`` (:func:`_ot`).  That plan passes the same margin check,
@@ -266,18 +268,20 @@ def _signed_ot(
     c = np.ascontiguousarray(cost(rows, cols), dtype=float)
     cmax = float(np.abs(c).max())
     value, gamma, u = _ot(pos, neg, c, cmax, method, target)
+    if not math.isfinite(value):  # an overflow; such a plan settles nothing either
+        raise NumericalFailure(f"signed transport plan has cost {value!r} on mass {mass:.3g}")
     slack = MARGINAL_TOL * mass
-    if (
-        gamma.min() < -slack
-        or np.abs(gamma.sum(axis=1) - pos).max() > slack
-        or np.abs(gamma.sum(axis=0) - neg).max() > slack
+    if not (
+        gamma.min() >= -slack
+        and np.abs(gamma.sum(axis=1) - pos).max() <= slack
+        and np.abs(gamma.sum(axis=0) - neg).max() <= slack
     ):
         raise NumericalFailure(f"signed transport plan misses its margins on mass {mass:.3g}")
     if u is None:
         return _SignedPlan(value, rows, cols, gamma, None)
     dual = float(pos @ u + neg @ np.min(c - u[:, None], axis=0))
     gap = value - dual
-    if abs(gap) > SIGNED_GAP_REL * cmax * mass:
+    if not (abs(gap) <= SIGNED_GAP_REL * cmax * mass and math.isfinite(gap)):
         raise NumericalFailure(f"signed transport primal/dual gap {gap:.3g} on mass {mass:.3g}")
     return _SignedPlan(value, rows, cols, gamma, u)
 

@@ -100,6 +100,12 @@ def test_alpha_validation():
         )
 
 
+def test_aggregate_initial_names_the_missing_lam():
+    agg = Aggregation(a=np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="no membership matrix 'lam'"):
+        aggregate_initial(ProbVec(np.array([1.0, 0.0, 0.0])), agg)
+
+
 def test_aggregation_validation():
     with pytest.raises(ValueError):
         Aggregation(a=np.array([[0.5, 0.6], [0.5, 0.4]]))  # row 1 sums to 1.1

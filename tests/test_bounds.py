@@ -46,6 +46,7 @@ from wdbounds.models import Box, JumpDistribution, random_instance, translation_
 from wdbounds.transport import wasserstein
 
 from .oracles import transient_series
+from .test_acceptance import _random_partition
 
 TOY_Q = np.array(
     [
@@ -389,6 +390,22 @@ def test_hybrid_and_exponential_edge_cases() -> None:
         np.testing.assert_allclose(
             bound_exponential(flat, t_grid), 1.0 + 2.0 * t_grid, atol=1e-12
         )
+
+
+def test_hybrid_starts_at_w0_exactly() -> None:
+    """The exponential part of the hybrid curve is ``bound_exponential``, so
+    ``t = 0`` gives W0 to the last bit, for either rate.  The instances are
+    the first 20 of C06; on seed 60005 the form ``amp e^0 + B/rate`` gave
+    0.14320762112161423, below W0 = 0.14320762112161428."""
+    for seed in range(60_000, 60_020):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 11))
+        kind = ("line", "graph", "discrete")[int(rng.integers(0, 3))]
+        gen, metric, p0 = random_instance(n, seed, metric_kind=kind)
+        agg = partition_aggregation_ctmc(gen, _random_partition(rng, n))
+        inputs = prepare_bound_inputs(gen, metric, agg, p0, with_kappa=True)
+        for rate in ("k_min", "kappa_min"):
+            assert bound_hybrid(inputs, np.zeros(1), rate)[0] == inputs.w0, (seed, rate)
 
 
 def test_compute_bound_curve_interface(toy) -> None:

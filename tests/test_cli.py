@@ -623,6 +623,25 @@ def test_wrong_typed_input_exits_two(capsys, tmp_path, doc, argv) -> None:
     assert out == ""
 
 
+def test_aggregation_pi0_is_an_unknown_field(capsys, tmp_path) -> None:
+    """Nothing read ``aggregation.pi0``: the start is always Lambda^T p_0."""
+    doc = {
+        "n": 3,
+        "generator": TOY_Q,
+        "metric": {"kind": "explicit", "dist": TOY_D},
+        "aggregation": {
+            "a": [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+            "lam": [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            "pi0": [0.0, 1.0],
+        },
+    }
+    path = tmp_path / "pi0.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "bounds", "--model", str(path), "--p0", "dirac:1")
+    assert code == 2 and out == ""
+    assert err == "ValueError: unknown aggregation fields: ['pi0']\n"
+
+
 def test_wrong_typed_distribution_file_exits_two(capsys, tmp_path) -> None:
     path = tmp_path / "dist.json"
     path.write_text(json.dumps([{}, 1, 0]))

@@ -107,7 +107,7 @@ GOLDEN = {
 #: sha256 of each other case's stdout.
 OTHER_GOLDEN = {
     "bounds_toy_all_variants": "f3270dde1486915fa4fed81057865379982cd82b4c31a2e8878ff6238a1b85f9",
-    "bounds_box8_2x2": "a63909aec9a8e45486f5d16504f24f2bc13030deb6d49030fe07feb0e4c19707",
+    "bounds_box8_2x2": "1bd5cc7410d64bda2699a8da042258a5903677a8d89cfc546bc4d35a1ac01ce3",
     "w1_toy_coupling_potential": "b8170f9d037724fcda2e6ae4c6bd2015038123740092daf2c3806fd077d6f703",
     "aggregate_toy_partition": "f36685d29f6a0e25ff53b0cb1a164a352365cbc55ab8cbc21bfa054b9c694cbb",
 }
