@@ -113,7 +113,8 @@ class Aggregation:
 
 def _alpha_rows(partition: Partition, alpha: Sequence[np.ndarray] | None) -> np.ndarray:
     """The rows of ``A`` from per-block weightings (uniform by default), each
-    passed by :func:`wdbounds.markov._clean_distribution` and put in as given."""
+    passed by :func:`wdbounds.markov._clean_distribution` and put in as given;
+    :class:`Aggregation` then divides each row by its mass."""
     a = np.zeros((partition.m, partition.n))
     if alpha is None:
         for b, blk in enumerate(partition.blocks):
@@ -142,13 +143,16 @@ def partition_aggregation_ctmc(
 
     ``alpha`` optionally weights the states within each block (one
     probability vector per block, in block order); the default is uniform.
+    ``Theta`` is built from the ``A`` that the aggregation keeps.
     """
     if gen.n != partition.n:
         raise DimensionMismatch(f"generator on {gen.n} states, partition of {partition.n}")
     a = _alpha_rows(partition, alpha)
     lam = partition.membership()
-    theta = Generator(a @ gen.q @ lam)
-    return Aggregation(a=a, lam=lam, theta=theta, partition=partition)
+    agg = Aggregation(a=a, lam=lam, partition=partition)
+    # built from the A that the gate keeps, each row divided by its mass
+    object.__setattr__(agg, "theta", Generator(agg.a @ gen.q @ agg.lam))
+    return agg
 
 
 def partition_aggregation_dtmc(
@@ -159,8 +163,10 @@ def partition_aggregation_dtmc(
         raise DimensionMismatch(f"chain on {pmat.n} states, partition of {partition.n}")
     a = _alpha_rows(partition, alpha)
     lam = partition.membership()
-    pi_mat = TransitionMatrix(a @ pmat.p @ lam)
-    return Aggregation(a=a, lam=lam, pi_mat=pi_mat, partition=partition)
+    agg = Aggregation(a=a, lam=lam, partition=partition)
+    # built from the A that the gate keeps, each row divided by its mass
+    object.__setattr__(agg, "pi_mat", TransitionMatrix(agg.a @ pmat.p @ agg.lam))
+    return agg
 
 
 def aggregate_initial(p0: ProbVec, agg: Aggregation | Partition) -> ProbVec:

@@ -36,14 +36,18 @@ of every pair at once, obtained from the feasible potentials
 :func:`kappa_min` visits the irreducible pairs in increasing ``k`` with the
 running minimum ``tau`` (``+inf`` before the first solve) and cuts every pair
 with ``k >= tau``: since ``kappa >= k`` pairwise, such a pair cannot go below
-``tau``.  The transport problem behind ``kappa`` is a minimization, so any
-feasible plan bounds it as well, ``kappa(r,s) >= -cost/d(r,s)``.  Each other
-pair's local problem is therefore solved with the target ``-tau d(r,s)``: the
-kernel stops at the first plan that reaches it, which settles the pair,
-and a pair whose optimum stays above it is solved exactly and lowers
-``tau``.  The returned minimum is exact.  Neither cut has a parameter: both
-scale with the rates and the unit of ``d``.  On random chains the plans
-settle most pairs; on box walks, where ``kappa`` is about 0 almost
+``tau``.  A pair is also cut when ``k'' - margin >= tau``, where ``k''`` is
+the bound of the coupling that keeps the jump rate ``r`` and ``s`` share
+together (:func:`_shared_jump_bounds`, after Ollivier's coupling view of
+``kappa``), ``k <= k'' <= kappa``, and the margin covers its rounding.  The
+transport problem behind ``kappa`` is a minimization, so any feasible plan
+bounds it as well, ``kappa(r,s) >= -cost/d(r,s)``.  Each other pair's local
+problem is therefore solved with the target ``-tau d(r,s)``: the kernel
+stops at the first plan that reaches it, which settles the pair, and a pair
+whose optimum stays above it is solved exactly and lowers ``tau``.  The
+returned minimum is exact.  No cut has a parameter: each scales with the
+rates and the unit of ``d``.  On random chains ``k''`` cuts nearly every
+pair that ``k`` does not; on box walks, where ``kappa`` is about 0 almost
 everywhere, the kernel reaches the target only near the optimum.
 """
 
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SamePair, SingleState
+from .errors import DimensionMismatch, NumericalFailure, SamePair, SingleState
 from .markov import Generator, TransitionMatrix
 from .metric import _CHUNK, Metric, irreducible_pairs
 from .transport import _SignedPlan, _signed_ot, wasserstein_signed
@@ -97,7 +101,7 @@ def _pair_plan(
 
     def closed_cost(rows, cols):  # c'(a, b) on supp(obj+) x supp(obj-)
         via_pin = d[rows, j][:, None] - dij + d[i, cols][None, :]
-        return np.minimum(d[np.ix_(rows, cols)], via_pin)
+        return np.minimum(d[rows[:, None], cols], via_pin)
 
     return _signed_ot(gen.q[i] - gen.q[j], closed_cost, target=target)
 
@@ -110,21 +114,28 @@ def kappa_dtmc(pmat: TransitionMatrix, metric: Metric, r: int, s: int) -> float:
     return 1.0 - wasserstein_signed(pmat.row(r) - pmat.row(s), metric) / metric.d(r, s)
 
 
+def _row_supports(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nonzero columns first, in column order (a stable sort), and
+    their entries, padded with zero entries up to the longest row: two
+    ``(n, width)`` arrays ``cols`` and ``vals = q[row, cols]``."""
+    n = q.shape[0]
+    zero = q == 0
+    width = n - int(zero.sum(axis=1).min(initial=n))
+    cols = np.argsort(zero, axis=1, kind="stable")[:, :width]
+    return cols, q[np.arange(n)[:, None], cols]
+
+
 def _q_times_d(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     """``q @ d`` summed over each row's nonzeros in column order.
 
     A BLAS product may split its sums differently with the thread count, so
     its last bits would change with the machine.  Here row ``a`` lists its
-    nonzero columns first (a stable sort), padded with zero entries up to the
-    longest row, and ``g[a] = sum_j q[a, c_j] d[c_j]`` is summed over those
-    slots in order, in blocks of rows: the same bits everywhere, in
-    ``O(rows * slots * n)``.
+    nonzero columns (:func:`_row_supports`), and ``g[a] = sum_j q[a, c_j]
+    d[c_j]`` is summed over those slots in order, in blocks of rows: the same
+    bits everywhere, in ``O(rows * slots * n)``.
     """
-    n = q.shape[0]
-    zero = q == 0
-    width = n - int(zero.sum(axis=1).min(initial=n))
-    cols = np.argsort(zero, axis=1, kind="stable")[:, :width]
-    vals = q[np.arange(n)[:, None], cols]
+    cols, vals = _row_supports(q)
+    n, width = cols.shape
     g = np.empty((n, d.shape[1]))
     step = max(1, _CHUNK // max(1, width * d.shape[1]))
     for lo in range(0, n, step):
@@ -134,14 +145,25 @@ def _q_times_d(q: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def k_matrix(gen: Generator, metric: Metric) -> np.ndarray:
-    """All pairwise ``k(r,s)`` values at once (``nan`` on the diagonal)."""
+    """All pairwise ``k(r,s)`` values at once (``nan`` on the diagonal).
+
+    An off-diagonal ``k`` that is not finite, which means that ``Q d``
+    overflowed, raises :class:`NumericalFailure`.
+    """
     if gen.n != metric.n:
         raise DimensionMismatch(f"generator on {gen.n} states, metric on {metric.n}")
-    g = _q_times_d(gen.q, metric.dist)  # g[a, b] = Q_a . d(., b)
-    own = np.minimum(np.diagonal(g)[:, None], g)  # own[r, s] = min(g_rr, g_rs)
     kmat = np.full((gen.n, gen.n), np.nan)
     off = ~np.eye(gen.n, dtype=bool)
-    kmat[off] = -(own + own.T)[off] / metric.dist[off]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _q_times_d(gen.q, metric.dist)  # g[a, b] = Q_a . d(., b)
+        own = np.minimum(np.diagonal(g)[:, None], g)  # own[r, s] = min(g_rr, g_rs)
+        kmat[off] = -(own + own.T)[off] / metric.dist[off]
+    bad = off & ~np.isfinite(kmat)
+    if bad.any():
+        r, s = np.argwhere(bad)[0]
+        raise NumericalFailure(
+            f"k({r + 1},{s + 1}) = {float(kmat[r, s])!r} is not finite: Q d overflows"
+        )
     return kmat
 
 
@@ -159,36 +181,98 @@ def _local_defects(kmat: np.ndarray, metric: Metric) -> np.ndarray:
     return np.maximum(0.0, np.nanmax(-metric.dist * kmat, axis=1))
 
 
+def _shared_jump_bounds(
+    q: np.ndarray, d: np.ndarray, ii: np.ndarray, jj: np.ndarray
+) -> np.ndarray:
+    """Certified lower bounds on ``kappa`` of the 0-based pairs ``(ii, jj)``
+    from the coupling that keeps the jump mass two states share together.
+
+    For ``r, s`` with ``a = Q_r``, ``b = Q_s`` and ``m_x = min(a_x, b_x)``,
+    ``x`` outside ``{r, s}``, every 1-Lipschitz ``f`` with ``f(r) - f(s) = d``
+    has ``(Q_r - Q_s) . f <= A''``, where
+
+        A'' = -d (a_s + b_r + sum m_x) + sum (a_x - m_x) min(d(x,r), d(x,s) - d)
+                                       + sum (b_x - m_x) min(d(x,s), d(x,r) - d),
+
+    term by term: the shared mass ``m_x`` moves ``f(s) - f(r) = -d``, and the
+    excess of ``a`` (of ``b``) gains at most the two Lipschitz limits of
+    ``f(x) - f(r)`` (of ``f(s) - f(x)``).  So ``k'' = -A''/d <= kappa``, and
+    ``k <= k''`` by the triangle inequality.  Each term is summed over the
+    padded row supports (:func:`_row_supports`), so a pair costs ``O(width)``.
+
+    The computed ``k''`` is lowered by ``gamma_N * sum |terms| / d`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §3.1): the
+    first term passes at most ``width + 2`` roundings, the others three, the
+    sum ``2 width`` more, and ``N = 3 width + 6`` also covers the division,
+    the subtraction and the second-order terms.  The bound scales exactly
+    with the rates and the unit of ``d``.  A bound that is not finite is
+    returned as ``-inf``, which cuts nothing.
+    """
+    cols, vals = _row_supports(q)
+    width = cols.shape[1]
+    nu = (3 * width + 6) * np.finfo(float).eps / 2
+    gamma = nu / (1.0 - nu)
+    lower = np.empty(ii.size)
+    step = max(1, _CHUNK // (2 * width + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, ii.size, step):
+            r, s = ii[lo : lo + step, None], jj[lo : lo + step, None]
+            drs = d[r, s]
+            x, y = cols[r[:, 0]], cols[s[:, 0]]  # the jumps of r and of s
+            keep_x = (x != r) & (x != s)
+            keep_y = (y != r) & (y != s)
+            a_x = np.where(keep_x, vals[r[:, 0]], 0.0)
+            b_x = np.where(keep_x, q[s, x], 0.0)
+            b_y = np.where(keep_y, vals[s[:, 0]], 0.0)
+            a_y = np.where(keep_y, q[r, y], 0.0)
+            shared = np.minimum(a_x, b_x)
+            terms = np.concatenate(
+                [
+                    -drs * (q[r, s] + q[s, r] + shared.sum(axis=1, keepdims=True)),
+                    (a_x - shared) * np.minimum(d[x, r], d[x, s] - drs),
+                    (b_y - np.minimum(a_y, b_y)) * np.minimum(d[y, s], d[y, r] - drs),
+                ],
+                axis=1,
+            )
+            low = (-terms.sum(axis=1) - gamma * np.abs(terms).sum(axis=1)) / drs[:, 0]
+            lower[lo : lo + step] = np.where(np.isfinite(low), low, -np.inf)
+    return lower
+
+
 @dataclass(frozen=True)
 class KappaMinStrategy:
     """How :func:`kappa_min` reached its answer.
 
     The irreducible pairs are visited in increasing ``k`` (ties in row-major
-    order, a ``nan`` ``k`` last) with the running minimum ``tau``.  A pair
-    with ``k >= tau`` is cut; the others are solved with the target
-    ``-tau d(r,s)`` and either settled by a plan that reaches it or solved
-    exactly.  ``pairs_solved`` lists the exact solves in that order, the
-    first being the pair with the smallest ``k``, and ``kappa_solved`` their
-    curvatures; the pairs cut by ``k`` are the irreducible ones neither
-    solved nor settled.
+    order) with the running minimum ``tau``.  A pair with ``k >= tau`` is
+    cut, and so is one whose shared-jump bound ``k'' - margin`` is
+    ``>= tau`` (counted in ``pairs_cut``); the others are solved with the
+    target ``-tau d(r,s)`` and either settled by a plan that reaches it or
+    solved exactly.  ``pairs_solved`` lists the exact solves in that order,
+    the first being the pair with the smallest ``k``, and ``kappa_solved``
+    their curvatures; the pairs cut by ``k`` are the irreducible ones
+    neither solved, settled nor in ``pairs_cut``.
     """
 
     pairs_solved: tuple[tuple[int, int], ...]
     kappa_solved: tuple[float, ...]  # exact kappa of each pair in pairs_solved
     pairs_settled: int  # pairs whose plan reached the target: kappa >= tau
+    pairs_cut: int  # pairs with k < tau cut by the shared-jump bound: kappa >= tau
     pairs_irreducible: int  # pairs with no state in between, the ones prefiltered
     pairs_total: int  # all pairs r < s
 
 
 def kappa_min(gen: Generator, metric: Metric) -> tuple[float, KappaMinStrategy]:
     """Exact minimum curvature over all pairs, via the irreducible pairs, the
-    k-prefilter and plans that settle pairs which cannot lower the minimum.
+    k-prefilter, the shared-jump bound and plans that settle pairs which
+    cannot lower the minimum.
 
     The minimum over all pairs is the minimum over the irreducible pairs
     (see the module docstring).  Among those, a pair with ``k(r,s) >= tau``
     cannot have curvature below the running minimum ``tau`` (kappa
-    dominates k), nor can a pair with a feasible plan of cost
-    ``<= -tau d(r,s)``, so only the remaining pairs are solved exactly.
+    dominates k), nor can a pair whose shared-jump bound is ``>= tau`` or
+    one with a feasible plan of cost ``<= -tau d(r,s)``, so only the
+    remaining pairs are solved exactly.
     """
     if gen.n < 2:
         raise SingleState()
@@ -202,14 +286,19 @@ def _kappa_min(
     iu = np.triu_indices(gen.n, k=1)
     kvals = np.minimum(kmat[iu], kmat.T[iu])  # k is symmetric; belt and braces
     reduced = np.flatnonzero(irreducible_pairs(metric))  # row-major
-    order = reduced[np.argsort(kvals[reduced], kind="stable")]  # increasing k, nan last
+    order = reduced[np.argsort(kvals[reduced], kind="stable")]  # increasing k
     d = metric.dist
+    lower = _shared_jump_bounds(gen.q, d, iu[0][order], iu[1][order])
     solved: list[tuple[int, int]] = []
     values: list[float] = []
     settled = 0
+    cut = 0
     tau = np.inf
-    for pair, k in zip(order.tolist(), kvals[order].tolist()):
-        if k >= tau:  # the k cut at the running tau; a nan k bounds nothing
+    for pair, k, low in zip(order.tolist(), kvals[order].tolist(), lower.tolist()):
+        if k >= tau:  # the k cut at the running tau
+            continue
+        if low >= tau:  # the shared-jump cut: kappa >= low >= tau
+            cut += 1
             continue
         i, j = int(iu[0][pair]), int(iu[1][pair])
         dij = float(d[i, j])
@@ -226,6 +315,7 @@ def _kappa_min(
         pairs_solved=tuple(solved),
         kappa_solved=tuple(values),
         pairs_settled=settled,
+        pairs_cut=cut,
         pairs_irreducible=reduced.size,
         pairs_total=kvals.size,
     )

@@ -312,7 +312,7 @@ def wasserstein(
     if method not in ("transport", "lp"):
         raise ValueError(f"unknown method {method!r}; expected 'transport' or 'lp'")
     d = metric.dist
-    plan = _signed_ot(p.p - q.p, lambda rows, cols: d[np.ix_(rows, cols)], method)
+    plan = _signed_ot(p.p - q.p, lambda rows, cols: d[rows[:, None], cols], method)
     if value_only:
         return WassersteinResult(plan.value, None, None)
     gamma = np.diag(np.minimum(p.p, q.p))
@@ -344,7 +344,7 @@ def wasserstein_signed(row: SignedRow | np.ndarray, metric: Metric) -> float:
     if v.size != metric.n:
         raise DimensionMismatch(f"row has {v.size} entries for a {metric.n}-state metric")
     d = metric.dist
-    return _signed_ot(v, lambda rows, cols: d[np.ix_(rows, cols)]).value
+    return _signed_ot(v, lambda rows, cols: d[rows[:, None], cols]).value
 
 
 def row_wasserstein_vector(mat: np.ndarray, metric: Metric) -> np.ndarray:

@@ -23,7 +23,11 @@ Each oracle avoids the code paths of the implementation it verifies:
   :func:`wdbounds.transport.wasserstein`);
 * :func:`lp_vertex_maximum` - linear-program optimum over a box-bounded
   polytope by enumerating candidate active sets (the package runs a
-  two-phase simplex over equality rows and ``x >= 0``).
+  two-phase simplex over equality rows and ``x >= 0``);
+* :func:`curvature_bounds_exact` - the closed-form curvature lower bounds
+  ``k`` and ``k''`` of one pair in :class:`fractions.Fraction` arithmetic,
+  from their definitions over every state (the package sums floats over
+  padded row supports).
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "all_paths_shortest",
     "kappa_finite_difference",
     "lp_vertex_maximum",
+    "curvature_bounds_exact",
     "DERIVATIVE_PIN_SLACK",
     "wasserstein_derivative",
 ]
@@ -255,6 +260,43 @@ def lp_vertex_maximum(
 #: only needs to absorb float rounding; any looseness here biases the
 #: stage-2 maximum proportionally.
 DERIVATIVE_PIN_SLACK = 1e-11
+
+
+def curvature_bounds_exact(
+    q: np.ndarray, dist: np.ndarray, r: int, s: int
+) -> tuple[Fraction, Fraction, Fraction]:
+    """``(k(r,s), k''(r,s), residue)`` of the 0-based pair, exact in rationals.
+
+    All three read only the off-diagonal rates, so each row sums to exactly
+    zero.  ``k`` bounds ``(Q_r - Q_s) . f`` by ``Q_r . f <= min(Q_r . d(., r),
+    Q_r . (d(., s) - d))`` and the same for ``-Q_s . f``; ``k''`` moves the
+    rate that ``r`` and ``s`` share towards each ``x`` by ``-d`` and bounds
+    each excess by its own two Lipschitz limits.  ``k <= k'' + residue``,
+    where the residue ``sum_x m_x max(0, d - d(x,r) - d(x,s)) / d`` is 0 when
+    ``dist`` meets the triangle inequality exactly.
+    """
+    n = q.shape[0]
+    d = [[Fraction(float(v)) for v in row] for row in dist]
+    drs = d[r][s]
+    a = [Fraction(float(q[r, x])) if x != r else Fraction(0) for x in range(n)]
+    b = [Fraction(float(q[s, x])) if x != s else Fraction(0) for x in range(n)]
+    own_r = min(
+        sum(a[x] * d[x][r] for x in range(n)), sum(a[x] * (d[x][s] - drs) for x in range(n))
+    )
+    own_s = min(
+        sum(b[x] * d[x][s] for x in range(n)), sum(b[x] * (d[x][r] - drs) for x in range(n))
+    )
+    bound = -drs * (a[s] + b[r])
+    residue = Fraction(0)
+    for x in range(n):
+        if x in (r, s):
+            continue
+        m = min(a[x], b[x])
+        bound += -drs * m
+        bound += (a[x] - m) * min(d[x][r], d[x][s] - drs)
+        bound += (b[x] - m) * min(d[x][s], d[x][r] - drs)
+        residue += m * max(Fraction(0), drs - d[x][r] - d[x][s])
+    return -(own_r + own_s) / drs, -bound / drs, residue / drs
 
 
 def _lipschitz_value(

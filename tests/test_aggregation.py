@@ -82,6 +82,19 @@ def test_custom_alpha_weighting():
     assert np.allclose(agg.theta.q[0], [-2.5, 2.5], atol=1e-12)
 
 
+def test_aggregated_chain_is_built_from_the_kept_a():
+    """A weighting whose mass is off 1 by 5e-10 passes the gate, which
+    divides A's row by it; Theta and Pi are built from that A, bit for bit."""
+    alpha = [np.array([0.25, 0.75 + 5e-10]), np.array([1.0])]
+    gen = Generator(TOY_Q)
+    agg = partition_aggregation_ctmc(gen, TOY_PART, alpha=alpha)
+    assert agg.a[0, 1] != alpha[0][1]
+    np.testing.assert_array_equal(agg.theta.q, agg.a @ TOY_Q @ agg.lam)
+    pmat, _ = uniformize(gen)
+    agg_d = partition_aggregation_dtmc(pmat, TOY_PART, alpha=alpha)
+    np.testing.assert_array_equal(agg_d.pi_mat.p, agg_d.a @ pmat.p @ agg_d.lam)
+
+
 def test_alpha_validation():
     gen = Generator(TOY_Q)
     with pytest.raises(BadAlpha):

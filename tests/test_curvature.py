@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,15 +23,16 @@ from wdbounds.curvature import (
     kappa_dtmc,
     kappa_min,
 )
-from wdbounds.errors import DimensionMismatch, SamePair, SingleState
+from wdbounds.errors import DimensionMismatch, NumericalFailure, SamePair, SingleState
 from wdbounds.markov import Generator, ProbVec, TransitionMatrix, uniformize
-from wdbounds.metric import discrete_metric, irreducible_pairs, validate_metric
+from wdbounds.metric import discrete_metric, irreducible_pairs, line_metric, validate_metric
 from wdbounds.models import Box, JumpDistribution, random_instance, translation_invariant_ctmc
 from wdbounds.transport import wasserstein
 
 from .oracles import (
     DERIVATIVE_PIN_SLACK,
     _lipschitz_value,
+    curvature_bounds_exact,
     kappa_finite_difference,
     transient_series,
     wasserstein_derivative,
@@ -266,11 +269,12 @@ def test_kappa_min_over_irreducible_pairs_equals_all_pairs_minimum(kind, n, seed
 
 
 def test_kappa_min_solves_few_pairs_on_a_line():
-    """On integer lines only neighbours are irreducible, and plans settle all
-    but the first: the pair with the least k is solved exactly, every other
-    neighbour with ``k < tau`` is settled by a plan, the rest are cut by k."""
+    """On integer lines only neighbours are irreducible, and one exact solve
+    suffices: the pair with the least k is solved exactly, and every other
+    neighbour with ``k < tau`` is cut by the shared-jump bound or settled by
+    a plan, which both prove ``kappa >= tau``; the rest are cut by k."""
     line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
-    for root, first, below_tau in ((None, (3, 4), 21), (1, (21, 22), 22)):
+    for root, first, below_tau, cut in ((None, (3, 4), 21, 2), (1, (21, 22), 22, 3)):
         gen, metric = translation_invariant_ctmc(Box((0,), (23,)), 1.0, line, root, 0.05)
         val, strategy = kappa_min(gen, metric)
         assert strategy.pairs_irreducible == 23
@@ -278,8 +282,73 @@ def test_kappa_min_solves_few_pairs_on_a_line():
         assert strategy.pairs_solved == (first,)
         assert strategy.kappa_solved == (val,)
         kmat = k_matrix(gen, metric)
-        assert sum(kmat[r - 1, r] < val for r in range(1, 24)) == below_tau
-        assert strategy.pairs_settled == below_tau - 1
+        visited = [(r, r + 1) for r in range(1, 24) if kmat[r - 1, r] < val]
+        assert len(visited) == below_tau
+        assert strategy.pairs_cut == cut
+        assert strategy.pairs_settled == below_tau - 1 - cut
+        for pair in visited:
+            if pair != first:
+                assert kappa_ctmc(gen, metric, *pair) >= val
+
+
+@given(
+    st.sampled_from(["line", "graph", "discrete", "rooted_line"]),
+    st.integers(2, 10),
+    st.integers(0, 10_000),
+    st.floats(0.3, 1.0),
+    st.sampled_from([-30, 30]),
+)
+@settings(max_examples=60, deadline=None)
+def test_shared_jump_bound_lies_between_k_and_kappa(kind, n, seed, density, j):
+    """``k <= k''`` and ``k'' <= kappa`` on every pair, and the computed cut
+    value ``k'' - margin`` lies at or below the exact ``k''``.
+
+    ``k`` and ``k''`` are exact rationals of the float inputs
+    (:func:`curvature_bounds_exact`), so the first inequality and the margin
+    are checked without rounding; the first holds up to the residue by which
+    the float metric misses the triangle inequality (0 on exact metrics).
+    ``kappa`` comes from the transport solver, within its own rounding.
+    Scaling the rates or the metric by ``2^j`` scales the cut values by
+    ``2^j`` or 1 exactly, so the cut does not change
+    (``test_kappa_min_work_is_scale_free`` checks the pairs cut).
+    """
+    if kind == "rooted_line":
+        gen, metric = _rooted_line(n, seed)
+    else:
+        gen, metric, _ = random_instance(n, seed, metric_kind=kind, density=density)
+    iu = np.triu_indices(n, k=1)
+    lower = curvature_mod._shared_jump_bounds(gen.q, metric.dist, *iu)
+    kappa = kappa_all_pairs(gen, metric)
+    for r, s, low in zip(*iu, lower):
+        k_exact, kpp_exact, residue = curvature_bounds_exact(gen.q, metric.dist, r, s)
+        assert k_exact <= kpp_exact + residue, (r, s)
+        assert Fraction(low) <= kpp_exact, (r, s)
+        rates = float(np.abs(gen.q[r]).sum() + np.abs(gen.q[s]).sum())
+        slack = 1e-12 * rates * metric.d_max / metric.dist[r, s]
+        assert float(kpp_exact) <= kappa[r, s] + slack, (r, s)
+    c = 2.0**j
+    for scaled_gen, scaled_metric, factor in (
+        (Generator(gen.q * c), metric, c),
+        (gen, validate_metric(metric.dist * c), 1.0),
+    ):
+        scaled = curvature_mod._shared_jump_bounds(scaled_gen.q, scaled_metric.dist, *iu)
+        np.testing.assert_array_equal(scaled, lower * factor)
+
+
+def test_shared_jump_bound_that_is_not_finite_cuts_nothing():
+    """Rates of 1e10 on distances of 1e300 overflow every bound: it reads
+    ``-inf``, so kappa_min goes on to solve the first pair, whose cost
+    overflows too and raises, instead of cutting it and returning ``+inf``."""
+    q = np.full((3, 3), 1e10)
+    np.fill_diagonal(q, -2e10)
+    metric = line_metric(np.array([0.0, 1e300, 1.5e300]))
+    gen = Generator(q)
+    iu = np.triu_indices(3, k=1)
+    with np.errstate(all="raise"):  # the bound computes under its own errstate
+        lower = curvature_mod._shared_jump_bounds(gen.q, metric.dist, *iu)
+    assert (lower == -np.inf).all()
+    with pytest.raises(NumericalFailure), np.errstate(over="ignore", invalid="ignore"):
+        curvature_mod._kappa_min(gen, metric, np.zeros((3, 3)))
 
 
 @given(
@@ -290,8 +359,9 @@ def test_kappa_min_solves_few_pairs_on_a_line():
 )
 @settings(max_examples=60, deadline=None)
 def test_kappa_min_work_is_scale_free(kind, n, seed, j):
-    """Scaling the rates or the metric by ``2^j`` solves the same pairs and
-    scales kappa_min by ``2^j`` or 1, exactly: the cut at tau has no unit."""
+    """Scaling the rates or the metric by ``2^j`` solves, cuts and settles
+    the same pairs and scales kappa_min by ``2^j`` or 1, exactly: no cut at
+    tau has a unit."""
     if kind == "rooted_line":
         gen, metric = _rooted_line(n, seed)
     else:
@@ -303,6 +373,8 @@ def test_kappa_min_work_is_scale_free(kind, n, seed, j):
         (kappa_min(gen, validate_metric(metric.dist * c)), 1.0),
     ):
         assert scaled_strategy.pairs_solved == strategy.pairs_solved
+        assert scaled_strategy.pairs_cut == strategy.pairs_cut
+        assert scaled_strategy.pairs_settled == strategy.pairs_settled
         assert scaled == val * factor
 
 
@@ -510,9 +582,10 @@ def test_curvature_report_builds_one_k_matrix(monkeypatch, pairs, k_only):
 
 def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
     """The irreducible pairs in increasing k (ties in row-major order) with
-    the running minimum tau: a pair with ``k >= tau`` is cut, every other
-    one is solved exactly or settled by a plan, and a settled pair has
-    ``kappa >= tau``, so it could not have lowered the minimum."""
+    the running minimum tau: a pair with ``k >= tau`` is cut, one whose
+    shared-jump bound ``k'' - margin`` is ``>= tau`` is cut too, every other
+    one is solved exactly or settled by a plan, and a cut or settled pair
+    has ``kappa >= tau``, so it could not have lowered the minimum."""
     instances = []
     for seed in range(6):
         kind = ("line", "graph", "discrete")[seed % 3]
@@ -520,7 +593,7 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
     # integer positions: most pairs have an exact midpoint
     line = JumpDistribution((((1,), 0.5), ((-2,), 0.5)))
     instances.append(translation_invariant_ctmc(Box((0,), (7,)), 1.0, line, root=3, root_rate=0.3))
-    settled_anywhere = 0
+    settled_anywhere = cut_anywhere = 0
     for gen, metric in instances:
         n = gen.n
         _, strategy = kappa_min(gen, metric)
@@ -531,15 +604,21 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
         assert strategy.pairs_total == len(pairs)
         assert strategy.pairs_irreducible == len(reduced)
         k_of = {(r, s): min(kmat[r - 1, s - 1], kmat[s - 1, r - 1]) for r, s in pairs}
+        iu = np.triu_indices(n, k=1)
+        lower = curvature_mod._shared_jump_bounds(gen.q, metric.dist, *iu)
+        low_of = dict(zip(pairs, lower.tolist()))
         solved = iter(zip(strategy.pairs_solved, strategy.kappa_solved))
         next_solved = next(solved)
         tau = np.inf
-        settled = 0
+        settled = cut = 0
         for pair in sorted(reduced, key=lambda pair: k_of[pair]):
             if k_of[pair] >= tau:
                 continue
             kap = kappa_ctmc(gen, metric, *pair)
-            if next_solved is not None and pair == next_solved[0]:
+            if low_of[pair] >= tau:
+                assert kap >= tau
+                cut += 1
+            elif next_solved is not None and pair == next_solved[0]:
                 assert next_solved[1] == kap
                 tau = min(tau, kap)
                 next_solved = next(solved, None)
@@ -549,8 +628,11 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
                 settled += 1
         assert next_solved is None  # every solved pair was visited, in this order
         assert strategy.pairs_settled == settled
+        assert strategy.pairs_cut == cut
         settled_anywhere += settled
+        cut_anywhere += cut
     assert settled_anywhere > 0
+    assert cut_anywhere > 0
 
 
 def test_curvature_and_defect_make_no_lp_call(monkeypatch):

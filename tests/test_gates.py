@@ -21,7 +21,7 @@ import pytest
 
 from wdbounds.aggregation import Aggregation, Partition, partition_aggregation_ctmc
 from wdbounds.cli import main
-from wdbounds.curvature import kappa_min
+from wdbounds.curvature import _kappa_min, k_matrix, kappa_ctmc, kappa_min
 from wdbounds.errors import BadAlpha, NumericalFailure, RowSumNotZero
 from wdbounds.markov import (
     CLAMP_TOL,
@@ -31,7 +31,7 @@ from wdbounds.markov import (
     TransitionMatrix,
     _clean_distribution,
 )
-from wdbounds.metric import line_metric, validate_metric
+from wdbounds.metric import Metric, line_metric, validate_metric
 from wdbounds.models import JumpDistribution
 from wdbounds.transport import Coupling, Potential, SignedRow, wasserstein_signed
 
@@ -197,14 +197,49 @@ def test_gate_matches_the_frozen_row_loop_bit_for_bit() -> None:
             assert _clean_distribution(p[r], "row").tobytes() == want[r].tobytes(), (n, r)
 
 
-def test_overflowing_transport_cost_raises() -> None:
-    """Rates of 1e10 on distances of 1e300: every plan's cost overflows, and
-    neither kappa_min nor a signed row may settle on such a value."""
+def _overflowing_line() -> tuple[Generator, Metric]:
+    """Rates of 1e10 on a line at 0, 1e300 and 1.5e300: ``Q d`` overflows."""
     q = np.full((3, 3), 1e10)
     np.fill_diagonal(q, -2e10)
-    metric = line_metric(np.array([0.0, 1e300, 1.5e300]))
+    return Generator(q), line_metric(np.array([0.0, 1e300, 1.5e300]))
+
+
+def test_overflowing_transport_cost_raises() -> None:
+    """Rates of 1e10 on distances of 1e300: every plan's cost overflows, and
+    neither kappa_min nor a signed row may settle on such a value.
+
+    kappa_min stops at its ``k`` matrix, so the transport guard is also
+    reached through ``kappa_ctmc``, which builds none, and through the pair
+    loop of kappa_min on finite stand-in ``k`` values."""
+    gen, metric = _overflowing_line()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalFailure):
-            kappa_min(Generator(q), metric)
+            kappa_min(gen, metric)
         with pytest.raises(NumericalFailure):
             wasserstein_signed(np.array([1e10, -1e10, 0.0]), metric)
+        for r, s in ((1, 2), (2, 3)):
+            with pytest.raises(NumericalFailure, match="signed transport plan has cost"):
+                kappa_ctmc(gen, metric, r, s)
+        with pytest.raises(NumericalFailure, match="signed transport plan has cost"):
+            _kappa_min(gen, metric, np.zeros((3, 3)))
+
+
+def test_overflowing_k_matrix_raises(tmp_path) -> None:
+    """A ``k`` that is not finite raises without a warning, and
+    the CLI exits 3 with one line on stderr and no warning."""
+    gen, metric = _overflowing_line()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="not finite"):
+            k_matrix(gen, metric)
+    model = {
+        "n": 3,
+        "generator": gen.q.tolist(),
+        "metric": {"kind": "line", "positions": [0.0, 1e300, 1.5e300]},
+    }
+    for argv in (["--k-only"], ["--pairs", "min"], ["--pairs", "all"], ["--pairs", "1,2"]):
+        code, out, err, n_warnings = _run(model, ["curvature", "--model", "<file>", *argv], tmp_path)
+        assert code == 3, (argv, err)
+        assert len(err.splitlines()) == 1 and "not finite" in err, (argv, err)
+        assert n_warnings == 0
+        assert out == ""
