@@ -47,7 +47,7 @@ from .aggregation import (
     partition_aggregation_ctmc,
     partition_aggregation_dtmc,
 )
-from .curvature import curvature_report, kappa_dtmc
+from .curvature import _kappa_dtmc_pairs, curvature_report
 from .errors import NumericalFailure, SingleState, WdboundsError
 from .markov import Generator, ProbVec, TransitionMatrix, dirac
 from .metric import (
@@ -507,24 +507,30 @@ def _cmd_w1(args) -> int:
 def _column_text(values: np.ndarray, nan_text: str, end: str) -> list[str]:
     """Each value's ``_fmt`` text (``nan_text`` for NaN) plus ``end``.
 
-    Each distinct value is formatted once and gathered back into place.
+    Each distinct value other than NaN is formatted once and gathered back
+    into place.
     """
-    distinct, inverse = np.unique(values, return_inverse=True)
-    text = [(nan_text if v != v else _fmt(v)) + end for v in distinct.tolist()]
-    return np.array(text, dtype=object)[inverse].tolist()
+    known = ~np.isnan(values)
+    distinct, inverse = np.unique(values[known], return_inverse=True)
+    text = [_fmt(v) + end for v in distinct.tolist()] + [nan_text + end]
+    index = np.full(values.size, distinct.size)  # NaN: the last text
+    index[known] = inverse
+    return np.array(text, dtype=object)[index].tolist()
 
 
-def _write_pair_rows(r: np.ndarray, s: np.ndarray, k: np.ndarray | None, kappa: np.ndarray) -> None:
+def _write_pair_rows(
+    r: np.ndarray, s: np.ndarray, k: np.ndarray | None, kappa: np.ndarray | None
+) -> None:
     """Write ``pair,r,s,k,kappa`` rows to stdout, one block per ``r``.
 
-    ``k`` is ``None`` for an empty k column; a NaN kappa (not solved) is
-    written as an empty field.  Each column is formatted once, each distinct
-    value once: k and kappa repeat a lot on symmetric walks.
+    ``k`` or ``kappa`` is ``None`` for an empty column; a NaN kappa (not
+    solved) is written as an empty field.  Each column is formatted once,
+    each distinct value once: k and kappa repeat a lot on symmetric walks.
     """
     states = np.array([f"{i}," for i in range(int(s.max(initial=0)) + 1)], dtype=object)
     s_text = states[s].tolist()
     k_text = [","] * len(r) if k is None else _column_text(k, "nan", ",")
-    kappa_text = _column_text(kappa, "", "\n")
+    kappa_text = ["\n"] * len(r) if kappa is None else _column_text(kappa, "", "\n")
     cuts = [0, *(np.flatnonzero(np.diff(r)) + 1).tolist(), len(r)]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         # a row is "pair,<r>," "<s>," "<k>," "<kappa>\n"
@@ -563,12 +569,11 @@ def _cmd_curvature(args) -> int:
         solve = irreducible_pairs(model.metric) if pairs == "min" else np.ones(r.size, dtype=bool)
         k = None
         kappa = np.full(r.size, np.nan)
-        for i in np.flatnonzero(solve).tolist():
-            kappa[i] = kappa_dtmc(model.pmat, model.metric, int(r[i]), int(s[i]))
+        kappa[solve] = _kappa_dtmc_pairs(model.pmat, model.metric, r[solve], s[solve])
         tail = [f"kappa_min,,,,{_fmt(np.nanmin(kappa))}"]
     meta = _metadata_line(args, "curvature", ["pairs", "k_only"])
     _emit_csv([meta, "name,r,s,k,kappa"])
-    _write_pair_rows(r, s, k, kappa)
+    _write_pair_rows(r, s, k, None if args.k_only else kappa)
     _emit_csv(tail)
     return 0
 

@@ -49,6 +49,17 @@ returned minimum is exact.  No cut has a parameter: each scales with the
 rates and the unit of ``d``.  On random chains ``k''`` cuts nearly every
 pair that ``k`` does not; on box walks, where ``kappa`` is about 0 almost
 everywhere, the kernel reaches the target only near the optimum.
+
+Pairs whose local problems are the same bits, ``(Q_r - Q_s)+-`` on their
+supports in column order, the ``c'`` block on them and ``d(r,s)``
+(:func:`_pair_classes`), form a class: the kernel sees identical inputs,
+target included, so they share one ``kappa`` to the last bit.
+Translation-invariant walks, the chains for which the paper proves
+``kappa >= 0``, pose a few classes many times over.  :func:`kappa_min`
+therefore skips a pair whose class it has visited and cuts a class when
+the largest ``k`` or ``k'' - margin`` among its members is ``>= tau``;
+:func:`kappa_all_pairs` and the DTMC curvatures of the CLI solve one pair
+per class.
 """
 
 from __future__ import annotations
@@ -60,7 +71,13 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalFailure, SamePair, SingleState
 from .markov import Generator, TransitionMatrix
 from .metric import _CHUNK, Metric, irreducible_pairs
-from .transport import _SignedPlan, _signed_ot, wasserstein_signed
+from .transport import (
+    _row_supports,
+    _signed_classes,
+    _SignedPlan,
+    _signed_ot,
+    wasserstein_signed,
+)
 
 __all__ = [
     "kappa_ctmc",
@@ -91,19 +108,50 @@ def kappa_ctmc(gen: Generator, metric: Metric, r: int, s: int) -> float:
     return -_pair_plan(gen, metric, r - 1, s - 1).value / metric.d(r, s)
 
 
+def _closed_cost(d: np.ndarray, i, j, a, b) -> np.ndarray:
+    """``c'(a, b) = min(d(a, b), d(a, j) - d(i, j) + d(i, b))`` of the 0-based
+    pair ``(i, j)``, broadcast over the index arrays ``i``, ``j``, ``a``, ``b``:
+    one formula, so a solve and a class key read the same bits."""
+    return np.minimum(d[a, b], d[a, j] - d[i, j] + d[i, b])
+
+
 def _pair_plan(
     gen: Generator, metric: Metric, i: int, j: int, target: float = -np.inf
 ) -> _SignedPlan:
     """The local transport problem of the 0-based pair ``(i, j)``, solved by
     :func:`wdbounds.transport._signed_ot` with the given ``target``."""
     d = metric.dist
-    dij = d[i, j]
+    return _signed_ot(
+        gen.q[i] - gen.q[j],
+        lambda rows, cols: _closed_cost(d, i, j, rows[:, None], cols[None, :]),
+        target=target,
+    )
 
-    def closed_cost(rows, cols):  # c'(a, b) on supp(obj+) x supp(obj-)
-        via_pin = d[rows, j][:, None] - dij + d[i, cols][None, :]
-        return np.minimum(d[rows[:, None], cols], via_pin)
 
-    return _signed_ot(gen.q[i] - gen.q[j], closed_cost, target=target)
+def _pair_classes(
+    mat: np.ndarray, d: np.ndarray, ii: np.ndarray, jj: np.ndarray, cost
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the 0-based pairs ``(ii, jj)`` whose local problems pose
+    bit-identical inputs: the transport of ``(mat_i - mat_j)+`` onto
+    ``(mat_i - mat_j)-`` under ``cost(d, i, j, a, b)`` (broadcast over
+    index arrays) on the two supports, with ``d(i, j)``.  Returns the
+    ``(cls, first)`` of :func:`wdbounds.transport._signed_classes`; ``first``
+    lists the first pair of each class in the given order.
+    """
+    cols, _ = _row_supports(mat)
+
+    def support(idx):  # supp(mat_i), then the part of supp(mat_j) outside it
+        i, j = ii[idx], jj[idx]
+        both = np.concatenate([cols[i], cols[j]], axis=1)
+        row_i = mat[i[:, None], both]
+        own = row_i != 0
+        own[:, cols.shape[1] :] ^= True
+        return both, np.where(own, row_i - mat[j[:, None], both], 0.0)
+
+    def block_cost(idx, a, b):
+        return cost(d, ii[idx, None, None], jj[idx, None, None], a, b)
+
+    return _signed_classes(ii.size, 2 * cols.shape[1], support, block_cost, d[ii, jj][:, None])
 
 
 def kappa_dtmc(pmat: TransitionMatrix, metric: Metric, r: int, s: int) -> float:
@@ -114,15 +162,22 @@ def kappa_dtmc(pmat: TransitionMatrix, metric: Metric, r: int, s: int) -> float:
     return 1.0 - wasserstein_signed(pmat.row(r) - pmat.row(s), metric) / metric.d(r, s)
 
 
-def _row_supports(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nonzero columns first, in column order (a stable sort), and
-    their entries, padded with zero entries up to the longest row: two
-    ``(n, width)`` arrays ``cols`` and ``vals = q[row, cols]``."""
-    n = q.shape[0]
-    zero = q == 0
-    width = n - int(zero.sum(axis=1).min(initial=n))
-    cols = np.argsort(zero, axis=1, kind="stable")[:, :width]
-    return cols, q[np.arange(n)[:, None], cols]
+def _kappa_dtmc_pairs(
+    pmat: TransitionMatrix, metric: Metric, r: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """:func:`kappa_dtmc` of the 1-based pairs ``(r, s)``, one solve per class
+    of pairs whose ``(P_r - P_s)+-``, ``d`` block and ``d(r, s)`` are the
+    same bits (:func:`_pair_classes`), so it equals the per-pair values."""
+    if pmat.n != metric.n:
+        raise DimensionMismatch(f"transition matrix on {pmat.n} states, metric on {metric.n}")
+    bad = (np.minimum(r, s) < 1) | (np.maximum(r, s) > pmat.n) | (r == s)
+    if bad.any():
+        at = int(np.argmax(bad))
+        _check_pair(pmat.n, int(r[at]), int(s[at]))
+    d = metric.dist
+    cls, first = _pair_classes(pmat.p, d, r - 1, s - 1, lambda d, i, j, a, b: d[a, b])
+    values = [kappa_dtmc(pmat, metric, int(r[p]), int(s[p])) for p in first.tolist()]
+    return np.array(values, dtype=float)[cls]
 
 
 def _q_times_d(q: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -152,18 +207,17 @@ def k_matrix(gen: Generator, metric: Metric) -> np.ndarray:
     """
     if gen.n != metric.n:
         raise DimensionMismatch(f"generator on {gen.n} states, metric on {metric.n}")
-    kmat = np.full((gen.n, gen.n), np.nan)
-    off = ~np.eye(gen.n, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = _q_times_d(gen.q, metric.dist)  # g[a, b] = Q_a . d(., b)
         own = np.minimum(np.diagonal(g)[:, None], g)  # own[r, s] = min(g_rr, g_rs)
-        kmat[off] = -(own + own.T)[off] / metric.dist[off]
-    bad = off & ~np.isfinite(kmat)
-    if bad.any():
-        r, s = np.argwhere(bad)[0]
+        kmat = -(own + own.T) / metric.dist
+    np.fill_diagonal(kmat, 0.0)
+    if not np.isfinite(kmat).all():
+        r, s = np.argwhere(~np.isfinite(kmat))[0]
         raise NumericalFailure(
             f"k({r + 1},{s + 1}) = {float(kmat[r, s])!r} is not finite: Q d overflows"
         )
+    np.fill_diagonal(kmat, np.nan)
     return kmat
 
 
@@ -245,34 +299,39 @@ class KappaMinStrategy:
 
     The irreducible pairs are visited in increasing ``k`` (ties in row-major
     order) with the running minimum ``tau``.  A pair with ``k >= tau`` is
-    cut, and so is one whose shared-jump bound ``k'' - margin`` is
-    ``>= tau`` (counted in ``pairs_cut``); the others are solved with the
-    target ``-tau d(r,s)`` and either settled by a plan that reaches it or
-    solved exactly.  ``pairs_solved`` lists the exact solves in that order,
-    the first being the pair with the smallest ``k``, and ``kappa_solved``
-    their curvatures; the pairs cut by ``k`` are the irreducible ones
-    neither solved, settled nor in ``pairs_cut``.
+    cut.  Pairs whose local problems pose bit-identical inputs form a class
+    and share one ``kappa``; a pair whose class was visited before is
+    skipped (``pairs_skipped``).  A class is cut when the largest ``k`` or
+    shared-jump bound ``k'' - margin`` of its members is ``>= tau``
+    (``pairs_cut``); otherwise its pair is solved with the target ``-tau
+    d(r,s)`` and either settled by a plan that reaches it or solved
+    exactly.  ``pairs_solved`` lists the exact solves in that order, the
+    first being the pair with the smallest ``k``, and ``kappa_solved`` their
+    curvatures; the pairs cut by ``k`` are the irreducible ones neither
+    solved, settled, cut nor skipped.
     """
 
     pairs_solved: tuple[tuple[int, int], ...]
     kappa_solved: tuple[float, ...]  # exact kappa of each pair in pairs_solved
     pairs_settled: int  # pairs whose plan reached the target: kappa >= tau
-    pairs_cut: int  # pairs with k < tau cut by the shared-jump bound: kappa >= tau
+    pairs_cut: int  # pairs with k < tau whose class bound is >= tau: kappa >= tau
+    pairs_skipped: int  # pairs with k < tau whose class was visited: kappa >= tau
     pairs_irreducible: int  # pairs with no state in between, the ones prefiltered
     pairs_total: int  # all pairs r < s
 
 
 def kappa_min(gen: Generator, metric: Metric) -> tuple[float, KappaMinStrategy]:
     """Exact minimum curvature over all pairs, via the irreducible pairs, the
-    k-prefilter, the shared-jump bound and plans that settle pairs which
-    cannot lower the minimum.
+    k-prefilter, classes of identical local problems, the shared-jump bound
+    and plans that settle pairs which cannot lower the minimum.
 
     The minimum over all pairs is the minimum over the irreducible pairs
     (see the module docstring).  Among those, a pair with ``k(r,s) >= tau``
     cannot have curvature below the running minimum ``tau`` (kappa
-    dominates k), nor can a pair whose shared-jump bound is ``>= tau`` or
-    one with a feasible plan of cost ``<= -tau d(r,s)``, so only the
-    remaining pairs are solved exactly.
+    dominates k), nor can a pair whose class was visited before, a class
+    whose members' largest ``k`` or shared-jump bound is ``>= tau``, or a
+    pair with a feasible plan of cost ``<= -tau d(r,s)``, so only the
+    remaining classes are solved exactly, once each.
     """
     if gen.n < 2:
         raise SingleState()
@@ -288,19 +347,25 @@ def _kappa_min(
     reduced = np.flatnonzero(irreducible_pairs(metric))  # row-major
     order = reduced[np.argsort(kvals[reduced], kind="stable")]  # increasing k
     d = metric.dist
-    lower = _shared_jump_bounds(gen.q, d, iu[0][order], iu[1][order])
+    ii, jj, korder = iu[0][order], iu[1][order], kvals[order]
+    cls, first = _pair_classes(gen.q, d, ii, jj, _closed_cost)
+    # the members of a class share one kappa, and each member's k and k'' - margin bound it
+    floor = np.full(first.size, -np.inf)
+    np.maximum.at(floor, cls, np.maximum(korder, _shared_jump_bounds(gen.q, d, ii, jj)))
     solved: list[tuple[int, int]] = []
     values: list[float] = []
-    settled = 0
-    cut = 0
+    settled = cut = skipped = 0
     tau = np.inf
-    for pair, k, low in zip(order.tolist(), kvals[order].tolist(), lower.tolist()):
-        if k >= tau:  # the k cut at the running tau
+    for at, (k, c) in enumerate(zip(korder.tolist(), cls.tolist())):
+        if k >= tau:  # the k cut at the running tau, for this pair and every later one
+            break
+        if first[c] != at:  # its class was visited: kappa >= tau already
+            skipped += 1
             continue
-        if low >= tau:  # the shared-jump cut: kappa >= low >= tau
+        if floor[c] >= tau:  # the class cut: kappa >= floor >= tau
             cut += 1
             continue
-        i, j = int(iu[0][pair]), int(iu[1][pair])
+        i, j = int(ii[at]), int(jj[at])
         dij = float(d[i, j])
         # kappa >= -cost/d for every feasible plan, so one of cost <= -tau d settles the pair
         plan = _pair_plan(gen, metric, i, j, -tau * dij)
@@ -316,22 +381,32 @@ def _kappa_min(
         kappa_solved=tuple(values),
         pairs_settled=settled,
         pairs_cut=cut,
+        pairs_skipped=skipped,
         pairs_irreducible=reduced.size,
         pairs_total=kvals.size,
     )
     return tau, strategy
 
 
+def _kappa_pairs(gen: Generator, metric: Metric, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """:func:`kappa_ctmc` of the 0-based pairs ``(ii, jj)``, one solve per
+    class of identical local problems (:func:`_pair_classes`)."""
+    cls, first = _pair_classes(gen.q, metric.dist, ii, jj, _closed_cost)
+    values = [kappa_ctmc(gen, metric, int(ii[p]) + 1, int(jj[p]) + 1) for p in first.tolist()]
+    return np.array(values, dtype=float)[cls]
+
+
 def kappa_all_pairs(gen: Generator, metric: Metric) -> np.ndarray:
-    """Exact curvature for every pair (``nan`` diagonal)."""
+    """Exact curvature for every pair (``nan`` diagonal), one solve per class
+    of pairs with identical local problems."""
     n = gen.n
     if n < 2:
         raise SingleState()
+    if n != metric.n:
+        raise DimensionMismatch(f"generator on {n} states, metric on {metric.n}")
+    ii, jj = np.triu_indices(n, k=1)
     out = np.full((n, n), np.nan)
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            val = kappa_ctmc(gen, metric, r, s)
-            out[r - 1, s - 1] = out[s - 1, r - 1] = val
+    out[ii, jj] = out[jj, ii] = _kappa_pairs(gen, metric, ii, jj)
     return out
 
 
@@ -379,21 +454,22 @@ def curvature_report(
         r, s = (idx + 1 for idx in np.triu_indices(n, k=1))
     else:
         raise ValueError(f"pairs must be 'all', 'min' or an (r, s) tuple, got {pairs!r}")
-    kappa = np.full((n, n), np.nan)  # exact curvature where solved
+    kappa = np.full(r.size, np.nan)  # exact curvature where solved
     if not k_only:
         if isinstance(pairs, tuple):
-            kappa[r - 1, s - 1] = kappa_ctmc(gen, metric, int(r[0]), int(s[0]))
+            kappa[0] = kappa_ctmc(gen, metric, int(r[0]), int(s[0]))
         elif pairs == "all":
-            kappa = kappa_all_pairs(gen, metric)
-            kap_min = float(np.nanmin(kappa))
+            kappa = _kappa_pairs(gen, metric, r - 1, s - 1)
+            kap_min = float(kappa.min())
         else:
             kap_min, strategy = _kappa_min(gen, metric, kmat)
-            kappa[tuple(np.transpose(strategy.pairs_solved) - 1)] = strategy.kappa_solved
+            i, j = np.transpose(strategy.pairs_solved) - 1
+            kappa[i * (2 * n - i - 1) // 2 + j - i - 1] = strategy.kappa_solved  # row-major r < s
     return CurvatureReport(
         r=r,
         s=s,
         k=kmat[r - 1, s - 1],
-        kappa=kappa[r - 1, s - 1],
+        kappa=kappa,
         k_min=float(np.nanmin(kmat)),
         K_global=float(_local_defects(kmat, metric).max()),
         kappa_min=kap_min,

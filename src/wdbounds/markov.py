@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -199,12 +199,32 @@ def _transient_chunk(
     plus the dropped Poisson mass ``1 - sum_{k<=K} P(N = k)``.  Every dropped
     term is nonnegative, so both sums are entrywise below the series.
 
-    The weights come first, as Python floats, and fix ``K``: the series
-    stops once the remaining Poisson mass is below ``POISSON_TAIL``.  The
+    The weights come first (:func:`_poisson_weights`) and fix ``K``.  The
     powers ``p P^k`` then fill one ``(K + 1, n)`` block, one product each,
     and each output is one sum over the block's rows in the order ``k = 0,
     1, ..., K`` (:func:`_row_ordered_sum`), term for term the sums of a
     loop that adds one power at a time.
+    """
+    weights, tails, dropped = _poisson_weights(lt)
+    powers = np.empty((weights.size, p.size))
+    powers[0] = p
+    for k in range(1, weights.size):
+        np.dot(powers[k - 1], pmat, out=powers[k])
+    acc = _row_ordered_sum(weights * powers)
+    occ = _row_ordered_sum(tails * powers) if occupation else None
+    return acc, occ, dropped
+
+
+@lru_cache(maxsize=256)
+def _poisson_weights(lt: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """``P(N = k)`` and ``P(N > k)`` for ``N ~ Poisson(lt)``, ``k = 0..K``, as
+    read-only ``(K + 1, 1)`` columns, and the dropped mass ``1 - sum_{k<=K}
+    P(N = k)``.
+
+    They are summed as Python floats, and the series stops once the
+    remaining Poisson mass is below ``POISSON_TAIL``.  They depend on ``lt``
+    alone, and a time grid steps by the same ``lam * h`` again and again, so
+    they are cached.
     """
     w = math.exp(-lt)
     cum = w
@@ -217,13 +237,11 @@ def _transient_chunk(
         tails.append(1.0 - cum)
         if 1.0 - cum < POISSON_TAIL:
             break
-    powers = np.empty((len(weights), p.size))
-    powers[0] = p
-    for k in range(1, len(weights)):
-        np.dot(powers[k - 1], pmat, out=powers[k])
-    acc = _row_ordered_sum(np.array(weights)[:, None] * powers)
-    occ = _row_ordered_sum(np.array(tails)[:, None] * powers) if occupation else None
-    return acc, occ, max(0.0, 1.0 - cum)
+    weight_col = np.array(weights)[:, None]
+    tail_col = np.array(tails)[:, None]
+    weight_col.setflags(write=False)
+    tail_col.setflags(write=False)
+    return weight_col, tail_col, max(0.0, 1.0 - cum)
 
 
 def _row_ordered_sum(terms: np.ndarray) -> np.ndarray:

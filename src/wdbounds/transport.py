@@ -27,6 +27,7 @@ curvature solvers in :mod:`wdbounds.curvature`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,7 +37,7 @@ from . import _kernels
 from .errors import DimensionMismatch, NumericalFailure, RowSumNotZero
 from .lp import solve
 from .markov import ProbVec
-from .metric import Metric
+from .metric import _CHUNK, Metric
 
 __all__ = [
     "Coupling",
@@ -347,20 +348,107 @@ def wasserstein_signed(row: SignedRow | np.ndarray, metric: Metric) -> float:
     return _signed_ot(v, lambda rows, cols: d[rows[:, None], cols]).value
 
 
+def _row_supports(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nonzero columns first, in column order (a stable sort), and
+    their entries, padded with zero entries up to the longest row: two
+    ``(rows, width)`` arrays ``cols`` and ``vals = mat[row, cols]``."""
+    rows, n = mat.shape
+    zero = mat == 0
+    width = n - int(zero.sum(axis=1).min(initial=n))
+    cols = np.argsort(zero, axis=1, kind="stable")[:, :width]
+    return cols, mat[np.arange(rows)[:, None], cols]
+
+
+def _signed_classes(count: int, width: int, support, cost, extra: np.ndarray | None = None):
+    """Classes of ``count`` signed transport problems with bit-identical inputs.
+
+    Problem ``p`` moves ``v+`` onto ``v-`` under a cost, as :func:`_signed_ot`
+    solves it.  For the problems ``idx`` (an index array), ``support(idx)``
+    gives ``(m, width)`` candidate columns that cover each ``supp(v)`` and
+    ``v`` on them, each nonzero entry in a slot of its own, and ``cost(idx,
+    a, b)`` the cost from the columns ``a`` (``(m, s, 1)``) to the columns
+    ``b`` (``(m, 1, s)``); ``extra``, ``(count, e)``, holds further numbers
+    per problem that its answer depends on.
+
+    A problem's key is the exact bytes of ``v``'s nonzero entries in column
+    order, of the cost block on ``supp(v+) x supp(v-)`` (zero elsewhere) and
+    of its ``extra``.  :func:`_signed_ot` reads ``v+`` and ``v-`` in column
+    order and solves that block, so problems with equal keys pose
+    bit-identical kernel inputs (and equal targets, when a target is a
+    function of ``extra``).  Keys are built in blocks of problems, in two
+    passes.  The first hashes the multiset of ``v``'s nonzero entries and
+    ``extra`` (the wrapping sum of their bit patterns, so slot order does
+    not matter), which equal keys share.  Only problems whose hash repeats
+    get a key, in the second, with the cost block padded to the largest
+    support among them; a hash collision costs a key, never a wrong class.
+    So problems that never repeat, as on random chains, cost ``O(width)``
+    each.
+
+    Returns ``(cls, first)``: the class of each problem, numbered in the
+    order the classes first appear, and the first problem of each class.
+    """
+    alone = np.arange(count), np.arange(count)  # every problem in a class of its own
+    if count < 2 or width == 0:  # no two problems, or every v is zero
+        return alone
+    hashes = np.empty(count, dtype=np.uint64)
+    sizes = np.empty(count, dtype=np.intp)
+    step = max(1, _CHUNK // width)
+    for lo in range(0, count, step):
+        idx = np.arange(lo, min(lo + step, count))
+        v = support(idx)[1]
+        sizes[idx] = np.count_nonzero(v, axis=1)
+        hashes[idx] = np.where(v != 0, v, 0.0).view(np.uint64).sum(axis=1)  # +0.0 adds 0
+        if extra is not None:
+            hashes[idx] += extra[idx].view(np.uint64).sum(axis=1)
+    hash_list = hashes.tolist()
+    counts = Counter(hash_list)
+    if len(counts) == count:
+        return alone
+    shared = np.flatnonzero([counts[h] > 1 for h in hash_list])
+    size = max(1, int(sizes[shared].max()))
+    label = np.arange(count)  # the first problem of each one's class
+    first_of: dict[bytes, int] = {}
+    step = max(1, _CHUNK // (size * size + size))
+    for lo in range(0, shared.size, step):
+        idx = shared[lo : lo + step]
+        cols, v = support(idx)
+        # supp(v) first, in column order, then +0.0
+        zero = v == 0
+        order = np.argsort(cols + zero * (int(cols.max()) + 1), axis=1, kind="stable")
+        at = np.arange(idx.size)[:, None], order[:, :size]
+        cols, v = cols[at], np.where(zero[at], 0.0, v[at])
+        pos_neg = (v > 0)[:, :, None] & (v < 0)[:, None, :]
+        block = np.where(pos_neg, cost(idx, cols[:, :, None], cols[:, None, :]), 0.0)
+        parts = [v, block.reshape(idx.size, -1)] + ([] if extra is None else [extra[idx]])
+        keys = np.ascontiguousarray(np.concatenate(parts, axis=1))
+        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        label[idx] = [first_of.setdefault(key, p) for p, key in zip(idx.tolist(), rows.tolist())]
+    first, cls = np.unique(label, return_inverse=True)
+    return cls.ravel(), first
+
+
 def row_wasserstein_vector(mat: np.ndarray, metric: Metric) -> np.ndarray:
     """Per-row signed Wasserstein of a matrix whose rows each sum to zero.
 
-    Raises :class:`RowSumNotZero` naming the (1-based) offending row.
+    Rows that pose the same problem, the same nonzero entries in column
+    order on supports with the same distance block, are solved once
+    (:func:`_signed_classes`) and get bit-identical values.  Raises
+    :class:`RowSumNotZero` naming the (1-based) offending row.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != metric.n:
         raise DimensionMismatch(
             f"matrix shape {mat.shape} does not match a {metric.n}-state metric"
         )
-    out = np.empty(mat.shape[0])
-    for i in range(mat.shape[0]):
-        out[i] = wasserstein_signed(SignedRow(mat[i], index=i + 1), metric)
-    return out
+    rows = [SignedRow(mat[i], index=i + 1) for i in range(mat.shape[0])]
+    d = metric.dist
+    cols, vals = _row_supports(mat)
+    cls, first = _signed_classes(
+        mat.shape[0], cols.shape[1], lambda idx: (cols[idx], vals[idx]),
+        lambda idx, a, b: d[a, b],
+    )
+    values = [wasserstein_signed(rows[p], metric) for p in first.tolist()]
+    return np.array(values, dtype=float)[cls]
 
 
 @dataclass(frozen=True)

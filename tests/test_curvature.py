@@ -270,9 +270,10 @@ def test_kappa_min_over_irreducible_pairs_equals_all_pairs_minimum(kind, n, seed
 
 def test_kappa_min_solves_few_pairs_on_a_line():
     """On integer lines only neighbours are irreducible, and one exact solve
-    suffices: the pair with the least k is solved exactly, and every other
-    neighbour with ``k < tau`` is cut by the shared-jump bound or settled by
-    a plan, which both prove ``kappa >= tau``; the rest are cut by k."""
+    suffices: the pair with the least k is solved exactly, the 23 neighbours
+    pose 5 distinct local problems, and every other neighbour with ``k <
+    tau`` is skipped (its class was visited) or cut by its class bound,
+    which both prove ``kappa >= tau``; the rest are cut by k."""
     line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
     for root, first, below_tau, cut in ((None, (3, 4), 21, 2), (1, (21, 22), 22, 3)):
         gen, metric = translation_invariant_ctmc(Box((0,), (23,)), 1.0, line, root, 0.05)
@@ -281,14 +282,121 @@ def test_kappa_min_solves_few_pairs_on_a_line():
         assert strategy.pairs_total == 276
         assert strategy.pairs_solved == (first,)
         assert strategy.kappa_solved == (val,)
+        neighbours = np.arange(23)
+        _, classes = curvature_mod._pair_classes(
+            gen.q, metric.dist, neighbours, neighbours + 1, curvature_mod._closed_cost
+        )
+        assert classes.size == 5
         kmat = k_matrix(gen, metric)
         visited = [(r, r + 1) for r in range(1, 24) if kmat[r - 1, r] < val]
         assert len(visited) == below_tau
         assert strategy.pairs_cut == cut
-        assert strategy.pairs_settled == below_tau - 1 - cut
+        assert strategy.pairs_settled == 0
+        assert strategy.pairs_skipped == below_tau - 1 - cut
         for pair in visited:
             if pair != first:
                 assert kappa_ctmc(gen, metric, *pair) >= val
+
+
+@pytest.mark.parametrize("root", [None, 1])
+def test_kappa_min_on_line_walks_solves_few_pairs_at_every_rate(root):
+    """The 24-state line walk poses 5 distinct local problems among its 23
+    neighbouring pairs, so at most 5 are solved exactly at every rate.
+    Every neighbouring pair has ``kappa = 0``, so whether a plan reaches the
+    target ``-tau d(r,s)`` is decided by rounding; skipping a visited class
+    does not depend on it.  The minimum is, bit for bit, the least ``kappa``
+    of :func:`kappa_all_pairs` on the irreducible pairs (a reducible pair's
+    computed ``kappa`` may round a few ulps lower)."""
+    line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
+    for step in range(11):
+        rate = 1.0 + 0.025 * step
+        gen, metric = translation_invariant_ctmc(
+            Box((0,), (23,)), rate, line, root, 0.05 * rate if root else 0.0
+        )
+        val, strategy = kappa_min(gen, metric)
+        assert len(strategy.pairs_solved) <= 5, rate
+        full = kappa_all_pairs(gen, metric)[np.triu_indices(24, k=1)]
+        assert val == full[irreducible_pairs(metric)].min(), rate
+
+
+def test_pair_classes_tell_apart_equal_problems_at_different_distances():
+    """Pairs (1, 2) and (3, 4) move the same mass from state 5 to state 6,
+    but lie 1 and 3 apart, so their DTMC curvatures differ (0 and 2/3):
+    ``d(r, s)`` is part of a class key."""
+    p = np.zeros((6, 6))
+    p[[0, 2], 4] = p[[1, 3], 5] = 1.0
+    p[4, 5] = p[5, 4] = 1.0
+    pmat, metric = TransitionMatrix(p), line_metric(np.array([0.0, 1.0, 10.0, 13.0, 20.0, 21.0]))
+    r, s = np.array([1, 3]), np.array([2, 4])
+    kappa = curvature_mod._kappa_dtmc_pairs(pmat, metric, r, s)
+    np.testing.assert_array_equal(kappa, [0.0, 1 - 1 / 3])
+
+
+def _box_walk(dim: int, seed: int):
+    """A translation-invariant walk on a box of 8 to 12 points (2-D: 4 or 5 a
+    side, 3-D: 3) with random jumps of length 1 or 2 along each axis."""
+    rng = np.random.default_rng(seed)
+    side = {1: int(rng.integers(8, 13)), 2: int(rng.integers(4, 6)), 3: 3}[dim]
+    offsets = []
+    for axis in range(dim):
+        for length in rng.choice([1, 2], size=int(rng.integers(1, 3)), replace=False):
+            for sign in (1, -1):
+                off = [0] * dim
+                off[axis] = int(sign * length)
+                offsets.append(tuple(off))
+    weights = rng.uniform(0.5, 1.5, len(offsets))
+    jumps = JumpDistribution(tuple(zip(offsets, (weights / weights.sum()).tolist())))
+    box = Box((0,) * dim, (side - 1,) * dim)
+    return translation_invariant_ctmc(box, float(rng.uniform(0.5, 2.0)), jumps)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@given(
+    st.sampled_from(["walk1", "walk2", "walk3", "rooted_line", "line", "graph"]),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=30, deadline=None)
+def test_pairs_with_equal_keys_have_bit_identical_kappa(kind, seed):
+    """Pairs whose local problems have equal keys have bit-identical
+    ``kappa_ctmc`` and ``kappa_dtmc``, and the class solvers
+    (``kappa_all_pairs``, the DTMC pairs of ``wdbounds curvature``) equal
+    the per-pair loops bit for bit.  Translation-invariant walks repeat
+    their local problems away from the boundary, so on a long enough line
+    the CTMC classes are fewer than the pairs."""
+    if kind.startswith("walk"):
+        gen, metric = _box_walk(int(kind[-1]), seed)
+    elif kind == "rooted_line":
+        gen, metric = _rooted_line(9, seed)
+    else:
+        gen, metric, _ = random_instance(8, seed, metric_kind=kind, density=0.6)
+    n = gen.n
+    ii, jj = np.triu_indices(n, k=1)
+    pmat, _ = uniformize(gen)
+    for repeats, mat, cost, per_pair, by_class in (
+        (
+            kind == "walk1",  # the neighbours r, r + 1 with 2 <= r <= n - 4 pose one problem
+            gen.q,
+            curvature_mod._closed_cost,
+            [kappa_ctmc(gen, metric, r + 1, s + 1) for r, s in zip(ii, jj)],
+            kappa_all_pairs(gen, metric)[ii, jj],
+        ),
+        (
+            False,  # the gate divides each row of P by its sum, which may round differently
+            pmat.p,
+            lambda d, i, j, a, b: d[a, b],
+            [kappa_dtmc(pmat, metric, r + 1, s + 1) for r, s in zip(ii, jj)],
+            curvature_mod._kappa_dtmc_pairs(pmat, metric, ii + 1, jj + 1),
+        ),
+    ):
+        cls, first = curvature_mod._pair_classes(mat, metric.dist, ii, jj, cost)
+        np.testing.assert_array_equal(_bits(by_class), _bits(per_pair))
+        np.testing.assert_array_equal(_bits(per_pair), _bits(np.array(per_pair)[first][cls]))
+        np.testing.assert_array_equal(first, np.unique(cls, return_index=True)[1])
+        if repeats:
+            assert first.size < ii.size
 
 
 @given(
@@ -359,9 +467,9 @@ def test_shared_jump_bound_that_is_not_finite_cuts_nothing():
 )
 @settings(max_examples=60, deadline=None)
 def test_kappa_min_work_is_scale_free(kind, n, seed, j):
-    """Scaling the rates or the metric by ``2^j`` solves, cuts and settles
-    the same pairs and scales kappa_min by ``2^j`` or 1, exactly: no cut at
-    tau has a unit."""
+    """Scaling the rates or the metric by ``2^j`` solves, cuts, skips and
+    settles the same pairs and scales kappa_min by ``2^j`` or 1, exactly: no
+    cut at tau has a unit, and scaling keeps equal problems equal."""
     if kind == "rooted_line":
         gen, metric = _rooted_line(n, seed)
     else:
@@ -375,6 +483,7 @@ def test_kappa_min_work_is_scale_free(kind, n, seed, j):
         assert scaled_strategy.pairs_solved == strategy.pairs_solved
         assert scaled_strategy.pairs_cut == strategy.pairs_cut
         assert scaled_strategy.pairs_settled == strategy.pairs_settled
+        assert scaled_strategy.pairs_skipped == strategy.pairs_skipped
         assert scaled == val * factor
 
 
@@ -582,10 +691,12 @@ def test_curvature_report_builds_one_k_matrix(monkeypatch, pairs, k_only):
 
 def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
     """The irreducible pairs in increasing k (ties in row-major order) with
-    the running minimum tau: a pair with ``k >= tau`` is cut, one whose
-    shared-jump bound ``k'' - margin`` is ``>= tau`` is cut too, every other
-    one is solved exactly or settled by a plan, and a cut or settled pair
-    has ``kappa >= tau``, so it could not have lowered the minimum."""
+    the running minimum tau: a pair with ``k >= tau`` is cut, a pair whose
+    class of identical local problems was visited before is skipped, a class
+    whose members' largest ``k`` or shared-jump bound ``k'' - margin`` is
+    ``>= tau`` is cut too, every other one is solved exactly or settled by
+    a plan, and a cut, skipped or settled pair has ``kappa >= tau``, so it
+    could not have lowered the minimum."""
     instances = []
     for seed in range(6):
         kind = ("line", "graph", "discrete")[seed % 3]
@@ -593,7 +704,10 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
     # integer positions: most pairs have an exact midpoint
     line = JumpDistribution((((1,), 0.5), ((-2,), 0.5)))
     instances.append(translation_invariant_ctmc(Box((0,), (7,)), 1.0, line, root=3, root_rate=0.3))
-    settled_anywhere = cut_anywhere = 0
+    # a translation-invariant walk: its pairs repeat a few local problems
+    line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
+    instances.append(translation_invariant_ctmc(Box((0,), (11,)), 1.05, line))
+    settled_anywhere = cut_anywhere = skipped_anywhere = 0
     for gen, metric in instances:
         n = gen.n
         _, strategy = kappa_min(gen, metric)
@@ -607,15 +721,29 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
         iu = np.triu_indices(n, k=1)
         lower = curvature_mod._shared_jump_bounds(gen.q, metric.dist, *iu)
         low_of = dict(zip(pairs, lower.tolist()))
+        cls, _ = curvature_mod._pair_classes(
+            gen.q, metric.dist, *iu, curvature_mod._closed_cost
+        )
+        class_of = dict(zip(pairs, cls.tolist()))
+        floor: dict[int, float] = {}
+        for pair in reduced:
+            c = class_of[pair]
+            floor[c] = max(floor.get(c, -np.inf), k_of[pair], low_of[pair])
         solved = iter(zip(strategy.pairs_solved, strategy.kappa_solved))
         next_solved = next(solved)
         tau = np.inf
-        settled = cut = 0
+        settled = cut = skipped = 0
+        visited: set[int] = set()
         for pair in sorted(reduced, key=lambda pair: k_of[pair]):
             if k_of[pair] >= tau:
                 continue
             kap = kappa_ctmc(gen, metric, *pair)
-            if low_of[pair] >= tau:
+            if class_of[pair] in visited:
+                assert kap >= tau
+                skipped += 1
+                continue
+            visited.add(class_of[pair])
+            if floor[class_of[pair]] >= tau:
                 assert kap >= tau
                 cut += 1
             elif next_solved is not None and pair == next_solved[0]:
@@ -629,10 +757,13 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
         assert next_solved is None  # every solved pair was visited, in this order
         assert strategy.pairs_settled == settled
         assert strategy.pairs_cut == cut
+        assert strategy.pairs_skipped == skipped
         settled_anywhere += settled
         cut_anywhere += cut
+        skipped_anywhere += skipped
     assert settled_anywhere > 0
     assert cut_anywhere > 0
+    assert skipped_anywhere > 0
 
 
 def test_curvature_and_defect_make_no_lp_call(monkeypatch):

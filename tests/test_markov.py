@@ -336,17 +336,22 @@ def _reference_transient_chunk(p, pmat, lt, occupation=False):
 def test_transient_chunk_matches_the_term_by_term_loop_bit_for_bit(n, log_lt, occupation, seed):
     """The Krylov block sums the same terms in the same order as the frozen
     loop, so the law, the occupation and the dropped mass are equal bit for
-    bit, also on one state, whose one-column block numpy would sum pairwise."""
+    bit, also on one state, whose one-column block numpy would sum pairwise,
+    and also when the Poisson weights come from the cache (read-only, so
+    no caller can change them for the next)."""
     rng = np.random.default_rng(seed)
     pmat = rng.random((n, n)) * (rng.random((n, n)) < 0.6) + np.eye(n) * 1e-3
     pmat /= pmat.sum(axis=1, keepdims=True)
     p = rng.dirichlet(np.ones(n))
     lt = math.exp(log_lt)
-    got = markov._transient_chunk(p, pmat, lt, occupation)
     ref = _reference_transient_chunk(p, pmat, lt, occupation)
-    assert np.array_equal(got[0], ref[0])
-    assert got[2] == ref[2]
-    if occupation:
-        assert np.array_equal(got[1], ref[1])
-    else:
-        assert got[1] is None
+    for _ in range(2):
+        got = markov._transient_chunk(p, pmat, lt, occupation)
+        assert np.array_equal(got[0], ref[0])
+        assert got[2] == ref[2]
+        if occupation:
+            assert np.array_equal(got[1], ref[1])
+        else:
+            assert got[1] is None
+    weights, tails, _ = markov._poisson_weights(lt)
+    assert not weights.flags.writeable and not tails.flags.writeable

@@ -218,6 +218,37 @@ def test_signed_rows_and_matrix_norm():
     assert "2" in str(exc.value)
 
 
+@pytest.mark.parametrize("side, block, distinct", [(8, 2, 9), (9, 3, 9)])
+def test_row_wasserstein_vector_solves_each_distinct_row_once(monkeypatch, side, block, distinct):
+    """The defect rows of a box walk with square blocks repeat away from the
+    boundary: on the 8x8 walk with 2x2 blocks 16 rows pose 9 distinct
+    problems, on the 9x9 walk with 3x3 blocks 9 rows pose 9.  Each is solved
+    once, and the values equal the per-row loop bit for bit."""
+    jumps = JumpDistribution(
+        (((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25))
+    )
+    gen, metric = translation_invariant_ctmc(Box((0, 0), (side - 1, side - 1)), 1.0, jumps)
+    blocks = [
+        tuple(r * side + c + 1 for r in range(br, br + block) for c in range(bc, bc + block))
+        for br in range(0, side, block)
+        for bc in range(0, side, block)
+    ]
+    agg = partition_aggregation_ctmc(gen, Partition(tuple(blocks)))
+    mat = agg.theta.q @ agg.a - agg.a @ gen.q
+    loop = np.array([wasserstein_signed(row, metric) for row in mat])
+    calls = []
+    signed = transport.wasserstein_signed
+
+    def counting(row, metric):
+        calls.append(1)
+        return signed(row, metric)
+
+    monkeypatch.setattr(transport, "wasserstein_signed", counting)
+    values = row_wasserstein_vector(mat, metric)
+    assert len(calls) == distinct
+    np.testing.assert_array_equal(values.view(np.int64), loop.view(np.int64))
+
+
 def test_tv_identity_under_discrete_metric():
     """On the discrete metric, W1 collapses to total variation."""
     for seed in range(150):
