@@ -9,8 +9,7 @@ Status codes shared by both kernels:
 
 * ``0`` - optimal,
 * ``1`` - unbounded (simplex only),
-* ``2`` - iteration limit hit (the caller raises or falls back),
-* ``3`` - a plan reached the target objective (transportation simplex only).
+* ``2`` - iteration limit hit (the caller raises or falls back).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 STATUS_OPTIMAL = 0
 STATUS_UNBOUNDED = 1
 STATUS_ITER_LIMIT = 2
-STATUS_TARGET = 3
 
 
 def pivot(T, row, col):
@@ -145,7 +143,7 @@ def matrix_minimum_start(cost, p, q):
     return bi, bj, flow
 
 
-def transport_loop(cost, p, q, tol, max_iter, target=-np.inf):
+def transport_loop(cost, p, q, tol, max_iter):
     """Transportation simplex: matrix-minimum start plus MODI pivoting.
 
     ``p`` and ``q`` are nonnegative with equal totals (not necessarily 1).
@@ -153,15 +151,6 @@ def transport_loop(cost, p, q, tol, max_iter, target=-np.inf):
     plan and ``(u, v)`` the row/column potentials, normalized by ``u[0]=0``,
     satisfying ``u_i + v_j = cost_ij`` on basic cells and
     ``u_i + v_j <= cost_ij + tol`` everywhere at optimality.
-
-    A finite ``target`` stops the loop at the first plan whose cost is
-    ``<= target``: the start, checked before the tree is built, or the plan
-    after a pivot, whose cost falls by ``theta`` times the entering cell's
-    reduced cost.  It then returns ``STATUS_TARGET``, that feasible plan and
-    ``None`` for both potentials.  Every plan before the optimum is checked,
-    so the loop never pivots more than without a target.  With the default
-    ``-inf`` the cost is not computed (it stays ``+inf``) and nothing else
-    changes.
 
     The basis starts from :func:`matrix_minimum_start` and stays a spanning
     tree on row nodes ``0..n-1`` and column nodes ``n..n+m-1``; basic edge
@@ -190,11 +179,6 @@ def transport_loop(cost, p, q, tol, max_iter, target=-np.inf):
         gamma = np.zeros(n * m)
         gamma[cell] = flow
         return gamma.reshape(n, m)
-
-    # the plan's cost; +inf stays +inf, so without a target it is never below it
-    obj = float(cost.ravel()[cell] @ np.array(flow)) if target > -np.inf else np.inf
-    if obj <= target:
-        return STATUS_TARGET, plan(), None, None, 0
 
     cl = cost.tolist()
     adj = [[] for _ in range(nn)]
@@ -292,9 +276,6 @@ def transport_loop(cost, p, q, tol, max_iter, target=-np.inf):
         adj[ei].append(kleave)
         adj[n + ej].append(kleave)
         it += 1
-        obj += theta * entering
-        if obj <= target:
-            return STATUS_TARGET, plan(), None, None, it
 
         # --- re-hang the cut-off endpoint under the other one -----------
         if leave_pos < len(up_col):

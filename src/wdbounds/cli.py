@@ -121,7 +121,6 @@ class Model:
     initial: ProbVec | None = None
     agg: Aggregation | None = None
     canon: dict | None = None
-    source: str = "<dict>"
 
 
 def _typed(val, kind: type, what: str):
@@ -256,7 +255,7 @@ def _parse_generator(val, n: int) -> Generator:
     return Generator(q)
 
 
-def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
+def load_model_dict(doc: dict) -> Model:
     """Validate a model document and return the loaded :class:`Model`."""
     if not isinstance(doc, dict):
         raise ValueError("model file must be a JSON object")
@@ -350,7 +349,6 @@ def load_model_dict(doc: dict, source: str = "<dict>") -> Model:
         initial=initial,
         agg=agg,
         canon=canon,
-        source=source,
     )
 
 
@@ -358,7 +356,7 @@ def load_model(path: str) -> Model:
     """Load and validate a model JSON file."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    return load_model_dict(doc, source=path)
+    return load_model_dict(doc)
 
 
 def canonical_model_json(model: Model) -> str:
@@ -406,7 +404,7 @@ def _resolve_model(args) -> Model:
         return load_model(args.model)
     if args.builtin == "toy":
         gen, metric = toy_ctmc()
-        return Model(n=gen.n, gen=gen, metric=metric, source="builtin:toy")
+        return Model(n=gen.n, gen=gen, metric=metric)
     lo = tuple(int(v) for v in args.grid_lo.split(","))
     hi = tuple(int(v) for v in args.grid_hi.split(","))
     support = []
@@ -418,7 +416,7 @@ def _resolve_model(args) -> Model:
     gen, metric = translation_invariant_ctmc(
         Box(lo, hi), args.grid_rate, jumps, root=args.grid_root, root_rate=args.grid_root_rate
     )
-    return Model(n=gen.n, gen=gen, metric=metric, source="builtin:grid")
+    return Model(n=gen.n, gen=gen, metric=metric)
 
 
 def _require(cond: bool, message: str) -> None:

@@ -39,21 +39,18 @@ with ``k >= tau``: since ``kappa >= k`` pairwise, such a pair cannot go below
 ``tau``.  A pair is also cut when ``k'' - margin >= tau``, where ``k''`` is
 the bound of the coupling that keeps the jump rate ``r`` and ``s`` share
 together (:func:`_shared_jump_bounds`, after Ollivier's coupling view of
-``kappa``), ``k <= k'' <= kappa``, and the margin covers its rounding.  The
-transport problem behind ``kappa`` is a minimization, so any feasible plan
-bounds it as well, ``kappa(r,s) >= -cost/d(r,s)``.  Each other pair's local
-problem is therefore solved with the target ``-tau d(r,s)``: the kernel
-stops at the first plan that reaches it, which settles the pair, and a pair
-whose optimum stays above it is solved exactly and lowers ``tau``.  The
-returned minimum is exact.  No cut has a parameter: each scales with the
-rates and the unit of ``d``.  On random chains ``k''`` cuts nearly every
-pair that ``k`` does not; on box walks, where ``kappa`` is about 0 almost
-everywhere, the kernel reaches the target only near the optimum.
+``kappa``), ``k <= k'' <= kappa``, and the margin covers its rounding.
+Every other pair's local problem is solved to optimality, its value
+certified by a feasible dual, and may lower ``tau``.  The returned minimum
+is exact.  No cut has a parameter: each scales with the rates and the unit
+of ``d``.  On random chains ``k''`` cuts nearly every pair that ``k`` does
+not; on box walks, where ``kappa`` is about 0 almost everywhere, neither
+cuts much, and the classes below keep the solves few.
 
 Pairs whose local problems are the same bits, ``(Q_r - Q_s)+-`` on their
 supports in column order, the ``c'`` block on them and ``d(r,s)``
 (:func:`_pair_classes`), form a class: the kernel sees identical inputs,
-target included, so they share one ``kappa`` to the last bit.
+so they share one ``kappa`` to the last bit.
 Translation-invariant walks, the chains for which the paper proves
 ``kappa >= 0``, pose a few classes many times over.  :func:`kappa_min`
 therefore skips a pair whose class it has visited and cuts a class when
@@ -115,30 +112,33 @@ def _closed_cost(d: np.ndarray, i, j, a, b) -> np.ndarray:
     return np.minimum(d[a, b], d[a, j] - d[i, j] + d[i, b])
 
 
-def _pair_plan(
-    gen: Generator, metric: Metric, i: int, j: int, target: float = -np.inf
-) -> _SignedPlan:
+def _pair_plan(gen: Generator, metric: Metric, i: int, j: int) -> _SignedPlan:
     """The local transport problem of the 0-based pair ``(i, j)``, solved by
-    :func:`wdbounds.transport._signed_ot` with the given ``target``."""
+    :func:`wdbounds.transport._signed_ot`."""
     d = metric.dist
     return _signed_ot(
         gen.q[i] - gen.q[j],
         lambda rows, cols: _closed_cost(d, i, j, rows[:, None], cols[None, :]),
-        target=target,
     )
 
 
 def _pair_classes(
-    mat: np.ndarray, d: np.ndarray, ii: np.ndarray, jj: np.ndarray, cost
+    mat: np.ndarray,
+    supports: tuple[np.ndarray, np.ndarray],
+    d: np.ndarray,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    cost,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classes of the 0-based pairs ``(ii, jj)`` whose local problems pose
     bit-identical inputs: the transport of ``(mat_i - mat_j)+`` onto
     ``(mat_i - mat_j)-`` under ``cost(d, i, j, a, b)`` (broadcast over
-    index arrays) on the two supports, with ``d(i, j)``.  Returns the
+    index arrays) on the two supports, with ``d(i, j)``.  ``supports`` is
+    :func:`wdbounds.transport._row_supports` of ``mat``.  Returns the
     ``(cls, first)`` of :func:`wdbounds.transport._signed_classes`; ``first``
     lists the first pair of each class in the given order.
     """
-    cols, _ = _row_supports(mat)
+    cols, _ = supports
 
     def support(idx):  # supp(mat_i), then the part of supp(mat_j) outside it
         i, j = ii[idx], jj[idx]
@@ -175,7 +175,9 @@ def _kappa_dtmc_pairs(
         at = int(np.argmax(bad))
         _check_pair(pmat.n, int(r[at]), int(s[at]))
     d = metric.dist
-    cls, first = _pair_classes(pmat.p, d, r - 1, s - 1, lambda d, i, j, a, b: d[a, b])
+    cls, first = _pair_classes(
+        pmat.p, _row_supports(pmat.p), d, r - 1, s - 1, lambda d, i, j, a, b: d[a, b]
+    )
     values = [kappa_dtmc(pmat, metric, int(r[p]), int(s[p])) for p in first.tolist()]
     return np.array(values, dtype=float)[cls]
 
@@ -236,7 +238,11 @@ def _local_defects(kmat: np.ndarray, metric: Metric) -> np.ndarray:
 
 
 def _shared_jump_bounds(
-    q: np.ndarray, d: np.ndarray, ii: np.ndarray, jj: np.ndarray
+    q: np.ndarray,
+    supports: tuple[np.ndarray, np.ndarray],
+    d: np.ndarray,
+    ii: np.ndarray,
+    jj: np.ndarray,
 ) -> np.ndarray:
     """Certified lower bounds on ``kappa`` of the 0-based pairs ``(ii, jj)``
     from the coupling that keeps the jump mass two states share together.
@@ -252,7 +258,8 @@ def _shared_jump_bounds(
     excess of ``a`` (of ``b``) gains at most the two Lipschitz limits of
     ``f(x) - f(r)`` (of ``f(s) - f(x)``).  So ``k'' = -A''/d <= kappa``, and
     ``k <= k''`` by the triangle inequality.  Each term is summed over the
-    padded row supports (:func:`_row_supports`), so a pair costs ``O(width)``.
+    padded row supports ``supports`` of ``q`` (:func:`_row_supports`), so a
+    pair costs ``O(width)``.
 
     The computed ``k''`` is lowered by ``gamma_N * sum |terms| / d`` (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §3.1): the
@@ -262,7 +269,7 @@ def _shared_jump_bounds(
     with the rates and the unit of ``d``.  A bound that is not finite is
     returned as ``-inf``, which cuts nothing.
     """
-    cols, vals = _row_supports(q)
+    cols, vals = supports
     width = cols.shape[1]
     nu = (3 * width + 6) * np.finfo(float).eps / 2
     gamma = nu / (1.0 - nu)
@@ -303,17 +310,15 @@ class KappaMinStrategy:
     and share one ``kappa``; a pair whose class was visited before is
     skipped (``pairs_skipped``).  A class is cut when the largest ``k`` or
     shared-jump bound ``k'' - margin`` of its members is ``>= tau``
-    (``pairs_cut``); otherwise its pair is solved with the target ``-tau
-    d(r,s)`` and either settled by a plan that reaches it or solved
-    exactly.  ``pairs_solved`` lists the exact solves in that order, the
-    first being the pair with the smallest ``k``, and ``kappa_solved`` their
+    (``pairs_cut``); otherwise its pair is solved exactly.
+    ``pairs_solved`` lists the exact solves in that order, the first being
+    the pair with the smallest ``k``, and ``kappa_solved`` their
     curvatures; the pairs cut by ``k`` are the irreducible ones neither
-    solved, settled, cut nor skipped.
+    solved, cut nor skipped.
     """
 
     pairs_solved: tuple[tuple[int, int], ...]
     kappa_solved: tuple[float, ...]  # exact kappa of each pair in pairs_solved
-    pairs_settled: int  # pairs whose plan reached the target: kappa >= tau
     pairs_cut: int  # pairs with k < tau whose class bound is >= tau: kappa >= tau
     pairs_skipped: int  # pairs with k < tau whose class was visited: kappa >= tau
     pairs_irreducible: int  # pairs with no state in between, the ones prefiltered
@@ -322,16 +327,15 @@ class KappaMinStrategy:
 
 def kappa_min(gen: Generator, metric: Metric) -> tuple[float, KappaMinStrategy]:
     """Exact minimum curvature over all pairs, via the irreducible pairs, the
-    k-prefilter, classes of identical local problems, the shared-jump bound
-    and plans that settle pairs which cannot lower the minimum.
+    k-prefilter, classes of identical local problems and the shared-jump
+    bound.
 
     The minimum over all pairs is the minimum over the irreducible pairs
     (see the module docstring).  Among those, a pair with ``k(r,s) >= tau``
     cannot have curvature below the running minimum ``tau`` (kappa
-    dominates k), nor can a pair whose class was visited before, a class
-    whose members' largest ``k`` or shared-jump bound is ``>= tau``, or a
-    pair with a feasible plan of cost ``<= -tau d(r,s)``, so only the
-    remaining classes are solved exactly, once each.
+    dominates k), nor can a pair whose class was visited before or a class
+    whose members' largest ``k`` or shared-jump bound is ``>= tau``, so
+    only the remaining classes are solved exactly, once each.
     """
     if gen.n < 2:
         raise SingleState()
@@ -348,13 +352,14 @@ def _kappa_min(
     order = reduced[np.argsort(kvals[reduced], kind="stable")]  # increasing k
     d = metric.dist
     ii, jj, korder = iu[0][order], iu[1][order], kvals[order]
-    cls, first = _pair_classes(gen.q, d, ii, jj, _closed_cost)
+    supports = _row_supports(gen.q)
+    cls, first = _pair_classes(gen.q, supports, d, ii, jj, _closed_cost)
     # the members of a class share one kappa, and each member's k and k'' - margin bound it
     floor = np.full(first.size, -np.inf)
-    np.maximum.at(floor, cls, np.maximum(korder, _shared_jump_bounds(gen.q, d, ii, jj)))
+    np.maximum.at(floor, cls, np.maximum(korder, _shared_jump_bounds(gen.q, supports, d, ii, jj)))
     solved: list[tuple[int, int]] = []
     values: list[float] = []
-    settled = cut = skipped = 0
+    cut = skipped = 0
     tau = np.inf
     for at, (k, c) in enumerate(zip(korder.tolist(), cls.tolist())):
         if k >= tau:  # the k cut at the running tau, for this pair and every later one
@@ -366,20 +371,13 @@ def _kappa_min(
             cut += 1
             continue
         i, j = int(ii[at]), int(jj[at])
-        dij = float(d[i, j])
-        # kappa >= -cost/d for every feasible plan, so one of cost <= -tau d settles the pair
-        plan = _pair_plan(gen, metric, i, j, -tau * dij)
-        if plan.u is None:
-            settled += 1
-            continue
-        kap = -plan.value / dij
+        kap = -_pair_plan(gen, metric, i, j).value / float(d[i, j])
         solved.append((i + 1, j + 1))
         values.append(kap)
         tau = min(tau, kap)
     strategy = KappaMinStrategy(
         pairs_solved=tuple(solved),
         kappa_solved=tuple(values),
-        pairs_settled=settled,
         pairs_cut=cut,
         pairs_skipped=skipped,
         pairs_irreducible=reduced.size,
@@ -391,7 +389,7 @@ def _kappa_min(
 def _kappa_pairs(gen: Generator, metric: Metric, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """:func:`kappa_ctmc` of the 0-based pairs ``(ii, jj)``, one solve per
     class of identical local problems (:func:`_pair_classes`)."""
-    cls, first = _pair_classes(gen.q, metric.dist, ii, jj, _closed_cost)
+    cls, first = _pair_classes(gen.q, _row_supports(gen.q), metric.dist, ii, jj, _closed_cost)
     values = [kappa_ctmc(gen, metric, int(ii[p]) + 1, int(jj[p]) + 1) for p in first.tolist()]
     return np.array(values, dtype=float)[cls]
 

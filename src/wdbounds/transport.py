@@ -157,14 +157,7 @@ class WassersteinResult(NamedTuple):
     potential: Potential | None
 
 
-def _ot(
-    p: np.ndarray,
-    q: np.ndarray,
-    cost: np.ndarray,
-    cmax: float,
-    method: str = "transport",
-    target: float = -np.inf,
-):
+def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, cmax: float, method: str = "transport"):
     """Optimal transport between nonnegative vectors of equal total mass.
 
     ``cost`` is the ``(p.size, q.size)`` block of transport costs; it may be
@@ -176,10 +169,6 @@ def _ot(
     solves the block in units of ``cmax`` and of the mass, and its plan,
     value and duals are scaled back: neither route depends on units.
 
-    With a finite ``target`` the first plan of cost ``<= target`` is
-    returned, whether or not it is optimal, with ``u = None``: a forced plan
-    or one the kernel stopped at.
-
     With ``method="transport"`` a block with one row or one column has a
     forced plan (the one row ships to every column, or every row ships to
     the one column) and is solved here, with the duals the kernel's tree
@@ -190,19 +179,16 @@ def _ot(
     if method == "transport":
         if nr == 1 or nc == 1:
             gamma = q.reshape(1, nc) if nr == 1 else p.reshape(nr, 1)
-            value = float(np.sum(gamma * cost))
-            if value <= target:
-                return value, gamma, None
-            return value, gamma, np.zeros(1) if nr == 1 else cost[:, 0] - cost[0, 0]
+            u = np.zeros(1) if nr == 1 else cost[:, 0] - cost[0, 0]
+            return float(np.sum(gamma * cost)), gamma, u
         status, gamma, u, _, _ = _kernels.transport_loop(
             cost,
             np.ascontiguousarray(p),
             np.ascontiguousarray(q),
             1e-11 * cmax,
             200 * (nr + nc) + 2000,
-            target,
         )
-        if status in (_kernels.STATUS_OPTIMAL, _kernels.STATUS_TARGET):
+        if status == _kernels.STATUS_OPTIMAL:
             return float(np.sum(gamma * cost)), gamma, u
         # degenerate pivoting stalled; the generic route is Bland-guarded
 
@@ -228,18 +214,17 @@ def _potential_from_row_duals(u: np.ndarray, metric: Metric) -> np.ndarray:
 
 
 class _SignedPlan(NamedTuple):
-    """Optimal plan of a zero-sum vector on its two supports."""
+    """Optimal plan of a zero-sum vector on its two supports, with the row
+    duals whose c-transform certifies its value."""
 
     value: float
     rows: np.ndarray  # supp(v+), 0-based
     cols: np.ndarray  # supp(v-), 0-based
     gamma: np.ndarray  # (rows.size, cols.size) plan
-    u: np.ndarray | None  # row duals; None for a plan stopped at its target
+    u: np.ndarray  # row duals
 
 
-def _signed_ot(
-    v: np.ndarray, cost, method: str = "transport", target: float = -np.inf
-) -> _SignedPlan:
+def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
     """Optimal transport of a zero-sum vector's positive part onto its negative part.
 
     Only the supports are solved: ``cost(rows, cols)`` returns the cost block
@@ -250,11 +235,6 @@ def _signed_ot(
     feasible dual (the c-transform of the row duals); a value or primal/dual
     gap that is not finite, a gap above ``SIGNED_GAP_REL * max|cost| * mass``
     or an infeasible plan raises :class:`NumericalFailure`.
-
-    With a finite ``target`` the solve may stop at the first plan of cost
-    ``<= target`` (:func:`_ot`).  That plan passes the same margin check,
-    since a bound read from it rests on its feasibility, but it is no
-    optimum: its ``u`` is ``None`` and it has no dual gap to check.
     """
     rows = np.flatnonzero(v > 0)
     cols = np.flatnonzero(v < 0)
@@ -268,8 +248,8 @@ def _signed_ot(
     neg = neg * (mass / float(neg.sum()))
     c = np.ascontiguousarray(cost(rows, cols), dtype=float)
     cmax = float(np.abs(c).max())
-    value, gamma, u = _ot(pos, neg, c, cmax, method, target)
-    if not math.isfinite(value):  # an overflow; such a plan settles nothing either
+    value, gamma, u = _ot(pos, neg, c, cmax, method)
+    if not math.isfinite(value):  # an overflow
         raise NumericalFailure(f"signed transport plan has cost {value!r} on mass {mass:.3g}")
     slack = MARGINAL_TOL * mass
     if not (
@@ -278,8 +258,6 @@ def _signed_ot(
         and np.abs(gamma.sum(axis=0) - neg).max() <= slack
     ):
         raise NumericalFailure(f"signed transport plan misses its margins on mass {mass:.3g}")
-    if u is None:
-        return _SignedPlan(value, rows, cols, gamma, None)
     dual = float(pos @ u + neg @ np.min(c - u[:, None], axis=0))
     gap = value - dual
     if not (abs(gap) <= SIGNED_GAP_REL * cmax * mass and math.isfinite(gap)):
@@ -374,8 +352,7 @@ def _signed_classes(count: int, width: int, support, cost, extra: np.ndarray | N
     order, of the cost block on ``supp(v+) x supp(v-)`` (zero elsewhere) and
     of its ``extra``.  :func:`_signed_ot` reads ``v+`` and ``v-`` in column
     order and solves that block, so problems with equal keys pose
-    bit-identical kernel inputs (and equal targets, when a target is a
-    function of ``extra``).  Keys are built in blocks of problems, in two
+    bit-identical kernel inputs.  Keys are built in blocks of problems, in two
     passes.  The first hashes the multiset of ``v``'s nonzero entries and
     ``extra`` (the wrapping sum of their bit patterns, so slot order does
     not matter), which equal keys share.  Only problems whose hash repeats

@@ -530,8 +530,8 @@ def test_exact_curve_pivots_on_box_grids(monkeypatch) -> None:
     pivots = []
     real = _kernels.transport_loop
 
-    def counted(cost, p, q, tol, max_iter, target):
-        out = real(cost, p, q, tol, max_iter, target)
+    def counted(cost, p, q, tol, max_iter):
+        out = real(cost, p, q, tol, max_iter)
         pivots.append(out[4])
         return out
 
@@ -540,6 +540,38 @@ def test_exact_curve_pivots_on_box_grids(monkeypatch) -> None:
         exact_error_curve(*case)
     assert len(pivots) == 4
     assert sum(pivots) <= 60
+
+
+def test_kappa_min_pivots_on_box_grids(monkeypatch) -> None:
+    """kappa_min on the 8x8 and 9x9 box walks solves every visited class to
+    optimality in 640 kernel pivots in all, and each plan carries the row
+    duals that certify its value."""
+    pivots = []
+    plans = []
+    real_loop = _kernels.transport_loop
+    real_plan = curvature_mod._pair_plan
+
+    def counted(cost, p, q, tol, max_iter):
+        out = real_loop(cost, p, q, tol, max_iter)
+        pivots.append(out[4])
+        return out
+
+    def recording(gen, metric, i, j):
+        plan = real_plan(gen, metric, i, j)
+        plans.append(plan)
+        return plan
+
+    monkeypatch.setattr(_kernels, "transport_loop", counted)
+    monkeypatch.setattr(curvature_mod, "_pair_plan", recording)
+    solved = 0
+    for _, gen, metric, _, _ in _box_grid_curves():
+        _, strategy = kappa_min(gen, metric)
+        solved += len(strategy.pairs_solved)
+    assert len(plans) == solved
+    assert sum(pivots) <= 700
+    for plan in plans:
+        assert plan.u is not None and plan.u.shape == plan.rows.shape
+        assert np.isfinite(plan.u).all()
 
 
 def test_exact_curve_builds_no_coupling_or_potential(toy, monkeypatch) -> None:

@@ -27,7 +27,7 @@ from wdbounds.errors import DimensionMismatch, NumericalFailure, SamePair, Singl
 from wdbounds.markov import Generator, ProbVec, TransitionMatrix, uniformize
 from wdbounds.metric import discrete_metric, irreducible_pairs, line_metric, validate_metric
 from wdbounds.models import Box, JumpDistribution, random_instance, translation_invariant_ctmc
-from wdbounds.transport import wasserstein
+from wdbounds.transport import _row_supports, wasserstein
 
 from .oracles import (
     DERIVATIVE_PIN_SLACK,
@@ -284,14 +284,18 @@ def test_kappa_min_solves_few_pairs_on_a_line():
         assert strategy.kappa_solved == (val,)
         neighbours = np.arange(23)
         _, classes = curvature_mod._pair_classes(
-            gen.q, metric.dist, neighbours, neighbours + 1, curvature_mod._closed_cost
+            gen.q,
+            _row_supports(gen.q),
+            metric.dist,
+            neighbours,
+            neighbours + 1,
+            curvature_mod._closed_cost,
         )
         assert classes.size == 5
         kmat = k_matrix(gen, metric)
         visited = [(r, r + 1) for r in range(1, 24) if kmat[r - 1, r] < val]
         assert len(visited) == below_tau
         assert strategy.pairs_cut == cut
-        assert strategy.pairs_settled == 0
         assert strategy.pairs_skipped == below_tau - 1 - cut
         for pair in visited:
             if pair != first:
@@ -302,11 +306,11 @@ def test_kappa_min_solves_few_pairs_on_a_line():
 def test_kappa_min_on_line_walks_solves_few_pairs_at_every_rate(root):
     """The 24-state line walk poses 5 distinct local problems among its 23
     neighbouring pairs, so at most 5 are solved exactly at every rate.
-    Every neighbouring pair has ``kappa = 0``, so whether a plan reaches the
-    target ``-tau d(r,s)`` is decided by rounding; skipping a visited class
-    does not depend on it.  The minimum is, bit for bit, the least ``kappa``
-    of :func:`kappa_all_pairs` on the irreducible pairs (a reducible pair's
-    computed ``kappa`` may round a few ulps lower)."""
+    Every neighbouring pair has ``kappa = 0`` up to rounding; skipping a
+    visited class does not depend on that rounding.  The minimum is, bit
+    for bit, the least ``kappa`` of :func:`kappa_all_pairs` on the
+    irreducible pairs (a reducible pair's computed ``kappa`` may round a few
+    ulps lower)."""
     line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
     for step in range(11):
         rate = 1.0 + 0.025 * step
@@ -391,7 +395,9 @@ def test_pairs_with_equal_keys_have_bit_identical_kappa(kind, seed):
             curvature_mod._kappa_dtmc_pairs(pmat, metric, ii + 1, jj + 1),
         ),
     ):
-        cls, first = curvature_mod._pair_classes(mat, metric.dist, ii, jj, cost)
+        cls, first = curvature_mod._pair_classes(
+            mat, _row_supports(mat), metric.dist, ii, jj, cost
+        )
         np.testing.assert_array_equal(_bits(by_class), _bits(per_pair))
         np.testing.assert_array_equal(_bits(per_pair), _bits(np.array(per_pair)[first][cls]))
         np.testing.assert_array_equal(first, np.unique(cls, return_index=True)[1])
@@ -425,7 +431,7 @@ def test_shared_jump_bound_lies_between_k_and_kappa(kind, n, seed, density, j):
     else:
         gen, metric, _ = random_instance(n, seed, metric_kind=kind, density=density)
     iu = np.triu_indices(n, k=1)
-    lower = curvature_mod._shared_jump_bounds(gen.q, metric.dist, *iu)
+    lower = curvature_mod._shared_jump_bounds(gen.q, _row_supports(gen.q), metric.dist, *iu)
     kappa = kappa_all_pairs(gen, metric)
     for r, s, low in zip(*iu, lower):
         k_exact, kpp_exact, residue = curvature_bounds_exact(gen.q, metric.dist, r, s)
@@ -439,7 +445,9 @@ def test_shared_jump_bound_lies_between_k_and_kappa(kind, n, seed, density, j):
         (Generator(gen.q * c), metric, c),
         (gen, validate_metric(metric.dist * c), 1.0),
     ):
-        scaled = curvature_mod._shared_jump_bounds(scaled_gen.q, scaled_metric.dist, *iu)
+        scaled = curvature_mod._shared_jump_bounds(
+            scaled_gen.q, _row_supports(scaled_gen.q), scaled_metric.dist, *iu
+        )
         np.testing.assert_array_equal(scaled, lower * factor)
 
 
@@ -453,7 +461,7 @@ def test_shared_jump_bound_that_is_not_finite_cuts_nothing():
     gen = Generator(q)
     iu = np.triu_indices(3, k=1)
     with np.errstate(all="raise"):  # the bound computes under its own errstate
-        lower = curvature_mod._shared_jump_bounds(gen.q, metric.dist, *iu)
+        lower = curvature_mod._shared_jump_bounds(gen.q, _row_supports(gen.q), metric.dist, *iu)
     assert (lower == -np.inf).all()
     with pytest.raises(NumericalFailure), np.errstate(over="ignore", invalid="ignore"):
         curvature_mod._kappa_min(gen, metric, np.zeros((3, 3)))
@@ -467,9 +475,9 @@ def test_shared_jump_bound_that_is_not_finite_cuts_nothing():
 )
 @settings(max_examples=60, deadline=None)
 def test_kappa_min_work_is_scale_free(kind, n, seed, j):
-    """Scaling the rates or the metric by ``2^j`` solves, cuts, skips and
-    settles the same pairs and scales kappa_min by ``2^j`` or 1, exactly: no
-    cut at tau has a unit, and scaling keeps equal problems equal."""
+    """Scaling the rates or the metric by ``2^j`` solves, cuts and skips the
+    same pairs and scales kappa_min by ``2^j`` or 1, exactly: no cut at tau
+    has a unit, and scaling keeps equal problems equal."""
     if kind == "rooted_line":
         gen, metric = _rooted_line(n, seed)
     else:
@@ -482,7 +490,6 @@ def test_kappa_min_work_is_scale_free(kind, n, seed, j):
     ):
         assert scaled_strategy.pairs_solved == strategy.pairs_solved
         assert scaled_strategy.pairs_cut == strategy.pairs_cut
-        assert scaled_strategy.pairs_settled == strategy.pairs_settled
         assert scaled_strategy.pairs_skipped == strategy.pairs_skipped
         assert scaled == val * factor
 
@@ -494,27 +501,14 @@ def test_kappa_min_work_is_scale_free(kind, n, seed, j):
     st.sampled_from([-30, 0, 30]),
 )
 @settings(max_examples=60, deadline=None)
-def test_kappa_min_settles_pairs_by_valid_plan_bounds(kind, n, seed, j):
-    """Every plan that settles a pair bounds its kappa from below.
-
-    On the chain with its rates or its metric scaled by ``2^j``, each pair
-    that ``kappa_min`` settles has ``-cost/d(r,s) <= kappa(r,s)``, up to the
-    rounding of the two costs; kappa_min equals the minimum over all pairs
-    within ``1e-12`` relative, and the same pairs are solved and settled
-    at every scale.
-    """
+def test_kappa_min_is_the_least_kappa_at_every_scale(kind, n, seed, j):
+    """On the chain with its rates or its metric scaled by ``2^j``, kappa_min
+    equals the minimum over all pairs within ``1e-12`` relative, and the
+    same pairs are solved at every scale."""
     if kind == "rooted_line":
         gen, metric = _rooted_line(n, seed)
     else:
         gen, metric, _ = random_instance(n, seed, metric_kind=kind, density=0.7)
-    plans = []
-    pair_plan = curvature_mod._pair_plan
-
-    def recording(gen, metric, a, b, target):
-        plan = pair_plan(gen, metric, a, b, target)
-        plans.append((a, b, plan))
-        return plan
-
     c = 2.0**j
     runs = []
     for scaled_gen, scaled_metric in (
@@ -522,22 +516,10 @@ def test_kappa_min_settles_pairs_by_valid_plan_bounds(kind, n, seed, j):
         (Generator(gen.q * c), metric),
         (gen, validate_metric(metric.dist * c)),
     ):
-        plans.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(curvature_mod, "_pair_plan", recording)
-            val, strategy = kappa_min(scaled_gen, scaled_metric)
+        val, strategy = kappa_min(scaled_gen, scaled_metric)
         full = kappa_all_pairs(scaled_gen, scaled_metric)
         assert abs(val - np.nanmin(full)) <= 1e-12 * (1.0 + abs(np.nanmin(full)))
-        stopped = [(a, b, plan) for a, b, plan in plans if plan.u is None]
-        assert len(stopped) == strategy.pairs_settled
-        for a, b, plan in stopped:
-            dab = scaled_metric.dist[a, b]
-            mass = float(np.abs(scaled_gen.q[a] - scaled_gen.q[b]).sum())
-            slack = 1e-12 * mass * scaled_metric.d_max / dab
-            assert -plan.value / dab <= full[a, b] + slack, (a, b)
-            # a settled pair cannot lower the minimum (up to the rounding of two solves)
-            assert full[a, b] >= val - 1e-12 * (1.0 + abs(val))
-        runs.append(([(a, b) for a, b, _ in stopped], strategy.pairs_solved))
+        runs.append(strategy.pairs_solved)
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
 
@@ -649,18 +631,17 @@ def test_curvature_report_min_solves_each_pair_once(monkeypatch):
     calls = []
     pair_plan = curvature_mod._pair_plan
 
-    def counting(gen, metric, i, j, target):
+    def counting(gen, metric, i, j):
         calls.append((i + 1, j + 1))
-        return pair_plan(gen, metric, i, j, target)
+        return pair_plan(gen, metric, i, j)
 
     monkeypatch.setattr(curvature_mod, "_pair_plan", counting)
     rep = curvature_report(gen, metric, pairs="min")
     monkeypatch.undo()
     solved = rep.strategy.pairs_solved
     assert len(solved) > 1
-    # one local problem per visited pair, solved or settled
-    assert len(calls) == len(set(calls)) == len(solved) + rep.strategy.pairs_settled
-    assert set(solved) <= set(calls)
+    # one exact solve per visited pair, in the order visited
+    assert calls == list(solved)
     by_pair = {(r, s): kap for r, s, kap in zip(rep.r, rep.s, rep.kappa)}
     for (r, s), kap in zip(solved, rep.strategy.kappa_solved):
         assert by_pair[(r, s)] == kap
@@ -694,9 +675,9 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
     the running minimum tau: a pair with ``k >= tau`` is cut, a pair whose
     class of identical local problems was visited before is skipped, a class
     whose members' largest ``k`` or shared-jump bound ``k'' - margin`` is
-    ``>= tau`` is cut too, every other one is solved exactly or settled by
-    a plan, and a cut, skipped or settled pair has ``kappa >= tau``, so it
-    could not have lowered the minimum."""
+    ``>= tau`` is cut too, every other one is solved exactly, and a cut or
+    skipped pair has ``kappa >= tau``, so it could not have lowered the
+    minimum."""
     instances = []
     for seed in range(6):
         kind = ("line", "graph", "discrete")[seed % 3]
@@ -707,7 +688,7 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
     # a translation-invariant walk: its pairs repeat a few local problems
     line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
     instances.append(translation_invariant_ctmc(Box((0,), (11,)), 1.05, line))
-    settled_anywhere = cut_anywhere = skipped_anywhere = 0
+    cut_anywhere = skipped_anywhere = 0
     for gen, metric in instances:
         n = gen.n
         _, strategy = kappa_min(gen, metric)
@@ -719,10 +700,11 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
         assert strategy.pairs_irreducible == len(reduced)
         k_of = {(r, s): min(kmat[r - 1, s - 1], kmat[s - 1, r - 1]) for r, s in pairs}
         iu = np.triu_indices(n, k=1)
-        lower = curvature_mod._shared_jump_bounds(gen.q, metric.dist, *iu)
+        supports = _row_supports(gen.q)
+        lower = curvature_mod._shared_jump_bounds(gen.q, supports, metric.dist, *iu)
         low_of = dict(zip(pairs, lower.tolist()))
         cls, _ = curvature_mod._pair_classes(
-            gen.q, metric.dist, *iu, curvature_mod._closed_cost
+            gen.q, supports, metric.dist, *iu, curvature_mod._closed_cost
         )
         class_of = dict(zip(pairs, cls.tolist()))
         floor: dict[int, float] = {}
@@ -732,7 +714,7 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
         solved = iter(zip(strategy.pairs_solved, strategy.kappa_solved))
         next_solved = next(solved)
         tau = np.inf
-        settled = cut = skipped = 0
+        cut = skipped = 0
         visited: set[int] = set()
         for pair in sorted(reduced, key=lambda pair: k_of[pair]):
             if k_of[pair] >= tau:
@@ -746,22 +728,16 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
             if floor[class_of[pair]] >= tau:
                 assert kap >= tau
                 cut += 1
-            elif next_solved is not None and pair == next_solved[0]:
+            else:
+                assert next_solved is not None and pair == next_solved[0]
                 assert next_solved[1] == kap
                 tau = min(tau, kap)
                 next_solved = next(solved, None)
-            else:
-                assert tau < np.inf  # the first pair visited is solved
-                assert kap >= tau
-                settled += 1
         assert next_solved is None  # every solved pair was visited, in this order
-        assert strategy.pairs_settled == settled
         assert strategy.pairs_cut == cut
         assert strategy.pairs_skipped == skipped
-        settled_anywhere += settled
         cut_anywhere += cut
         skipped_anywhere += skipped
-    assert settled_anywhere > 0
     assert cut_anywhere > 0
     assert skipped_anywhere > 0
 

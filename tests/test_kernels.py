@@ -454,51 +454,6 @@ def test_transport_loop_matches_the_one_walk_loop_bit_for_bit(block, limit):
     _check_bit_identical(got, _one_walk_transport_loop(cost, p, q, tol, max_iter))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_blocks(side=10), st.data())
-def test_transport_loop_stops_at_the_first_plan_within_the_target(block, data):
-    """A finite target stops the loop at the first plan of cost ``<= target``.
-
-    The frozen one-walk loop stopped after ``t`` pivots gives the plans the
-    kernel passes through.  A target strictly between two successive costs
-    stops the kernel at the later plan, bit for bit, with
-    ``STATUS_TARGET`` and no potentials; a target at the optimum's cost
-    stops it no later than the optimum; one below it, or the default, leaves
-    every output of the one-walk loop as it is.
-    """
-    cost, p, q = block
-    n, m = cost.shape
-    tol = 1e-11 * float(np.abs(cost).max())
-    max_iter = 200 * (n + m) + 2000
-    final = _one_walk_transport_loop(cost, p, q, tol, max_iter)
-    assert final[0] == _kernels.STATUS_OPTIMAL
-    pivots = final[4]
-    plans = [_one_walk_transport_loop(cost, p, q, tol, t)[1] for t in range(pivots)] + [final[1]]
-    costs = [float(np.sum(g * cost)) for g in plans]
-    scale = float(np.abs(cost).max()) * float(p.sum())
-
-    _check_bit_identical(_kernels.transport_loop(cost, p, q, tol, max_iter, -np.inf), final)
-    below = costs[-1] - 1e-6 * scale - 1.0
-    _check_bit_identical(_kernels.transport_loop(cost, p, q, tol, max_iter, below), final)
-    status, gamma, u, v, it = _kernels.transport_loop(cost, p, q, tol, max_iter, costs[-1])
-    assert it <= pivots
-    if status == _kernels.STATUS_TARGET:
-        assert u is None and v is None
-        assert float(np.sum(gamma * cost)) <= costs[-1] + 1e-12 * scale
-
-    # the first plan that a target between two distinct successive costs admits
-    gaps = [t for t in range(1, pivots + 1) if costs[t - 1] - costs[t] > 1e-9 * scale]
-    starts = [0] + gaps
-    t = data.draw(st.sampled_from(starts))
-    upper = costs[t - 1] if t > 0 else costs[0] + 1.0 + scale
-    target = 0.5 * (costs[t] + upper)
-    status, gamma, u, v, it = _kernels.transport_loop(cost, p, q, tol, max_iter, target)
-    assert status == _kernels.STATUS_TARGET
-    assert it == t
-    assert u is None and v is None
-    assert np.array_equal(gamma, plans[t])
-
-
 def test_transport_loop_stops_on_a_start_with_a_cycle(monkeypatch):
     """A start that is not a spanning tree ends at the limit, not in an endless walk.
 

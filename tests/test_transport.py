@@ -337,9 +337,9 @@ def _record_kernel_shapes(monkeypatch) -> list:
     shapes = []
     real = transport._kernels.transport_loop
 
-    def recording(cost, p, q, tol, max_iter, target):
+    def recording(cost, p, q, tol, max_iter):
         shapes.append(cost.shape)
-        return real(cost, p, q, tol, max_iter, target)
+        return real(cost, p, q, tol, max_iter)
 
     monkeypatch.setattr(transport._kernels, "transport_loop", recording)
     return shapes
@@ -398,13 +398,13 @@ def test_stalled_kernel_falls_back_to_the_lp(monkeypatch):
     solves = []
     pivots = []
 
-    def counting_pivots(cost, p, q, tol, max_iter, target):
-        out = real_loop(cost, p, q, tol, max_iter, target)
+    def counting_pivots(cost, p, q, tol, max_iter):
+        out = real_loop(cost, p, q, tol, max_iter)
         pivots.append(out[4])
         return out
 
-    def no_pivots(cost, p, q, tol, max_iter, target):
-        return real_loop(cost, p, q, tol, 0, target)
+    def no_pivots(cost, p, q, tol, max_iter):
+        return real_loop(cost, p, q, tol, 0)
 
     def counting(lp, *args, **kwargs):
         solves.append(lp)
@@ -482,8 +482,8 @@ def test_plan_missing_a_margin_raises(monkeypatch):
     real = transport._kernels.transport_loop
     calls = []
 
-    def short(cost, p, q, tol, max_iter, target):
-        status, gamma, u, v, it = real(cost, p, q, tol, max_iter, target)
+    def short(cost, p, q, tol, max_iter):
+        status, gamma, u, v, it = real(cost, p, q, tol, max_iter)
         calls.append(cost.shape)
         gamma[0] *= 0.5
         return status, gamma, u, v, it
