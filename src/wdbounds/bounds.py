@@ -373,7 +373,8 @@ def compute_bound_curve(
     """Evaluate the requested bound variants on a grid.
 
     Variant names: ``linear``, ``timevarying``, ``exp-k``, ``exp-kappa``,
-    ``local``, ``hybrid``, ``hybrid-kappa``.
+    ``local``, ``hybrid``, ``hybrid-kappa``; each at most once, and at least
+    one, else ``ValueError``.
     """
     if agg.theta is None:
         raise ValueError("aggregation carries no CTMC generator")
@@ -382,6 +383,8 @@ def compute_bound_curve(
     bad = set(variants) - known
     if bad:
         raise ValueError(f"unknown bound variants: {sorted(bad)}")
+    if not variants or len(set(variants)) < len(variants):
+        raise ValueError(f"expected one or more distinct bound variants, got {list(variants)}")
     need_kappa = bool({"exp-kappa", "hybrid-kappa"} & set(variants))
     inputs = prepare_bound_inputs(gen, metric, agg, p0, with_kappa=need_kappa)
     integrals = (

@@ -47,13 +47,12 @@ from .aggregation import (
     partition_aggregation_ctmc,
     partition_aggregation_dtmc,
 )
-from .curvature import _kappa_dtmc_pairs, curvature_report
-from .errors import NumericalFailure, SingleState, WdboundsError
+from .curvature import curvature_report
+from .errors import NumericalFailure, WdboundsError
 from .markov import Generator, ProbVec, TransitionMatrix, dirac
 from .metric import (
     Metric,
     discrete_metric,
-    irreducible_pairs,
     line_metric,
     product_metric,
     shortest_path_metric,
@@ -459,7 +458,7 @@ def _metadata_line(args, sub: str, keys: list[str]) -> str:
 
 
 def _emit_csv(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _resolve_aggregation(model: Model, partition: Partition | None) -> Aggregation:
@@ -542,36 +541,25 @@ def _write_pair_rows(
 def _cmd_curvature(args) -> int:
     model = _resolve_model(args)
     _require(model.metric is not None, "curvature needs a model with a metric")
+    chain = model.gen if model.gen is not None else model.pmat
+    _require(chain is not None, "curvature needs a generator or a dtmc matrix")
     if args.pairs in ("all", "min"):
         pairs: str | tuple[int, int] = args.pairs
     else:
-        r, s = (int(v) for v in args.pairs.split(","))
+        try:
+            r, s = (int(v) for v in args.pairs.split(","))
+        except ValueError:
+            raise ValueError(f"--pairs must be 'all', 'min' or 'r,s', got {args.pairs!r}") from None
         pairs = (r, s)
-
-    if model.gen is not None:
-        report = curvature_report(model.gen, model.metric, pairs=pairs, k_only=args.k_only)
-        r, s, k, kappa = report.r, report.s, report.k, report.kappa
-        tail = [f"k_min,,,{_fmt(report.k_min)},", f"K_global,,,{_fmt(report.K_global)},"]
-        if report.kappa_min is not None:
-            tail.append(f"kappa_min,,,,{_fmt(report.kappa_min)}")
-    else:
-        _require(model.pmat is not None, "curvature needs a generator or a dtmc matrix")
-        _require(not args.k_only, "--k-only applies only to generator (CTMC) models")
-        if model.n < 2:
-            raise SingleState()
-        if isinstance(pairs, tuple):
-            r, s = (np.array([v]) for v in sorted(pairs))
-        else:
-            r, s = (idx + 1 for idx in np.triu_indices(model.n, k=1))
-        # the minimum over all pairs is reached on the irreducible ones
-        solve = irreducible_pairs(model.metric) if pairs == "min" else np.ones(r.size, dtype=bool)
-        k = None
-        kappa = np.full(r.size, np.nan)
-        kappa[solve] = _kappa_dtmc_pairs(model.pmat, model.metric, r[solve], s[solve])
-        tail = [f"kappa_min,,,,{_fmt(np.nanmin(kappa))}"]
+    report = curvature_report(chain, model.metric, pairs=pairs, k_only=args.k_only)
     meta = _metadata_line(args, "curvature", ["pairs", "k_only"])
     _emit_csv([meta, "name,r,s,k,kappa"])
-    _write_pair_rows(r, s, k, None if args.k_only else kappa)
+    _write_pair_rows(report.r, report.s, report.k, None if args.k_only else report.kappa)
+    tail = []
+    if report.k_min is not None:  # a CTMC: k_min and K_global come together
+        tail += [f"k_min,,,{_fmt(report.k_min)},", f"K_global,,,{_fmt(report.K_global)},"]
+    if report.kappa_min is not None:
+        tail.append(f"kappa_min,,,,{_fmt(report.kappa_min)}")
     _emit_csv(tail)
     return 0
 

@@ -55,8 +55,8 @@ Translation-invariant walks, the chains for which the paper proves
 ``kappa >= 0``, pose a few classes many times over.  :func:`kappa_min`
 therefore skips a pair whose class it has visited and cuts a class when
 the largest ``k`` or ``k'' - margin`` among its members is ``>= tau``;
-:func:`kappa_all_pairs` and the DTMC curvatures of the CLI solve one pair
-per class.
+:func:`kappa_all_pairs` and :func:`curvature_report` solve one pair per
+class, for a CTMC under ``c'`` and for a DTMC under ``d``.
 """
 
 from __future__ import annotations
@@ -68,13 +68,7 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalFailure, SamePair, SingleState
 from .markov import Generator, TransitionMatrix
 from .metric import _CHUNK, Metric, irreducible_pairs
-from .transport import (
-    _row_supports,
-    _signed_classes,
-    _SignedPlan,
-    _signed_ot,
-    wasserstein_signed,
-)
+from .transport import _row_supports, _signed_classes, _SignedPlan, _signed_ot
 
 __all__ = [
     "kappa_ctmc",
@@ -102,7 +96,7 @@ def kappa_ctmc(gen: Generator, metric: Metric, r: int, s: int) -> float:
     if gen.n != metric.n:
         raise DimensionMismatch(f"generator on {gen.n} states, metric on {metric.n}")
     _check_pair(gen.n, r, s)
-    return -_pair_plan(gen, metric, r - 1, s - 1).value / metric.d(r, s)
+    return _pair_kappa(gen, metric, r - 1, s - 1)
 
 
 def _closed_cost(d: np.ndarray, i, j, a, b) -> np.ndarray:
@@ -112,14 +106,29 @@ def _closed_cost(d: np.ndarray, i, j, a, b) -> np.ndarray:
     return np.minimum(d[a, b], d[a, j] - d[i, j] + d[i, b])
 
 
-def _pair_plan(gen: Generator, metric: Metric, i: int, j: int) -> _SignedPlan:
+def _local_form(chain: Generator | TransitionMatrix):
+    """The matrix whose row differences the pairs of ``chain`` transport, and
+    the cost they are transported under, in the form of :func:`_closed_cost`:
+    ``(Q, c')`` of a CTMC, ``(P, d)`` of a DTMC."""
+    if isinstance(chain, Generator):
+        return chain.q, _closed_cost
+    return chain.p, lambda d, i, j, a, b: d[a, b]
+
+
+def _pair_plan(chain: Generator | TransitionMatrix, metric: Metric, i: int, j: int) -> _SignedPlan:
     """The local transport problem of the 0-based pair ``(i, j)``, solved by
     :func:`wdbounds.transport._signed_ot`."""
+    mat, cost = _local_form(chain)
     d = metric.dist
     return _signed_ot(
-        gen.q[i] - gen.q[j],
-        lambda rows, cols: _closed_cost(d, i, j, rows[:, None], cols[None, :]),
+        mat[i] - mat[j], lambda rows, cols: cost(d, i, j, rows[:, None], cols[None, :])
     )
+
+
+def _pair_kappa(chain: Generator | TransitionMatrix, metric: Metric, i: int, j: int) -> float:
+    """Curvature of the 0-based pair ``(i, j)``: ``-V/d`` of a CTMC, ``1 - V/d`` of a DTMC."""
+    ratio = _pair_plan(chain, metric, i, j).value / float(metric.dist[i, j])
+    return -ratio if isinstance(chain, Generator) else 1.0 - ratio
 
 
 def _pair_classes(
@@ -159,26 +168,18 @@ def kappa_dtmc(pmat: TransitionMatrix, metric: Metric, r: int, s: int) -> float:
     if pmat.n != metric.n:
         raise DimensionMismatch(f"transition matrix on {pmat.n} states, metric on {metric.n}")
     _check_pair(pmat.n, r, s)
-    return 1.0 - wasserstein_signed(pmat.row(r) - pmat.row(s), metric) / metric.d(r, s)
+    return _pair_kappa(pmat, metric, r - 1, s - 1)
 
 
-def _kappa_dtmc_pairs(
-    pmat: TransitionMatrix, metric: Metric, r: np.ndarray, s: np.ndarray
+def _class_kappas(
+    chain: Generator | TransitionMatrix, metric: Metric, ii: np.ndarray, jj: np.ndarray
 ) -> np.ndarray:
-    """:func:`kappa_dtmc` of the 1-based pairs ``(r, s)``, one solve per class
-    of pairs whose ``(P_r - P_s)+-``, ``d`` block and ``d(r, s)`` are the
-    same bits (:func:`_pair_classes`), so it equals the per-pair values."""
-    if pmat.n != metric.n:
-        raise DimensionMismatch(f"transition matrix on {pmat.n} states, metric on {metric.n}")
-    bad = (np.minimum(r, s) < 1) | (np.maximum(r, s) > pmat.n) | (r == s)
-    if bad.any():
-        at = int(np.argmax(bad))
-        _check_pair(pmat.n, int(r[at]), int(s[at]))
-    d = metric.dist
-    cls, first = _pair_classes(
-        pmat.p, _row_supports(pmat.p), d, r - 1, s - 1, lambda d, i, j, a, b: d[a, b]
-    )
-    values = [kappa_dtmc(pmat, metric, int(r[p]), int(s[p])) for p in first.tolist()]
+    """:func:`_pair_kappa` of the 0-based pairs ``(ii, jj)``, one solve per
+    class of identical local problems (:func:`_pair_classes`), so it equals
+    the per-pair values bit for bit."""
+    mat, cost = _local_form(chain)
+    cls, first = _pair_classes(mat, _row_supports(mat), metric.dist, ii, jj, cost)
+    values = [_pair_kappa(chain, metric, int(ii[p]), int(jj[p])) for p in first.tolist()]
     return np.array(values, dtype=float)[cls]
 
 
@@ -371,7 +372,7 @@ def _kappa_min(
             cut += 1
             continue
         i, j = int(ii[at]), int(jj[at])
-        kap = -_pair_plan(gen, metric, i, j).value / float(d[i, j])
+        kap = _pair_kappa(gen, metric, i, j)
         solved.append((i + 1, j + 1))
         values.append(kap)
         tau = min(tau, kap)
@@ -386,14 +387,6 @@ def _kappa_min(
     return tau, strategy
 
 
-def _kappa_pairs(gen: Generator, metric: Metric, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """:func:`kappa_ctmc` of the 0-based pairs ``(ii, jj)``, one solve per
-    class of identical local problems (:func:`_pair_classes`)."""
-    cls, first = _pair_classes(gen.q, _row_supports(gen.q), metric.dist, ii, jj, _closed_cost)
-    values = [kappa_ctmc(gen, metric, int(ii[p]) + 1, int(jj[p]) + 1) for p in first.tolist()]
-    return np.array(values, dtype=float)[cls]
-
-
 def kappa_all_pairs(gen: Generator, metric: Metric) -> np.ndarray:
     """Exact curvature for every pair (``nan`` diagonal), one solve per class
     of pairs with identical local problems."""
@@ -404,7 +397,7 @@ def kappa_all_pairs(gen: Generator, metric: Metric) -> np.ndarray:
         raise DimensionMismatch(f"generator on {n} states, metric on {metric.n}")
     ii, jj = np.triu_indices(n, k=1)
     out = np.full((n, n), np.nan)
-    out[ii, jj] = out[jj, ii] = _kappa_pairs(gen, metric, ii, jj)
+    out[ii, jj] = out[jj, ii] = _class_kappas(gen, metric, ii, jj)
     return out
 
 
@@ -414,35 +407,44 @@ class CurvatureReport:
 
     Pair ``i`` is ``(r[i], s[i])``, 1-based with ``r < s``, in row-major
     order; ``k[i]`` is its lower bound ``k(r,s)`` and ``kappa[i]`` its exact
-    curvature, ``nan`` where that was not solved.
+    curvature, ``nan`` where that was not solved.  A DTMC has no ``k``:
+    its ``k``, ``k_min``, ``K_global`` and ``strategy`` are ``None``.
     """
 
     r: np.ndarray
     s: np.ndarray
-    k: np.ndarray
+    k: np.ndarray | None
     kappa: np.ndarray
-    k_min: float
-    K_global: float
+    k_min: float | None
+    K_global: float | None
     kappa_min: float | None
     strategy: KappaMinStrategy | None
 
 
 def curvature_report(
-    gen: Generator,
+    chain: Generator | TransitionMatrix,
     metric: Metric,
     pairs: str | tuple[int, int] = "min",
     k_only: bool = False,
 ) -> CurvatureReport:
     """Assemble pairwise and summary curvature data (used by the CLI).
 
+    ``chain`` is a CTMC :class:`Generator` or a DTMC :class:`TransitionMatrix`.
     ``pairs`` is ``"all"`` (exact kappa everywhere), ``"min"`` (exact kappa
-    only on the pairs :func:`kappa_min` solves exactly) or a single 1-based
-    pair.  Every ``k`` value and constant comes from one :func:`k_matrix`.
+    only where the minimum needs it: the pairs :func:`kappa_min` solves, or
+    every irreducible pair of a DTMC) or a single 1-based pair, which gets no
+    ``kappa_min``.  A CTMC's ``k`` values and constants come from one
+    :func:`k_matrix`; a DTMC has none, and ``k_only`` raises ``ValueError``.
     """
-    if gen.n < 2:
+    n = chain.n
+    if n < 2:
         raise SingleState()
-    n = gen.n
-    kmat = k_matrix(gen, metric)
+    if n != metric.n:
+        raise DimensionMismatch(f"chain on {n} states, metric on {metric.n}")
+    ctmc = isinstance(chain, Generator)
+    if k_only and not ctmc:
+        raise ValueError("k-only needs a generator: a DTMC has no k bound")
+    kmat = k_matrix(chain, metric) if ctmc else None
     kap_min: float | None = None
     strategy: KappaMinStrategy | None = None
     if isinstance(pairs, tuple):
@@ -455,21 +457,25 @@ def curvature_report(
     kappa = np.full(r.size, np.nan)  # exact curvature where solved
     if not k_only:
         if isinstance(pairs, tuple):
-            kappa[0] = kappa_ctmc(gen, metric, int(r[0]), int(s[0]))
+            kappa[0] = _pair_kappa(chain, metric, int(r[0]) - 1, int(s[0]) - 1)
         elif pairs == "all":
-            kappa = _kappa_pairs(gen, metric, r - 1, s - 1)
+            kappa = _class_kappas(chain, metric, r - 1, s - 1)
             kap_min = float(kappa.min())
-        else:
-            kap_min, strategy = _kappa_min(gen, metric, kmat)
+        elif ctmc:
+            kap_min, strategy = _kappa_min(chain, metric, kmat)
             i, j = np.transpose(strategy.pairs_solved) - 1
             kappa[i * (2 * n - i - 1) // 2 + j - i - 1] = strategy.kappa_solved  # row-major r < s
+        else:  # the minimum over all pairs is reached on the irreducible ones
+            solve = irreducible_pairs(metric)
+            kappa[solve] = _class_kappas(chain, metric, r[solve] - 1, s[solve] - 1)
+            kap_min = float(kappa[solve].min())
     return CurvatureReport(
         r=r,
         s=s,
-        k=kmat[r - 1, s - 1],
+        k=None if kmat is None else kmat[r - 1, s - 1],
         kappa=kappa,
-        k_min=float(np.nanmin(kmat)),
-        K_global=float(_local_defects(kmat, metric).max()),
+        k_min=None if kmat is None else float(np.nanmin(kmat)),
+        K_global=None if kmat is None else float(_local_defects(kmat, metric).max()),
         kappa_min=kap_min,
         strategy=strategy,
     )

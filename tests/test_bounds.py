@@ -426,6 +426,9 @@ def test_compute_bound_curve_interface(toy) -> None:
 
     with pytest.raises(ValueError, match="unknown bound variants"):
         compute_bound_curve(gen, metric, agg, p0, t_grid, variants=("spline",))
+    for variants in ((), ("linear", "exp-k", "linear")):
+        with pytest.raises(ValueError, match="one or more distinct bound variants"):
+            compute_bound_curve(gen, metric, agg, p0, t_grid, variants=variants)
 
 
 def test_exact_error_against_series_oracle(toy) -> None:

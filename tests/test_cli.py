@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wdbounds.bounds as bounds_mod
 import wdbounds.cli as cli_mod
 import wdbounds.metric as metric_mod
 import wdbounds.models as models_mod
@@ -286,7 +287,8 @@ def test_curvature_single_state_exits_two(capsys, tmp_path) -> None:
 @pytest.mark.parametrize("model", ["toy_model", "dtmc_model"])
 def test_curvature_pair_order_does_not_matter(capsys, request, model) -> None:
     """``--pairs 3,2`` prints the row of ``2,3``; only the metadata line,
-    which echoes the command line, differs."""
+    which echoes the command line, differs.  One pair's kappa is not the
+    chain's least curvature, so neither prints a ``kappa_min`` row."""
     path = request.getfixturevalue(model)
     printed = []
     for pair in ("3,2", "2,3"):
@@ -296,6 +298,14 @@ def test_curvature_pair_order_does_not_matter(capsys, request, model) -> None:
         printed.append(out.split("\n", 1)[1])
     assert printed[0] == printed[1]
     assert "\npair,2,3," in printed[0]
+    assert "\nkappa_min," not in printed[0]
+
+
+@pytest.mark.parametrize("pairs", ["1,2,3", "2", "1,x", ""])
+def test_curvature_malformed_pairs_exit_two(capsys, pairs) -> None:
+    code, out, err = run_cli(capsys, "curvature", "--builtin", "toy", "--pairs", pairs)
+    assert code == 2 and out == ""
+    assert err == f"ValueError: --pairs must be 'all', 'min' or 'r,s', got {pairs!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -478,6 +488,20 @@ def test_bounds_discrete_metric_model(capsys, tmp_path) -> None:
     lin_raw = np.array([float(r[header.index("linear_raw")]) for r in rows])
     np.testing.assert_allclose(exp_raw, 1.0 - np.exp(-t), atol=1e-12)
     np.testing.assert_allclose(lin_raw, t, atol=1e-12)
+
+
+@pytest.mark.parametrize("variants", [",", "linear,linear", "exp-k, exp-k"])
+def test_bounds_empty_or_repeated_variants_exit_two(capsys, monkeypatch, toy_model, variants):
+    """An empty or repeated ``--variants`` list is refused before any bound
+    input is computed."""
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("bound inputs computed")
+
+    monkeypatch.setattr(bounds_mod, "prepare_bound_inputs", unexpected)
+    code, out, err = run_cli(capsys, "bounds", "--model", toy_model, "--variants", variants)
+    assert code == 2 and out == ""
+    assert err.startswith("ValueError: expected one or more distinct bound variants")
 
 
 def test_bounds_requires_ctmc(capsys, dtmc_model) -> None:

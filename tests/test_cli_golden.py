@@ -101,7 +101,7 @@ GOLDEN = {
     "line24_rooted_min": "24d060126ecc680e66e08ddbd1d7379bdbae2f9f411680fd01ed0154cc265ad9",
     "dtmc_all": "d23a7755418a3543765704f7b21aa95e1db449631b9cd909438148ff82dce64c",
     "dtmc_min": "2a43dfafeaa40ae2f8cf6ac20959cd5a08e5be9c28a2310f0ccf0b890f5b3d96",
-    "dtmc_pair_2_3": "9dad9b91bcb0beeb7285512859e8908e7b9c4b711062fb7e4b1e19c39d9584e4",
+    "dtmc_pair_2_3": "de66eab2497bdf17d744bc637c22f6cf570b7e1ff2f123bb7ed96f34530df945",
 }
 
 #: sha256 of each other case's stdout.

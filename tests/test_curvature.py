@@ -331,8 +331,7 @@ def test_pair_classes_tell_apart_equal_problems_at_different_distances():
     p[[0, 2], 4] = p[[1, 3], 5] = 1.0
     p[4, 5] = p[5, 4] = 1.0
     pmat, metric = TransitionMatrix(p), line_metric(np.array([0.0, 1.0, 10.0, 13.0, 20.0, 21.0]))
-    r, s = np.array([1, 3]), np.array([2, 4])
-    kappa = curvature_mod._kappa_dtmc_pairs(pmat, metric, r, s)
+    kappa = curvature_report(pmat, metric, pairs="all").kappa[[0, 9]]  # (1, 2), (3, 4)
     np.testing.assert_array_equal(kappa, [0.0, 1 - 1 / 3])
 
 
@@ -366,8 +365,8 @@ def _bits(x) -> np.ndarray:
 def test_pairs_with_equal_keys_have_bit_identical_kappa(kind, seed):
     """Pairs whose local problems have equal keys have bit-identical
     ``kappa_ctmc`` and ``kappa_dtmc``, and the class solvers
-    (``kappa_all_pairs``, the DTMC pairs of ``wdbounds curvature``) equal
-    the per-pair loops bit for bit.  Translation-invariant walks repeat
+    (``kappa_all_pairs``, ``curvature_report`` of a DTMC) equal the
+    per-pair loops bit for bit.  Translation-invariant walks repeat
     their local problems away from the boundary, so on a long enough line
     the CTMC classes are fewer than the pairs."""
     if kind.startswith("walk"):
@@ -392,7 +391,7 @@ def test_pairs_with_equal_keys_have_bit_identical_kappa(kind, seed):
             pmat.p,
             lambda d, i, j, a, b: d[a, b],
             [kappa_dtmc(pmat, metric, r + 1, s + 1) for r, s in zip(ii, jj)],
-            curvature_mod._kappa_dtmc_pairs(pmat, metric, ii + 1, jj + 1),
+            curvature_report(pmat, metric, pairs="all").kappa,
         ),
     ):
         cls, first = curvature_mod._pair_classes(
@@ -626,6 +625,39 @@ def test_curvature_report_modes(toy):
         curvature_report(gen, metric, pairs="everything")
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_curvature_report_of_a_dtmc_matches_kappa_dtmc(seed):
+    """For a DTMC the report's kappa is, bit for bit, ``kappa_dtmc`` on every
+    pair (``"all"``), on the irreducible pairs (``"min"``, the others
+    unsolved) and on a single pair, which gets no ``kappa_min``; a DTMC has
+    no ``k``, ``k_min``, ``K_global`` or strategy."""
+    kind = ("line", "graph", "discrete")[seed % 3]
+    gen, metric, _ = random_instance(3 + seed, 600 + seed, metric_kind=kind)
+    pmat, _ = uniformize(gen)
+    n = pmat.n
+    ii, jj = np.triu_indices(n, k=1)
+    per_pair = np.array([kappa_dtmc(pmat, metric, r + 1, s + 1) for r, s in zip(ii, jj)])
+    solve = irreducible_pairs(metric)
+    rep_all = curvature_report(pmat, metric, pairs="all")
+    rep_min = curvature_report(pmat, metric, pairs="min")
+    np.testing.assert_array_equal(_bits(rep_all.kappa), _bits(per_pair))
+    np.testing.assert_array_equal(_bits(rep_min.kappa[solve]), _bits(per_pair[solve]))
+    assert np.isnan(rep_min.kappa[~solve]).all()
+    assert rep_all.kappa_min == per_pair.min()
+    assert rep_min.kappa_min == per_pair[solve].min()
+    reports = [rep_all, rep_min]
+    for pair in ((1, n), (n, 2)):
+        rep_one = curvature_report(pmat, metric, pairs=pair)
+        np.testing.assert_array_equal(rep_one.r, [min(pair)])
+        want = kappa_dtmc(pmat, metric, *sorted(pair))
+        np.testing.assert_array_equal(_bits(rep_one.kappa), _bits([want]))
+        assert rep_one.kappa_min is None
+        reports.append(rep_one)
+    for rep in reports:
+        assert rep.k is None and rep.k_min is None and rep.K_global is None
+        assert rep.strategy is None
+
+
 def test_curvature_report_min_solves_each_pair_once(monkeypatch):
     gen, metric, _ = random_instance(7, 321, metric_kind="graph")
     calls = []
@@ -785,3 +817,11 @@ def test_error_conditions(toy):
         kappa_min(single, m1)
     with pytest.raises(SingleState):
         curvature_report(single, m1)
+    pmat, _ = uniformize(gen)
+    with pytest.raises(DimensionMismatch):
+        curvature_report(pmat, discrete_metric(4))
+    for pairs in ("all", "min", (1, 2)):
+        with pytest.raises(ValueError, match="k-only"):
+            curvature_report(pmat, metric, pairs=pairs, k_only=True)
+    with pytest.raises(SingleState):
+        curvature_report(TransitionMatrix(np.ones((1, 1))), m1)
