@@ -26,7 +26,6 @@ from .bounds import (
     bound_linear_K_timevarying,
     compute_bound_curve,
     defect,
-    defect_dtmc,
     dtmc_bound_sequence,
     exact_error_curve,
     prepare_bound_inputs,
@@ -38,9 +37,8 @@ from .curvature import (
     curvature_report,
     k_matrix,
     k_min,
+    kappa,
     kappa_all_pairs,
-    kappa_ctmc,
-    kappa_dtmc,
     kappa_min,
 )
 from .errors import (
@@ -86,12 +84,10 @@ from .metric import (
 from .models import Box, JumpDistribution, random_instance, toy_ctmc, translation_invariant_ctmc
 from .transport import (
     Coupling,
-    OptimalPairReport,
     Potential,
     SignedRow,
     WassersteinResult,
     row_wasserstein_vector,
-    verify_optimal_pair,
     wasserstein,
     wasserstein_signed,
 )
@@ -124,14 +120,11 @@ __all__ = [
     "Potential",
     "SignedRow",
     "WassersteinResult",
-    "OptimalPairReport",
     "wasserstein",
     "wasserstein_signed",
     "row_wasserstein_vector",
-    "verify_optimal_pair",
     # curvature
-    "kappa_ctmc",
-    "kappa_dtmc",
+    "kappa",
     "k_matrix",
     "k_min",
     "kappa_min",
@@ -151,7 +144,6 @@ __all__ = [
     "BoundInputs",
     "BoundCurve",
     "defect",
-    "defect_dtmc",
     "prepare_bound_inputs",
     "bound_linear_K",
     "bound_linear_K_timevarying",

@@ -73,7 +73,7 @@ class Aggregation:
     ``a`` is the ``(m, n)`` disaggregation matrix, its rows passed by the
     probability gate :func:`wdbounds.markov._clean_distribution`; ``lam`` the
     ``(n, m)`` membership matrix of a partition (``None`` otherwise), with
-    ``a @ lam = I`` to 1e-9.  Exactly one of ``theta`` (CTMC) / ``pi_mat``
+    ``a @ lam = I`` to 1e-9.  At most one of ``theta`` (CTMC) / ``pi_mat``
     (DTMC) is set.
     """
 
@@ -84,6 +84,10 @@ class Aggregation:
     partition: Partition | None = None
 
     def __post_init__(self) -> None:
+        if self.theta is not None and self.pi_mat is not None:
+            raise ValueError(
+                "aggregation carries both a CTMC generator (theta) and a DTMC matrix (pi)"
+            )
         a = np.ascontiguousarray(self.a, dtype=float)
         if a.ndim != 2 or a.shape[0] == 0:
             raise ValueError(f"disaggregation matrix must be 2-d, got shape {a.shape}")

@@ -108,26 +108,23 @@ def _check_grid(t_grid: np.ndarray) -> np.ndarray:
     return t
 
 
-def defect(gen: Generator, metric: Metric, agg: Aggregation) -> tuple[np.ndarray, float]:
-    """Per-aggregate defect ``v = |Theta A - A Q|_W`` and its max ``B``.
+def defect(
+    chain: Generator | TransitionMatrix, metric: Metric, agg: Aggregation
+) -> tuple[np.ndarray, float]:
+    """Per-aggregate defect ``v`` and its max ``B``: ``|Theta A - A Q|_W`` of a
+    CTMC :class:`Generator`, ``|Pi A - A P|_W`` of a DTMC :class:`TransitionMatrix`.
 
-    Rows of ``Theta A - A Q`` sum to zero by construction, so each row has a
+    Rows of the difference sum to zero by construction, so each row has a
     finite signed Wasserstein value.
     """
-    if agg.theta is None:
-        raise ValueError("aggregation carries no CTMC generator")
-    mat = agg.theta.q @ agg.a - agg.a @ gen.q
-    v = row_wasserstein_vector(mat, metric)
-    return v, float(v.max())
-
-
-def defect_dtmc(
-    pmat: TransitionMatrix, metric: Metric, agg: Aggregation
-) -> tuple[np.ndarray, float]:
-    """Discrete-time defect ``v = |Pi A - A P|_W`` and its max."""
-    if agg.pi_mat is None:
-        raise ValueError("aggregation carries no DTMC transition matrix")
-    mat = agg.pi_mat.p @ agg.a - agg.a @ pmat.p
+    if isinstance(chain, Generator):
+        if agg.theta is None:
+            raise ValueError("aggregation carries no CTMC generator")
+        mat = agg.theta.q @ agg.a - agg.a @ chain.q
+    else:
+        if agg.pi_mat is None:
+            raise ValueError("aggregation carries no DTMC transition matrix")
+        mat = agg.pi_mat.p @ agg.a - agg.a @ chain.p
     v = row_wasserstein_vector(mat, metric)
     return v, float(v.max())
 
@@ -300,23 +297,21 @@ def exact_error_curve(
     metric: Metric,
     agg: Aggregation,
     t_grid: np.ndarray,
-    pi0: ProbVec | None = None,
 ) -> np.ndarray:
     """The true aggregation error ``W1(p~_t, p_t)`` on a grid (reference curve).
 
-    Both chains step forward from one grid point to the next, so the sweep
-    never restarts at ``t = 0`` and holds only the two current laws.  Each
-    point is ``wasserstein(..., value_only=True)``: the solve on the supports
-    of ``p~_t - p_t``, certified by the plan's margins and the dual gap,
-    without the n x n coupling and potential.
+    The aggregated chain starts from ``Lambda^T p_0``.  Both chains step
+    forward from one grid point to the next, so the sweep never restarts at
+    ``t = 0`` and holds only the two current laws.  Each point is
+    ``wasserstein(..., value_only=True)``: the solve on the supports of
+    ``p~_t - p_t``, certified by the plan's margins and the dual gap, without
+    the n x n coupling and potential.
     """
     if agg.theta is None:
         raise ValueError("aggregation carries no CTMC generator")
     t = _check_grid(t_grid)
-    if pi0 is None:
-        pi0 = aggregate_initial(p0, agg)
     out = np.empty(t.size)
-    pi_t, p_t, prev = pi0, p0, 0.0
+    pi_t, p_t, prev = aggregate_initial(p0, agg), p0, 0.0
     for i, ti in enumerate(t):
         h = float(ti) - prev
         pi_t = transient_ctmc(pi_t, agg.theta, h)

@@ -108,12 +108,13 @@ def canonical_json(obj) -> str:
 class Model:
     """A loaded model plus its canonical document (for round-tripping).
 
-    A built-in model has no source document, so ``canon`` is ``None``.
+    ``chain`` is the model's CTMC :class:`Generator` or DTMC
+    :class:`TransitionMatrix`, ``None`` when it declares neither.  A built-in
+    model has no source document, so ``canon`` is ``None``.
     """
 
     n: int
-    gen: Generator | None = None
-    pmat: TransitionMatrix | None = None
+    chain: Generator | TransitionMatrix | None = None
     metric: Metric | None = None
     partition: Partition | None = None
     alpha: list[np.ndarray] | None = None
@@ -269,15 +270,15 @@ def load_model_dict(doc: dict) -> Model:
         raise ValueError(f"n must be positive, got {n}")
     canon: dict = {"n": n}
 
-    gen = pmat = None
+    chain = None
     if "generator" in doc and "dtmc" in doc:
         raise ValueError("model declares both 'generator' and 'dtmc'")
     if "generator" in doc:
-        gen = _parse_generator(doc["generator"], n)
-        canon["generator"] = _matrix_doc(gen.q)
+        chain = _parse_generator(doc["generator"], n)
+        canon["generator"] = _matrix_doc(chain.q)
     if "dtmc" in doc:
-        pmat = TransitionMatrix(_float_matrix(doc["dtmc"], n, n, "dtmc matrix"))
-        canon["dtmc"] = _matrix_doc(pmat.p)
+        chain = TransitionMatrix(_float_matrix(doc["dtmc"], n, n, "dtmc matrix"))
+        canon["dtmc"] = _matrix_doc(chain.p)
 
     metric = None
     if "metric" in doc:
@@ -340,8 +341,7 @@ def load_model_dict(doc: dict) -> Model:
 
     return Model(
         n=n,
-        gen=gen,
-        pmat=pmat,
+        chain=chain,
         metric=metric,
         partition=partition,
         alpha=alpha,
@@ -367,7 +367,7 @@ def canonical_model_json(model: Model) -> str:
     if canon is None:
         canon = {
             "n": model.n,
-            "generator": _matrix_doc(model.gen.q),
+            "generator": _matrix_doc(model.chain.q),
             "metric": {"kind": "explicit", "dist": _matrix_doc(model.metric.dist)},
         }
     return canonical_json(canon) + "\n"
@@ -403,7 +403,7 @@ def _resolve_model(args) -> Model:
         return load_model(args.model)
     if args.builtin == "toy":
         gen, metric = toy_ctmc()
-        return Model(n=gen.n, gen=gen, metric=metric)
+        return Model(n=gen.n, chain=gen, metric=metric)
     lo = tuple(int(v) for v in args.grid_lo.split(","))
     hi = tuple(int(v) for v in args.grid_hi.split(","))
     support = []
@@ -415,7 +415,7 @@ def _resolve_model(args) -> Model:
     gen, metric = translation_invariant_ctmc(
         Box(lo, hi), args.grid_rate, jumps, root=args.grid_root, root_rate=args.grid_root_rate
     )
-    return Model(n=gen.n, gen=gen, metric=metric)
+    return Model(n=gen.n, chain=gen, metric=metric)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -464,10 +464,10 @@ def _emit_csv(lines: list[str]) -> None:
 def _resolve_aggregation(model: Model, partition: Partition | None) -> Aggregation:
     """An aggregation from an explicit spec or a (possibly overriding) partition."""
     if partition is not None:
-        if model.gen is not None:
-            return partition_aggregation_ctmc(model.gen, partition, model.alpha)
-        _require(model.pmat is not None, "aggregation needs a generator or a dtmc matrix")
-        return partition_aggregation_dtmc(model.pmat, partition, model.alpha)
+        _require(model.chain is not None, "aggregation needs a generator or a dtmc matrix")
+        if isinstance(model.chain, Generator):
+            return partition_aggregation_ctmc(model.chain, partition, model.alpha)
+        return partition_aggregation_dtmc(model.chain, partition, model.alpha)
     if model.agg is not None:
         return model.agg
     if model.partition is not None:
@@ -541,8 +541,7 @@ def _write_pair_rows(
 def _cmd_curvature(args) -> int:
     model = _resolve_model(args)
     _require(model.metric is not None, "curvature needs a model with a metric")
-    chain = model.gen if model.gen is not None else model.pmat
-    _require(chain is not None, "curvature needs a generator or a dtmc matrix")
+    _require(model.chain is not None, "curvature needs a generator or a dtmc matrix")
     if args.pairs in ("all", "min"):
         pairs: str | tuple[int, int] = args.pairs
     else:
@@ -551,7 +550,7 @@ def _cmd_curvature(args) -> int:
         except ValueError:
             raise ValueError(f"--pairs must be 'all', 'min' or 'r,s', got {args.pairs!r}") from None
         pairs = (r, s)
-    report = curvature_report(chain, model.metric, pairs=pairs, k_only=args.k_only)
+    report = curvature_report(model.chain, model.metric, pairs=pairs, k_only=args.k_only)
     meta = _metadata_line(args, "curvature", ["pairs", "k_only"])
     _emit_csv([meta, "name,r,s,k,kappa"])
     _write_pair_rows(report.r, report.s, report.k, None if args.k_only else report.kappa)
@@ -572,7 +571,7 @@ def _load_partition_file(path: str) -> Partition:
 def _cmd_bounds(args) -> int:
     model = _resolve_model(args)
     _require(model.metric is not None, "bounds needs a model with a metric")
-    _require(model.gen is not None, "bounds needs a CTMC model (a 'generator')")
+    _require(isinstance(model.chain, Generator), "bounds needs a CTMC model (a 'generator')")
     partition = _load_partition_file(args.partition_from_file) if args.partition_from_file else None
     agg = _resolve_aggregation(model, partition)
     _require(agg.theta is not None, "bounds needs an aggregation with a generator")
@@ -584,7 +583,7 @@ def _cmd_bounds(args) -> int:
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     t = bounds_mod.time_grid(args.T, args.grid)
     curve = bounds_mod.compute_bound_curve(
-        model.gen, model.metric, agg, p0, t, variants=variants, with_exact=args.exact
+        model.chain, model.metric, agg, p0, t, variants=variants, with_exact=args.exact
     )
     header = ["t"]
     if args.exact:
@@ -625,16 +624,12 @@ def _cmd_aggregate(args) -> int:
         report["theta"] = _matrix_doc(agg.theta.q)
     if agg.pi_mat is not None:
         report["pi"] = _matrix_doc(agg.pi_mat.p)
-    if model.metric is not None:
-        if model.gen is not None and agg.theta is not None:
-            v, norm = bounds_mod.defect(model.gen, model.metric, agg)
-        elif model.pmat is not None and agg.pi_mat is not None:
-            v, norm = bounds_mod.defect_dtmc(model.pmat, model.metric, agg)
-        else:
-            v = None
-        if v is not None:
-            report["defect_vector"] = [float(x) for x in v]
-            report["defect_norm"] = norm
+    # the defect needs the aggregated chain of the model's kind
+    aggregated = agg.theta if isinstance(model.chain, Generator) else agg.pi_mat
+    if model.metric is not None and model.chain is not None and aggregated is not None:
+        v, norm = bounds_mod.defect(model.chain, model.metric, agg)
+        report["defect_vector"] = [float(x) for x in v]
+        report["defect_norm"] = norm
     sys.stdout.write(canonical_json(report) + "\n")
     return 0
 

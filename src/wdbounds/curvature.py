@@ -71,8 +71,7 @@ from .metric import _CHUNK, Metric, irreducible_pairs
 from .transport import _row_supports, _signed_classes, _SignedPlan, _signed_ot
 
 __all__ = [
-    "kappa_ctmc",
-    "kappa_dtmc",
+    "kappa",
     "k_matrix",
     "k_min",
     "kappa_min",
@@ -91,12 +90,14 @@ def _check_pair(n: int, r: int, s: int) -> None:
         raise SamePair(r)
 
 
-def kappa_ctmc(gen: Generator, metric: Metric, r: int, s: int) -> float:
-    """Exact coarse Ricci curvature of the pair ``(r, s)`` of a CTMC."""
-    if gen.n != metric.n:
-        raise DimensionMismatch(f"generator on {gen.n} states, metric on {metric.n}")
-    _check_pair(gen.n, r, s)
-    return _pair_kappa(gen, metric, r - 1, s - 1)
+def kappa(chain: Generator | TransitionMatrix, metric: Metric, r: int, s: int) -> float:
+    """Exact coarse Ricci curvature of the 1-based pair ``(r, s)``: ``-V/d``
+    of a CTMC :class:`Generator`, ``1 - W1(P_r, P_s)/d`` of a DTMC
+    :class:`TransitionMatrix`."""
+    if chain.n != metric.n:
+        raise DimensionMismatch(f"chain on {chain.n} states, metric on {metric.n}")
+    _check_pair(chain.n, r, s)
+    return _pair_kappa(chain, metric, r - 1, s - 1)
 
 
 def _closed_cost(d: np.ndarray, i, j, a, b) -> np.ndarray:
@@ -161,14 +162,6 @@ def _pair_classes(
         return cost(d, ii[idx, None, None], jj[idx, None, None], a, b)
 
     return _signed_classes(ii.size, 2 * cols.shape[1], support, block_cost, d[ii, jj][:, None])
-
-
-def kappa_dtmc(pmat: TransitionMatrix, metric: Metric, r: int, s: int) -> float:
-    """Coarse Ricci curvature ``1 - W1(P_r, P_s)/d(r,s)`` of a DTMC pair."""
-    if pmat.n != metric.n:
-        raise DimensionMismatch(f"transition matrix on {pmat.n} states, metric on {metric.n}")
-    _check_pair(pmat.n, r, s)
-    return _pair_kappa(pmat, metric, r - 1, s - 1)
 
 
 def _class_kappas(

@@ -43,12 +43,10 @@ __all__ = [
     "Coupling",
     "Potential",
     "SignedRow",
-    "OptimalPairReport",
     "WassersteinResult",
     "wasserstein",
     "wasserstein_signed",
     "row_wasserstein_vector",
-    "verify_optimal_pair",
 ]
 
 #: Marginals of a coupling must match the prescribed distributions this well.
@@ -426,78 +424,3 @@ def row_wasserstein_vector(mat: np.ndarray, metric: Metric) -> np.ndarray:
     )
     values = [wasserstein_signed(rows[p], metric) for p in first.tolist()]
     return np.array(values, dtype=float)[cls]
-
-
-@dataclass(frozen=True)
-class OptimalPairReport:
-    """Check results for the four structural properties of an optimal pair.
-
-    * ``coupling_ok`` - marginals match within ``1e-8``;
-    * ``one_sided_ok`` - no state both sends and receives off-diagonal mass;
-    * ``potential_ok`` - ``0 <= f <= d_max`` and 1-Lipschitz (slacks as in
-      :class:`Potential`);
-    * ``slackness_ok`` - mass only flows where the potential drops by the
-      full distance (``gamma > 1e-10`` implies ``f(r)-f(s) = d(r,s)`` within
-      ``1e-7 * d_max``);
-    * ``duality_ok`` - primal cost equals the potential's objective within
-      ``1e-7 * d_max * mass``.
-    """
-
-    coupling_ok: bool
-    one_sided_ok: bool
-    potential_ok: bool
-    slackness_ok: bool
-    duality_ok: bool
-    primal_cost: float
-    dual_value: float
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.coupling_ok
-            and self.one_sided_ok
-            and self.potential_ok
-            and self.slackness_ok
-            and self.duality_ok
-        )
-
-
-def verify_optimal_pair(
-    coupling: Coupling, potential: Potential, metric: Metric
-) -> OptimalPairReport:
-    """Independently re-check a (coupling, potential) pair for optimality."""
-    g = coupling.gamma
-    f = potential.f
-    n = metric.n
-    d = metric.dist
-    coupling_ok = (
-        np.abs(g.sum(axis=1) - coupling.p).max() <= MARGINAL_TOL
-        and np.abs(g.sum(axis=0) - coupling.q).max() <= MARGINAL_TOL
-    )
-    off = ~np.eye(n, dtype=bool)
-    outflow = np.where(off, g, 0.0).sum(axis=1)
-    inflow = np.where(off, g, 0.0).sum(axis=0)
-    one_sided_ok = bool((np.minimum(outflow, inflow) <= SUPPORT_TOL).all())
-    dmax = metric.d_max
-    lip = f[:, None] - f[None, :] - d
-    potential_ok = (
-        f.min() >= -MIN_TOL * dmax
-        and f.max() <= dmax * (1.0 + LIPSCHITZ_TOL)
-        and lip.max() <= LIPSCHITZ_TOL * dmax
-    )
-    support = g > SUPPORT_TOL
-    slackness_ok = (
-        bool((np.abs(lip[support]) <= GAP_TOL * dmax).all()) if support.any() else True
-    )
-    primal = float(np.sum(g * d))
-    dual = float((coupling.p - coupling.q) @ f)
-    duality_ok = abs(primal - dual) <= GAP_TOL * dmax * float(coupling.p.sum())
-    return OptimalPairReport(
-        coupling_ok=bool(coupling_ok),
-        one_sided_ok=one_sided_ok,
-        potential_ok=bool(potential_ok),
-        slackness_ok=slackness_ok,
-        duality_ok=duality_ok,
-        primal_cost=primal,
-        dual_value=dual,
-    )

@@ -21,7 +21,6 @@ from wdbounds.bounds import (
     bound_linear_K_timevarying,
     compute_bound_curve,
     defect,
-    defect_dtmc,
     dtmc_bound_sequence,
     exact_error_curve,
     prepare_bound_inputs,
@@ -31,9 +30,8 @@ from wdbounds.curvature import (
     _local_defects,
     k_matrix,
     k_min,
+    kappa,
     kappa_all_pairs,
-    kappa_ctmc,
-    kappa_dtmc,
     kappa_min,
 )
 from wdbounds.markov import Generator, ProbVec, dirac, transient_ctmc, uniformize
@@ -45,9 +43,9 @@ from wdbounds.models import (
     toy_ctmc,
     translation_invariant_ctmc,
 )
-from wdbounds.transport import verify_optimal_pair, wasserstein
+from wdbounds.transport import wasserstein
 
-from .oracles import transport_vertex_minimum, wasserstein_derivative
+from .oracles import transport_vertex_minimum, verify_optimal_pair, wasserstein_derivative
 
 TOY_BLOCKS = ((1, 2), (3,))
 ALL_VARIANTS = (
@@ -99,14 +97,14 @@ def test_c02_toy_curvature_table() -> None:
     expected = {(1, 2): (-6.0, -14.0), (1, 3): (2.6, 2.6), (2, 3): (4.75, 4.75)}
     kmat = k_matrix(gen, metric)
     for (r, s), (kap, k) in expected.items():
-        assert kappa_ctmc(gen, metric, r, s) == pytest.approx(kap, abs=1e-7)
+        assert kappa(gen, metric, r, s) == pytest.approx(kap, abs=1e-7)
         assert kmat[r - 1, s - 1] == pytest.approx(k, abs=1e-7)
 
     disc = discrete_metric(3)
     expected_disc = {(1, 2): (2.0, 1.0), (1, 3): (1.0, 1.0), (2, 3): (5.0, 5.0)}
     kmat = k_matrix(gen, disc)
     for (r, s), (kap, k) in expected_disc.items():
-        assert kappa_ctmc(gen, disc, r, s) == pytest.approx(kap, abs=1e-7)
+        assert kappa(gen, disc, r, s) == pytest.approx(kap, abs=1e-7)
         assert kmat[r - 1, s - 1] == pytest.approx(k, abs=1e-7)
     print("C02 toy curvature table: PASS (both metrics, 1e-7)")
 
@@ -257,7 +255,7 @@ def test_c08_curvature_identity_suite() -> None:
         r = int(rng.integers(1, n))
         s = int(rng.integers(r + 1, n + 1))
         k_rs = k_matrix(gen, metric)[r - 1, s - 1]
-        assert kappa_ctmc(gen, metric, r, s) >= k_rs - 1e-9, (i, r, s)
+        assert kappa(gen, metric, r, s) >= k_rs - 1e-9, (i, r, s)
 
     h = 1e-6
     worst_fd = 0.0
@@ -280,7 +278,7 @@ def test_c08_curvature_identity_suite() -> None:
         r = int(rng.integers(1, n))
         s = int(rng.integers(r + 1, n + 1))
         d_rs = wasserstein_derivative(dirac(n, r), dirac(n, s), gen, metric)
-        target = -kappa_ctmc(gen, metric, r, s) * metric.d(r, s)
+        target = -kappa(gen, metric, r, s) * metric.d(r, s)
         worst_id = max(worst_id, abs(d_rs - target))
         assert abs(d_rs - target) <= 1e-7, i
     print(
@@ -366,9 +364,9 @@ def test_c11_dtmc_recurrence_soundness() -> None:
         pmat, _ = uniformize(gen)
         part = _random_partition(rng, n)
         agg = partition_aggregation_dtmc(pmat, part)
-        v_d, _ = defect_dtmc(pmat, metric, agg)
+        v_d, _ = defect(pmat, metric, agg)
         kap_p = min(
-            kappa_dtmc(pmat, metric, r, s)
+            kappa(pmat, metric, r, s)
             for r in range(1, n + 1)
             for s in range(r + 1, n + 1)
         )

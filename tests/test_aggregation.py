@@ -17,7 +17,7 @@ from wdbounds.aggregation import (
     partition_aggregation_dtmc,
 )
 from wdbounds.errors import BadAlpha, DimensionMismatch
-from wdbounds.markov import Generator, ProbVec, uniformize
+from wdbounds.markov import Generator, ProbVec, TransitionMatrix, uniformize
 from wdbounds.metric import validate_metric
 
 TOY_Q = np.array([[-1.0, 0.0, 1.0], [1.0, -4.0, 3.0], [0.0, 2.0, -2.0]])
@@ -134,6 +134,18 @@ def test_aggregation_validation():
             a=np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]),
             lam=Partition(((1, 2), (3,))).membership(),
         )
+
+
+def test_aggregation_carries_at_most_one_chain():
+    """An aggregation is of a CTMC (``theta``) or of a DTMC (``pi_mat``), or
+    of neither; both at once is refused."""
+    a = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    theta = Generator(np.array([[-1.0, 1.0], [2.5, -2.5]]))
+    pi_mat = TransitionMatrix(np.full((2, 2), 0.5))
+    assert Aggregation(a=a, theta=theta).pi_mat is None
+    assert Aggregation(a=a, pi_mat=pi_mat).theta is None
+    with pytest.raises(ValueError, match="both"):
+        Aggregation(a=a, theta=theta, pi_mat=pi_mat)
 
 
 def test_aggregate_initial_and_disaggregate():

@@ -36,8 +36,17 @@ REMOVED = {
         "wasserstein_derivative",
         "_lipschitz_value",
         "DERIVATIVE_PIN_SLACK",
+        "kappa_ctmc",
+        "kappa_dtmc",
     ),
-    "wdbounds.transport": ("canonicalize_coupling", "wasserstein_matrix_norm", "tv_distance"),
+    "wdbounds.bounds": ("defect_dtmc",),
+    "wdbounds.transport": (
+        "canonicalize_coupling",
+        "wasserstein_matrix_norm",
+        "tv_distance",
+        "verify_optimal_pair",
+        "OptimalPairReport",
+    ),
     "wdbounds.errors": ("NotOptimalInput",),
     "wdbounds.lp": ("LinearProgram", "LpStatus"),
 }

@@ -30,7 +30,6 @@ from wdbounds.bounds import (
     bound_linear_K_timevarying,
     compute_bound_curve,
     defect,
-    defect_dtmc,
     dtmc_bound_sequence,
     exact_error_curve,
     prepare_bound_inputs,
@@ -191,16 +190,6 @@ def test_exact_error_curve_frozen_values(toy) -> None:
         assert value == pytest.approx(expected, abs=1e-7)
 
 
-def test_exact_error_curve_pi0_override(toy) -> None:
-    # Starting the aggregated chain in the other block costs W1 between
-    # (0, 0, 1) and (0.5, 0.5, 0) at time zero: 0.5 * 5 + 0.5 * 4 = 4.5.
-    gen, metric, agg, p0, _ = toy
-    curve = exact_error_curve(
-        p0, gen, metric, agg, np.array([0.0]), pi0=ProbVec(np.array([0.0, 1.0]))
-    )
-    assert curve[0] == pytest.approx(4.5, abs=1e-10)
-
-
 def test_all_variants_dominate_exact_on_toy(toy) -> None:
     gen, metric, agg, p0, _ = toy
     t_grid = np.linspace(0.0, 1.0, 21)
@@ -261,14 +250,14 @@ def test_defect_vectors_ctmc_and_dtmc() -> None:
     # Uniformization divides the generator mismatch by the rate lambda = 4.
     pmat, lam = uniformize(gen)
     dagg = partition_aggregation_dtmc(pmat, part)
-    v_d, norm_d = defect_dtmc(pmat, metric, dagg)
+    v_d, norm_d = defect(pmat, metric, dagg)
     np.testing.assert_allclose(v_d, v / lam, atol=1e-9)
     assert norm_d == pytest.approx(norm / lam, abs=1e-9)
 
     with pytest.raises(ValueError, match="no CTMC generator"):
         defect(gen, metric, dagg)
     with pytest.raises(ValueError, match="no DTMC transition matrix"):
-        defect_dtmc(pmat, metric, agg)
+        defect(pmat, metric, agg)
 
 
 def test_defect_scales_with_the_rates() -> None:
@@ -295,7 +284,7 @@ def test_dtmc_bound_sequence_recurrence() -> None:
 def test_dtmc_bound_dominates_uniformized_error() -> None:
     # Push the uniformized toy chain for several steps and verify the DTMC
     # recurrence bound sits above the true aggregation error at each step.
-    from wdbounds.curvature import kappa_dtmc
+    from wdbounds.curvature import kappa
     from wdbounds.transport import wasserstein
 
     gen = Generator(TOY_Q)
@@ -303,8 +292,8 @@ def test_dtmc_bound_dominates_uniformized_error() -> None:
     part = Partition(TOY_BLOCKS)
     pmat, lam = uniformize(gen)
     dagg = partition_aggregation_dtmc(pmat, part)
-    v_d, _ = defect_dtmc(pmat, metric, dagg)
-    kap_p = min(kappa_dtmc(pmat, metric, r, s) for r in (1, 2, 3) for s in (1, 2, 3) if r < s)
+    v_d, _ = defect(pmat, metric, dagg)
+    kap_p = min(kappa(pmat, metric, r, s) for r in (1, 2, 3) for s in (1, 2, 3) if r < s)
 
     steps = 8
     p = np.array([1.0, 0.0, 0.0])

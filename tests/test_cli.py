@@ -30,7 +30,8 @@ from wdbounds.cli import (
     main,
 )
 from wdbounds.errors import NumericalFailure
-from wdbounds.markov import Generator, uniformize
+from wdbounds.aggregation import Partition, partition_aggregation_dtmc
+from wdbounds.markov import Generator, TransitionMatrix, uniformize
 from wdbounds.metric import irreducible_pairs, validate_metric
 from wdbounds.models import random_instance
 
@@ -549,6 +550,41 @@ def test_aggregate_partition_file_and_errors(capsys, tmp_path, toy_model) -> Non
     assert "neither a partition nor an explicit aggregation" in err
 
 
+def test_aggregate_refuses_an_aggregation_with_both_chains(capsys, tmp_path) -> None:
+    doc = {
+        "n": 3,
+        "generator": TOY_Q,
+        "metric": {"kind": "explicit", "dist": TOY_D},
+        "aggregation": {
+            "a": [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+            "lam": [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            "theta": [[-1.0, 1.0], [2.5, -2.5]],
+            "pi": [[0.5, 0.5], [0.5, 0.5]],
+        },
+    }
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "aggregate", "--model", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("ValueError: aggregation carries both") and len(err.splitlines()) == 1
+
+
+def test_aggregate_dtmc_reports_pi_and_its_defect(capsys, tmp_path, dtmc_model) -> None:
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps([[1, 2], [3]]))
+    code, out, err = run_cli(
+        capsys, "aggregate", "--model", dtmc_model, "--partition-from-file", str(part)
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert "theta" not in doc and "pi" in doc
+    pmat = TransitionMatrix(np.array(TOY_P))
+    agg = partition_aggregation_dtmc(pmat, Partition(((1, 2), (3,))))
+    v, norm = bounds_mod.defect(pmat, validate_metric(np.array(TOY_D)), agg)
+    assert doc["defect_vector"] == v.tolist() == [0.25, 0.25]
+    assert doc["defect_norm"] == norm
+
+
 def test_model_roundtrip_byte_identical(tmp_path) -> None:
     # messy input: triplet generator, unordered duplicate graph edges,
     # unnormalized floats; the canonical form must be a fixed point.
@@ -786,7 +822,7 @@ def test_builtin_rejects_non_finite_rates(capsys, rates) -> None:
 
 def test_model_file_is_validated_once(gate_counts, toy_model) -> None:
     model = load_model(toy_model)
-    assert model.metric is not None and model.gen is not None
+    assert model.metric is not None and model.chain is not None
     assert gate_counts == {"metric": 1, "generator": 1}
 
 

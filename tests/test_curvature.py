@@ -18,9 +18,8 @@ from wdbounds.curvature import (
     curvature_report,
     k_matrix,
     k_min,
+    kappa,
     kappa_all_pairs,
-    kappa_ctmc,
-    kappa_dtmc,
     kappa_min,
 )
 from wdbounds.errors import DimensionMismatch, NumericalFailure, SamePair, SingleState
@@ -65,9 +64,9 @@ def test_toy_pair_table_both_methods(toy):
     gen, metric = toy
     kmat = k_matrix(gen, metric)
     for (r, s), (kap, klow) in TOY_TABLE.items():
-        assert kappa_ctmc(gen, metric, r, s) == pytest.approx(kap, abs=1e-9)
+        assert kappa(gen, metric, r, s) == pytest.approx(kap, abs=1e-9)
         # curvature is symmetric in the pair
-        assert kappa_ctmc(gen, metric, s, r) == pytest.approx(kap, abs=1e-9)
+        assert kappa(gen, metric, s, r) == pytest.approx(kap, abs=1e-9)
         assert kmat[r - 1, s - 1] == pytest.approx(klow, abs=1e-12)
     assert k_min(gen, metric) == pytest.approx(-14.0, abs=1e-12)
     k_loc = _local_defects(kmat, metric)
@@ -81,7 +80,7 @@ def test_toy_discrete_metric_table(toy):
     metric = discrete_metric(3)
     kmat = k_matrix(gen, metric)
     for (r, s), (kap, klow) in TOY_TABLE_DISCRETE.items():
-        assert kappa_ctmc(gen, metric, r, s) == pytest.approx(kap, abs=1e-9)
+        assert kappa(gen, metric, r, s) == pytest.approx(kap, abs=1e-9)
         assert kmat[r - 1, s - 1] == pytest.approx(klow, abs=1e-12)
         # discrete metric: k(r,s) = Q(r,s) + Q(s,r)
         assert klow == TOY_Q[r - 1, s - 1] + TOY_Q[s - 1, r - 1]
@@ -144,7 +143,7 @@ def test_kappa_matches_lp_oracles_randomized():
         eye = np.eye(n)
         for r in range(1, n + 1):
             for s in range(r + 1, n + 1):
-                kap = kappa_ctmc(gen, metric, r, s)
+                kap = kappa(gen, metric, r, s)
                 drs = metric.d(r, s)
                 obj = gen.row(r) - gen.row(s)
                 pin = eye[r - 1] - eye[s - 1]
@@ -170,10 +169,10 @@ def test_kappa_scale_invariance(c):
         scaled_gen = Generator(gen.q * c)
         for r in range(1, n + 1):
             for s in range(r + 1, n + 1):
-                kap = kappa_ctmc(gen, metric, r, s)
+                kap = kappa(gen, metric, r, s)
                 tol = 1e-9 * max(1.0, abs(kap))
-                assert abs(kappa_ctmc(gen, scaled_metric, r, s) - kap) <= tol, (seed, r, s)
-                assert abs(kappa_ctmc(scaled_gen, metric, r, s) / c - kap) <= tol, (seed, r, s)
+                assert abs(kappa(gen, scaled_metric, r, s) - kap) <= tol, (seed, r, s)
+                assert abs(kappa(scaled_gen, metric, r, s) / c - kap) <= tol, (seed, r, s)
 
 
 @pytest.mark.parametrize("c", [1e-9, 1e9])
@@ -211,7 +210,7 @@ def test_kappa_matches_finite_difference_oracle(toy):
         s = int(rng.integers(1, gen2.n))
         s = s + 1 if s >= r else s
         fd = kappa_finite_difference(w2, gen2.q, metric2.dist, r, s)
-        assert fd == pytest.approx(kappa_ctmc(gen2, metric2, r, s), abs=1e-4), f"seed {seed}"
+        assert fd == pytest.approx(kappa(gen2, metric2, r, s), abs=1e-4), f"seed {seed}"
 
 
 def test_kappa_min_prefilter_toy(toy):
@@ -299,7 +298,7 @@ def test_kappa_min_solves_few_pairs_on_a_line():
         assert strategy.pairs_skipped == below_tau - 1 - cut
         for pair in visited:
             if pair != first:
-                assert kappa_ctmc(gen, metric, *pair) >= val
+                assert kappa(gen, metric, *pair) >= val
 
 
 @pytest.mark.parametrize("root", [None, 1])
@@ -364,7 +363,7 @@ def _bits(x) -> np.ndarray:
 @settings(max_examples=30, deadline=None)
 def test_pairs_with_equal_keys_have_bit_identical_kappa(kind, seed):
     """Pairs whose local problems have equal keys have bit-identical
-    ``kappa_ctmc`` and ``kappa_dtmc``, and the class solvers
+    ``kappa``, CTMC and DTMC alike, and the class solvers
     (``kappa_all_pairs``, ``curvature_report`` of a DTMC) equal the
     per-pair loops bit for bit.  Translation-invariant walks repeat
     their local problems away from the boundary, so on a long enough line
@@ -383,14 +382,14 @@ def test_pairs_with_equal_keys_have_bit_identical_kappa(kind, seed):
             kind == "walk1",  # the neighbours r, r + 1 with 2 <= r <= n - 4 pose one problem
             gen.q,
             curvature_mod._closed_cost,
-            [kappa_ctmc(gen, metric, r + 1, s + 1) for r, s in zip(ii, jj)],
+            [kappa(gen, metric, r + 1, s + 1) for r, s in zip(ii, jj)],
             kappa_all_pairs(gen, metric)[ii, jj],
         ),
         (
             False,  # the gate divides each row of P by its sum, which may round differently
             pmat.p,
             lambda d, i, j, a, b: d[a, b],
-            [kappa_dtmc(pmat, metric, r + 1, s + 1) for r, s in zip(ii, jj)],
+            [kappa(pmat, metric, r + 1, s + 1) for r, s in zip(ii, jj)],
             curvature_report(pmat, metric, pairs="all").kappa,
         ),
     ):
@@ -532,11 +531,11 @@ def test_dtmc_curvature_hand_values(toy):
     assert lam == 4.0
     hand = {(1, 2): -1.5, (1, 3): 0.65, (2, 3): 0.6875}
     for (r, s), want in hand.items():
-        assert kappa_dtmc(pmat, metric, r, s) == pytest.approx(want, abs=1e-12)
-        # uniformization only bounds the CTMC curvature: kappa_dtmc <= kappa/lam
-        assert kappa_dtmc(pmat, metric, r, s) <= TOY_TABLE[(r, s)][0] / lam + 1e-12
+        assert kappa(pmat, metric, r, s) == pytest.approx(want, abs=1e-12)
+        # uniformization only bounds the CTMC curvature: DTMC kappa <= CTMC kappa / lam
+        assert kappa(pmat, metric, r, s) <= TOY_TABLE[(r, s)][0] / lam + 1e-12
     # and the gap is real: the pin constraint is absent from plain W1
-    assert kappa_dtmc(pmat, metric, 2, 3) < TOY_TABLE[(2, 3)][0] / lam - 0.4
+    assert kappa(pmat, metric, 2, 3) < TOY_TABLE[(2, 3)][0] / lam - 0.4
 
 
 def test_dtmc_curvature_randomized_inequality():
@@ -548,14 +547,14 @@ def test_dtmc_curvature_randomized_inequality():
         r = int(rng.integers(1, n + 1))
         s = int(rng.integers(1, n))
         s = s + 1 if s >= r else s
-        assert kappa_dtmc(pmat, metric, r, s) <= kappa_ctmc(gen, metric, r, s) / lam + 1e-8
+        assert kappa(pmat, metric, r, s) <= kappa(gen, metric, r, s) / lam + 1e-8
 
 
 def test_dtmc_identity_chain_is_flat():
     metric = discrete_metric(3)
     pmat = TransitionMatrix(np.eye(3))
     for r, s in ((1, 2), (1, 3), (2, 3)):
-        assert kappa_dtmc(pmat, metric, r, s) == pytest.approx(0.0, abs=1e-12)
+        assert kappa(pmat, metric, r, s) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_derivative_on_dirac_pairs(toy):
@@ -627,7 +626,7 @@ def test_curvature_report_modes(toy):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_curvature_report_of_a_dtmc_matches_kappa_dtmc(seed):
-    """For a DTMC the report's kappa is, bit for bit, ``kappa_dtmc`` on every
+    """For a DTMC the report's kappa is, bit for bit, ``kappa`` on every
     pair (``"all"``), on the irreducible pairs (``"min"``, the others
     unsolved) and on a single pair, which gets no ``kappa_min``; a DTMC has
     no ``k``, ``k_min``, ``K_global`` or strategy."""
@@ -636,7 +635,7 @@ def test_curvature_report_of_a_dtmc_matches_kappa_dtmc(seed):
     pmat, _ = uniformize(gen)
     n = pmat.n
     ii, jj = np.triu_indices(n, k=1)
-    per_pair = np.array([kappa_dtmc(pmat, metric, r + 1, s + 1) for r, s in zip(ii, jj)])
+    per_pair = np.array([kappa(pmat, metric, r + 1, s + 1) for r, s in zip(ii, jj)])
     solve = irreducible_pairs(metric)
     rep_all = curvature_report(pmat, metric, pairs="all")
     rep_min = curvature_report(pmat, metric, pairs="min")
@@ -649,7 +648,7 @@ def test_curvature_report_of_a_dtmc_matches_kappa_dtmc(seed):
     for pair in ((1, n), (n, 2)):
         rep_one = curvature_report(pmat, metric, pairs=pair)
         np.testing.assert_array_equal(rep_one.r, [min(pair)])
-        want = kappa_dtmc(pmat, metric, *sorted(pair))
+        want = kappa(pmat, metric, *sorted(pair))
         np.testing.assert_array_equal(_bits(rep_one.kappa), _bits([want]))
         assert rep_one.kappa_min is None
         reports.append(rep_one)
@@ -677,7 +676,7 @@ def test_curvature_report_min_solves_each_pair_once(monkeypatch):
     by_pair = {(r, s): kap for r, s, kap in zip(rep.r, rep.s, rep.kappa)}
     for (r, s), kap in zip(solved, rep.strategy.kappa_solved):
         assert by_pair[(r, s)] == kap
-        assert kap == kappa_ctmc(gen, metric, r, s)
+        assert kap == kappa(gen, metric, r, s)
     assert np.count_nonzero(~np.isnan(rep.kappa)) == len(solved)
     assert rep.kappa_min == min(rep.strategy.kappa_solved)
 
@@ -751,7 +750,7 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
         for pair in sorted(reduced, key=lambda pair: k_of[pair]):
             if k_of[pair] >= tau:
                 continue
-            kap = kappa_ctmc(gen, metric, *pair)
+            kap = kappa(gen, metric, *pair)
             if class_of[pair] in visited:
                 assert kap >= tau
                 skipped += 1
@@ -775,7 +774,7 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
 
 
 def test_curvature_and_defect_make_no_lp_call(monkeypatch):
-    """kappa_min, kappa_dtmc and defect run on the transport kernel alone."""
+    """kappa_min, kappa and defect run on the transport kernel alone."""
 
     def no_lp(*args, **kwargs):
         raise AssertionError("dense LP called")
@@ -795,33 +794,37 @@ def test_curvature_and_defect_make_no_lp_call(monkeypatch):
         kappa_min(gen, metric)
         pmat, _ = uniformize(gen)
         for r, s in ((1, 2), (1, gen.n)):
-            kappa_dtmc(pmat, metric, r, s)
+            kappa(pmat, metric, r, s)
         n = gen.n
         blocks = [tuple(range(1, n // 2 + 1)), tuple(range(n // 2 + 1, n + 1))]
         defect(gen, metric, partition_aggregation_ctmc(gen, Partition(tuple(blocks))))
 
 
-def test_error_conditions(toy):
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+def test_error_conditions(toy, kind):
+    """``kappa`` and ``curvature_report`` refuse the same inputs for either
+    chain kind; ``k``, and so ``k_min``, ``kappa_min`` and ``k_only``, exist
+    only for a CTMC."""
     gen, metric = toy
+    chain = gen if kind == "ctmc" else uniformize(gen)[0]
     with pytest.raises(SamePair):
-        kappa_ctmc(gen, metric, 2, 2)
+        kappa(chain, metric, 2, 2)
     with pytest.raises(DimensionMismatch):
-        kappa_ctmc(gen, metric, 1, 4)
+        kappa(chain, metric, 1, 4)
+    with pytest.raises(DimensionMismatch, match="chain on 3 states, metric on 4"):
+        kappa(chain, discrete_metric(4), 1, 2)
     with pytest.raises(DimensionMismatch):
-        kappa_ctmc(gen, discrete_metric(4), 1, 2)
-    single = Generator(np.zeros((1, 1)))
+        curvature_report(chain, discrete_metric(4))
     m1 = validate_metric(np.zeros((1, 1)))
-    with pytest.raises(SingleState):
-        k_min(single, m1)
-    with pytest.raises(SingleState):
-        kappa_min(single, m1)
+    single = Generator(np.zeros((1, 1))) if kind == "ctmc" else TransitionMatrix(np.ones((1, 1)))
     with pytest.raises(SingleState):
         curvature_report(single, m1)
-    pmat, _ = uniformize(gen)
-    with pytest.raises(DimensionMismatch):
-        curvature_report(pmat, discrete_metric(4))
-    for pairs in ("all", "min", (1, 2)):
-        with pytest.raises(ValueError, match="k-only"):
-            curvature_report(pmat, metric, pairs=pairs, k_only=True)
-    with pytest.raises(SingleState):
-        curvature_report(TransitionMatrix(np.ones((1, 1))), m1)
+    if kind == "ctmc":
+        with pytest.raises(SingleState):
+            k_min(single, m1)
+        with pytest.raises(SingleState):
+            kappa_min(single, m1)
+    else:
+        for pairs in ("all", "min", (1, 2)):
+            with pytest.raises(ValueError, match="k-only"):
+                curvature_report(chain, metric, pairs=pairs, k_only=True)

@@ -21,7 +21,7 @@ import pytest
 
 from wdbounds.aggregation import Aggregation, Partition, partition_aggregation_ctmc
 from wdbounds.cli import main
-from wdbounds.curvature import _kappa_min, k_matrix, kappa_ctmc, kappa_min
+from wdbounds.curvature import _kappa_min, k_matrix, kappa, kappa_min
 from wdbounds.errors import BadAlpha, NumericalFailure, RowSumNotZero
 from wdbounds.markov import (
     CLAMP_TOL,
@@ -209,7 +209,7 @@ def test_overflowing_transport_cost_raises() -> None:
     neither kappa_min nor a signed row may settle on such a value.
 
     kappa_min stops at its ``k`` matrix, so the transport guard is also
-    reached through ``kappa_ctmc``, which builds none, and through the pair
+    reached through ``kappa``, which builds none, and through the pair
     loop of kappa_min on finite stand-in ``k`` values."""
     gen, metric = _overflowing_line()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -219,7 +219,7 @@ def test_overflowing_transport_cost_raises() -> None:
             wasserstein_signed(np.array([1e10, -1e10, 0.0]), metric)
         for r, s in ((1, 2), (2, 3)):
             with pytest.raises(NumericalFailure, match="signed transport plan has cost"):
-                kappa_ctmc(gen, metric, r, s)
+                kappa(gen, metric, r, s)
         with pytest.raises(NumericalFailure, match="signed transport plan has cost"):
             _kappa_min(gen, metric, np.zeros((3, 3)))
 

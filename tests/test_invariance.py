@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from wdbounds.aggregation import Partition, partition_aggregation_ctmc
 from wdbounds.bounds import compute_bound_curve
-from wdbounds.curvature import kappa_ctmc
+from wdbounds.curvature import kappa
 from wdbounds.markov import Generator, ProbVec
 from wdbounds.metric import validate_metric
 from wdbounds.models import random_instance
@@ -46,10 +46,10 @@ def test_kappa_is_scale_free_in_d_and_linear_in_q(n, seed, kind, c):
     scaled_gen = Generator(gen.q * c)
     for r in range(1, n + 1):
         for s in range(r + 1, n + 1):
-            kap = kappa_ctmc(gen, metric, r, s)
+            kap = kappa(gen, metric, r, s)
             tol = 1e-9 * max(1.0, abs(kap))
-            assert abs(kappa_ctmc(gen, scaled_metric, r, s) - kap) <= tol, (r, s)
-            assert abs(kappa_ctmc(scaled_gen, metric, r, s) / c - kap) <= tol, (r, s)
+            assert abs(kappa(gen, scaled_metric, r, s) - kap) <= tol, (r, s)
+            assert abs(kappa(scaled_gen, metric, r, s) / c - kap) <= tol, (r, s)
 
 
 @given(st.integers(3, 7), st.integers(0, 10_000), kinds, scales, st.booleans())

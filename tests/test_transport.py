@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from wdbounds import transport
 from wdbounds.aggregation import Partition, partition_aggregation_ctmc
 from wdbounds.bounds import exact_error_curve
-from wdbounds.curvature import kappa_ctmc
+from wdbounds.curvature import kappa
 from wdbounds.errors import DimensionMismatch, NumericalFailure, RowSumNotZero
 from wdbounds.markov import ProbVec, dirac
 from wdbounds.metric import discrete_metric, line_metric, validate_metric
@@ -22,12 +22,11 @@ from wdbounds.transport import (
     Potential,
     SignedRow,
     row_wasserstein_vector,
-    verify_optimal_pair,
     wasserstein,
     wasserstein_signed,
 )
 
-from .oracles import transport_vertex_minimum
+from .oracles import transport_vertex_minimum, verify_optimal_pair
 
 # Six states on a line; these two distributions have W1 = 0.975 and the dual
 # optimum is attained by f = (2, 0, 1, 2.5, 1, 0).
@@ -496,7 +495,7 @@ def test_plan_missing_a_margin_raises(monkeypatch):
     gen, metric, _ = random_instance(6, 0, "graph")
     calls.clear()
     with pytest.raises(NumericalFailure, match="margins"):
-        kappa_ctmc(gen, metric, 1, 3)  # a 3x3 block
+        kappa(gen, metric, 1, 3)  # a 3x3 block
     assert calls
 
     jumps = JumpDistribution((((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)))
