@@ -7,7 +7,8 @@ original space) and, for partitions, a membership matrix ``Lambda`` with
 ``A @ Lambda = I``.  The aggregated generator is ``Theta = A Q Lambda``
 (transition matrix ``Pi = A P Lambda`` in discrete time); the approximate
 transient distribution is ``p~_t = pi_t^T A`` where ``pi_t`` solves the
-aggregated chain from ``pi_0 = Lambda^T p_0``.
+aggregated chain from ``pi_0 = Lambda^T p_0``.  :attr:`Aggregation.chain`
+holds the aggregated chain of either kind, ``Theta`` or ``Pi``.
 """
 
 from __future__ import annotations
@@ -73,27 +74,26 @@ class Aggregation:
     ``a`` is the ``(m, n)`` disaggregation matrix, its rows passed by the
     probability gate :func:`wdbounds.markov._clean_distribution`; ``lam`` the
     ``(n, m)`` membership matrix of a partition (``None`` otherwise), with
-    ``a @ lam = I`` to 1e-9.  At most one of ``theta`` (CTMC) / ``pi_mat``
-    (DTMC) is set.
+    ``a @ lam = I`` to 1e-9.  ``chain`` is the aggregated chain on the ``m``
+    aggregates, a :class:`Generator` ``Theta``, a :class:`TransitionMatrix` ``Pi`` or ``None``.
     """
 
     a: np.ndarray
     lam: np.ndarray | None = None
-    theta: Generator | None = None
-    pi_mat: TransitionMatrix | None = None
+    chain: Generator | TransitionMatrix | None = None
     partition: Partition | None = None
 
     def __post_init__(self) -> None:
-        if self.theta is not None and self.pi_mat is not None:
-            raise ValueError(
-                "aggregation carries both a CTMC generator (theta) and a DTMC matrix (pi)"
-            )
         a = np.ascontiguousarray(self.a, dtype=float)
         if a.ndim != 2 or a.shape[0] == 0:
             raise ValueError(f"disaggregation matrix must be 2-d, got shape {a.shape}")
         a = _clean_distribution(a, "disaggregation matrix")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
+        if self.chain is not None and self.chain.n != a.shape[0]:
+            raise DimensionMismatch(
+                f"aggregated chain on {self.chain.n} states, A has {a.shape[0]} rows"
+            )
         if self.lam is not None:
             lam = np.ascontiguousarray(self.lam, dtype=float)
             if lam.shape != (a.shape[1], a.shape[0]):
@@ -140,6 +140,20 @@ def _alpha_rows(partition: Partition, alpha: Sequence[np.ndarray] | None) -> np.
     return a
 
 
+def _partition_aggregation(
+    chain: Generator | TransitionMatrix, partition: Partition, alpha: Sequence[np.ndarray] | None
+) -> Aggregation:
+    """``chain`` aggregated over ``partition``: ``A Q Lambda`` or ``A P Lambda``, built
+    from the ``A`` that the gate keeps, each row divided by its mass."""
+    if chain.n != partition.n:
+        raise DimensionMismatch(f"chain on {chain.n} states, partition of {partition.n}")
+    lam = partition.membership()
+    agg = Aggregation(a=_alpha_rows(partition, alpha), lam=lam, partition=partition)
+    mat = chain.q if isinstance(chain, Generator) else chain.p
+    object.__setattr__(agg, "chain", type(chain)(agg.a @ mat @ agg.lam))
+    return agg
+
+
 def partition_aggregation_ctmc(
     gen: Generator, partition: Partition, alpha: Sequence[np.ndarray] | None = None
 ) -> Aggregation:
@@ -147,30 +161,15 @@ def partition_aggregation_ctmc(
 
     ``alpha`` optionally weights the states within each block (one
     probability vector per block, in block order); the default is uniform.
-    ``Theta`` is built from the ``A`` that the aggregation keeps.
     """
-    if gen.n != partition.n:
-        raise DimensionMismatch(f"generator on {gen.n} states, partition of {partition.n}")
-    a = _alpha_rows(partition, alpha)
-    lam = partition.membership()
-    agg = Aggregation(a=a, lam=lam, partition=partition)
-    # built from the A that the gate keeps, each row divided by its mass
-    object.__setattr__(agg, "theta", Generator(agg.a @ gen.q @ agg.lam))
-    return agg
+    return _partition_aggregation(gen, partition, alpha)
 
 
 def partition_aggregation_dtmc(
     pmat: TransitionMatrix, partition: Partition, alpha: Sequence[np.ndarray] | None = None
 ) -> Aggregation:
-    """Aggregate a DTMC over a partition: ``Pi = A P Lambda``."""
-    if pmat.n != partition.n:
-        raise DimensionMismatch(f"chain on {pmat.n} states, partition of {partition.n}")
-    a = _alpha_rows(partition, alpha)
-    lam = partition.membership()
-    agg = Aggregation(a=a, lam=lam, partition=partition)
-    # built from the A that the gate keeps, each row divided by its mass
-    object.__setattr__(agg, "pi_mat", TransitionMatrix(agg.a @ pmat.p @ agg.lam))
-    return agg
+    """Aggregate a DTMC over a partition: ``Pi = A P Lambda``, ``alpha`` as above."""
+    return _partition_aggregation(pmat, partition, alpha)
 
 
 def aggregate_initial(p0: ProbVec, agg: Aggregation | Partition) -> ProbVec:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import Aggregation, aggregate_initial
+from .aggregation import Aggregation, aggregate_initial, disaggregate
 from .curvature import _kappa_min, _local_defects, k_matrix
 from .errors import NegativeTime, RateUnavailable, SingleState
 from .markov import (
@@ -114,17 +114,16 @@ def defect(
     """Per-aggregate defect ``v`` and its max ``B``: ``|Theta A - A Q|_W`` of a
     CTMC :class:`Generator`, ``|Pi A - A P|_W`` of a DTMC :class:`TransitionMatrix`.
 
-    Rows of the difference sum to zero by construction, so each row has a
-    finite signed Wasserstein value.
+    ``agg.chain`` must be of ``chain``'s kind.  Rows of the difference sum to
+    zero by construction, so each row has a finite signed Wasserstein value.
     """
     if isinstance(chain, Generator):
-        if agg.theta is None:
-            raise ValueError("aggregation carries no CTMC generator")
-        mat = agg.theta.q @ agg.a - agg.a @ chain.q
+        attr, kind = "q", "CTMC generator"
     else:
-        if agg.pi_mat is None:
-            raise ValueError("aggregation carries no DTMC transition matrix")
-        mat = agg.pi_mat.p @ agg.a - agg.a @ chain.p
+        attr, kind = "p", "DTMC transition matrix"
+    if not isinstance(agg.chain, type(chain)):
+        raise ValueError(f"aggregation carries no {kind}")
+    mat = getattr(agg.chain, attr) @ agg.a - agg.a @ getattr(chain, attr)
     v = row_wasserstein_vector(mat, metric)
     return v, float(v.max())
 
@@ -171,8 +170,7 @@ def prepare_bound_inputs(
         raise SingleState()
     v, b = defect(gen, metric, agg)
     pi0 = aggregate_initial(p0, agg)
-    ptilde0 = ProbVec(pi0.p @ agg.a)
-    w0 = wasserstein(ptilde0, p0, metric, value_only=True).value
+    w0 = wasserstein(disaggregate(pi0, agg), p0, metric, value_only=True).value
     kmat = k_matrix(gen, metric)
     kap = _kappa_min(gen, metric, kmat)[0] if with_kappa else None
     kloc = _local_defects(kmat, metric)
@@ -232,10 +230,10 @@ def bound_linear_K_timevarying(
     ``eps`` the total-variation budget carried by the forward-stepped
     ``pi``.  Each value is therefore an upper bound on the exact integral.
     """
-    if agg.theta is None:
+    if not isinstance(agg.chain, Generator):
         raise ValueError("aggregation carries no CTMC generator")
     t = _check_grid(t_grid)
-    theta = agg.theta
+    theta = agg.chain
     lam = uniformize(theta)[1]
     occ = np.zeros((t.size, agg.m))  # cumulative truncated occupation at each t_i
     slack = np.zeros(t.size)  # its budget in time units: missing mass times duration
@@ -307,17 +305,17 @@ def exact_error_curve(
     ``p~_t - p_t``, certified by the plan's margins and the dual gap, without
     the n x n coupling and potential.
     """
-    if agg.theta is None:
+    if not isinstance(agg.chain, Generator):
         raise ValueError("aggregation carries no CTMC generator")
     t = _check_grid(t_grid)
     out = np.empty(t.size)
     pi_t, p_t, prev = aggregate_initial(p0, agg), p0, 0.0
     for i, ti in enumerate(t):
         h = float(ti) - prev
-        pi_t = transient_ctmc(pi_t, agg.theta, h)
+        pi_t = transient_ctmc(pi_t, agg.chain, h)
         p_t = transient_ctmc(p_t, gen, h)
         prev = float(ti)
-        out[i] = wasserstein(ProbVec(pi_t.p @ agg.a), p_t, metric, value_only=True).value
+        out[i] = wasserstein(disaggregate(pi_t, agg), p_t, metric, value_only=True).value
     return out
 
 
@@ -371,7 +369,7 @@ def compute_bound_curve(
     ``local``, ``hybrid``, ``hybrid-kappa``; each at most once, and at least
     one, else ``ValueError``.
     """
-    if agg.theta is None:
+    if not isinstance(agg.chain, Generator):
         raise ValueError("aggregation carries no CTMC generator")
     t = _check_grid(t_grid)
     known = {"linear", "timevarying", "exp-k", "exp-kappa", "local", "hybrid", "hybrid-kappa"}

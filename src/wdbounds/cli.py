@@ -323,20 +323,24 @@ def load_model_dict(doc: dict) -> Model:
         lam = None
         if "lam" in spec:
             lam = _float_matrix(spec["lam"], n, m, "lifting matrix")
-        theta = None
+        if "theta" in spec and "pi" in spec:
+            raise ValueError(
+                "aggregation carries both a CTMC generator (theta) and a DTMC matrix (pi)"
+            )
+        agg_chain, canon_agg = None, {}
         if "theta" in spec:
-            theta = Generator(_float_matrix(spec["theta"], m, m, "aggregated generator"))
-        pi_spec = None
+            agg_chain = Generator(_float_matrix(spec["theta"], m, m, "aggregated generator"))
+            canon_agg["theta"] = _matrix_doc(agg_chain.q)
         if "pi" in spec:
-            pi_spec = TransitionMatrix(_float_matrix(spec["pi"], m, m, "aggregated dtmc"))
-        agg = Aggregation(a=a, lam=lam, theta=theta, pi_mat=pi_spec)
-        canon_agg: dict = {"a": _matrix_doc(agg.a)}
+            agg_chain = TransitionMatrix(_float_matrix(spec["pi"], m, m, "aggregated dtmc"))
+            canon_agg["pi"] = _matrix_doc(agg_chain.p)
+        if chain is not None and agg_chain is not None and type(agg_chain) is not type(chain):
+            have, want = ("pi", "generator") if isinstance(chain, Generator) else ("theta", "dtmc")
+            raise ValueError(f"aggregation carries '{have}' but the model's chain is a '{want}'")
+        agg = Aggregation(a=a, lam=lam, chain=agg_chain)
+        canon_agg["a"] = _matrix_doc(agg.a)
         if lam is not None:
             canon_agg["lam"] = _matrix_doc(agg.lam)
-        if theta is not None:
-            canon_agg["theta"] = _matrix_doc(theta.q)
-        if pi_spec is not None:
-            canon_agg["pi"] = _matrix_doc(pi_spec.p)
         canon["aggregation"] = canon_agg
 
     return Model(
@@ -574,7 +578,6 @@ def _cmd_bounds(args) -> int:
     _require(isinstance(model.chain, Generator), "bounds needs a CTMC model (a 'generator')")
     partition = _load_partition_file(args.partition_from_file) if args.partition_from_file else None
     agg = _resolve_aggregation(model, partition)
-    _require(agg.theta is not None, "bounds needs an aggregation with a generator")
     if args.p0 is not None:
         p0 = _parse_dist(args.p0, model)
     else:
@@ -620,13 +623,10 @@ def _cmd_aggregate(args) -> int:
     src = partition if partition is not None else agg.partition
     if src is not None:
         report["partition"] = [list(b) for b in src.blocks]
-    if agg.theta is not None:
-        report["theta"] = _matrix_doc(agg.theta.q)
-    if agg.pi_mat is not None:
-        report["pi"] = _matrix_doc(agg.pi_mat.p)
-    # the defect needs the aggregated chain of the model's kind
-    aggregated = agg.theta if isinstance(model.chain, Generator) else agg.pi_mat
-    if model.metric is not None and model.chain is not None and aggregated is not None:
+    ctmc = isinstance(agg.chain, Generator)
+    if agg.chain is not None:  # of the model's kind: the loader and the builders see to it
+        report["theta" if ctmc else "pi"] = _matrix_doc(agg.chain.q if ctmc else agg.chain.p)
+    if model.metric is not None and model.chain is not None and agg.chain is not None:
         v, norm = bounds_mod.defect(model.chain, model.metric, agg)
         report["defect_vector"] = [float(x) for x in v]
         report["defect_norm"] = norm

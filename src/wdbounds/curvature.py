@@ -33,19 +33,20 @@ argument holds for the DTMC curvature.
 :func:`k_matrix` returns the closed-form lower bound ``k(r,s) <= kappa(r,s)``
 of every pair at once, obtained from the feasible potentials
 ``min(d(x,r), d(x,s))``-shaped candidates; it needs one product ``Q d``.
-:func:`kappa_min` visits the irreducible pairs in increasing ``k`` with the
-running minimum ``tau`` (``+inf`` before the first solve) and cuts every pair
-with ``k >= tau``: since ``kappa >= k`` pairwise, such a pair cannot go below
-``tau``.  A pair is also cut when ``k'' - margin >= tau``, where ``k''`` is
-the bound of the coupling that keeps the jump rate ``r`` and ``s`` share
-together (:func:`_shared_jump_bounds`, after Ollivier's coupling view of
-``kappa``), ``k <= k'' <= kappa``, and the margin covers its rounding.
-Every other pair's local problem is solved to optimality, its value
-certified by a feasible dual, and may lower ``tau``.  The returned minimum
-is exact.  No cut has a parameter: each scales with the rates and the unit
-of ``d``.  On random chains ``k''`` cuts nearly every pair that ``k`` does
-not; on box walks, where ``kappa`` is about 0 almost everywhere, neither
-cuts much, and the classes below keep the solves few.
+A DTMC has no ``k``.  For a CTMC, :func:`kappa_min` visits the irreducible
+pairs in increasing ``k`` with the running minimum ``tau`` (``+inf`` before
+the first solve) and cuts every pair with ``k >= tau``: since ``kappa >= k``
+pairwise, such a pair cannot go below ``tau``.  A pair is also cut when
+``k'' - margin >= tau``, where ``k''`` is the bound of the coupling that
+keeps the jump rate ``r`` and ``s`` share together
+(:func:`_shared_jump_bounds`, after Ollivier's coupling view of ``kappa``),
+``k <= k'' <= kappa``, and the margin covers its rounding.  Every other
+pair's local problem is solved to optimality, its value certified by a
+feasible dual, and may lower ``tau``.  The returned minimum is exact.  No
+cut has a parameter: each scales with the rates and the unit of ``d``.  On
+random chains ``k''`` cuts nearly every pair that ``k`` does not; on box
+walks, where ``kappa`` is about 0 almost everywhere, neither cuts much, and
+the classes below keep the solves few.
 
 Pairs whose local problems are the same bits, ``(Q_r - Q_s)+-`` on their
 supports in column order, the ``c'`` block on them and ``d(r,s)``
@@ -53,10 +54,10 @@ supports in column order, the ``c'`` block on them and ``d(r,s)``
 so they share one ``kappa`` to the last bit.
 Translation-invariant walks, the chains for which the paper proves
 ``kappa >= 0``, pose a few classes many times over.  :func:`kappa_min`
-therefore skips a pair whose class it has visited and cuts a class when
-the largest ``k`` or ``k'' - margin`` among its members is ``>= tau``;
-:func:`kappa_all_pairs` and :func:`curvature_report` solve one pair per
-class, for a CTMC under ``c'`` and for a DTMC under ``d``.
+therefore skips a pair whose class it has visited and, for a CTMC, cuts a
+class when the largest ``k`` or ``k'' - margin`` among its members is
+``>= tau``; a DTMC's pairs are visited in row-major order.  Every class is
+solved once, for a CTMC under ``c'`` and for a DTMC under ``d``.
 """
 
 from __future__ import annotations
@@ -88,6 +89,14 @@ def _check_pair(n: int, r: int, s: int) -> None:
             raise DimensionMismatch(f"state index {idx} out of range 1..{n}")
     if r == s:
         raise SamePair(r)
+
+
+def _check_chain(chain: Generator | TransitionMatrix, metric: Metric) -> None:
+    """Refuse a chain of one state, or on another number of states than ``metric``."""
+    if chain.n < 2:
+        raise SingleState()
+    if chain.n != metric.n:
+        raise DimensionMismatch(f"chain on {chain.n} states, metric on {metric.n}")
 
 
 def kappa(chain: Generator | TransitionMatrix, metric: Metric, r: int, s: int) -> float:
@@ -219,10 +228,8 @@ def k_matrix(gen: Generator, metric: Metric) -> np.ndarray:
 
 def k_min(gen: Generator, metric: Metric) -> float:
     """Minimum of ``k(r,s)`` over all pairs of distinct states."""
-    if gen.n < 2:
-        raise SingleState()
-    kmat = k_matrix(gen, metric)
-    return float(np.nanmin(kmat))
+    _check_chain(gen, metric)
+    return float(np.nanmin(k_matrix(gen, metric)))
 
 
 def _local_defects(kmat: np.ndarray, metric: Metric) -> np.ndarray:
@@ -308,7 +315,7 @@ class KappaMinStrategy:
     ``pairs_solved`` lists the exact solves in that order, the first being
     the pair with the smallest ``k``, and ``kappa_solved`` their
     curvatures; the pairs cut by ``k`` are the irreducible ones neither
-    solved, cut nor skipped.
+    solved, cut nor skipped.  A DTMC has no ``k`` and no cut: ``pairs_cut = 0``.
     """
 
     pairs_solved: tuple[tuple[int, int], ...]
@@ -319,38 +326,44 @@ class KappaMinStrategy:
     pairs_total: int  # all pairs r < s
 
 
-def kappa_min(gen: Generator, metric: Metric) -> tuple[float, KappaMinStrategy]:
-    """Exact minimum curvature over all pairs, via the irreducible pairs, the
-    k-prefilter, classes of identical local problems and the shared-jump
-    bound.
+def kappa_min(
+    chain: Generator | TransitionMatrix, metric: Metric
+) -> tuple[float, KappaMinStrategy]:
+    """Exact minimum curvature over all pairs of a CTMC or a DTMC, via the
+    irreducible pairs, classes of identical local problems and, for a CTMC,
+    the k-prefilter and the shared-jump bound.
 
     The minimum over all pairs is the minimum over the irreducible pairs
-    (see the module docstring).  Among those, a pair with ``k(r,s) >= tau``
-    cannot have curvature below the running minimum ``tau`` (kappa
-    dominates k), nor can a pair whose class was visited before or a class
-    whose members' largest ``k`` or shared-jump bound is ``>= tau``, so
-    only the remaining classes are solved exactly, once each.
+    (see the module docstring).  Among those, a pair whose class was visited
+    before cannot have curvature below the running minimum ``tau``, nor, for
+    a CTMC, can a pair with ``k(r,s) >= tau`` (kappa dominates k) or a class
+    whose members' largest ``k`` or shared-jump bound is ``>= tau``, so only
+    the remaining classes are solved exactly, once each.
     """
-    if gen.n < 2:
-        raise SingleState()
-    return _kappa_min(gen, metric, k_matrix(gen, metric))
+    _check_chain(chain, metric)
+    kmat = k_matrix(chain, metric) if isinstance(chain, Generator) else None
+    return _kappa_min(chain, metric, kmat)
 
 
 def _kappa_min(
-    gen: Generator, metric: Metric, kmat: np.ndarray
+    chain: Generator | TransitionMatrix, metric: Metric, kmat: np.ndarray | None
 ) -> tuple[float, KappaMinStrategy]:
-    """:func:`kappa_min` on the pairwise ``k`` values ``kmat`` of ``gen`` and ``metric``."""
-    iu = np.triu_indices(gen.n, k=1)
-    kvals = np.minimum(kmat[iu], kmat.T[iu])  # k is symmetric; belt and braces
+    """:func:`kappa_min` on the pairwise ``k`` values ``kmat`` of ``chain`` and
+    ``metric``; a DTMC has no ``k`` and passes ``None``."""
+    iu = np.triu_indices(chain.n, k=1)
+    # k_matrix is bitwise symmetric; a DTMC's -inf keeps row-major order and cuts nothing
+    kvals = np.full(iu[0].size, -np.inf) if kmat is None else kmat[iu]
     reduced = np.flatnonzero(irreducible_pairs(metric))  # row-major
     order = reduced[np.argsort(kvals[reduced], kind="stable")]  # increasing k
     d = metric.dist
     ii, jj, korder = iu[0][order], iu[1][order], kvals[order]
-    supports = _row_supports(gen.q)
-    cls, first = _pair_classes(gen.q, supports, d, ii, jj, _closed_cost)
+    mat, cost = _local_form(chain)
+    supports = _row_supports(mat)
+    cls, first = _pair_classes(mat, supports, d, ii, jj, cost)
     # the members of a class share one kappa, and each member's k and k'' - margin bound it
     floor = np.full(first.size, -np.inf)
-    np.maximum.at(floor, cls, np.maximum(korder, _shared_jump_bounds(gen.q, supports, d, ii, jj)))
+    if kmat is not None:
+        np.maximum.at(floor, cls, np.maximum(korder, _shared_jump_bounds(mat, supports, d, ii, jj)))
     solved: list[tuple[int, int]] = []
     values: list[float] = []
     cut = skipped = 0
@@ -365,7 +378,7 @@ def _kappa_min(
             cut += 1
             continue
         i, j = int(ii[at]), int(jj[at])
-        kap = _pair_kappa(gen, metric, i, j)
+        kap = _pair_kappa(chain, metric, i, j)
         solved.append((i + 1, j + 1))
         values.append(kap)
         tau = min(tau, kap)
@@ -380,17 +393,14 @@ def _kappa_min(
     return tau, strategy
 
 
-def kappa_all_pairs(gen: Generator, metric: Metric) -> np.ndarray:
-    """Exact curvature for every pair (``nan`` diagonal), one solve per class
-    of pairs with identical local problems."""
-    n = gen.n
-    if n < 2:
-        raise SingleState()
-    if n != metric.n:
-        raise DimensionMismatch(f"generator on {n} states, metric on {metric.n}")
+def kappa_all_pairs(chain: Generator | TransitionMatrix, metric: Metric) -> np.ndarray:
+    """Exact curvature of a CTMC or a DTMC for every pair (``nan`` diagonal),
+    one solve per class of pairs with identical local problems."""
+    _check_chain(chain, metric)
+    n = chain.n
     ii, jj = np.triu_indices(n, k=1)
     out = np.full((n, n), np.nan)
-    out[ii, jj] = out[jj, ii] = _class_kappas(gen, metric, ii, jj)
+    out[ii, jj] = out[jj, ii] = _class_kappas(chain, metric, ii, jj)
     return out
 
 
@@ -400,8 +410,8 @@ class CurvatureReport:
 
     Pair ``i`` is ``(r[i], s[i])``, 1-based with ``r < s``, in row-major
     order; ``k[i]`` is its lower bound ``k(r,s)`` and ``kappa[i]`` its exact
-    curvature, ``nan`` where that was not solved.  A DTMC has no ``k``:
-    its ``k``, ``k_min``, ``K_global`` and ``strategy`` are ``None``.
+    curvature, ``nan`` where that was not solved.  A DTMC has no ``k``: its
+    ``k``, ``k_min`` and ``K_global`` are ``None``; ``strategy`` is ``pairs="min"``'s.
     """
 
     r: np.ndarray
@@ -424,20 +434,16 @@ def curvature_report(
 
     ``chain`` is a CTMC :class:`Generator` or a DTMC :class:`TransitionMatrix`.
     ``pairs`` is ``"all"`` (exact kappa everywhere), ``"min"`` (exact kappa
-    only where the minimum needs it: the pairs :func:`kappa_min` solves, or
-    every irreducible pair of a DTMC) or a single 1-based pair, which gets no
-    ``kappa_min``.  A CTMC's ``k`` values and constants come from one
-    :func:`k_matrix`; a DTMC has none, and ``k_only`` raises ``ValueError``.
+    only where the minimum needs it: the pairs :func:`kappa_min` solves) or
+    a single 1-based pair, which gets no ``kappa_min``.  A CTMC's ``k``
+    values and constants come from one :func:`k_matrix`; a DTMC has none,
+    and ``k_only`` raises ``ValueError``.
     """
+    _check_chain(chain, metric)
     n = chain.n
-    if n < 2:
-        raise SingleState()
-    if n != metric.n:
-        raise DimensionMismatch(f"chain on {n} states, metric on {metric.n}")
-    ctmc = isinstance(chain, Generator)
-    if k_only and not ctmc:
+    kmat = k_matrix(chain, metric) if isinstance(chain, Generator) else None
+    if k_only and kmat is None:
         raise ValueError("k-only needs a generator: a DTMC has no k bound")
-    kmat = k_matrix(chain, metric) if ctmc else None
     kap_min: float | None = None
     strategy: KappaMinStrategy | None = None
     if isinstance(pairs, tuple):
@@ -454,14 +460,10 @@ def curvature_report(
         elif pairs == "all":
             kappa = _class_kappas(chain, metric, r - 1, s - 1)
             kap_min = float(kappa.min())
-        elif ctmc:
+        else:
             kap_min, strategy = _kappa_min(chain, metric, kmat)
             i, j = np.transpose(strategy.pairs_solved) - 1
             kappa[i * (2 * n - i - 1) // 2 + j - i - 1] = strategy.kappa_solved  # row-major r < s
-        else:  # the minimum over all pairs is reached on the irreducible ones
-            solve = irreducible_pairs(metric)
-            kappa[solve] = _class_kappas(chain, metric, r[solve] - 1, s[solve] - 1)
-            kap_min = float(kappa[solve].min())
     return CurvatureReport(
         r=r,
         s=s,

@@ -112,9 +112,9 @@ def test_c02_toy_curvature_table() -> None:
 def test_c03_toy_aggregation_pipeline() -> None:
     gen, metric = toy_ctmc()
     agg = partition_aggregation_ctmc(gen, Partition(TOY_BLOCKS))
-    np.testing.assert_allclose(agg.theta.q, [[-2.0, 2.0], [2.0, -2.0]], atol=1e-12)
+    np.testing.assert_allclose(agg.chain.q, [[-2.0, 2.0], [2.0, -2.0]], atol=1e-12)
     np.testing.assert_allclose(
-        agg.theta.q @ agg.a - agg.a @ gen.q,
+        agg.chain.q @ agg.a - agg.a @ gen.q,
         [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]],
         atol=1e-12,
     )
@@ -145,7 +145,7 @@ def test_c04_explicit_aggregated_transient() -> None:
     agg = partition_aggregation_ctmc(gen, Partition(TOY_BLOCKS))
     pi0 = ProbVec(np.array([1.0, 0.0]))
     for t in np.linspace(0.0, 1.0, 101):
-        pi_t = transient_ctmc(pi0, agg.theta, float(t))
+        pi_t = transient_ctmc(pi0, agg.chain, float(t))
         expected = np.array([0.5 * (1.0 + np.exp(-4.0 * t)), 0.5 * (1.0 - np.exp(-4.0 * t))])
         np.testing.assert_allclose(pi_t.p, expected, atol=1e-9)
 
@@ -379,7 +379,7 @@ def test_c11_dtmc_recurrence_soundness() -> None:
         for k in range(steps):
             pi_seq[k] = pi
             p = p @ pmat.p
-            pi = pi @ agg.pi_mat.p
+            pi = pi @ agg.chain.p
             errors[k] = wasserstein(ProbVec(pi @ agg.a), ProbVec(p), metric).value
         seq = dtmc_bound_sequence(w0, v_d, kap_p, pi_seq)
         assert np.all(seq[1:] >= errors - 1e-9), i

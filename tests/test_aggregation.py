@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,8 +67,8 @@ def test_toy_aggregated_generator():
     gen = Generator(TOY_Q)
     agg = partition_aggregation_ctmc(gen, TOY_PART)
     assert np.allclose(agg.a, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], atol=1e-15)
-    assert np.allclose(agg.theta.q, [[-2.0, 2.0], [2.0, -2.0]], atol=1e-12)
-    assert agg.pi_mat is None
+    assert np.allclose(agg.chain.q, [[-2.0, 2.0], [2.0, -2.0]], atol=1e-12)
+    assert isinstance(agg.chain, Generator)
     assert np.allclose(agg.a @ agg.lam, np.eye(2), atol=1e-15)
     assert agg.m == 2 and agg.n == 3
 
@@ -78,8 +80,8 @@ def test_custom_alpha_weighting():
     assert np.allclose(agg.a, [[0.25, 0.75, 0.0], [0.0, 0.0, 1.0]], atol=1e-15)
     # Theta is exactly A Q Lambda for the weighted A
     want = agg.a @ TOY_Q @ TOY_PART.membership()
-    assert np.allclose(agg.theta.q, want, atol=1e-12)
-    assert np.allclose(agg.theta.q[0], [-2.5, 2.5], atol=1e-12)
+    assert np.allclose(agg.chain.q, want, atol=1e-12)
+    assert np.allclose(agg.chain.q[0], [-2.5, 2.5], atol=1e-12)
 
 
 def test_aggregated_chain_is_built_from_the_kept_a():
@@ -89,10 +91,10 @@ def test_aggregated_chain_is_built_from_the_kept_a():
     gen = Generator(TOY_Q)
     agg = partition_aggregation_ctmc(gen, TOY_PART, alpha=alpha)
     assert agg.a[0, 1] != alpha[0][1]
-    np.testing.assert_array_equal(agg.theta.q, agg.a @ TOY_Q @ agg.lam)
+    np.testing.assert_array_equal(agg.chain.q, agg.a @ TOY_Q @ agg.lam)
     pmat, _ = uniformize(gen)
     agg_d = partition_aggregation_dtmc(pmat, TOY_PART, alpha=alpha)
-    np.testing.assert_array_equal(agg_d.pi_mat.p, agg_d.a @ pmat.p @ agg_d.lam)
+    np.testing.assert_array_equal(agg_d.chain.p, agg_d.a @ pmat.p @ agg_d.lam)
 
 
 def test_alpha_validation():
@@ -136,16 +138,21 @@ def test_aggregation_validation():
         )
 
 
-def test_aggregation_carries_at_most_one_chain():
-    """An aggregation is of a CTMC (``theta``) or of a DTMC (``pi_mat``), or
-    of neither; both at once is refused."""
+def test_aggregation_chain_is_one_field_on_the_aggregates():
+    """An aggregation carries one aggregated chain, of either kind (CTMC
+    ``Theta`` or DTMC ``Pi``) or none, and that chain lives on the ``m``
+    aggregates: a chain of another size is refused when the aggregation is
+    built, not later inside a matrix product."""
     a = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
     theta = Generator(np.array([[-1.0, 1.0], [2.5, -2.5]]))
     pi_mat = TransitionMatrix(np.full((2, 2), 0.5))
-    assert Aggregation(a=a, theta=theta).pi_mat is None
-    assert Aggregation(a=a, pi_mat=pi_mat).theta is None
-    with pytest.raises(ValueError, match="both"):
-        Aggregation(a=a, theta=theta, pi_mat=pi_mat)
+    assert Aggregation(a=a).chain is None
+    assert Aggregation(a=a, chain=theta).chain is theta
+    assert Aggregation(a=a, chain=pi_mat).chain is pi_mat
+    assert [f.name for f in fields(Aggregation)] == ["a", "lam", "chain", "partition"]
+    for wrong in (Generator(TOY_Q), TransitionMatrix(np.full((3, 3), 1 / 3))):
+        with pytest.raises(DimensionMismatch, match="aggregated chain on 3 states, A has 2 rows"):
+            Aggregation(a=a, chain=wrong)
 
 
 def test_aggregate_initial_and_disaggregate():
@@ -174,9 +181,9 @@ def test_uniformization_commutes_with_aggregation():
     ctmc_agg = partition_aggregation_ctmc(gen, TOY_PART)
     dtmc_agg = partition_aggregation_dtmc(pmat, TOY_PART)
     assert np.allclose(
-        dtmc_agg.pi_mat.p, np.eye(2) + ctmc_agg.theta.q / lam, atol=1e-12
+        dtmc_agg.chain.p, np.eye(2) + ctmc_agg.chain.q / lam, atol=1e-12
     )
-    assert dtmc_agg.theta is None
+    assert isinstance(dtmc_agg.chain, TransitionMatrix)
 
 
 def test_epsilon_partition_cases():

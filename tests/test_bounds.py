@@ -304,7 +304,7 @@ def test_dtmc_bound_dominates_uniformized_error() -> None:
     for k in range(steps):
         pi_seq[k] = pi
         p = p @ pmat.p
-        pi = pi @ dagg.pi_mat.p
+        pi = pi @ dagg.chain.p
         errors.append(wasserstein(ProbVec(pi @ dagg.a), ProbVec(p), metric).value)
     seq = dtmc_bound_sequence(w0, v_d, kap_p, pi_seq)
     assert seq.shape == (steps + 1,)
@@ -429,7 +429,7 @@ def test_exact_error_against_series_oracle(toy) -> None:
     t = 0.3
     curve = exact_error_curve(p0, gen, metric, agg, np.array([t]))
     p_t = transient_series(TOY_P0, TOY_Q, t)
-    pi_t = transient_series(np.array([1.0, 0.0]), np.asarray(agg.theta.q), t)
+    pi_t = transient_series(np.array([1.0, 0.0]), np.asarray(agg.chain.q), t)
     oracle = wasserstein(ProbVec(pi_t @ agg.a), ProbVec(p_t), metric).value
     assert curve[0] == pytest.approx(oracle, abs=1e-9)
 
@@ -487,7 +487,7 @@ def test_exact_error_curve_matches_restart_route() -> None:
         pi0 = ProbVec(p0.p @ agg.lam)
         restart = [
             wasserstein(
-                ProbVec(transient_ctmc(pi0, agg.theta, t).p @ agg.a),
+                ProbVec(transient_ctmc(pi0, agg.chain, t).p @ agg.a),
                 transient_ctmc(p0, gen, t),
                 metric,
             ).value
@@ -597,7 +597,7 @@ def test_exact_curve_builds_no_coupling_or_potential(toy, monkeypatch) -> None:
     for (p0, gen, metric, agg, t_grid), curve in zip(cases, curves):
         pi_t, p_t, prev = aggregate_initial(p0, agg), p0, 0.0
         for t, value in zip(t_grid, curve):
-            pi_t = transient_ctmc(pi_t, agg.theta, float(t) - prev)
+            pi_t = transient_ctmc(pi_t, agg.chain, float(t) - prev)
             p_t = transient_ctmc(p_t, gen, float(t) - prev)
             prev = float(t)
             assert value == wasserstein(ProbVec(pi_t.p @ agg.a), p_t, metric).value

@@ -569,6 +569,33 @@ def test_aggregate_refuses_an_aggregation_with_both_chains(capsys, tmp_path) -> 
     assert err.startswith("ValueError: aggregation carries both") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["aggregate", "bounds"])
+@pytest.mark.parametrize(
+    "chain_key, chain, agg_key, agg_chain",
+    [
+        ("generator", TOY_Q, "pi", [[0.5, 0.5], [0.5, 0.5]]),
+        ("dtmc", TOY_P, "theta", [[-1.0, 1.0], [2.5, -2.5]]),
+    ],
+)
+def test_aggregation_of_the_other_chain_kind_exits_two(
+    capsys, tmp_path, command, chain_key, chain, agg_key, agg_chain
+) -> None:
+    """The loader refuses an explicit aggregation whose chain is not of the
+    model's kind, so no command runs with an aggregation it has no defect for."""
+    doc = {
+        "n": 3,
+        chain_key: chain,
+        "metric": {"kind": "explicit", "dist": TOY_D},
+        "aggregation": {"a": [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], agg_key: agg_chain},
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--model", str(path))
+    assert code == 2 and out == ""
+    want = f"ValueError: aggregation carries '{agg_key}' but the model's chain is a '{chain_key}'"
+    assert err.strip() == want
+
+
 def test_aggregate_dtmc_reports_pi_and_its_defect(capsys, tmp_path, dtmc_model) -> None:
     part = tmp_path / "part.json"
     part.write_text(json.dumps([[1, 2], [3]]))

@@ -118,6 +118,22 @@ def test_k_matrix_product_sums_nonzeros_in_column_order(density):
         np.testing.assert_allclose(got, q @ d, rtol=0, atol=1e-13 * scale)
 
 
+def test_k_matrix_is_bitwise_symmetric():
+    """``k(r,s)`` and ``k(s,r)`` are the same bits: ``own + own.T`` adds the
+    same two terms either way and ``d`` is exactly symmetric, so
+    :func:`kappa_min` reads the upper triangle alone."""
+    kinds = ("line", "graph", "discrete")
+    instances = [
+        random_instance(3 + seed % 8, 900 + seed, metric_kind=kinds[seed % 3])[:2]
+        for seed in range(24)
+    ]
+    grid = JumpDistribution((((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)))
+    instances.append(translation_invariant_ctmc(Box((0, 0), (7, 7)), 1.0, grid))
+    for gen, metric in instances:
+        kmat = k_matrix(gen, metric)
+        np.testing.assert_array_equal(_bits(kmat), _bits(kmat.T))
+
+
 def test_kappa_dominates_k_randomized():
     for seed in range(25):
         gen, metric, _ = random_instance(int(np.random.default_rng(seed).integers(3, 9)), seed)
@@ -627,23 +643,29 @@ def test_curvature_report_modes(toy):
 @pytest.mark.parametrize("seed", range(6))
 def test_curvature_report_of_a_dtmc_matches_kappa_dtmc(seed):
     """For a DTMC the report's kappa is, bit for bit, ``kappa`` on every
-    pair (``"all"``), on the irreducible pairs (``"min"``, the others
-    unsolved) and on a single pair, which gets no ``kappa_min``; a DTMC has
-    no ``k``, ``k_min``, ``K_global`` or strategy."""
+    pair (``"all"``), on the pairs :func:`kappa_min` solves (``"min"``, the
+    others unsolved) and on a single pair, which gets no ``kappa_min``; a
+    DTMC has no ``k``, ``k_min`` or ``K_global``, and only ``"min"`` has a
+    strategy, which cuts no pair."""
     kind = ("line", "graph", "discrete")[seed % 3]
     gen, metric, _ = random_instance(3 + seed, 600 + seed, metric_kind=kind)
     pmat, _ = uniformize(gen)
     n = pmat.n
     ii, jj = np.triu_indices(n, k=1)
     per_pair = np.array([kappa(pmat, metric, r + 1, s + 1) for r, s in zip(ii, jj)])
-    solve = irreducible_pairs(metric)
     rep_all = curvature_report(pmat, metric, pairs="all")
     rep_min = curvature_report(pmat, metric, pairs="min")
+    strategy = rep_min.strategy
+    assert strategy.pairs_cut == 0
+    assert strategy.pairs_irreducible == irreducible_pairs(metric).sum()
+    solve = np.isin(ii * n + jj, [(r - 1) * n + s - 1 for r, s in strategy.pairs_solved])
     np.testing.assert_array_equal(_bits(rep_all.kappa), _bits(per_pair))
     np.testing.assert_array_equal(_bits(rep_min.kappa[solve]), _bits(per_pair[solve]))
+    np.testing.assert_array_equal(_bits(strategy.kappa_solved), _bits(per_pair[solve]))
     assert np.isnan(rep_min.kappa[~solve]).all()
     assert rep_all.kappa_min == per_pair.min()
-    assert rep_min.kappa_min == per_pair[solve].min()
+    assert rep_min.kappa_min == per_pair[irreducible_pairs(metric)].min()
+    assert rep_all.strategy is None
     reports = [rep_all, rep_min]
     for pair in ((1, n), (n, 2)):
         rep_one = curvature_report(pmat, metric, pairs=pair)
@@ -652,9 +674,45 @@ def test_curvature_report_of_a_dtmc_matches_kappa_dtmc(seed):
         np.testing.assert_array_equal(_bits(rep_one.kappa), _bits([want]))
         assert rep_one.kappa_min is None
         reports.append(rep_one)
+        assert rep_one.strategy is None
     for rep in reports:
         assert rep.k is None and rep.k_min is None and rep.K_global is None
-        assert rep.strategy is None
+
+
+def _dtmc_chains():
+    """The six chains of the DTMC report test, uniformized, and the
+    uniformized 24-state line walk with jumps +-1 and +-2."""
+    chains = []
+    for seed in range(6):
+        kind = ("line", "graph", "discrete")[seed % 3]
+        gen, metric, _ = random_instance(3 + seed, 600 + seed, metric_kind=kind)
+        chains.append((uniformize(gen)[0], metric))
+    line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
+    gen, metric = translation_invariant_ctmc(Box((0,), (23,)), 1.0, line)
+    chains.append((uniformize(gen)[0], metric))
+    return chains
+
+
+@pytest.mark.parametrize("chain_metric", _dtmc_chains())
+def test_kappa_min_of_a_dtmc_is_the_least_kappa_bit_for_bit(chain_metric):
+    """``kappa_min`` takes a DTMC: its minimum is, bit for bit, the least
+    ``kappa_all_pairs`` value, reached by one solve per class of the
+    irreducible pairs in row-major order, with nothing cut."""
+    pmat, metric = chain_metric
+    val, strategy = kappa_min(pmat, metric)
+    full = kappa_all_pairs(pmat, metric)
+    assert _bits(val) == _bits(np.nanmin(full))
+    reduced = irreducible_pairs(metric)
+    ii, jj = np.triu_indices(pmat.n, k=1)
+    visited = list(zip(ii[reduced] + 1, jj[reduced] + 1))
+    assert strategy.pairs_cut == 0
+    assert strategy.pairs_irreducible == len(visited)
+    assert len(strategy.pairs_solved) + strategy.pairs_skipped == len(visited)
+    assert list(strategy.pairs_solved) == [p for p in visited if p in strategy.pairs_solved]
+    for (r, s), kap in zip(strategy.pairs_solved, strategy.kappa_solved):
+        assert _bits(kap) == _bits(full[r - 1, s - 1])
+    if pmat.n == 24:  # the line walk: 4 classes among its 23 neighbouring pairs
+        assert len(visited) == 23 and len(strategy.pairs_solved) == 4
 
 
 def test_curvature_report_min_solves_each_pair_once(monkeypatch):
@@ -802,9 +860,9 @@ def test_curvature_and_defect_make_no_lp_call(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
 def test_error_conditions(toy, kind):
-    """``kappa`` and ``curvature_report`` refuse the same inputs for either
-    chain kind; ``k``, and so ``k_min``, ``kappa_min`` and ``k_only``, exist
-    only for a CTMC."""
+    """``kappa``, ``kappa_min``, ``kappa_all_pairs`` and ``curvature_report``
+    refuse the same inputs for either chain kind; ``k``, and so ``k_min``
+    and ``k_only``, exist only for a CTMC."""
     gen, metric = toy
     chain = gen if kind == "ctmc" else uniformize(gen)[0]
     with pytest.raises(SamePair):
@@ -815,15 +873,17 @@ def test_error_conditions(toy, kind):
         kappa(chain, discrete_metric(4), 1, 2)
     with pytest.raises(DimensionMismatch):
         curvature_report(chain, discrete_metric(4))
+    for whole in (kappa_min, kappa_all_pairs):
+        with pytest.raises(DimensionMismatch, match="on 3 states, metric on 4"):
+            whole(chain, discrete_metric(4))
     m1 = validate_metric(np.zeros((1, 1)))
     single = Generator(np.zeros((1, 1))) if kind == "ctmc" else TransitionMatrix(np.ones((1, 1)))
-    with pytest.raises(SingleState):
-        curvature_report(single, m1)
+    for whole in (curvature_report, kappa_min, kappa_all_pairs):
+        with pytest.raises(SingleState):
+            whole(single, m1)
     if kind == "ctmc":
         with pytest.raises(SingleState):
             k_min(single, m1)
-        with pytest.raises(SingleState):
-            kappa_min(single, m1)
     else:
         for pairs in ("all", "min", (1, 2)):
             with pytest.raises(ValueError, match="k-only"):

@@ -117,7 +117,12 @@ CLI_INPUTS = {
         AGGREGATE,
     ),
     "aggregation.pi": (
-        lambda x: {**BASE_MODEL, "aggregation": {"a": A, "pi": [[x, 1.0], [0.5, 0.5]]}},
+        lambda x: {
+            **BASE_MODEL,
+            "generator": None,
+            "dtmc": TOY_P,
+            "aggregation": {"a": A, "pi": [[x, 1.0], [0.5, 0.5]]},
+        },
         0.0,
         AGGREGATE,
     ),

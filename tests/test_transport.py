@@ -233,7 +233,7 @@ def test_row_wasserstein_vector_solves_each_distinct_row_once(monkeypatch, side,
         for bc in range(0, side, block)
     ]
     agg = partition_aggregation_ctmc(gen, Partition(tuple(blocks)))
-    mat = agg.theta.q @ agg.a - agg.a @ gen.q
+    mat = agg.chain.q @ agg.a - agg.a @ gen.q
     loop = np.array([wasserstein_signed(row, metric) for row in mat])
     calls = []
     signed = transport.wasserstein_signed
