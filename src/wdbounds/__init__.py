@@ -36,7 +36,6 @@ from .curvature import (
     KappaMinStrategy,
     curvature_report,
     k_matrix,
-    k_min,
     kappa,
     kappa_all_pairs,
     kappa_min,
@@ -126,7 +125,6 @@ __all__ = [
     # curvature
     "kappa",
     "k_matrix",
-    "k_min",
     "kappa_min",
     "kappa_all_pairs",
     "KappaMinStrategy",

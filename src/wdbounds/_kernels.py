@@ -9,7 +9,7 @@ Status codes shared by both kernels:
 
 * ``0`` - optimal,
 * ``1`` - unbounded (simplex only),
-* ``2`` - iteration limit hit (the caller raises or falls back).
+* ``2`` - iteration limit hit (the caller raises).
 """
 
 from __future__ import annotations

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import Aggregation, aggregate_initial, disaggregate
-from .curvature import _kappa_min, _local_defects, k_matrix
-from .errors import NegativeTime, RateUnavailable, SingleState
+from .curvature import _check_chain, _k_constants, _kappa_min, k_matrix
+from .errors import NegativeTime, RateUnavailable
 from .markov import (
     Generator,
     ProbVec,
@@ -166,20 +166,19 @@ def prepare_bound_inputs(
     ``k_min``, ``K``, ``K_local`` and, with ``with_kappa``, the prefilter of
     ``kappa_min`` all come from one :func:`k_matrix`.
     """
-    if gen.n < 2:
-        raise SingleState()
+    _check_chain(gen, metric)
     v, b = defect(gen, metric, agg)
     pi0 = aggregate_initial(p0, agg)
     w0 = wasserstein(disaggregate(pi0, agg), p0, metric, value_only=True).value
     kmat = k_matrix(gen, metric)
     kap = _kappa_min(gen, metric, kmat)[0] if with_kappa else None
-    kloc = _local_defects(kmat, metric)
+    k_lo, k_glob, kloc = _k_constants(kmat, metric)
     return BoundInputs(
         w0=w0,
         defect_vector=v,
         defect_norm=b,
-        k_min=float(np.nanmin(kmat)),
-        K=float(kloc.max()),
+        k_min=k_lo,
+        K=k_glob,
         d_max=metric.d_max,
         kappa_min=kap,
         K_local=kloc,

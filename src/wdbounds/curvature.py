@@ -74,7 +74,6 @@ from .transport import _row_supports, _signed_classes, _SignedPlan, _signed_ot
 __all__ = [
     "kappa",
     "k_matrix",
-    "k_min",
     "kappa_min",
     "kappa_all_pairs",
     "KappaMinStrategy",
@@ -103,8 +102,7 @@ def kappa(chain: Generator | TransitionMatrix, metric: Metric, r: int, s: int) -
     """Exact coarse Ricci curvature of the 1-based pair ``(r, s)``: ``-V/d``
     of a CTMC :class:`Generator`, ``1 - W1(P_r, P_s)/d`` of a DTMC
     :class:`TransitionMatrix`."""
-    if chain.n != metric.n:
-        raise DimensionMismatch(f"chain on {chain.n} states, metric on {metric.n}")
+    _check_chain(chain, metric)
     _check_pair(chain.n, r, s)
     return _pair_kappa(chain, metric, r - 1, s - 1)
 
@@ -210,8 +208,7 @@ def k_matrix(gen: Generator, metric: Metric) -> np.ndarray:
     An off-diagonal ``k`` that is not finite, which means that ``Q d``
     overflowed, raises :class:`NumericalFailure`.
     """
-    if gen.n != metric.n:
-        raise DimensionMismatch(f"generator on {gen.n} states, metric on {metric.n}")
+    _check_chain(gen, metric)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = _q_times_d(gen.q, metric.dist)  # g[a, b] = Q_a . d(., b)
         own = np.minimum(np.diagonal(g)[:, None], g)  # own[r, s] = min(g_rr, g_rs)
@@ -226,16 +223,13 @@ def k_matrix(gen: Generator, metric: Metric) -> np.ndarray:
     return kmat
 
 
-def k_min(gen: Generator, metric: Metric) -> float:
-    """Minimum of ``k(r,s)`` over all pairs of distinct states."""
-    _check_chain(gen, metric)
-    return float(np.nanmin(k_matrix(gen, metric)))
-
-
-def _local_defects(kmat: np.ndarray, metric: Metric) -> np.ndarray:
-    """``K_loc(r) = max(0, max_{s != r} -d(r,s) k(r,s))`` for every state, from
-    one :func:`k_matrix`; the defect constant ``K`` is their maximum."""
-    return np.maximum(0.0, np.nanmax(-metric.dist * kmat, axis=1))
+def _k_constants(kmat: np.ndarray, metric: Metric) -> tuple[float, float, np.ndarray]:
+    """``(k_min, K, K_loc)`` of one :func:`k_matrix`, the one producer of the
+    constants that the bounds and the curvature report read: the least ``k``,
+    ``K_loc(r) = max(0, max_{s != r} -d(r,s) k(r,s))`` for every state, and
+    the defect constant ``K``, their maximum."""
+    kloc = np.maximum(0.0, np.nanmax(-metric.dist * kmat, axis=1))
+    return float(np.nanmin(kmat)), float(kloc.max()), kloc
 
 
 def _shared_jump_bounds(
@@ -444,6 +438,7 @@ def curvature_report(
     kmat = k_matrix(chain, metric) if isinstance(chain, Generator) else None
     if k_only and kmat is None:
         raise ValueError("k-only needs a generator: a DTMC has no k bound")
+    k_lo, k_glob, _ = (None, None, None) if kmat is None else _k_constants(kmat, metric)
     kap_min: float | None = None
     strategy: KappaMinStrategy | None = None
     if isinstance(pairs, tuple):
@@ -469,8 +464,8 @@ def curvature_report(
         s=s,
         k=None if kmat is None else kmat[r - 1, s - 1],
         kappa=kappa,
-        k_min=None if kmat is None else float(np.nanmin(kmat)),
-        K_global=None if kmat is None else float(_local_defects(kmat, metric).max()),
+        k_min=k_lo,
+        K_global=k_glob,
         kappa_min=kap_min,
         strategy=strategy,
     )

@@ -6,9 +6,10 @@ the cost of moving ``(p - q)+`` onto ``(p - q)-``, and only the block
 ``supp(p - q)+ x supp(p - q)-`` is solved.  Two independent routes solve it:
 
 * ``method="transport"`` (default) - a transportation simplex specialized to
-  the coupling polytope (:func:`wdbounds._kernels.transport_loop`);
-* ``method="lp"`` - the same problem assembled as a generic linear program
-  and handed to :func:`wdbounds.lp.solve`.
+  the coupling polytope (:func:`wdbounds._kernels.transport_loop`), which
+  raises :class:`NumericalFailure` where it stops short of the optimum;
+* ``method="lp"`` - the same problem as a generic linear program, handed to
+  :func:`wdbounds.lp.solve`; no ``"transport"`` solve reaches it.
 
 Both return the optimal coupling and a Kantorovich potential.  The coupling
 is ``diag(min(p, q))`` plus the block's plan, so no state both sends and
@@ -162,10 +163,11 @@ def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, cmax: float, method: str
     negative, and ``cmax`` is ``max |cost|``.  Returns ``(value, gamma, u)``
     with ``u`` the row duals.  The kernel's pricing tolerance is relative to
     ``cmax``, so rescaling the costs rescales the answer without changing
-    the pivots.  ``method`` is ``"transport"`` (the LP takes over if the
-    kernel stalls) or ``"lp"``.  The LP's tolerances are absolute, so it
-    solves the block in units of ``cmax`` and of the mass, and its plan,
-    value and duals are scaled back: neither route depends on units.
+    the pivots.  ``method`` is ``"transport"`` (the forced plan below or the
+    kernel; a kernel that reaches its cap of ``200 (nr + nc) + 2000`` pivots
+    raises :class:`NumericalFailure`) or ``"lp"``.  The LP's tolerances are
+    absolute, so it solves the block in units of ``cmax`` and of the mass,
+    and its plan, value and duals are scaled back: neither route depends on units.
 
     With ``method="transport"`` a block with one row or one column has a
     forced plan (the one row ships to every column, or every row ships to
@@ -179,16 +181,16 @@ def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, cmax: float, method: str
             gamma = q.reshape(1, nc) if nr == 1 else p.reshape(nr, 1)
             u = np.zeros(1) if nr == 1 else cost[:, 0] - cost[0, 0]
             return float(np.sum(gamma * cost)), gamma, u
-        status, gamma, u, _, _ = _kernels.transport_loop(
-            cost,
-            np.ascontiguousarray(p),
-            np.ascontiguousarray(q),
-            1e-11 * cmax,
-            200 * (nr + nc) + 2000,
+        cap = 200 * (nr + nc) + 2000
+        status, gamma, u, _, pivots = _kernels.transport_loop(
+            cost, np.ascontiguousarray(p), np.ascontiguousarray(q), 1e-11 * cmax, cap
         )
-        if status == _kernels.STATUS_OPTIMAL:
-            return float(np.sum(gamma * cost)), gamma, u
-        # degenerate pivoting stalled; the generic route is Bland-guarded
+        if status != _kernels.STATUS_OPTIMAL:
+            raise NumericalFailure(
+                f"transport kernel stopped short of the optimum on a {nr}x{nc} block"
+                f" after {pivots} of {cap} pivots"
+            )
+        return float(np.sum(gamma * cost)), gamma, u
 
     # generic route: minimize <cost, gamma> over the coupling polytope
     cscale = cmax or 1.0

@@ -38,6 +38,7 @@ REMOVED = {
         "DERIVATIVE_PIN_SLACK",
         "kappa_ctmc",
         "kappa_dtmc",
+        "k_min",
     ),
     "wdbounds.bounds": ("defect_dtmc",),
     "wdbounds.transport": (

@@ -40,7 +40,7 @@ from wdbounds.markov import Generator, ProbVec, dirac, transient_ctmc, uniformiz
 from wdbounds.metric import discrete_metric, validate_metric
 from wdbounds import bounds as bounds_mod
 from wdbounds import curvature as curvature_mod
-from wdbounds.curvature import _local_defects, k_matrix, k_min, kappa_min
+from wdbounds.curvature import _k_constants, k_matrix, kappa_min
 from wdbounds.models import Box, JumpDistribution, random_instance, translation_invariant_ctmc
 from wdbounds.transport import wasserstein
 
@@ -566,6 +566,37 @@ def test_kappa_min_pivots_on_box_grids(monkeypatch) -> None:
         assert np.isfinite(plan.u).all()
 
 
+def test_kernel_pivots_stay_far_below_the_cap(monkeypatch) -> None:
+    """A kernel that reaches its cap ``200 (nr + nc) + 2000`` is a numerical
+    failure, so the headroom is pinned where pivots peak: all seven variants
+    and the exact curve on the 12x12 box walk in 3x3 blocks from corner
+    state 1, 201 points on [0, 10].  Every kernel call uses at most 2 % of
+    its cap (the largest about 0.5 %)."""
+    shares = []
+    real = _kernels.transport_loop
+
+    def counted(cost, p, q, tol, max_iter):
+        out = real(cost, p, q, tol, max_iter)
+        assert max_iter == 200 * sum(cost.shape) + 2000
+        shares.append(out[4] / max_iter)
+        return out
+
+    jumps = JumpDistribution((((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)))
+    gen, metric = translation_invariant_ctmc(Box((0, 0), (11, 11)), 1.0, jumps)
+    blocks = tuple(
+        tuple(i * 12 + j + 1 for i in range(bi, bi + 3) for j in range(bj, bj + 3))
+        for bi in range(0, 12, 3)
+        for bj in range(0, 12, 3)
+    )
+    agg = partition_aggregation_ctmc(gen, Partition(blocks))
+    variants = ("linear", "timevarying", "exp-k", "exp-kappa", "local", "hybrid", "hybrid-kappa")
+    monkeypatch.setattr(_kernels, "transport_loop", counted)
+    compute_bound_curve(
+        gen, metric, agg, dirac(gen.n, 1), time_grid(10.0, 201), variants, with_exact=True
+    )
+    assert shares and max(shares) <= 0.02
+
+
 def test_exact_curve_builds_no_coupling_or_potential(toy, monkeypatch) -> None:
     """The curve and the bounds' W0 need W1 only: no n x n coupling or potential.
 
@@ -653,10 +684,10 @@ def test_prepare_bound_inputs_builds_one_k_matrix(monkeypatch) -> None:
         assert len(calls) == 1, with_kappa
     monkeypatch.undo()
     assert inputs.kappa_min == kappa_min(gen, metric)[0]
-    k_loc = _local_defects(k_matrix(gen, metric), metric)
+    k_loc = _k_constants(k_matrix(gen, metric), metric)[2]
     np.testing.assert_array_equal(inputs.K_local, k_loc)
     assert inputs.K == k_loc.max()
-    assert inputs.k_min == k_min(gen, metric)
+    assert inputs.k_min == float(np.nanmin(k_matrix(gen, metric)))
 
 
 def test_exponential_bound_overflow_is_inf_not_nan(toy) -> None:

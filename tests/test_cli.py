@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wdbounds._kernels as kernels_mod
 import wdbounds.bounds as bounds_mod
 import wdbounds.cli as cli_mod
 import wdbounds.metric as metric_mod
@@ -880,3 +881,35 @@ def test_numerical_failure_exits_three(capsys, monkeypatch, toy_model) -> None:
     code, _, err = run_cli(capsys, "w1", "--model", toy_model, "--p", "uniform", "--q", "uniform")
     assert code == 3
     assert "NumericalFailure" in err
+
+
+def test_stalled_kernel_exits_three_and_lp_route_still_answers(capsys, monkeypatch, tmp_path):
+    """A kernel that stops short of the optimum ends ``w1`` with exit 3 and
+    one stderr line; ``--method lp`` never uses the kernel and still gives
+    the unforced value.  The 8-state instance's 3x5 block takes two pivots."""
+    _, metric, p = random_instance(8, 7, metric_kind="graph")
+    q = np.random.default_rng(7).dirichlet(np.ones(8))
+    model = tmp_path / "graph8.json"
+    model.write_text(
+        json.dumps({"n": 8, "metric": {"kind": "explicit", "dist": metric.dist.tolist()}})
+    )
+    p_spec = _dist_file(tmp_path, "p.json", p.p.tolist())
+    q_spec = _dist_file(tmp_path, "q.json", q.tolist())
+    argv = ["w1", "--model", str(model), "--p", p_spec, "--q", q_spec]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    expected = float(parse_csv(out)[2][0][3])
+    real_loop = kernels_mod.transport_loop
+
+    def no_pivots(cost, p, q, tol, max_iter):
+        return real_loop(cost, p, q, tol, 0)
+
+    monkeypatch.setattr(kernels_mod, "transport_loop", no_pivots)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("NumericalFailure: ")
+    assert "3x5 block" in err
+    code, out, err = run_cli(capsys, *argv, "--method", "lp")
+    assert code == 0, err
+    assert float(parse_csv(out)[2][0][3]) == pytest.approx(expected, abs=1e-12)

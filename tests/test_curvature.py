@@ -12,18 +12,17 @@ from hypothesis import strategies as st
 import wdbounds.curvature as curvature_mod
 import wdbounds.transport as transport_mod
 from wdbounds.aggregation import Partition, partition_aggregation_ctmc
-from wdbounds.bounds import defect
+from wdbounds.bounds import defect, prepare_bound_inputs
 from wdbounds.curvature import (
-    _local_defects,
+    _k_constants,
     curvature_report,
     k_matrix,
-    k_min,
     kappa,
     kappa_all_pairs,
     kappa_min,
 )
 from wdbounds.errors import DimensionMismatch, NumericalFailure, SamePair, SingleState
-from wdbounds.markov import Generator, ProbVec, TransitionMatrix, uniformize
+from wdbounds.markov import Generator, ProbVec, TransitionMatrix, dirac, uniformize
 from wdbounds.metric import discrete_metric, irreducible_pairs, line_metric, validate_metric
 from wdbounds.models import Box, JumpDistribution, random_instance, translation_invariant_ctmc
 from wdbounds.transport import _row_supports, wasserstein
@@ -68,8 +67,8 @@ def test_toy_pair_table_both_methods(toy):
         # curvature is symmetric in the pair
         assert kappa(gen, metric, s, r) == pytest.approx(kap, abs=1e-9)
         assert kmat[r - 1, s - 1] == pytest.approx(klow, abs=1e-12)
-    assert k_min(gen, metric) == pytest.approx(-14.0, abs=1e-12)
-    k_loc = _local_defects(kmat, metric)
+    assert curvature_report(gen, metric, k_only=True).k_min == pytest.approx(-14.0, abs=1e-12)
+    k_loc = _k_constants(kmat, metric)[2]
     assert k_loc.max() == pytest.approx(14.0, abs=1e-12)
     for r, want in ((1, 14.0), (2, 14.0), (3, 0.0)):
         assert k_loc[r - 1] == pytest.approx(want, abs=1e-12)
@@ -84,7 +83,7 @@ def test_toy_discrete_metric_table(toy):
         assert kmat[r - 1, s - 1] == pytest.approx(klow, abs=1e-12)
         # discrete metric: k(r,s) = Q(r,s) + Q(s,r)
         assert klow == TOY_Q[r - 1, s - 1] + TOY_Q[s - 1, r - 1]
-    assert _local_defects(kmat, metric).max() == 0.0  # k > 0 everywhere here
+    assert _k_constants(kmat, metric)[1] == 0.0  # k > 0 everywhere here
 
 
 def test_k_matrix_closed_form(toy):
@@ -754,8 +753,8 @@ def test_curvature_report_builds_one_k_matrix(monkeypatch, pairs, k_only):
     rep = curvature_report(gen, metric, pairs=pairs, k_only=k_only)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert rep.K_global == _local_defects(k_matrix(gen, metric), metric).max()
-    assert rep.k_min == k_min(gen, metric)
+    assert rep.K_global == _k_constants(k_matrix(gen, metric), metric)[1]
+    assert rep.k_min == float(np.nanmin(k_matrix(gen, metric)))
     np.testing.assert_array_equal(rep.k, k_matrix(gen, metric)[rep.r - 1, rep.s - 1])
 
 
@@ -861,8 +860,10 @@ def test_curvature_and_defect_make_no_lp_call(monkeypatch):
 @pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
 def test_error_conditions(toy, kind):
     """``kappa``, ``kappa_min``, ``kappa_all_pairs`` and ``curvature_report``
-    refuse the same inputs for either chain kind; ``k``, and so ``k_min``
-    and ``k_only``, exist only for a CTMC."""
+    refuse the same inputs for either chain kind, with one message for a
+    chain and a metric of different sizes; ``k``, and so ``k_matrix``,
+    ``prepare_bound_inputs`` and ``k_only``, exist only for a CTMC and give
+    the same refusals."""
     gen, metric = toy
     chain = gen if kind == "ctmc" else uniformize(gen)[0]
     with pytest.raises(SamePair):
@@ -882,8 +883,13 @@ def test_error_conditions(toy, kind):
         with pytest.raises(SingleState):
             whole(single, m1)
     if kind == "ctmc":
+        agg = partition_aggregation_ctmc(gen, Partition(((1, 2), (3,))))
+        with pytest.raises(DimensionMismatch, match="^chain on 3 states, metric on 4$"):
+            k_matrix(gen, discrete_metric(4))
+        with pytest.raises(DimensionMismatch, match="^chain on 3 states, metric on 4$"):
+            prepare_bound_inputs(gen, discrete_metric(4), agg, dirac(3, 1))
         with pytest.raises(SingleState):
-            k_min(single, m1)
+            k_matrix(single, m1)
     else:
         for pairs in ("all", "min", (1, 2)):
             with pytest.raises(ValueError, match="k-only"):

@@ -386,8 +386,10 @@ def test_wasserstein_coupling_is_one_sided_without_canonicalization():
             assert verify_optimal_pair(res.coupling, res.potential, m).one_sided_ok, (method, seed)
 
 
-def test_stalled_kernel_falls_back_to_the_lp(monkeypatch):
-    """A kernel stopped at ``max_iter=0`` hands the block to the generic LP.
+def test_stalled_kernel_raises_and_never_reaches_the_lp(monkeypatch):
+    """A kernel stopped at ``max_iter=0`` is a numerical failure, and no
+    ``method="transport"`` solve calls the LP; ``method="lp"`` still gives
+    the value of the unforced kernel.
 
     The instance is one where the matrix-minimum start is not optimal (its
     3x5 block takes two pivots), so the stopped kernel really stalls.
@@ -413,20 +415,17 @@ def test_stalled_kernel_falls_back_to_the_lp(monkeypatch):
     q = ProbVec(np.random.default_rng(7).dirichlet(np.ones(8)))
     monkeypatch.setattr(transport._kernels, "transport_loop", counting_pivots)
     expected = wasserstein(p, q, m).value
-    assert pivots and pivots[0] > 0
+    assert pivots == [2]
     monkeypatch.setattr(transport._kernels, "transport_loop", no_pivots)
     monkeypatch.setattr(transport, "solve", counting)
-    res = wasserstein(p, q, m)
+    for value_only in (False, True):
+        with pytest.raises(NumericalFailure, match="3x5 block after 0 of 3600 pivots"):
+            wasserstein(p, q, m, value_only=value_only)
+    assert solves == []
+    res = wasserstein(p, q, m, method="lp")
     assert len(solves) == 1
     assert res.value == pytest.approx(expected, abs=1e-12)
     assert verify_optimal_pair(res.coupling, res.potential, m).all_ok
-    # the fallback does not depend on the distance unit
-    for unit in (1e-15, 1e12):
-        scaled = validate_metric(m.dist * unit)
-        res = wasserstein(p, q, scaled)
-        assert abs(res.value - expected * unit) <= 1e-9 * expected * unit, unit
-        assert verify_optimal_pair(res.coupling, res.potential, scaled).all_ok, unit
-    assert len(solves) == 3
 
 
 def test_forced_plans_skip_the_kernel(monkeypatch):
