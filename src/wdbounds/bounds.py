@@ -46,12 +46,13 @@ valid upper bound for a Wasserstein distance between distributions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregation import Aggregation, aggregate_initial, disaggregate
-from .curvature import _check_chain, _k_constants, _kappa_min, k_matrix
+from .curvature import _check_aggregation, _check_chain, _k_constants, _kappa_min, k_matrix
 from .errors import NegativeTime, RateUnavailable
 from .markov import (
     Generator,
@@ -83,6 +84,21 @@ __all__ = [
 #: Default number of grid points for bound curves.
 GRID_POINTS = 200
 
+#: Every bound variant: name -> (the function that computes it, the rate it reads, whether
+#: it runs when none are named).  The integral variants are the columns that the one
+#: :func:`bound_linear_K_timevarying` sweep returns, in this order.
+VARIANTS: dict[str, tuple[str, str | None, bool]] = {
+    "linear": ("bound_linear_K", None, True),
+    "timevarying": ("bound_linear_K_timevarying", None, False),
+    "exp-k": ("bound_exponential", "k_min", True),
+    "exp-kappa": ("bound_exponential", "kappa_min", False),
+    "local": ("bound_linear_K_timevarying", None, False),
+    "hybrid": ("bound_hybrid", "k_min", True),
+    "hybrid-kappa": ("bound_hybrid", "kappa_min", False),
+}
+DEFAULT_VARIANTS = tuple(name for name, (_, _, default) in VARIANTS.items() if default)
+_INTEGRALS = tuple(n for n, (f, _, _) in VARIANTS.items() if f == "bound_linear_K_timevarying")
+
 
 def time_grid(horizon: float, points: int = GRID_POINTS) -> np.ndarray:
     """Uniform grid ``0..horizon`` with ``points`` entries."""
@@ -90,6 +106,8 @@ def time_grid(horizon: float, points: int = GRID_POINTS) -> np.ndarray:
         raise NegativeTime(horizon)
     if not math.isfinite(horizon):
         raise ValueError(f"time horizon must be finite, got {horizon!r}")
+    if isinstance(points, bool) or not isinstance(points, numbers.Integral):
+        raise ValueError(f"grid points must be an integer, got {points!r}")
     if points < 2:
         raise ValueError(f"need at least two grid points, got {points}")
     return np.linspace(0.0, horizon, points)
@@ -114,15 +132,12 @@ def defect(
     """Per-aggregate defect ``v`` and its max ``B``: ``|Theta A - A Q|_W`` of a
     CTMC :class:`Generator`, ``|Pi A - A P|_W`` of a DTMC :class:`TransitionMatrix`.
 
-    ``agg.chain`` must be of ``chain``'s kind.  Rows of the difference sum to
-    zero by construction, so each row has a finite signed Wasserstein value.
+    ``agg`` must aggregate ``chain``'s states into a chain of its kind.  Rows
+    of the difference sum to zero by construction, so each row has a finite
+    signed Wasserstein value.
     """
-    if isinstance(chain, Generator):
-        attr, kind = "q", "CTMC generator"
-    else:
-        attr, kind = "p", "DTMC transition matrix"
-    if not isinstance(agg.chain, type(chain)):
-        raise ValueError(f"aggregation carries no {kind}")
+    _check_aggregation(agg, type(chain), chain.n)
+    attr = "q" if isinstance(chain, Generator) else "p"
     mat = getattr(agg.chain, attr) @ agg.a - agg.a @ getattr(chain, attr)
     v = row_wasserstein_vector(mat, metric)
     return v, float(v.max())
@@ -166,7 +181,7 @@ def prepare_bound_inputs(
     ``k_min``, ``K``, ``K_local`` and, with ``with_kappa``, the prefilter of
     ``kappa_min`` all come from one :func:`k_matrix`.
     """
-    _check_chain(gen, metric)
+    _check_chain(gen, metric, agg, ctmc=True)
     v, b = defect(gen, metric, agg)
     pi0 = aggregate_initial(p0, agg)
     w0 = wasserstein(disaggregate(pi0, agg), p0, metric, value_only=True).value
@@ -228,9 +243,9 @@ def bound_linear_K_timevarying(
     :func:`~wdbounds.markov.occupation_ctmc` plus ``max(w) * (tail + h eps)``,
     ``eps`` the total-variation budget carried by the forward-stepped
     ``pi``.  Each value is therefore an upper bound on the exact integral.
+    ``K_local``, when given, has one entry per state that ``agg`` aggregates.
     """
-    if not isinstance(agg.chain, Generator):
-        raise ValueError("aggregation carries no CTMC generator")
+    _check_aggregation(agg, Generator, None if inputs.K_local is None else inputs.K_local.size)
     t = _check_grid(t_grid)
     theta = agg.chain
     lam = uniformize(theta)[1]
@@ -253,10 +268,10 @@ def bound_linear_K_timevarying(
         return occ @ w + float(w.max()) * slack
 
     v = inputs.defect_vector
-    out = {"timevarying": inputs.w0 + integral(v) + t * inputs.K}
+    curves = [inputs.w0 + integral(v) + t * inputs.K]
     if inputs.K_local is not None:
-        out["local"] = inputs.w0 + integral(v + agg.a @ inputs.K_local)
-    return out
+        curves.append(inputs.w0 + integral(v + agg.a @ inputs.K_local))
+    return dict(zip(_INTEGRALS, curves))
 
 
 def bound_hybrid(
@@ -304,8 +319,7 @@ def exact_error_curve(
     ``p~_t - p_t``, certified by the plan's margins and the dual gap, without
     the n x n coupling and potential.
     """
-    if not isinstance(agg.chain, Generator):
-        raise ValueError("aggregation carries no CTMC generator")
+    _check_chain(gen, metric, agg, ctmc=True)
     t = _check_grid(t_grid)
     out = np.empty(t.size)
     pi_t, p_t, prev = aggregate_initial(p0, agg), p0, 0.0
@@ -359,44 +373,38 @@ def compute_bound_curve(
     agg: Aggregation,
     p0: ProbVec,
     t_grid: np.ndarray,
-    variants: tuple[str, ...] = ("linear", "exp-k", "hybrid"),
+    variants: tuple[str, ...] = DEFAULT_VARIANTS,
     with_exact: bool = False,
 ) -> BoundCurve:
     """Evaluate the requested bound variants on a grid.
 
-    Variant names: ``linear``, ``timevarying``, ``exp-k``, ``exp-kappa``,
-    ``local``, ``hybrid``, ``hybrid-kappa``; each at most once, and at least
-    one, else ``ValueError``.
+    Variant names are the keys of :data:`VARIANTS`; each at most once, and
+    at least one, else ``ValueError``.
     """
-    if not isinstance(agg.chain, Generator):
-        raise ValueError("aggregation carries no CTMC generator")
+    _check_chain(gen, metric, agg, ctmc=True)
     t = _check_grid(t_grid)
-    known = {"linear", "timevarying", "exp-k", "exp-kappa", "local", "hybrid", "hybrid-kappa"}
-    bad = set(variants) - known
+    bad = set(variants) - set(VARIANTS)
     if bad:
         raise ValueError(f"unknown bound variants: {sorted(bad)}")
     if not variants or len(set(variants)) < len(variants):
         raise ValueError(f"expected one or more distinct bound variants, got {list(variants)}")
-    need_kappa = bool({"exp-kappa", "hybrid-kappa"} & set(variants))
+    need_kappa = any(VARIANTS[name][1] == "kappa_min" for name in variants)
     inputs = prepare_bound_inputs(gen, metric, agg, p0, with_kappa=need_kappa)
     integrals = (
         bound_linear_K_timevarying(inputs, agg, aggregate_initial(p0, agg), t)
-        if {"timevarying", "local"} & set(variants)
+        if set(_INTEGRALS) & set(variants)
         else {}
     )
     columns: dict[str, np.ndarray] = {}
     for name in variants:
-        if name == "linear":
+        formula, rate, _ = VARIANTS[name]
+        if formula == "bound_linear_K":
             columns[name] = bound_linear_K(inputs, t)
-        elif name in integrals:
+        elif formula == "bound_exponential":
+            columns[name] = bound_exponential(inputs, t, rate)
+        elif formula == "bound_hybrid":
+            columns[name] = bound_hybrid(inputs, t, rate)
+        else:
             columns[name] = integrals[name]
-        elif name == "exp-k":
-            columns[name] = bound_exponential(inputs, t, rate="k_min")
-        elif name == "exp-kappa":
-            columns[name] = bound_exponential(inputs, t, rate="kappa_min")
-        elif name == "hybrid":
-            columns[name] = bound_hybrid(inputs, t, rate="k_min")
-        elif name == "hybrid-kappa":
-            columns[name] = bound_hybrid(inputs, t, rate="kappa_min")
     exact = exact_error_curve(p0, gen, metric, agg, t) if with_exact else None
     return BoundCurve(t=t, columns=columns, d_max=metric.d_max, exact=exact)

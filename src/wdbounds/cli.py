@@ -668,11 +668,13 @@ def build_parser() -> argparse.ArgumentParser:
     bnd = subs.add_parser("bounds", help="certified error-bound curves")
     _add_model_args(bnd)
     bnd.add_argument("--T", type=float, default=1.0, help="time horizon")
-    bnd.add_argument("--grid", type=int, default=200, help="number of grid points")
+    bnd.add_argument(
+        "--grid", type=int, default=bounds_mod.GRID_POINTS, help="number of grid points"
+    )
     bnd.add_argument(
         "--variants",
-        default="linear,exp-k,hybrid",
-        help="comma list of linear,timevarying,exp-k,exp-kappa,local,hybrid,hybrid-kappa",
+        default=",".join(bounds_mod.DEFAULT_VARIANTS),
+        help="comma list of " + ",".join(bounds_mod.VARIANTS),
     )
     bnd.add_argument("--exact", action="store_true", help="also compute the exact error")
     bnd.add_argument("--p0", default=None, help="initial distribution spec")

@@ -66,6 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregation import Aggregation
 from .errors import DimensionMismatch, NumericalFailure, SamePair, SingleState
 from .markov import Generator, TransitionMatrix
 from .metric import _CHUNK, Metric, irreducible_pairs
@@ -90,12 +91,40 @@ def _check_pair(n: int, r: int, s: int) -> None:
         raise SamePair(r)
 
 
-def _check_chain(chain: Generator | TransitionMatrix, metric: Metric) -> None:
-    """Refuse a chain of one state, or on another number of states than ``metric``."""
+#: The refusal of an aggregation whose chain is not of the given kind.
+_NO_AGGREGATED_CHAIN = {
+    Generator: "aggregation carries no CTMC generator",
+    TransitionMatrix: "aggregation carries no DTMC transition matrix",
+}
+
+
+def _check_chain(
+    chain: Generator | TransitionMatrix,
+    metric: Metric,
+    agg: Aggregation | None = None,
+    ctmc: bool = False,
+) -> None:
+    """Refuse a chain of one state or on another number of states than
+    ``metric``; with ``ctmc``, a chain that is not a :class:`Generator` (``k``
+    and the bounds are CTMC quantities); with ``agg``, an aggregation that
+    does not fit the chain.  The one gate of curvature and the bound pipeline."""
+    if ctmc and not isinstance(chain, Generator):
+        raise ValueError(f"k and the bounds need a CTMC generator, got {type(chain).__name__}")
     if chain.n < 2:
         raise SingleState()
     if chain.n != metric.n:
         raise DimensionMismatch(f"chain on {chain.n} states, metric on {metric.n}")
+    if agg is not None:
+        _check_aggregation(agg, type(chain), chain.n)
+
+
+def _check_aggregation(agg: Aggregation, kind: type, n: int | None) -> None:
+    """Refuse an aggregation over another number of states than ``n`` (not
+    checked for ``None``), or whose aggregated chain is not a ``kind``."""
+    if n is not None and agg.n != n:
+        raise DimensionMismatch(f"aggregation over {agg.n} states, chain on {n}")
+    if not isinstance(agg.chain, kind):
+        raise ValueError(_NO_AGGREGATED_CHAIN[kind])
 
 
 def kappa(chain: Generator | TransitionMatrix, metric: Metric, r: int, s: int) -> float:
@@ -206,9 +235,10 @@ def k_matrix(gen: Generator, metric: Metric) -> np.ndarray:
     """All pairwise ``k(r,s)`` values at once (``nan`` on the diagonal).
 
     An off-diagonal ``k`` that is not finite, which means that ``Q d``
-    overflowed, raises :class:`NumericalFailure`.
+    overflowed, raises :class:`NumericalFailure`.  A DTMC has no ``k``: a
+    chain that is not a :class:`Generator` raises ``ValueError``.
     """
-    _check_chain(gen, metric)
+    _check_chain(gen, metric, ctmc=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = _q_times_d(gen.q, metric.dist)  # g[a, b] = Q_a . d(., b)
         own = np.minimum(np.diagonal(g)[:, None], g)  # own[r, s] = min(g_rr, g_rs)
@@ -431,13 +461,11 @@ def curvature_report(
     only where the minimum needs it: the pairs :func:`kappa_min` solves) or
     a single 1-based pair, which gets no ``kappa_min``.  A CTMC's ``k``
     values and constants come from one :func:`k_matrix`; a DTMC has none,
-    and ``k_only`` raises ``ValueError``.
+    and ``k_only`` raises :func:`k_matrix`'s ``ValueError``.
     """
     _check_chain(chain, metric)
     n = chain.n
-    kmat = k_matrix(chain, metric) if isinstance(chain, Generator) else None
-    if k_only and kmat is None:
-        raise ValueError("k-only needs a generator: a DTMC has no k bound")
+    kmat = k_matrix(chain, metric) if k_only or isinstance(chain, Generator) else None
     k_lo, k_glob, _ = (None, None, None) if kmat is None else _k_constants(kmat, metric)
     kap_min: float | None = None
     strategy: KappaMinStrategy | None = None

@@ -28,7 +28,6 @@ __all__ = [
     "dirac",
     "uniformize",
     "transient_ctmc",
-    "transient_tv_budget",
     "occupation_ctmc",
     "transient_dtmc",
 ]

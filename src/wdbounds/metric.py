@@ -1,10 +1,11 @@
 """Finite metric spaces.
 
 A metric on states ``1..n`` is stored as a dense symmetric matrix of
-pairwise distances.  :func:`validate_metric` is the single gate through
-which every constructor goes, so a :class:`Metric` instance always
-satisfies the metric axioms (up to the stated tolerance for the triangle
-inequality).
+pairwise distances.  :class:`Metric` itself checks every axiom but the
+triangle inequality, which costs ``O(n^3)``: that one is checked by
+:func:`validate_metric` (every triple) and :func:`lattice_metric`
+(differences of a translation-invariant table), through which every
+constructor here goes, up to the stated tolerance.
 
 State indices are 1-based in every public signature and error message;
 matrix entry ``dist[r-1, s-1]`` holds the distance between states ``r``
@@ -49,7 +50,9 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class Metric:
-    """A validated metric on ``n`` states.
+    """A matrix that passes every metric axiom but the triangle inequality
+    (:func:`_checked_matrix`) on ``n`` states; :func:`validate_metric` also
+    checks that one.
 
     Attributes
     ----------
@@ -62,11 +65,11 @@ class Metric:
     d_max: float = field(init=False)
 
     def __post_init__(self) -> None:
-        d = np.ascontiguousarray(self.dist, dtype=float)
+        d = np.ascontiguousarray(_checked_matrix(self.dist))
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "n", d.shape[0])
-        object.__setattr__(self, "d_max", float(d.max()) if d.size else 0.0)
+        object.__setattr__(self, "d_max", float(d.max()))
 
     def d(self, r: int, s: int) -> float:
         """Distance between 1-based states ``r`` and ``s``."""
@@ -123,14 +126,14 @@ def validate_metric(dist: np.ndarray | Sequence[Sequence[float]]) -> Metric:
         floating-point arithmetic (shortest paths, products) pass at any
         scale of the distances.
     """
-    d = _checked_matrix(dist)
-    n = d.shape[0]
+    metric = Metric(dist)
+    d, n = metric.dist, metric.n
 
     # Triangle inequality: d(r,u) <= d(r,s) + d(s,u) + TRIANGLE_TOL * d_max
     # for all r, s, u.  d is symmetric, so the triple (u, s, r) repeats
     # (r, s, u) and r = u cannot violate: one pass per r covers u > r against
     # every s, in an O(n^2) buffer holding excess[s, u - r - 1].
-    slack = TRIANGLE_TOL * float(d.max())
+    slack = TRIANGLE_TOL * metric.d_max
     buf = np.empty(n * (n - 1))
     for r in range(n - 1):
         width = n - 1 - r
@@ -142,7 +145,7 @@ def validate_metric(dist: np.ndarray | Sequence[Sequence[float]]) -> Metric:
         if excess[s, j] > slack:
             raise TriangleViolation(r + 1, s + 1, r + j + 2, float(excess[s, j]))
 
-    return Metric(d)
+    return metric
 
 
 def lattice_metric(f: np.ndarray) -> Metric:
@@ -181,12 +184,12 @@ def lattice_metric(f: np.ndarray) -> Metric:
     # flat offset of each point in f; the last point sits at the centre, so
     # f.flat[key[i] - key[j] + key[-1]] = f[p_i - p_j + centre]
     key = np.ravel_multi_index(tuple(pts.T), f.shape)
-    d = _checked_matrix(f.ravel()[key[:, None] - key[None, :] + key[-1]])
+    metric = Metric(f.ravel()[key[:, None] - key[None, :] + key[-1]])
 
     if not all(np.array_equal(f, np.flip(f, axis=k)) for k in range(f.ndim)):
         raise ValueError("difference table must be mirror-symmetric along every axis")
 
-    slack = TRIANGLE_TOL * float(d.max())
+    slack = TRIANGLE_TOL * metric.d_max
     # windows[a][b + centre] = f[a + b + centre] for a >= 0, -inf where a + b
     # is not a difference, so those pairs never exceed the slack
     padded = np.pad(f, [(c, c) for c in centre], constant_values=-np.inf)
@@ -207,7 +210,7 @@ def lattice_metric(f: np.ndarray) -> Metric:
             r, s, u = (np.ravel_multi_index(tuple(p), sides) + 1 for p in (x, x + a, x + a + b))
             raise TriangleViolation(int(r), int(s), int(u), float(excess.flat[k]))
 
-    return Metric(d)
+    return metric
 
 
 def irreducible_pairs(metric: Metric) -> np.ndarray:

@@ -35,7 +35,7 @@ from wdbounds.bounds import (
     prepare_bound_inputs,
     time_grid,
 )
-from wdbounds.errors import NegativeTime, RateUnavailable
+from wdbounds.errors import DimensionMismatch, NegativeTime, RateUnavailable
 from wdbounds.markov import Generator, ProbVec, dirac, transient_ctmc, uniformize
 from wdbounds.metric import discrete_metric, validate_metric
 from wdbounds import bounds as bounds_mod
@@ -318,6 +318,10 @@ def test_time_grid_and_grid_validation() -> None:
         time_grid(-1.0)
     with pytest.raises(ValueError, match="at least two grid points"):
         time_grid(1.0, 1)
+    for points in (2.5, True):
+        with pytest.raises(ValueError, match="^grid points must be an integer"):
+            time_grid(1.0, points)
+    np.testing.assert_array_equal(time_grid(1.0, np.int64(3)), [0.0, 0.5, 1.0])
 
     ins = BoundInputs(
         w0=0.0, defect_vector=np.array([1.0]), defect_norm=1.0, k_min=-1.0, K=1.0, d_max=5.0
@@ -418,6 +422,55 @@ def test_compute_bound_curve_interface(toy) -> None:
     for variants in ((), ("linear", "exp-k", "linear")):
         with pytest.raises(ValueError, match="one or more distinct bound variants"):
             compute_bound_curve(gen, metric, agg, p0, t_grid, variants=variants)
+
+
+# one refusal per condition, from every entry of the bound pipeline that the condition applies to
+GATE_REFUSALS = {
+    "dtmc-chain": (ValueError, "k and the bounds need a CTMC generator, got TransitionMatrix"),
+    "aggregation-of-another-size": (DimensionMismatch, "aggregation over 3 states, chain on 4"),
+    "aggregation-of-the-other-kind": (ValueError, "aggregation carries no CTMC generator"),
+}
+
+
+@pytest.mark.parametrize("case", GATE_REFUSALS)
+def test_bound_pipeline_gate(case, monkeypatch) -> None:
+    gen, metric, p0 = random_instance(4, 0)
+    part = Partition(((1, 2), (3, 4)))
+    agg = partition_aggregation_ctmc(gen, part)
+    inputs = prepare_bound_inputs(gen, metric, agg, p0)
+    pi0 = aggregate_initial(p0, agg)
+    t_grid = time_grid(1.0, 3)
+    chain = gen
+    if case == "dtmc-chain":
+        chain = uniformize(gen)[0]
+    elif case == "aggregation-of-another-size":
+        agg = partition_aggregation_ctmc(Generator(TOY_Q), Partition(TOY_BLOCKS))
+    else:
+        agg = partition_aggregation_dtmc(uniformize(gen)[0], part)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the gate let a solve or a time step run")
+
+    monkeypatch.setattr(transport_mod, "_ot", no_work)
+    monkeypatch.setattr(bounds_mod, "transient_ctmc", no_work)
+    monkeypatch.setattr(bounds_mod, "occupation_ctmc", no_work)
+    entries = {
+        "prepare_bound_inputs": lambda: prepare_bound_inputs(chain, metric, agg, p0),
+        "exact_error_curve": lambda: exact_error_curve(p0, chain, metric, agg, t_grid),
+        "compute_bound_curve": lambda: compute_bound_curve(
+            chain, metric, agg, p0, t_grid, variants=ALL_VARIANTS, with_exact=True
+        ),
+    }
+    if case == "dtmc-chain":  # k_matrix takes no aggregation; defect takes a DTMC
+        entries["k_matrix"] = lambda: k_matrix(chain, metric)
+    else:  # neither defect nor the sweep takes the chain's kind
+        entries["defect"] = lambda: defect(chain, metric, agg)
+        entries["sweep"] = lambda: bound_linear_K_timevarying(inputs, agg, pi0, t_grid)
+    kind, message = GATE_REFUSALS[case]
+    for name, entry in entries.items():
+        with pytest.raises(ValueError) as info:
+            entry()
+        assert type(info.value) is kind and str(info.value) == message, name
 
 
 def test_exact_error_against_series_oracle(toy) -> None:

@@ -33,7 +33,13 @@ from wdbounds.cli import (
 from wdbounds.errors import NumericalFailure
 from wdbounds.aggregation import Partition, partition_aggregation_dtmc
 from wdbounds.markov import Generator, TransitionMatrix, uniformize
-from wdbounds.metric import irreducible_pairs, validate_metric
+from wdbounds.metric import (
+    discrete_metric,
+    irreducible_pairs,
+    line_metric,
+    product_metric,
+    validate_metric,
+)
 from wdbounds.models import random_instance
 
 TOY_Q = [
@@ -239,7 +245,8 @@ def test_curvature_dtmc_model(capsys, dtmc_model) -> None:
         capsys, "curvature", "--model", dtmc_model, "--pairs", "all", "--k-only"
     )
     assert code == 2
-    assert "k-only" in err
+    # k_matrix's own refusal: a DTMC has no k
+    assert err == "ValueError: k and the bounds need a CTMC generator, got TransitionMatrix\n"
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -642,20 +649,69 @@ def test_model_roundtrip_byte_identical(tmp_path) -> None:
     assert loaded["metric"]["edges"] == [[1, 2, 1.0], [1, 3, 5.0], [2, 3, 0.30000000000000004]]
 
 
+# a 2-point line at weight 1 times a 2-state discrete metric at weight 0.5
+PRODUCT_COMPONENTS = [
+    {"kind": "line", "n": 2, "positions": [0.0, 1.5], "weight": 1.0},
+    {"kind": "discrete", "n": 2, "weight": 0.5},
+]
+
+
 def test_model_validation_errors(capsys, tmp_path) -> None:
     cases = [
-        {"n": 3, "generator": TOY_Q, "dtmc": TOY_P},
-        {"generator": TOY_Q},
-        {"n": 3, "metric": {"kind": "taxicab"}},
-        {"n": 3, "alpha": [[1.0]]},
-        {"n": 3, "generator": TOY_Q, "flavour": "sour"},
+        ({"n": 3, "generator": TOY_Q, "dtmc": TOY_P}, "both 'generator' and 'dtmc'"),
+        ({"generator": TOY_Q}, "must declare 'n'"),
+        ({"n": 3, "metric": {"kind": "taxicab"}}, "unknown metric kind 'taxicab'"),
+        ({"n": 3, "alpha": [[1.0]]}, "'alpha' requires a 'partition'"),
+        ({"n": 3, "generator": TOY_Q, "flavour": "sour"}, "unknown model fields: ['flavour']"),
+        ({"n": 0}, "n must be positive, got 0"),
+        ({"n": 3, "generator": {"triplets": [[1, 4, 1.0]]}}, "(1,4) out of range 1..3"),
+        ({"n": 3, "generator": {"triplets": [[1, 2, 1.0], [1, 2, 2.0]]}}, "duplicate generator"),
+        ({"n": 3, "generator": {"triplets": [[1, 2]]}}, "triplet must be [r, s, rate]"),
+        ({"n": 3, "metric": {"kind": "discrete", "scale": 2}}, "unknown fields in 'discrete'"),
+        ({"n": 3, "metric": {"kind": "line", "positions": [0, 1]}}, "needs 3 positions, got 2"),
+        (
+            {"n": 3, "metric": {"kind": "product", "components": [{"kind": "discrete", "n": 3}]}},
+            "component must carry 'n', 'weight'",
+        ),
+        (
+            {"n": 3, "metric": {"kind": "product", "components": [PRODUCT_COMPONENTS[1]]}},
+            "product metric has 2 states but the model has 3",
+        ),
+        ({"n": 3, "partition": [[1, 2]]}, "partition covers 2 states but the model has 3"),
+        ({"n": 3, "initial": [0.5, 0.5]}, "initial distribution must have 3 entries"),
+        ({"n": 3, "aggregation": {"lam": [[1.0], [1.0], [1.0]]}}, "must carry 'a'"),
+        ({"n": 3, "aggregation": {"a": [[0.5, 0.5]]}}, "must have 3 columns"),
     ]
-    for i, doc in enumerate(cases):
+    for i, (doc, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "w1", "--model", str(path), "--p", "uniform", "--q", "uniform")
         assert code == 2, doc
-        assert "ValueError" in err
+        assert err.startswith("ValueError: ") and message in err and err.count("\n") == 1, err
+
+
+def test_product_metric_model(capsys, tmp_path) -> None:
+    triplets = [[1, 2, 1.0], [2, 1, 2.0], [1, 3, 0.5], [3, 4, 1.0], [4, 2, 0.25]]
+    doc = {
+        "n": 4,
+        "generator": {"triplets": triplets},
+        "metric": {"kind": "product", "components": PRODUCT_COMPONENTS},
+    }
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(doc))
+    model = load_model(str(path))
+    direct = product_metric([(line_metric([0.0, 1.5]), 1.0), (discrete_metric(2), 0.5)])
+    np.testing.assert_array_equal(model.metric.dist, direct.dist)
+
+    code, out, err = run_cli(capsys, "curvature", "--model", str(path), "--pairs", "all")
+    assert code == 0, err
+    assert sum(r[0] == "pair" for r in parse_csv(out)[2]) == 6
+
+    first = canonical_model_json(model)
+    canon_path = tmp_path / "canon.json"
+    canon_path.write_text(first)
+    assert canonical_model_json(load_model(str(canon_path))) == first
+    assert json.loads(first)["metric"] == {"kind": "product", "components": PRODUCT_COMPONENTS}
 
 
 # model documents with one field of the wrong JSON type: the loader refuses

@@ -892,5 +892,5 @@ def test_error_conditions(toy, kind):
             k_matrix(single, m1)
     else:
         for pairs in ("all", "min", (1, 2)):
-            with pytest.raises(ValueError, match="k-only"):
+            with pytest.raises(ValueError, match="^k and the bounds need a CTMC generator"):
                 curvature_report(chain, metric, pairs=pairs, k_only=True)

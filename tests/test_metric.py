@@ -20,8 +20,10 @@ from wdbounds.errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
+import wdbounds.metric as metric_mod
 from wdbounds.metric import (
     TRIANGLE_TOL,
+    Metric,
     discrete_metric,
     irreducible_pairs,
     lattice_metric,
@@ -73,6 +75,23 @@ def test_validation_error_cases():
         validate_metric(np.zeros((2, 3)))
     with pytest.raises(NegativeDistance):
         validate_metric(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+
+def test_metric_gates_itself(monkeypatch):
+    """A bare ``Metric`` refuses every matrix that breaks an axiom other than
+    the triangle inequality; each public gate runs those checks once."""
+    with pytest.raises(AsymmetricMatrix):
+        Metric(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(NegativeDistance):
+        Metric(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="at least one state"):
+        Metric(np.zeros((0, 0)))
+    calls = []
+    checked = metric_mod._checked_matrix
+    monkeypatch.setattr(metric_mod, "_checked_matrix", lambda d: calls.append(d) or checked(d))
+    validate_metric(TOY_DIST)
+    lattice_metric(np.array([2.0, 1.0, 0.0, 1.0, 2.0]))
+    assert len(calls) == 2
 
 
 def test_triangle_tolerance_absorbs_noise():
