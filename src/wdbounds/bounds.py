@@ -30,13 +30,15 @@ started from ``pi``,
 
     o = lam^{-1} sum_{k<=K} P(N > k) pi P^k,      N ~ Poisson(lam h),
 
-whose dropped tail has mass at most ``h P(N > K)`` (Fox & Glynn, CACM 1988);
-see :func:`wdbounds.markov.occupation_ctmc`.  The sweep goes grid point to
-grid point, carrying ``pi`` forward with :func:`transient_ctmc`, whose
-total-variation error ``eps`` costs at most ``max(w) h eps`` on the next
-interval.  The reported integral is the truncated sum plus ``max(w)`` times
-the Poisson tails and the carried error, so it is an upper bound by
-construction, not an estimate.
+whose dropped tail has mass at most ``h P(N > K)`` (Fox & Glynn, CACM 1988).
+The sweep goes grid point to grid point with one
+:func:`~wdbounds.markov.transient_ctmc` call per interval, which returns the
+law at the next point and the occupation from the same powers ``pi P^k``.
+The law carries a total-variation error ``eps`` that costs at most
+``max(w) h eps`` on the next interval.  The reported integral is the
+truncated sum plus ``max(w)`` times the Poisson tails and the carried error,
+so it is an upper bound by construction, not an estimate.  The exact curve
+steps the full chain's law in the same sweep, once per grid interval.
 
 All bounds are valid for every ``t`` in the requested grid; "clipped"
 variants additionally cap values at the metric diameter, which is always a
@@ -53,12 +55,11 @@ import numpy as np
 
 from .aggregation import Aggregation, aggregate_initial, disaggregate
 from .curvature import _check_aggregation, _check_chain, _k_constants, _kappa_min, k_matrix
-from .errors import NegativeTime, RateUnavailable
+from .errors import DimensionMismatch, NegativeTime, RateUnavailable
 from .markov import (
     Generator,
     ProbVec,
     TransitionMatrix,
-    occupation_ctmc,
     transient_ctmc,
     transient_tv_budget,
     uniformize,
@@ -202,7 +203,10 @@ def prepare_bound_inputs(
 
 def bound_linear_K(inputs: BoundInputs, t_grid: np.ndarray) -> np.ndarray:
     """Linear bound ``W0 + t (B + K)``."""
-    t = _check_grid(t_grid)
+    return _linear(inputs, _check_grid(t_grid))
+
+
+def _linear(inputs: BoundInputs, t: np.ndarray, rate: None = None) -> np.ndarray:
     return inputs.w0 + t * (inputs.defect_norm + inputs.K)
 
 
@@ -217,7 +221,10 @@ def bound_exponential(
     with a zero coefficient is zero even where ``e^{-rate t}`` overflows, so
     the result is ``+inf`` there, never ``0 * inf = nan``.
     """
-    t = _check_grid(t_grid)
+    return _exponential(inputs, _check_grid(t_grid), rate)
+
+
+def _exponential(inputs: BoundInputs, t: np.ndarray, rate: str) -> np.ndarray:
     kap = inputs.rate(rate)
     b = inputs.defect_norm
     w0 = inputs.w0
@@ -240,29 +247,59 @@ def bound_linear_K_timevarying(
     (``p~_s . K_loc`` with ``p~_s = pi_s A``), where ``pi_s`` is the aggregated chain's law
     started from ``pi0``.  Both integrate against the same occupation curve:
     per grid interval of length ``h`` the truncated occupation series of
-    :func:`~wdbounds.markov.occupation_ctmc` plus ``max(w) * (tail + h eps)``,
+    :func:`~wdbounds.markov.transient_ctmc` plus ``max(w) * (tail + h eps)``,
     ``eps`` the total-variation budget carried by the forward-stepped
     ``pi``.  Each value is therefore an upper bound on the exact integral.
-    ``K_local``, when given, has one entry per state that ``agg`` aggregates.
+    ``inputs`` must be prepared for ``agg``: one defect entry per aggregate
+    and, when given, one ``K_local`` entry per state that ``agg`` aggregates.
     """
     _check_aggregation(agg, Generator, None if inputs.K_local is None else inputs.K_local.size)
-    t = _check_grid(t_grid)
-    theta = agg.chain
-    lam = uniformize(theta)[1]
+    if (size := inputs.defect_vector.size) != agg.m:
+        raise DimensionMismatch(f"defect vector has {size} entries for {agg.m} aggregates")
+    return _sweep(_check_grid(t_grid), agg, pi0, inputs)[0]
+
+
+def _sweep(
+    t: np.ndarray,
+    agg: Aggregation,
+    pi0: ProbVec,
+    inputs: BoundInputs | None,
+    exact: tuple[ProbVec, Generator, Metric, float | None] | None = None,
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """The bound pipeline's one forward sweep over a checked grid ``t``.
+
+    Each grid point steps the aggregated law ``pi`` (from ``pi0``) with one
+    :func:`transient_ctmc` call, which with ``inputs`` also returns the
+    interval's occupation for the integral columns of
+    :func:`bound_linear_K_timevarying` (else ``{}``).  With ``exact = (p0,
+    gen, metric, w0)`` each point also steps the full chain's law ``p`` once
+    and records ``W1(pi A, p)``.  A point equal to the one before it repeats
+    that value, and ``t_0 = 0`` takes ``w0`` unless it is ``None``: the same
+    solve on the same two laws.
+    """
+    theta, lam = agg.chain, uniformize(agg.chain)[1]
     occ = np.zeros((t.size, agg.m))  # cumulative truncated occupation at each t_i
     slack = np.zeros(t.size)  # its budget in time units: missing mass times duration
-    state, acc, budget, tv, prev = pi0, np.zeros(agg.m), 0.0, 0.0, 0.0
+    curve = np.empty(t.size) if exact else None
+    p, gen, metric, value = exact or (None, None, None, None)
+    pi, acc, budget, tv, prev = pi0, np.zeros(agg.m), 0.0, 0.0, 0.0
     for i, ti in enumerate(t):
-        h = float(ti) - prev
-        if h > 0:
-            part, tail = occupation_ctmc(state, theta, h)
+        h, prev = float(ti) - prev, float(ti)
+        if inputs is None:
+            pi = transient_ctmc(pi, theta, h)
+        else:
+            pi, part, tail = transient_ctmc(pi, theta, h, occupation=True)
             acc = acc + part
             budget += tail + h * tv
-            state = transient_ctmc(state, theta, h)
             tv += transient_tv_budget(lam * h)
-            prev = float(ti)
-        occ[i] = acc
-        slack[i] = budget
+            occ[i], slack[i] = acc, budget
+        if exact:
+            p = transient_ctmc(p, gen, h)
+            if h > 0 or value is None:
+                value = wasserstein(disaggregate(pi, agg), p, metric, value_only=True).value
+            curve[i] = value
+    if inputs is None:
+        return {}, curve
 
     def integral(w: np.ndarray) -> np.ndarray:
         return occ @ w + float(w.max()) * slack
@@ -271,7 +308,7 @@ def bound_linear_K_timevarying(
     curves = [inputs.w0 + integral(v) + t * inputs.K]
     if inputs.K_local is not None:
         curves.append(inputs.w0 + integral(v + agg.a @ inputs.K_local))
-    return dict(zip(_INTEGRALS, curves))
+    return dict(zip(_INTEGRALS, curves)), curve
 
 
 def bound_hybrid(
@@ -286,19 +323,22 @@ def bound_hybrid(
     at ``min(t, t*)``, so ``t = 0`` gives ``W0`` exactly.  Dominated by both
     pure bounds.
     """
-    t = _check_grid(t_grid)
+    return _hybrid(inputs, _check_grid(t_grid), rate)
+
+
+def _hybrid(inputs: BoundInputs, t: np.ndarray, rate: str) -> np.ndarray:
     kap = inputs.rate(rate)
     b = inputs.defect_norm
     big_k = inputs.K
     w0 = inputs.w0
     if kap >= 0:
-        return bound_exponential(inputs, t, rate)
+        return _exponential(inputs, t, rate)
     w_switch = big_k / (-kap)
     if w0 >= w_switch:
         return w0 + (b + big_k) * t
     amp = w0 - b / kap  # 0 only for B = W0 = 0, where the error stays at zero
     t_star = math.log((w_switch - b / kap) / amp) / (-kap) if amp > 0 else math.inf
-    exp_part = bound_exponential(inputs, np.minimum(t, t_star), rate)
+    exp_part = _exponential(inputs, np.minimum(t, t_star), rate)
     lin_part = np.where(t > t_star, (t - t_star) * (b + big_k), 0.0)
     return exp_part + lin_part
 
@@ -313,23 +353,15 @@ def exact_error_curve(
     """The true aggregation error ``W1(p~_t, p_t)`` on a grid (reference curve).
 
     The aggregated chain starts from ``Lambda^T p_0``.  Both chains step
-    forward from one grid point to the next, so the sweep never restarts at
-    ``t = 0`` and holds only the two current laws.  Each point is
-    ``wasserstein(..., value_only=True)``: the solve on the supports of
-    ``p~_t - p_t``, certified by the plan's margins and the dual gap, without
-    the n x n coupling and potential.
+    forward from one grid point to the next in the bound pipeline's one sweep,
+    so it never restarts at ``t = 0`` and holds only the two current laws.
+    Each point is ``wasserstein(..., value_only=True)``: the solve on the
+    supports of ``p~_t - p_t``, certified by the plan's margins and the dual
+    gap, without the n x n coupling and potential.
     """
     _check_chain(gen, metric, agg, ctmc=True)
     t = _check_grid(t_grid)
-    out = np.empty(t.size)
-    pi_t, p_t, prev = aggregate_initial(p0, agg), p0, 0.0
-    for i, ti in enumerate(t):
-        h = float(ti) - prev
-        pi_t = transient_ctmc(pi_t, agg.chain, h)
-        p_t = transient_ctmc(p_t, gen, h)
-        prev = float(ti)
-        out[i] = wasserstein(disaggregate(pi_t, agg), p_t, metric, value_only=True).value
-    return out
+    return _sweep(t, agg, aggregate_initial(p0, agg), None, (p0, gen, metric, None))[1]
 
 
 def dtmc_bound_sequence(
@@ -379,7 +411,9 @@ def compute_bound_curve(
     """Evaluate the requested bound variants on a grid.
 
     Variant names are the keys of :data:`VARIANTS`; each at most once, and
-    at least one, else ``ValueError``.
+    at least one, else ``ValueError``.  With ``with_exact``, one sweep steps
+    both chains for the integral variants and the exact curve, whose value
+    at ``t = 0`` is the inputs' ``W0``.
     """
     _check_chain(gen, metric, agg, ctmc=True)
     t = _check_grid(t_grid)
@@ -390,21 +424,16 @@ def compute_bound_curve(
         raise ValueError(f"expected one or more distinct bound variants, got {list(variants)}")
     need_kappa = any(VARIANTS[name][1] == "kappa_min" for name in variants)
     inputs = prepare_bound_inputs(gen, metric, agg, p0, with_kappa=need_kappa)
-    integrals = (
-        bound_linear_K_timevarying(inputs, agg, aggregate_initial(p0, agg), t)
-        if set(_INTEGRALS) & set(variants)
-        else {}
-    )
+    pi0 = aggregate_initial(p0, agg)
+    wanted = inputs if set(_INTEGRALS) & set(variants) else None
+    if with_exact:
+        integrals, exact = _sweep(t, agg, pi0, wanted, (p0, gen, metric, inputs.w0))
+    else:
+        integrals = bound_linear_K_timevarying(inputs, agg, pi0, t) if wanted else {}
+        exact = None
+    bodies = {"bound_linear_K": _linear, "bound_exponential": _exponential, "bound_hybrid": _hybrid}
     columns: dict[str, np.ndarray] = {}
     for name in variants:
         formula, rate, _ = VARIANTS[name]
-        if formula == "bound_linear_K":
-            columns[name] = bound_linear_K(inputs, t)
-        elif formula == "bound_exponential":
-            columns[name] = bound_exponential(inputs, t, rate)
-        elif formula == "bound_hybrid":
-            columns[name] = bound_hybrid(inputs, t, rate)
-        else:
-            columns[name] = integrals[name]
-    exact = exact_error_curve(p0, gen, metric, agg, t) if with_exact else None
+        columns[name] = integrals[name] if name in _INTEGRALS else bodies[formula](inputs, t, rate)
     return BoundCurve(t=t, columns=columns, d_max=metric.d_max, exact=exact)

@@ -7,8 +7,8 @@ uniformization, which reduces matrix exponentials to a Poisson-weighted sum
 of powers of a stochastic matrix and allows an explicit truncation-error
 budget (total-variation error at most ``1e-12`` per chunk here).  The same
 series, with Poisson tail probabilities as weights, gives the expected
-occupation times over an interval, from below and with an explicit budget for
-the dropped tail (:func:`occupation_ctmc`).
+occupation times over the same interval from the same powers, from below
+and with an explicit budget for the dropped tail (``occupation=True``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "dirac",
     "uniformize",
     "transient_ctmc",
-    "occupation_ctmc",
     "transient_dtmc",
 ]
 
@@ -281,56 +280,48 @@ def transient_tv_budget(lt: float) -> float:
     return TRANSIENT_TOL * math.ceil(lt / CHUNK_LT)
 
 
-def transient_ctmc(p0: ProbVec, gen: Generator, t: float) -> ProbVec:
-    """Distribution at time ``t`` of the CTMC started from ``p0``.
+def transient_ctmc(
+    p0: ProbVec, gen: Generator, t: float, occupation: bool = False
+) -> ProbVec | tuple[ProbVec, np.ndarray, float]:
+    """Distribution at time ``t`` of the CTMC started from ``p0``, and with
+    ``occupation`` also the expected time spent in each state during ``[0, t]``.
 
     Uniformization with the Poisson series truncated once its tail is below
     ``1e-13``; horizons with ``lam * t`` beyond 500 are split into chunks so
     the leading Poisson weight stays representable.  The result, a sum of
     nonnegative terms, is renormalized, keeping the total-variation error within ``1e-12`` per
     chunk (:func:`transient_tv_budget`).
+
+    With ``occupation`` it returns ``(law, occ, budget)``.  The occupation is
+    cumulative-reward uniformization (de Souza e Silva & Gail, J. ACM 1989):
+    with ``P = I + Q/lam`` and ``N ~ Poisson(lam t)``,
+
+        integral_0^t p0 e^{sQ} ds = lam^{-1} sum_k P(N > k) p0 P^k,
+
+    summed over the same powers as the law, so the law is bit for bit the one
+    of a plain call.  The dropped terms are nonnegative and their total mass
+    is at most ``t P(N > K)`` per chunk (Fox & Glynn, CACM 1988), since
+    ``sum_{k>K} P(N > k) <= E[N; N > K + 1] = lam t P(N > K)``; a later chunk
+    also starts from a law that lacks the earlier chunks' tails.  So for
+    every reward ``w >= 0``
+
+        occ . w  <=  integral_0^t (p0 e^{sQ}) . w ds  <=  occ . w + max(w) * budget.
     """
     _check_start(p0, gen, t)
+    occ, budget = (np.zeros(gen.n), 0.0) if occupation else (None, None)
     if t == 0:
-        return p0
-    pmat, lam = uniformize(gen)
-    v = p0.p
-    for lt in _chunks(lam * t):
-        v, _, _ = _transient_chunk(v, pmat.p, lt)
-    return ProbVec(v / v.sum())
-
-
-def occupation_ctmc(p0: ProbVec, gen: Generator, h: float) -> tuple[np.ndarray, float]:
-    """Expected time spent in each state during ``[0, h]``, from below, and its tail budget.
-
-    Cumulative-reward uniformization (de Souza e Silva & Gail, J. ACM 1989):
-    with ``P = I + Q/lam`` and ``N ~ Poisson(lam h)``,
-
-        integral_0^h p0 e^{sQ} ds = lam^{-1} sum_k P(N > k) p0 P^k.
-
-    The series is truncated where :func:`transient_ctmc` truncates, in the
-    same chunks of ``lam h <= 500``.  The dropped terms are nonnegative and
-    their total mass is at most ``h P(N > K)`` per chunk (Fox & Glynn, CACM
-    1988), since ``sum_{k>K} P(N > k) <= E[N; N > K + 1] = lam h P(N > K)``;
-    a later chunk also starts from a law that lacks the earlier chunks' tails.
-    Returns ``(occ, budget)`` with, for every reward ``w >= 0``,
-
-        occ . w  <=  integral_0^h (p0 e^{sQ}) . w ds  <=  occ . w + max(w) * budget.
-    """
-    _check_start(p0, gen, h)
-    occ = np.zeros(gen.n)
-    if h == 0:
-        return occ, 0.0
+        return (p0, occ, budget) if occupation else p0
     pmat, lam = uniformize(gen)
     v = p0.p
     missing = 0.0  # mass the chunk's start law lacks
-    budget = 0.0
-    for lt in _chunks(lam * h):
-        v, part, tail = _transient_chunk(v, pmat.p, lt, occupation=True)
-        occ += part / lam
-        budget += (lt / lam) * (missing + tail)
-        missing += tail
-    return occ, budget
+    for lt in _chunks(lam * t):
+        v, part, tail = _transient_chunk(v, pmat.p, lt, occupation)
+        if occupation:
+            occ += part / lam
+            budget += (lt / lam) * (missing + tail)
+            missing += tail
+    law = ProbVec(v / v.sum())
+    return (law, occ, budget) if occupation else law
 
 
 def transient_dtmc(p0: ProbVec, pmat: TransitionMatrix, k: int) -> ProbVec:

@@ -50,6 +50,7 @@ REMOVED = {
     ),
     "wdbounds.errors": ("NotOptimalInput",),
     "wdbounds.lp": ("LinearProgram", "LpStatus"),
+    "wdbounds.markov": ("occupation_ctmc",),
 }
 
 

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdbounds.aggregation import (
     Partition,
@@ -453,7 +455,6 @@ def test_bound_pipeline_gate(case, monkeypatch) -> None:
 
     monkeypatch.setattr(transport_mod, "_ot", no_work)
     monkeypatch.setattr(bounds_mod, "transient_ctmc", no_work)
-    monkeypatch.setattr(bounds_mod, "occupation_ctmc", no_work)
     entries = {
         "prepare_bound_inputs": lambda: prepare_bound_inputs(chain, metric, agg, p0),
         "exact_error_curve": lambda: exact_error_curve(p0, chain, metric, agg, t_grid),
@@ -701,22 +702,84 @@ def test_w1_and_exact_curve_make_no_lp_call(monkeypatch) -> None:
 
 
 def test_bound_curve_makes_few_transient_calls(toy, monkeypatch) -> None:
-    # Two forward steps per grid point for the exact curve and one per
-    # interval for the integrals: at most three calls per grid point.
-    gen, metric, agg, p0, _ = toy
-    calls = []
+    """One sweep serves the integral variants and the exact curve: per grid
+    point one occupation step of the aggregated chain and one step of the
+    full chain, one W1 solve per point after t = 0 (whose value is W0), and
+    one grid check."""
+    gen, metric, agg, p0, inputs = toy
+    calls: dict[str, list] = {"aggregated": [], "full": [], "w1": [], "grid": []}
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return transient_ctmc(*args, **kwargs)
+    def stepped(p, chain, h, **kwargs):
+        calls["aggregated" if chain is agg.chain else "full"].append(kwargs.get("occupation", False))
+        return transient_ctmc(p, chain, h, **kwargs)
 
-    monkeypatch.setattr(bounds_mod, "transient_ctmc", counted)
-    t_grid = np.linspace(0.0, 2.0, 41)
-    curve = compute_bound_curve(
-        gen, metric, agg, p0, t_grid, variants=ALL_VARIANTS, with_exact=True
-    )
-    assert 0 < len(calls) <= 3 * t_grid.size
+    def solved(*args, **kwargs):
+        calls["w1"].append(1)
+        return wasserstein(*args, **kwargs)
+
+    real_check = bounds_mod._check_grid
+
+    def checked(t_grid):
+        calls["grid"].append(1)
+        return real_check(t_grid)
+
+    monkeypatch.setattr(bounds_mod, "transient_ctmc", stepped)
+    monkeypatch.setattr(bounds_mod, "wasserstein", solved)
+    monkeypatch.setattr(bounds_mod, "_check_grid", checked)
+    t_grid = time_grid(2.0, 7)
+    curve = compute_bound_curve(gen, metric, agg, p0, t_grid, ALL_VARIANTS, with_exact=True)
+    assert calls["aggregated"] == [True] * 7
+    assert calls["full"] == [False] * 7
+    assert len(calls["w1"]) == 1 + 6
+    assert len(calls["grid"]) == 1
+    assert curve.exact[0] == inputs.w0
     assert sorted(curve.columns) == sorted(ALL_VARIANTS)
+
+
+def test_defect_of_another_aggregation_is_refused_before_the_sweep(monkeypatch) -> None:
+    # inputs for blocks {1,2},{3,4} carry two defect entries; the aggregation has three
+    gen, metric, p0 = random_instance(4, 0)
+    pairs = partition_aggregation_ctmc(gen, Partition(((1, 2), (3, 4))))
+    inputs = prepare_bound_inputs(gen, metric, pairs, p0)
+    agg = partition_aggregation_ctmc(gen, Partition(((1, 2), (3,), (4,))))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a time step ran")
+
+    monkeypatch.setattr(bounds_mod, "transient_ctmc", no_work)
+    with pytest.raises(DimensionMismatch, match="^defect vector has 2 entries for 3 aggregates$"):
+        bound_linear_K_timevarying(inputs, agg, aggregate_initial(p0, agg), time_grid(1.0, 3))
+
+
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 10_000),
+    metric_kind=st.sampled_from(("line", "discrete", "graph")),
+    start=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    steps=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=0, max_size=5),
+)
+@settings(max_examples=50, deadline=None)
+def test_shared_sweep_matches_the_standalone_curves(n, seed, metric_kind, start, steps) -> None:
+    """Every column and the exact curve of one shared sweep are the standalone
+    calls' values bit for bit, on nondecreasing grids with repeated points and
+    with a first point above 0."""
+    gen, metric, p0 = random_instance(n, seed, metric_kind)
+    agg = partition_aggregation_ctmc(gen, _random_partition(np.random.default_rng(seed), n))
+    t_grid = start + np.cumsum([0.0, *steps])
+    curve = compute_bound_curve(gen, metric, agg, p0, t_grid, ALL_VARIANTS, with_exact=True)
+    inputs = prepare_bound_inputs(gen, metric, agg, p0, with_kappa=True)
+    alone = {
+        **bound_linear_K_timevarying(inputs, agg, aggregate_initial(p0, agg), t_grid),
+        "linear": bound_linear_K(inputs, t_grid),
+        "exp-k": bound_exponential(inputs, t_grid, "k_min"),
+        "exp-kappa": bound_exponential(inputs, t_grid, "kappa_min"),
+        "hybrid": bound_hybrid(inputs, t_grid, "k_min"),
+        "hybrid-kappa": bound_hybrid(inputs, t_grid, "kappa_min"),
+    }
+    assert sorted(alone) == sorted(ALL_VARIANTS)
+    for name in ALL_VARIANTS:
+        assert np.array_equal(curve.columns[name], alone[name]), name
+    assert np.array_equal(curve.exact, exact_error_curve(p0, gen, metric, agg, t_grid))
 
 
 def test_prepare_bound_inputs_builds_one_k_matrix(monkeypatch) -> None:

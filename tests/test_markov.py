@@ -16,7 +16,6 @@ from wdbounds.markov import (
     ProbVec,
     TransitionMatrix,
     dirac,
-    occupation_ctmc,
     transient_ctmc,
     transient_dtmc,
     transient_tv_budget,
@@ -110,7 +109,7 @@ def test_uniformize_two_state_and_zero_generator():
 
 
 def test_uniformize_builds_once_per_generator(monkeypatch):
-    """A sweep of transient and occupation steps validates ``P`` once."""
+    """A sweep of plain and occupation steps validates ``P`` once."""
     built = []
 
     class Counting(TransitionMatrix):
@@ -122,7 +121,7 @@ def test_uniformize_builds_once_per_generator(monkeypatch):
     gen = Generator(TOY_Q)
     pi = dirac(3, 1)
     for _ in range(5):
-        occupation_ctmc(pi, gen, 0.3)
+        transient_ctmc(pi, gen, 0.3, occupation=True)
         pi = transient_ctmc(pi, gen, 0.3)
     assert len(built) == 1
     assert uniformize(gen) is uniformize(gen)
@@ -202,8 +201,10 @@ def _two_state_occupation(h: float) -> np.ndarray:
 def test_occupation_brackets_closed_form(h):
     """The truncated occupation lies below the closed form, and adding the
     tail budget to its total mass reaches the interval length; h = 300 is
-    lam * h = 600, past one uniformization chunk."""
-    occ, budget = occupation_ctmc(dirac(2, 1), Generator(TWO_STATE), h)
+    lam * h = 600, past one uniformization chunk.  The law comes from the
+    same powers, so it is a plain call's law bit for bit."""
+    law, occ, budget = transient_ctmc(dirac(2, 1), Generator(TWO_STATE), h, occupation=True)
+    assert np.array_equal(law.p, transient_ctmc(dirac(2, 1), Generator(TWO_STATE), h).p)
     exact = _two_state_occupation(h)
     assert np.all(occ <= exact + 1e-12 * h)
     assert np.all(exact - occ <= budget + 1e-12 * h)
@@ -227,19 +228,21 @@ def test_occupation_matches_poisson_tail_series():
         w *= lt / k
         cum += w
         acc = acc + (1.0 - cum) * v
-    occ, _ = occupation_ctmc(p0, gen, h)
+    law, occ, _ = transient_ctmc(p0, gen, h, occupation=True)
     assert np.allclose(occ, acc / lam, atol=1e-12)
+    assert np.array_equal(law.p, transient_ctmc(p0, gen, h).p)
 
 
 def test_occupation_zero_length_and_errors():
     gen = Generator(TOY_Q)
     p0 = ProbVec(np.array([0.7, 0.2, 0.1]))
-    occ, budget = occupation_ctmc(p0, gen, 0.0)
+    law, occ, budget = transient_ctmc(p0, gen, 0.0, occupation=True)
+    assert law is p0
     assert np.array_equal(occ, np.zeros(3)) and budget == 0.0
     with pytest.raises(NegativeTime):
-        occupation_ctmc(p0, gen, -1.0)
+        transient_ctmc(p0, gen, -1.0, occupation=True)
     with pytest.raises(DimensionMismatch):
-        occupation_ctmc(ProbVec(np.array([0.5, 0.5])), gen, 1.0)
+        transient_ctmc(ProbVec(np.array([0.5, 0.5])), gen, 1.0, occupation=True)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan, 1e308])
@@ -251,7 +254,7 @@ def test_non_finite_time_is_rejected(t):
     with pytest.raises(ValueError, match="finite"):
         transient_ctmc(p0, gen, t)
     with pytest.raises(ValueError, match="finite"):
-        occupation_ctmc(p0, gen, t)
+        transient_ctmc(p0, gen, t, occupation=True)
 
 
 def test_transient_tv_budget_counts_chunks():
