@@ -20,6 +20,14 @@ and ``V(r,s)`` is the cost of transporting ``(Q_r - Q_s)+`` onto
 neighbourhoods of ``r`` and ``s``.  The DTMC curvature transports
 ``(P_r - P_s)+`` onto ``(P_r - P_s)-`` under ``d``.
 
+A lattice walk of :func:`wdbounds.models.translation_invariant_ctmc`,
+under the metric that function returned with it, has its minimum in
+closed form: the paper's theorem gives ``kappa >= root_rate`` (0 without a
+root) on every pair, less an allowance for rounded rate sums, and one
+solved pair of interior neighbours certifies it from above
+(:func:`_walk_kappa_min`).  Every other chain, and a walk that no pair
+certifies, goes through the scan below.
+
 The minimum curvature is reached through exact metric structure.  If a
 third state ``z`` lies on a geodesic, ``d(r,z) + d(z,s) = d(r,s)``, then
 ``W1`` is subadditive along ``r -> z -> s`` with equality at ``t = 0``, so
@@ -70,7 +78,7 @@ from .aggregation import Aggregation
 from .errors import DimensionMismatch, NumericalFailure, SamePair, SingleState
 from .markov import Generator, TransitionMatrix
 from .metric import _CHUNK, Metric, irreducible_pairs
-from .transport import _row_supports, _signed_classes, _SignedPlan, _signed_ot
+from .transport import _signed_classes, _SignedPlan, _signed_ot
 
 __all__ = [
     "kappa",
@@ -180,7 +188,7 @@ def _pair_classes(
     bit-identical inputs: the transport of ``(mat_i - mat_j)+`` onto
     ``(mat_i - mat_j)-`` under ``cost(d, i, j, a, b)`` (broadcast over
     index arrays) on the two supports, with ``d(i, j)``.  ``supports`` is
-    :func:`wdbounds.transport._row_supports` of ``mat``.  Returns the
+    :func:`wdbounds.markov._row_supports` of ``mat``.  Returns the
     ``(cls, first)`` of :func:`wdbounds.transport._signed_classes`; ``first``
     lists the first pair of each class in the given order.
     """
@@ -207,21 +215,21 @@ def _class_kappas(
     class of identical local problems (:func:`_pair_classes`), so it equals
     the per-pair values bit for bit."""
     mat, cost = _local_form(chain)
-    cls, first = _pair_classes(mat, _row_supports(mat), metric.dist, ii, jj, cost)
+    cls, first = _pair_classes(mat, chain.row_supports, metric.dist, ii, jj, cost)
     values = [_pair_kappa(chain, metric, int(ii[p]), int(jj[p])) for p in first.tolist()]
     return np.array(values, dtype=float)[cls]
 
 
-def _q_times_d(q: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``q @ d`` summed over each row's nonzeros in column order.
+def _q_times_d(gen: Generator, d: np.ndarray) -> np.ndarray:
+    """``Q @ d`` summed over each row's nonzeros in column order.
 
     A BLAS product may split its sums differently with the thread count, so
     its last bits would change with the machine.  Here row ``a`` lists its
-    nonzero columns (:func:`_row_supports`), and ``g[a] = sum_j q[a, c_j]
+    nonzero columns (``gen.row_supports``), and ``g[a] = sum_j Q[a, c_j]
     d[c_j]`` is summed over those slots in order, in blocks of rows: the same
     bits everywhere, in ``O(rows * slots * n)``.
     """
-    cols, vals = _row_supports(q)
+    cols, vals = gen.row_supports
     n, width = cols.shape
     g = np.empty((n, d.shape[1]))
     step = max(1, _CHUNK // max(1, width * d.shape[1]))
@@ -240,7 +248,7 @@ def k_matrix(gen: Generator, metric: Metric) -> np.ndarray:
     """
     _check_chain(gen, metric, ctmc=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = _q_times_d(gen.q, metric.dist)  # g[a, b] = Q_a . d(., b)
+        g = _q_times_d(gen, metric.dist)  # g[a, b] = Q_a . d(., b)
         own = np.minimum(np.diagonal(g)[:, None], g)  # own[r, s] = min(g_rr, g_rs)
         kmat = -(own + own.T) / metric.dist
     np.fill_diagonal(kmat, 0.0)
@@ -283,7 +291,7 @@ def _shared_jump_bounds(
     excess of ``a`` (of ``b``) gains at most the two Lipschitz limits of
     ``f(x) - f(r)`` (of ``f(s) - f(x)``).  So ``k'' = -A''/d <= kappa``, and
     ``k <= k''`` by the triangle inequality.  Each term is summed over the
-    padded row supports ``supports`` of ``q`` (:func:`_row_supports`), so a
+    padded row supports ``supports`` of ``q`` (``Generator.row_supports``), so a
     pair costs ``O(width)``.
 
     The computed ``k''`` is lowered by ``gamma_N * sum |terms| / d`` (Higham,
@@ -327,10 +335,22 @@ def _shared_jump_bounds(
 
 @dataclass(frozen=True)
 class KappaMinStrategy:
-    """How :func:`kappa_min` reached its answer.
+    """How :func:`kappa_min` reached its answer, and by which ``route``.
 
-    The irreducible pairs are visited in increasing ``k`` (ties in row-major
-    order) with the running minimum ``tau``.  A pair with ``k >= tau`` is
+    ``route = "closed-form"``: the chain is a lattice walk of
+    :func:`wdbounds.models.translation_invariant_ctmc` under the metric that
+    function returned with it.  The minimum is the theorem's ``kappa >=
+    root_rate`` (0 without a root), lowered by the walk's allowance for
+    rounded rate sums, and ``pairs_solved`` is the one pair of interior
+    neighbours whose exact ``kappa`` (``kappa_solved``) certifies it from
+    above.  Nothing is prefiltered, cut or skipped: ``pairs_irreducible``,
+    ``pairs_cut`` and ``pairs_skipped`` are 0.
+
+    ``route = "scan"``: every other chain, and a walk with no such pair or
+    whose pair's ``kappa`` exceeds the minimum by more than the allowance
+    and the solve's certified gap.  The irreducible pairs are visited in
+    increasing ``k`` (ties in row-major order) with the running minimum
+    ``tau``.  A pair with ``k >= tau`` is
     cut.  Pairs whose local problems pose bit-identical inputs form a class
     and share one ``kappa``; a pair whose class was visited before is
     skipped (``pairs_skipped``).  A class is cut when the largest ``k`` or
@@ -348,6 +368,7 @@ class KappaMinStrategy:
     pairs_skipped: int  # pairs with k < tau whose class was visited: kappa >= tau
     pairs_irreducible: int  # pairs with no state in between, the ones prefiltered
     pairs_total: int  # all pairs r < s
+    route: str  # "closed-form" or "scan"
 
 
 def kappa_min(
@@ -373,7 +394,54 @@ def _kappa_min(
     chain: Generator | TransitionMatrix, metric: Metric, kmat: np.ndarray | None
 ) -> tuple[float, KappaMinStrategy]:
     """:func:`kappa_min` on the pairwise ``k`` values ``kmat`` of ``chain`` and
-    ``metric``; a DTMC has no ``k`` and passes ``None``."""
+    ``metric``; a DTMC has no ``k`` and passes ``None``.  A lattice walk under
+    its own metric takes the closed form (:func:`_walk_kappa_min`), every
+    other chain the scan (:func:`_scan_kappa_min`)."""
+    if isinstance(chain, Generator):
+        found = _walk_kappa_min(chain, metric)
+        if found is not None:
+            return found
+    return _scan_kappa_min(chain, metric, kmat)
+
+
+def _walk_kappa_min(gen: Generator, metric: Metric) -> tuple[float, KappaMinStrategy] | None:
+    """The closed-form minimum of the lattice walk ``gen`` records, under the
+    metric it was built with: ``walk.kappa_floor()``, a lower bound on every
+    pair, certified from above by one solve of ``walk.certifying_pair()``,
+    whose ``kappa`` equals the root rate in exact arithmetic.  ``None`` for
+    a generator with no walk or another metric, with no such pair, or when
+    the pair's computed ``kappa`` exceeds the floor by more than the
+    allowance plus the gap its solve is certified to: the bracket did not
+    close."""
+    walk = gen._walk
+    if walk is None or metric is not walk.metric:
+        return None
+    pair = walk.certifying_pair()
+    if pair is None:
+        return None
+    floor, allowance = walk.kappa_floor()
+    i, j = pair
+    plan = _pair_plan(gen, metric, i, j)
+    dist = float(metric.dist[i, j])
+    kap = -(plan.value / dist)
+    if not kap - floor <= allowance + plan.slack / dist:
+        return None
+    strategy = KappaMinStrategy(
+        pairs_solved=((i + 1, j + 1),),
+        kappa_solved=(kap,),
+        pairs_cut=0,
+        pairs_skipped=0,
+        pairs_irreducible=0,
+        pairs_total=gen.n * (gen.n - 1) // 2,
+        route="closed-form",
+    )
+    return floor, strategy
+
+
+def _scan_kappa_min(
+    chain: Generator | TransitionMatrix, metric: Metric, kmat: np.ndarray | None
+) -> tuple[float, KappaMinStrategy]:
+    """:func:`kappa_min` by visiting the irreducible pairs in increasing ``k``."""
     iu = np.triu_indices(chain.n, k=1)
     # k_matrix is bitwise symmetric; a DTMC's -inf keeps row-major order and cuts nothing
     kvals = np.full(iu[0].size, -np.inf) if kmat is None else kmat[iu]
@@ -382,7 +450,7 @@ def _kappa_min(
     d = metric.dist
     ii, jj, korder = iu[0][order], iu[1][order], kvals[order]
     mat, cost = _local_form(chain)
-    supports = _row_supports(mat)
+    supports = chain.row_supports
     cls, first = _pair_classes(mat, supports, d, ii, jj, cost)
     # the members of a class share one kappa, and each member's k and k'' - margin bound it
     floor = np.full(first.size, -np.inf)
@@ -413,6 +481,7 @@ def _kappa_min(
         pairs_skipped=skipped,
         pairs_irreducible=reduced.size,
         pairs_total=kvals.size,
+        route="scan",
     )
     return tau, strategy
 

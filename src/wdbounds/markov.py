@@ -68,6 +68,17 @@ def _clean_distribution(p: np.ndarray, what: str) -> np.ndarray:
     raise ValueError(f"{what} row {r + 1} sums to {float(totals[r])!r}, expected 1")
 
 
+def _row_supports(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nonzero columns first, in column order (a stable sort), and
+    their entries, padded with zero entries up to the longest row: two
+    ``(rows, width)`` arrays ``cols`` and ``vals = mat[row, cols]``."""
+    rows, n = mat.shape
+    zero = mat == 0
+    width = n - int(zero.sum(axis=1).min(initial=n))
+    cols = np.argsort(zero, axis=1, kind="stable")[:, :width]
+    return cols, mat[np.arange(rows)[:, None], cols]
+
+
 @dataclass(frozen=True)
 class ProbVec:
     """A probability distribution over states ``1..n``, passed by :func:`_clean_distribution`."""
@@ -95,6 +106,10 @@ class Generator:
 
     q: np.ndarray
     n: int = field(init=False)
+    #: The lattice walk :func:`wdbounds.models.translation_invariant_ctmc` built
+    #: this generator from (a private record, set by that function only); a
+    #: generator built from a matrix has none.
+    _walk: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = np.ascontiguousarray(self.q, dtype=float)
@@ -138,6 +153,14 @@ class Generator:
             lam = 1.0
         return TransitionMatrix(np.eye(self.n) + self.q / lam), lam
 
+    @cached_property
+    def row_supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_row_supports` of ``q``, built once per generator; a lattice
+        walk's from its jump targets, without a sort over all ``n x n`` entries."""
+        if self._walk is None:
+            return _row_supports(self.q)
+        return self._walk.row_supports(self.q)
+
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -158,6 +181,11 @@ class TransitionMatrix:
     def row(self, r: int) -> np.ndarray:
         """Row of 1-based state ``r``."""
         return self.p[r - 1]
+
+    @cached_property
+    def row_supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_row_supports` of ``p``, built once per matrix."""
+        return _row_supports(self.p)
 
 
 def dirac(n: int, r: int) -> ProbVec:

@@ -236,11 +236,16 @@ def irreducible_pairs(metric: Metric) -> np.ndarray:
         r, z, s = np.nonzero(apart[rows, :, None] + apart[None, :, lo:] == d[rows, None, lo:])
         r += lo
         s += lo
-        first, second, rounded = d[r, z], d[z, s], d[r, s]
-        second_part = rounded - first
-        exact = (first - (rounded - second_part)) + (second - second_part) == 0
+        exact = _two_sum_error(d[r, z], d[z, s], d[r, s]) == 0
         reducible[r[exact], s[exact]] = True
     return ~reducible[np.triu_indices(n, k=1)]
+
+
+def _two_sum_error(a, b, total):
+    """``(a + b) - total`` in exact arithmetic, for ``total = fl(a + b)``: the
+    error-free TwoSum (Knuth, TAOCP vol. 2, 4.2.2), elementwise on arrays."""
+    b_part = total - a
+    return (a - (total - b_part)) + (b - b_part)
 
 
 def discrete_metric(n: int) -> Metric:

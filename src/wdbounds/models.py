@@ -20,6 +20,7 @@ from .errors import DimensionMismatch, EmptySupport, IndexOutOfRange
 from .markov import Generator, ProbVec
 from .metric import (
     Metric,
+    _two_sum_error,
     discrete_metric,
     lattice_metric,
     line_metric,
@@ -63,7 +64,7 @@ class Box:
 
     def points(self) -> np.ndarray:
         """All integer points, lexicographic with the last coordinate fastest."""
-        pts = np.array(list(np.ndindex(*self.shape)), dtype=np.int64)
+        pts = np.indices(self.shape, dtype=np.int64).reshape(self.dim, -1).T
         return pts + np.asarray(self.lo, dtype=np.int64)
 
 
@@ -116,6 +117,148 @@ def toy_ctmc() -> tuple[Generator, Metric]:
     return Generator(q), validate_metric(d)
 
 
+def _jump_targets(
+    box: Box, rate: float, jumps: JumpDistribution
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """The rate ``rate * p`` of each jump offset of positive probability, in
+    the order of ``jumps``, and ``targets[x, j]``, the 0-based state that
+    state ``x`` reaches by offset ``j`` after the projection onto the box."""
+    pts = box.points()
+    lo = np.asarray(box.lo, dtype=np.int64)
+    hi = np.asarray(box.hi, dtype=np.int64)
+    strides = _strides(box.shape)
+    kept = [(offset, prob) for offset, prob in jumps.support if prob != 0.0]
+    targets = np.empty((pts.shape[0], len(kept)), dtype=np.int64)
+    for j, (offset, _) in enumerate(kept):
+        end = np.clip(pts + np.asarray(offset, dtype=np.int64), lo, hi)
+        targets[:, j] = (end - lo) @ strides
+    return tuple(rate * prob for _, prob in kept), targets
+
+
+def _strides(shape: tuple[int, ...]) -> np.ndarray:
+    """The index step of each axis: states in lexicographic order, the last
+    coordinate fastest."""
+    strides = np.ones(len(shape), dtype=np.int64)
+    for k in range(len(shape) - 2, -1, -1):
+        strides[k] = strides[k + 1] * shape[k + 1]
+    return strides
+
+
+@dataclass(frozen=True, eq=False)
+class _LatticeWalk:
+    """The walk that :func:`translation_invariant_ctmc` records on the
+    :class:`Generator` it returns, with the :class:`Metric` it returns.
+
+    ``rates`` and ``targets`` are what :func:`_jump_targets` returned for
+    the box, the rate and the jumps.  The curvature layer reads the record.
+    By the synchronous coupling (Ollivier, JFA 2009) every pair has ``kappa
+    >= root_rate`` (:meth:`kappa_floor`), one pair of interior neighbours
+    attains it (:meth:`certifying_pair`), and the row supports follow from
+    the jump targets (:meth:`row_supports`).
+    """
+
+    box: Box
+    rate: float
+    jumps: JumpDistribution
+    root: int | None
+    root_rate: float
+    metric: Metric
+    rates: tuple[float, ...]
+    targets: np.ndarray
+
+    def row_supports(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`wdbounds.markov._row_supports` of this walk's generator
+        ``q``, bit for bit, from the columns a row can reach (itself, its
+        jump targets and the root) in ``O(n J log J)``.  A row with ``c``
+        nonzero columns is padded with the ``width - c`` least columns it
+        does not reach, which all lie below ``width``."""
+        targets = self.targets
+        n = q.shape[0]
+        rows = np.arange(n)[:, None]
+        reach = [rows, targets] + ([] if self.root is None else [np.full((n, 1), self.root - 1)])
+        reach = np.sort(np.concatenate(reach, axis=1), axis=1)
+        keep = q[rows, reach] != 0
+        keep[:, 1:] &= reach[:, 1:] != reach[:, :-1]
+        count = keep.sum(axis=1)[:, None]
+        width = int(count.max())
+        nonzero = np.sort(np.where(keep, reach, n), axis=1)[:, :width]
+        taken = np.zeros((n, width + 1), dtype=bool)  # column width collects the rest
+        taken[rows, np.minimum(nonzero, width)] = True
+        free = np.argsort(taken[:, :width], axis=1, kind="stable")
+        slot = np.arange(width)
+        pad = np.take_along_axis(free, np.maximum(slot - count, 0), axis=1)
+        cols = np.where(slot < count, nonzero, pad)
+        return cols, q[rows, cols]
+
+    def kappa_floor(self) -> tuple[float, float]:
+        """``(floor, allowance)``: the theorem's ``kappa >= root_rate`` (0
+        without a root) on every pair, lowered by ``allowance``.
+
+        Under the synchronous coupling both states take the same jump
+        offset at the same rate, the projection onto the box is 1-Lipschitz,
+        and the root jump, which both share, closes the distance.  That holds
+        for the rates ``rate * p`` of each offset.  A stored rate that sums
+        several of them (jumps merged at the boundary, or a jump and the
+        root) carries the rounding error ``e`` of each addition, exact by
+        TwoSum.  A change ``e`` in ``Q(r, x)`` moves ``kappa(r, s)`` by at
+        most ``|e| d(r, x) / d(r, s)``, and ``d(r, s) >= 1`` on integer
+        points, so ``allowance`` is twice the largest row sum of ``|e|
+        d(r, x)``, raised by ``gamma_N`` for its own rounding; it is 0 when
+        every sum is exact.  A nonzero allowance also steps the floor one
+        ulp down, for the rounding of the subtraction.
+        """
+        rates, targets = self.rates, self.targets
+        n, count = targets.shape
+        rows = np.arange(n)
+        d = self.metric.dist
+        # every jump of a row adds into the slot of its row's first jump with that target
+        slot = (targets[:, :, None] == targets[:, None, :]).argmax(axis=2)
+        stored = np.zeros((n, count))
+        spread = np.zeros(n)  # sum over each row of |e| d(r, x)
+        for j, rate in enumerate(rates):
+            moved = targets[:, j] != rows
+            old = stored[rows, slot[:, j]]
+            new = old + rate
+            error = np.abs(_two_sum_error(old, rate, new)) * d[rows, targets[:, j]]
+            spread += np.where(moved, error, 0.0)
+            stored[rows, slot[:, j]] = np.where(moved, new, old)
+        floor = 0.0
+        if self.root is not None:
+            col = self.root - 1
+            hit = targets == col
+            old = np.where(hit.any(axis=1), stored[rows, hit.argmax(axis=1)], 0.0)
+            error = np.abs(_two_sum_error(old, self.root_rate, old + self.root_rate)) * d[rows, col]
+            spread += np.where(rows != col, error, 0.0)
+            floor = float(self.root_rate)
+        nu = (count + 3) * np.finfo(float).eps / 2
+        allowance = 2.0 * float(spread.max()) * (1.0 + nu / (1.0 - nu))
+        if allowance == 0.0:
+            return floor, 0.0
+        return float(np.nextafter(floor - allowance, -np.inf)), allowance
+
+    def certifying_pair(self) -> tuple[int, int] | None:
+        """0-based neighbours ``(i, j)``, ``i < j``, one step apart along an
+        axis, neither of them the root, whose jumps all stay inside the box,
+        or ``None`` if there are none.  Their rows are translates, so the
+        linear potential along the step gives ``kappa(i, j) <= root_rate``:
+        with :meth:`kappa_floor` the pair attains the minimum."""
+        box = self.box
+        pts = box.points()
+        offsets = np.array([off for off, prob in self.jumps.support if prob != 0.0])
+        ends = pts[:, None, :] + offsets[None, :, :]
+        inside = ((ends >= box.lo) & (ends <= box.hi)).all(axis=(1, 2))
+        if self.root is not None:
+            inside[self.root - 1] = False
+        strides = _strides(box.shape).tolist()
+        for axis in reversed(range(box.dim)):
+            step = strides[axis]
+            below = inside[:-step] & inside[step:] & (pts[:-step, axis] < box.hi[axis])
+            if below.any():
+                i = int(np.argmax(below))
+                return i, i + step
+        return None
+
+
 def translation_invariant_ctmc(
     box: Box,
     rate: float,
@@ -134,8 +277,12 @@ def translation_invariant_ctmc(
     the returned Euclidean metric.
 
     ``root`` (1-based state index) adds an extra transition at ``root_rate``
-    from every other state to that state.  The added transitions break
-    translation invariance, so the curvature guarantee no longer applies.
+    from every other state to that state.  Every state shares that jump, so
+    the guarantee holds and rises with it: ``kappa >= root_rate`` on every
+    pair.  A nonzero ``root_rate`` without a ``root`` raises ``ValueError``.
+    The generator records the walk and the returned metric, which
+    :func:`wdbounds.curvature.kappa_min` reads: with that metric it takes
+    ``kappa_min`` from this theorem, certified by one solved pair.
     """
     if rate <= 0:
         raise ValueError(f"jump rate must be positive, got {rate!r}")
@@ -143,37 +290,36 @@ def translation_invariant_ctmc(
         raise DimensionMismatch(
             f"jump offsets have dimension {jumps.dim} but the box has {box.dim}"
         )
-    pts = box.points()
-    n = pts.shape[0]
-    lo = np.asarray(box.lo, dtype=np.int64)
-    hi = np.asarray(box.hi, dtype=np.int64)
     shape = box.shape
-    strides = np.ones(box.dim, dtype=np.int64)
-    for k in range(box.dim - 2, -1, -1):
-        strides[k] = strides[k + 1] * shape[k + 1]
-
-    q = np.zeros((n, n))
-    for offset, prob in jumps.support:
-        if prob == 0.0:
-            continue
-        target = np.clip(pts + np.asarray(offset, dtype=np.int64), lo, hi)
-        idx = (target - lo) @ strides
-        moved = idx != np.arange(n)
-        q[np.arange(n)[moved], idx[moved]] += rate * prob
-    if root is not None:
+    n = int(np.prod(shape))
+    if root is None:
+        if root_rate != 0:
+            raise ValueError(f"root rate {root_rate!r} given without a root state")
+    else:
         if not (1 <= root <= n):
             raise IndexOutOfRange(root, n)
         if root_rate < 0:
             raise ValueError(f"root rate must be nonnegative, got {root_rate!r}")
-        others = np.arange(n) != root - 1
-        q[others, root - 1] += root_rate
+
+    rates, targets = _jump_targets(box, rate, jumps)
+    states = np.arange(n)
+    q = np.zeros((n, n))
+    for w, idx in zip(rates, targets.T):
+        moved = idx != states
+        q[states[moved], idx[moved]] += w
+    if root is not None:
+        q[states != root - 1, root - 1] += root_rate
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
+    gen = Generator(q)
 
     # |delta| for every difference delta of two points, centred in each axis
     diff = np.stack(np.indices(tuple(2 * side - 1 for side in shape)), axis=-1)
     diff -= np.asarray(shape, dtype=diff.dtype) - 1
-    return Generator(q), lattice_metric(np.sqrt((diff.astype(float) ** 2).sum(axis=-1)))
+    metric = lattice_metric(np.sqrt((diff.astype(float) ** 2).sum(axis=-1)))
+    walk = _LatticeWalk(box, rate, jumps, root, root_rate, metric, rates, targets)
+    object.__setattr__(gen, "_walk", walk)
+    return gen, metric
 
 
 def random_instance(

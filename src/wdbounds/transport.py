@@ -37,7 +37,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionMismatch, NumericalFailure, RowSumNotZero
 from .lp import solve
-from .markov import ProbVec
+from .markov import ProbVec, _row_supports
 from .metric import _CHUNK, Metric
 
 __all__ = [
@@ -222,6 +222,7 @@ class _SignedPlan(NamedTuple):
     cols: np.ndarray  # supp(v-), 0-based
     gamma: np.ndarray  # (rows.size, cols.size) plan
     u: np.ndarray  # row duals
+    slack: float  # the primal/dual gap the value is certified to
 
 
 def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
@@ -240,7 +241,9 @@ def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
     cols = np.flatnonzero(v < 0)
     if rows.size == 0 or cols.size == 0:
         # the vector is zero up to rounding
-        return _SignedPlan(0.0, rows, cols, np.zeros((rows.size, cols.size)), np.zeros(rows.size))
+        return _SignedPlan(
+            0.0, rows, cols, np.zeros((rows.size, cols.size)), np.zeros(rows.size), 0.0
+        )
     pos = v[rows]
     neg = -v[cols]
     mass = float(pos.sum())
@@ -260,9 +263,10 @@ def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
         raise NumericalFailure(f"signed transport plan misses its margins on mass {mass:.3g}")
     dual = float(pos @ u + neg @ np.min(c - u[:, None], axis=0))
     gap = value - dual
-    if not (abs(gap) <= SIGNED_GAP_REL * cmax * mass and math.isfinite(gap)):
+    allowed = SIGNED_GAP_REL * cmax * mass
+    if not (abs(gap) <= allowed and math.isfinite(gap)):
         raise NumericalFailure(f"signed transport primal/dual gap {gap:.3g} on mass {mass:.3g}")
-    return _SignedPlan(value, rows, cols, gamma, u)
+    return _SignedPlan(value, rows, cols, gamma, u, allowed)
 
 
 def wasserstein(
@@ -324,17 +328,6 @@ def wasserstein_signed(row: SignedRow | np.ndarray, metric: Metric) -> float:
         raise DimensionMismatch(f"row has {v.size} entries for a {metric.n}-state metric")
     d = metric.dist
     return _signed_ot(v, lambda rows, cols: d[rows[:, None], cols]).value
-
-
-def _row_supports(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nonzero columns first, in column order (a stable sort), and
-    their entries, padded with zero entries up to the longest row: two
-    ``(rows, width)`` arrays ``cols`` and ``vals = mat[row, cols]``."""
-    rows, n = mat.shape
-    zero = mat == 0
-    width = n - int(zero.sum(axis=1).min(initial=n))
-    cols = np.argsort(zero, axis=1, kind="stable")[:, :width]
-    return cols, mat[np.arange(rows)[:, None], cols]
 
 
 def _signed_classes(count: int, width: int, support, cost, extra: np.ndarray | None = None):

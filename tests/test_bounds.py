@@ -611,7 +611,7 @@ def test_kappa_min_pivots_on_box_grids(monkeypatch) -> None:
     monkeypatch.setattr(curvature_mod, "_pair_plan", recording)
     solved = 0
     for _, gen, metric, _, _ in _box_grid_curves():
-        _, strategy = kappa_min(gen, metric)
+        _, strategy = kappa_min(Generator(gen.q), metric)  # no walk record: the scan
         solved += len(strategy.pairs_solved)
     assert len(plans) == solved
     assert sum(pivots) <= 700

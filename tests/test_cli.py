@@ -904,6 +904,18 @@ def test_builtin_rejects_non_finite_rates(capsys, rates) -> None:
     assert "not finite" in err
 
 
+def test_builtin_refuses_a_root_rate_without_a_root(capsys) -> None:
+    """A root rate with no root state is refused, not dropped."""
+    code, out, err = run_cli(
+        capsys, "curvature", "--builtin", "grid", "--grid-hi", "5",
+        "--grid-jumps", "[[[1], 0.5], [[-1], 0.5]]", "--grid-root-rate", "0.3",
+    )  # fmt: skip
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "without a root" in err
+
+
 def test_model_file_is_validated_once(gate_counts, toy_model) -> None:
     model = load_model(toy_model)
     assert model.metric is not None and model.chain is not None

@@ -98,7 +98,7 @@ GOLDEN = {
     "box5_all": "8c5f7827301a3f06eb40f0ced2f0ca35e332ed57e02299699bd0e4acb488b492",
     "box20_k_only": "374f7cf835d8d9a36b34ed643dc42c8fc0991e68930f2c5c06a478491757dfd9",
     "line24_min": "eb72974801538030a257de041af8f76c8910eaee81cacb154d2d7e7d95894956",
-    "line24_rooted_min": "24d060126ecc680e66e08ddbd1d7379bdbae2f9f411680fd01ed0154cc265ad9",
+    "line24_rooted_min": "1d18dd150df5165a4f3c1a87bd9973e328a775555476dbbac20de55ed870f660",
     "dtmc_all": "d23a7755418a3543765704f7b21aa95e1db449631b9cd909438148ff82dce64c",
     "dtmc_min": "2a43dfafeaa40ae2f8cf6ac20959cd5a08e5be9c28a2310f0ccf0b890f5b3d96",
     "dtmc_pair_2_3": "de66eab2497bdf17d744bc637c22f6cf570b7e1ff2f123bb7ed96f34530df945",

@@ -106,7 +106,7 @@ def test_k_matrix_product_sums_nonzeros_in_column_order(density):
     for seed in range(6):
         gen, metric, _ = random_instance(3 + seed, 40 + seed, metric_kind="graph", density=density)
         q, d = gen.q, metric.dist
-        got = curvature_mod._q_times_d(q, d)
+        got = curvature_mod._q_times_d(gen, d)
         for a in range(gen.n):
             for b in range(gen.n):
                 acc = 0.0
@@ -251,15 +251,17 @@ def test_kappa_min_equals_all_pairs_minimum():
 
 def _rooted_line(n: int, seed: int):
     """A walk on the integer line 0..n-1 (exact midpoints everywhere) with
-    random jumps of length 1 to 3 and a root that breaks translation invariance."""
+    random jumps of length 1 to 3 and a root that breaks translation
+    invariance, built from its matrix, so :func:`kappa_min` scans its pairs."""
     rng = np.random.default_rng(seed)
     lengths = rng.choice([1, 2, 3], size=int(rng.integers(1, 4)), replace=False)
     offsets = [((int(sign * v),), 1.0) for v in lengths for sign in (1, -1)]
     jumps = JumpDistribution(tuple((off, w / len(offsets)) for off, w in offsets))
     root = int(rng.integers(1, n + 1))
-    return translation_invariant_ctmc(
+    gen, metric = translation_invariant_ctmc(
         Box((0,), (n - 1,)), float(rng.uniform(0.5, 2.0)), jumps, root, float(rng.uniform(0, 1))
     )
+    return Generator(gen.q), metric
 
 
 @given(
@@ -290,7 +292,10 @@ def test_kappa_min_solves_few_pairs_on_a_line():
     which both prove ``kappa >= tau``; the rest are cut by k."""
     line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
     for root, first, below_tau, cut in ((None, (3, 4), 21, 2), (1, (21, 22), 22, 3)):
-        gen, metric = translation_invariant_ctmc(Box((0,), (23,)), 1.0, line, root, 0.05)
+        walk, metric = translation_invariant_ctmc(
+            Box((0,), (23,)), 1.0, line, root, 0.05 if root else 0.0
+        )
+        gen = Generator(walk.q)  # no walk record: the scan
         val, strategy = kappa_min(gen, metric)
         assert strategy.pairs_irreducible == 23
         assert strategy.pairs_total == 276
@@ -328,13 +333,149 @@ def test_kappa_min_on_line_walks_solves_few_pairs_at_every_rate(root):
     line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
     for step in range(11):
         rate = 1.0 + 0.025 * step
-        gen, metric = translation_invariant_ctmc(
+        walk, metric = translation_invariant_ctmc(
             Box((0,), (23,)), rate, line, root, 0.05 * rate if root else 0.0
         )
+        gen = Generator(walk.q)  # no walk record: the scan
         val, strategy = kappa_min(gen, metric)
         assert len(strategy.pairs_solved) <= 5, rate
         full = kappa_all_pairs(gen, metric)[np.triu_indices(24, k=1)]
         assert val == full[irreducible_pairs(metric)].min(), rate
+
+
+@st.composite
+def _builtin_walks(draw):
+    """A builtin walk on a 1-D or 2-D box of side 2 to 9 with one to four
+    random jump offsets of length up to 3 (asymmetric, and clipped near the
+    boundary), and an optional root."""
+    dim = draw(st.integers(1, 2))
+    sides = draw(st.lists(st.integers(2, 9), min_size=dim, max_size=dim))
+    coord = st.integers(-3, 3)
+    offsets = draw(
+        st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4, unique=True)
+    )
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(offsets), max_size=len(offsets)))
+    total = sum(weights)
+    jumps = JumpDistribution(tuple((off, w / total) for off, w in zip(offsets, weights)))
+    box = Box((0,) * dim, tuple(side - 1 for side in sides))
+    rate = draw(st.floats(0.5, 2.0))
+    n = int(np.prod(sides))
+    root = draw(st.none() | st.integers(1, n))
+    root_rate = 0.0 if root is None else draw(st.floats(0.0, 1.0))
+    return translation_invariant_ctmc(box, rate, jumps, root, root_rate), rate + root_rate
+
+
+def _exact_walk_rates(walk) -> list[list[Fraction]]:
+    """Each off-diagonal rate of a builtin walk, summed in exact arithmetic
+    from ``rate * p`` of each offset and the root rate."""
+    pts = walk.box.points().tolist()
+    index = {tuple(p): i for i, p in enumerate(pts)}
+    n = len(pts)
+    rates = [[Fraction(0)] * n for _ in range(n)]
+    for offset, prob in walk.jumps.support:
+        for i, p in enumerate(pts):
+            bounds = zip(p, offset, walk.box.lo, walk.box.hi)
+            end = tuple(min(max(c + o, lo), hi) for c, o, lo, hi in bounds)
+            if prob != 0.0 and index[end] != i:
+                rates[i][index[end]] += Fraction(walk.rate * prob)
+    if walk.root is not None:
+        for i in range(n):
+            if i != walk.root - 1:
+                rates[i][walk.root - 1] += Fraction(walk.root_rate)
+    return rates
+
+
+@given(_builtin_walks())
+@settings(max_examples=40, deadline=None)
+def test_kappa_min_of_builtin_walks_by_the_theorem(walk):
+    """A builtin walk under its own metric takes the paper's closed form
+    (the root rate, 0 unrooted, less the rounding allowance), within
+    ``1e-12 * (rate + root rate)`` of the least ``kappa`` over all pairs.
+    Its cached row supports are those of its matrix bit for bit, and so is
+    ``k``.  Under another metric, and as a generator built from its matrix,
+    it takes the scan, the same whether the walk is recorded or not."""
+    (gen, metric), scale = walk
+    val, strategy = kappa_min(gen, metric)
+    full = float(np.nanmin(kappa_all_pairs(gen, metric)))
+    assert abs(val - full) <= 1e-12 * scale
+    # the allowance covers the stored rates' distance from their exact sums
+    _, allowance = gen._walk.kappa_floor()
+    exact = _exact_walk_rates(gen._walk)
+    for r in range(gen.n):
+        moved = sum(abs(Fraction(gen.q[r, x]) - exact[r][x]) * Fraction(metric.dist[r, x])
+                    for x in range(gen.n) if x != r)  # fmt: skip
+        assert 2 * moved <= Fraction(allowance)
+    if strategy.route == "closed-form":
+        assert val <= gen._walk.root_rate
+        assert len(strategy.pairs_solved) == 1
+    cols, vals = gen.row_supports
+    want_cols, want_vals = _row_supports(gen.q)
+    assert cols.dtype == want_cols.dtype
+    np.testing.assert_array_equal(cols, want_cols)
+    np.testing.assert_array_equal(_bits(vals), _bits(want_vals))
+    plain = Generator(gen.q)
+    np.testing.assert_array_equal(_bits(k_matrix(gen, metric)), _bits(k_matrix(plain, metric)))
+    assert kappa_min(plain, metric)[1].route == "scan"
+    for other in (validate_metric(metric.dist * 2), discrete_metric(gen.n)):
+        got, got_strategy = kappa_min(gen, other)
+        want, want_strategy = kappa_min(plain, other)
+        assert got_strategy.route == "scan"
+        assert _bits(got) == _bits(want)
+        assert got_strategy == want_strategy
+
+
+def test_kappa_min_of_a_walk_with_no_interior_pair_scans():
+    """Every state of the 4-state line with the single jump +5 jumps to
+    state 4: no pair of neighbours keeps its jumps inside the box, so there
+    is nothing to certify the theorem's 0 and the scan finds ``kappa_min =
+    1``."""
+    gen, metric = translation_invariant_ctmc(
+        Box((0,), (3,)), 1.0, JumpDistribution((((5,), 1.0),))
+    )
+    assert gen._walk.certifying_pair() is None
+    val, strategy = kappa_min(gen, metric)
+    assert strategy.route == "scan"
+    assert val == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "box, jumps",
+    [
+        (Box((0,), (23,)), ((1,), (-1,), (2,), (-2,))),
+        (Box((0, 0), (7, 7)), ((1, 0), (-1, 0), (0, 1), (0, -1))),
+        (Box((0, 0), (11, 11)), ((1, 0), (-1, 0), (0, 1), (0, -1))),
+        (Box((0, 0), (17, 17)), ((1, 0), (-1, 0), (0, 1), (0, -1))),
+        (Box((0, 0), (29, 29)), ((1, 0), (-1, 0), (0, 1), (0, -1))),
+    ],
+)
+def test_kappa_min_of_unrooted_builtin_walks_is_exactly_zero(box, jumps):
+    """The benchmark's line walk and the 8x8 to 30x30 box walks: every
+    merged rate is exact, so ``kappa_min`` is 0.0 exactly, after one solve."""
+    gen, metric = translation_invariant_ctmc(
+        box, 1.0, JumpDistribution(tuple((off, 0.25) for off in jumps))
+    )
+    val, strategy = kappa_min(gen, metric)
+    assert _bits(val) == _bits(0.0)
+    assert strategy.route == "closed-form"
+    assert len(strategy.pairs_solved) == 1
+
+
+def test_kappa_min_of_the_rooted_line_is_at_most_the_root_rate():
+    """On the rooted 24-state line walk, rates 1 to 1.25: the merged jump
+    and root rates of the states next to the root are rounded sums, so the
+    root rate is lowered by the allowance, and stays within ``1e-12 *
+    rate`` of the least ``kappa`` over all pairs."""
+    line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
+    for step in range(11):
+        rate = 1.0 + 0.025 * step
+        gen, metric = translation_invariant_ctmc(Box((0,), (23,)), rate, line, 1, 0.05 * rate)
+        val, strategy = kappa_min(gen, metric)
+        _, allowance = gen._walk.kappa_floor()
+        assert strategy.route == "closed-form", rate
+        assert val <= 0.05 * rate - allowance, rate
+        assert abs(val - np.nanmin(kappa_all_pairs(gen, metric))) <= 1e-12 * rate, rate
+        if step == 0:  # fl(0.5 + 0.05) is inexact
+            assert allowance > 0
 
 
 def test_pair_classes_tell_apart_equal_problems_at_different_distances():
@@ -772,10 +913,12 @@ def test_kappa_min_visits_the_prefiltered_pairs_in_increasing_k():
         instances.append(random_instance(8, 330 + seed, metric_kind=kind)[:2])
     # integer positions: most pairs have an exact midpoint
     line = JumpDistribution((((1,), 0.5), ((-2,), 0.5)))
-    instances.append(translation_invariant_ctmc(Box((0,), (7,)), 1.0, line, root=3, root_rate=0.3))
+    walks = [translation_invariant_ctmc(Box((0,), (7,)), 1.0, line, root=3, root_rate=0.3)]
     # a translation-invariant walk: its pairs repeat a few local problems
     line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
-    instances.append(translation_invariant_ctmc(Box((0,), (11,)), 1.05, line))
+    walks.append(translation_invariant_ctmc(Box((0,), (11,)), 1.05, line))
+    # built from their matrices, with no walk record: the scan
+    instances += [(Generator(walk.q), metric) for walk, metric in walks]
     cut_anywhere = skipped_anywhere = 0
     for gen, metric in instances:
         n = gen.n

@@ -167,6 +167,8 @@ def test_box_and_jump_validation() -> None:
         translation_invariant_ctmc(box, 1.0, jumps, root=9, root_rate=1.0)
     with pytest.raises(ValueError, match="root rate"):
         translation_invariant_ctmc(box, 1.0, jumps, root=1, root_rate=-1.0)
+    with pytest.raises(ValueError, match="without a root"):
+        translation_invariant_ctmc(box, 1.0, jumps, root_rate=0.3)
 
 
 def test_random_instance_determinism_and_validity() -> None:
