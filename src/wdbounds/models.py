@@ -135,6 +135,14 @@ def _jump_targets(
     return tuple(rate * prob for _, prob in kept), targets
 
 
+def _moved_error(e: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """``|e| dist``, raised by the least subnormal where ``e`` is nonzero:
+    a product rounded into the subnormal range is off by up to half of it,
+    which no relative factor covers."""
+    tiny = np.finfo(float).smallest_subnormal
+    return np.abs(e) * dist + np.where(e != 0.0, tiny, 0.0)
+
+
 def _strides(shape: tuple[int, ...]) -> np.ndarray:
     """The index step of each axis: states in lexicographic order, the last
     coordinate fastest."""
@@ -203,8 +211,9 @@ class _LatticeWalk:
         TwoSum.  A change ``e`` in ``Q(r, x)`` moves ``kappa(r, s)`` by at
         most ``|e| d(r, x) / d(r, s)``, and ``d(r, s) >= 1`` on integer
         points, so ``allowance`` is twice the largest row sum of ``|e|
-        d(r, x)``, raised by ``gamma_N`` for its own rounding; it is 0 when
-        every sum is exact.  A nonzero allowance also steps the floor one
+        d(r, x)``, raised by ``gamma_N`` for its own rounding and by the
+        least subnormal for each nonzero product, which may underflow; it is
+        0 when every sum is exact.  A nonzero allowance also steps the floor one
         ulp down, for the rounding of the subtraction.
         """
         rates, targets = self.rates, self.targets
@@ -219,7 +228,7 @@ class _LatticeWalk:
             moved = targets[:, j] != rows
             old = stored[rows, slot[:, j]]
             new = old + rate
-            error = np.abs(_two_sum_error(old, rate, new)) * d[rows, targets[:, j]]
+            error = _moved_error(_two_sum_error(old, rate, new), d[rows, targets[:, j]])
             spread += np.where(moved, error, 0.0)
             stored[rows, slot[:, j]] = np.where(moved, new, old)
         floor = 0.0
@@ -227,7 +236,7 @@ class _LatticeWalk:
             col = self.root - 1
             hit = targets == col
             old = np.where(hit.any(axis=1), stored[rows, hit.argmax(axis=1)], 0.0)
-            error = np.abs(_two_sum_error(old, self.root_rate, old + self.root_rate)) * d[rows, col]
+            error = _moved_error(_two_sum_error(old, self.root_rate, old + self.root_rate), d[rows, col])
             spread += np.where(rows != col, error, 0.0)
             floor = float(self.root_rate)
         nu = (count + 3) * np.finfo(float).eps / 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wdbounds.curvature as curvature_mod
@@ -387,6 +387,14 @@ def _exact_walk_rates(walk) -> list[list[Fraction]]:
 
 @given(_builtin_walks())
 @settings(max_examples=40, deadline=None)
+@example(  # a subnormal root rate: each product |e| d underflows
+    (
+        translation_invariant_ctmc(
+            Box((0, 0), (1, 2)), 1.0, JumpDistribution((((-3, -3), 1.0),)), 1, 5e-324
+        ),
+        1.0,
+    )
+)
 def test_kappa_min_of_builtin_walks_by_the_theorem(walk):
     """A builtin walk under its own metric takes the paper's closed form
     (the root rate, 0 unrooted, less the rounding allowance), within
