@@ -347,8 +347,8 @@ class KappaMinStrategy:
     ``pairs_cut`` and ``pairs_skipped`` are 0.
 
     ``route = "scan"``: every other chain, and a walk with no such pair or
-    whose pair's ``kappa`` exceeds the minimum by more than the allowance
-    and the solve's certified gap.  The irreducible pairs are visited in
+    whose pair's ``kappa`` lies further from the root rate than the
+    allowance and the solve's certified gap.  The irreducible pairs are visited in
     increasing ``k`` (ties in row-major order) with the running minimum
     ``tau``.  A pair with ``k >= tau`` is
     cut.  Pairs whose local problems pose bit-identical inputs form a class
@@ -383,11 +383,17 @@ def kappa_min(
     before cannot have curvature below the running minimum ``tau``, nor, for
     a CTMC, can a pair with ``k(r,s) >= tau`` (kappa dominates k) or a class
     whose members' largest ``k`` or shared-jump bound is ``>= tau``, so only
-    the remaining classes are solved exactly, once each.
+    the remaining classes are solved exactly, once each.  A lattice walk
+    under its own metric takes the closed form instead (:func:`_walk_kappa_min`)
+    and builds no ``k``.
     """
     _check_chain(chain, metric)
-    kmat = k_matrix(chain, metric) if isinstance(chain, Generator) else None
-    return _kappa_min(chain, metric, kmat)
+    if not isinstance(chain, Generator):
+        return _scan_kappa_min(chain, metric, None)
+    found = _walk_kappa_min(chain, metric)  # the closed form needs no k
+    if found is not None:
+        return found
+    return _scan_kappa_min(chain, metric, k_matrix(chain, metric))
 
 
 def _kappa_min(
@@ -410,9 +416,9 @@ def _walk_kappa_min(gen: Generator, metric: Metric) -> tuple[float, KappaMinStra
     pair, certified from above by one solve of ``walk.certifying_pair()``,
     whose ``kappa`` equals the root rate in exact arithmetic.  ``None`` for
     a generator with no walk or another metric, with no such pair, or when
-    the pair's computed ``kappa`` exceeds the floor by more than the
-    allowance plus the gap its solve is certified to: the bracket did not
-    close."""
+    the pair's computed ``kappa`` lies, on either side, further from the
+    root rate than the allowance plus the gap its solve is certified to:
+    the bracket did not close."""
     walk = gen._walk
     if walk is None or metric is not walk.metric:
         return None
@@ -424,7 +430,7 @@ def _walk_kappa_min(gen: Generator, metric: Metric) -> tuple[float, KappaMinStra
     plan = _pair_plan(gen, metric, i, j)
     dist = float(metric.dist[i, j])
     kap = -(plan.value / dist)
-    if not kap - floor <= allowance + plan.slack / dist:
+    if not abs(kap - walk.root_rate) <= allowance + plan.slack / dist:
         return None
     strategy = KappaMinStrategy(
         pairs_solved=((i + 1, j + 1),),

@@ -155,11 +155,8 @@ class Generator:
 
     @cached_property
     def row_supports(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_row_supports` of ``q``, built once per generator; a lattice
-        walk's from its jump targets, without a sort over all ``n x n`` entries."""
-        if self._walk is None:
-            return _row_supports(self.q)
-        return self._walk.row_supports(self.q)
+        """:func:`_row_supports` of ``q``, built once per generator."""
+        return _row_supports(self.q)
 
 
 @dataclass(frozen=True)

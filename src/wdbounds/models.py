@@ -160,9 +160,8 @@ class _LatticeWalk:
     ``rates`` and ``targets`` are what :func:`_jump_targets` returned for
     the box, the rate and the jumps.  The curvature layer reads the record.
     By the synchronous coupling (Ollivier, JFA 2009) every pair has ``kappa
-    >= root_rate`` (:meth:`kappa_floor`), one pair of interior neighbours
-    attains it (:meth:`certifying_pair`), and the row supports follow from
-    the jump targets (:meth:`row_supports`).
+    >= root_rate`` (:meth:`kappa_floor`), and one pair of interior
+    neighbours attains it (:meth:`certifying_pair`).
     """
 
     box: Box
@@ -173,30 +172,6 @@ class _LatticeWalk:
     metric: Metric
     rates: tuple[float, ...]
     targets: np.ndarray
-
-    def row_supports(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`wdbounds.markov._row_supports` of this walk's generator
-        ``q``, bit for bit, from the columns a row can reach (itself, its
-        jump targets and the root) in ``O(n J log J)``.  A row with ``c``
-        nonzero columns is padded with the ``width - c`` least columns it
-        does not reach, which all lie below ``width``."""
-        targets = self.targets
-        n = q.shape[0]
-        rows = np.arange(n)[:, None]
-        reach = [rows, targets] + ([] if self.root is None else [np.full((n, 1), self.root - 1)])
-        reach = np.sort(np.concatenate(reach, axis=1), axis=1)
-        keep = q[rows, reach] != 0
-        keep[:, 1:] &= reach[:, 1:] != reach[:, :-1]
-        count = keep.sum(axis=1)[:, None]
-        width = int(count.max())
-        nonzero = np.sort(np.where(keep, reach, n), axis=1)[:, :width]
-        taken = np.zeros((n, width + 1), dtype=bool)  # column width collects the rest
-        taken[rows, np.minimum(nonzero, width)] = True
-        free = np.argsort(taken[:, :width], axis=1, kind="stable")
-        slot = np.arange(width)
-        pad = np.take_along_axis(free, np.maximum(slot - count, 0), axis=1)
-        cols = np.where(slot < count, nonzero, pad)
-        return cols, q[rows, cols]
 
     def kappa_floor(self) -> tuple[float, float]:
         """``(floor, allowance)``: the theorem's ``kappa >= root_rate`` (0

@@ -128,6 +128,8 @@ def test_k_matrix_is_bitwise_symmetric():
     ]
     grid = JumpDistribution((((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)))
     instances.append(translation_invariant_ctmc(Box((0, 0), (7, 7)), 1.0, grid))
+    # the same two as matrices: the scan, where the walks take the closed form
+    instances += [(Generator(gen.q), metric) for gen, metric in instances[-2:]]
     for gen, metric in instances:
         kmat = k_matrix(gen, metric)
         np.testing.assert_array_equal(_bits(kmat), _bits(kmat.T))
@@ -399,8 +401,7 @@ def test_kappa_min_of_builtin_walks_by_the_theorem(walk):
     """A builtin walk under its own metric takes the paper's closed form
     (the root rate, 0 unrooted, less the rounding allowance), within
     ``1e-12 * (rate + root rate)`` of the least ``kappa`` over all pairs.
-    Its cached row supports are those of its matrix bit for bit, and so is
-    ``k``.  Under another metric, and as a generator built from its matrix,
+    Its ``k`` is that of its matrix bit for bit.  Under another metric, and as a generator built from its matrix,
     it takes the scan, the same whether the walk is recorded or not."""
     (gen, metric), scale = walk
     val, strategy = kappa_min(gen, metric)
@@ -416,11 +417,6 @@ def test_kappa_min_of_builtin_walks_by_the_theorem(walk):
     if strategy.route == "closed-form":
         assert val <= gen._walk.root_rate
         assert len(strategy.pairs_solved) == 1
-    cols, vals = gen.row_supports
-    want_cols, want_vals = _row_supports(gen.q)
-    assert cols.dtype == want_cols.dtype
-    np.testing.assert_array_equal(cols, want_cols)
-    np.testing.assert_array_equal(_bits(vals), _bits(want_vals))
     plain = Generator(gen.q)
     np.testing.assert_array_equal(_bits(k_matrix(gen, metric)), _bits(k_matrix(plain, metric)))
     assert kappa_min(plain, metric)[1].route == "scan"
@@ -444,6 +440,33 @@ def test_kappa_min_of_a_walk_with_no_interior_pair_scans():
     val, strategy = kappa_min(gen, metric)
     assert strategy.route == "scan"
     assert val == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shift", [1.0, -1.0])
+def test_kappa_min_of_a_walk_whose_pair_misses_the_root_rate_scans(monkeypatch, shift):
+    """A certifying solve whose ``kappa`` lies a whole unit above or below
+    the root rate, far outside the allowance and the solve's gap, does not
+    close the bracket: ``kappa_min`` takes the scan and returns what the scan
+    returns on the walk's matrix.  Only that first solve is shifted."""
+    line = JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
+    gen, metric = translation_invariant_ctmc(Box((0,), (23,)), 1.0, line, 1, 0.05)
+    want, want_strategy = kappa_min(Generator(gen.q), metric)
+    solve = curvature_mod._pair_plan
+    calls = []
+
+    def shifted(chain, metric, i, j):
+        plan = solve(chain, metric, i, j)
+        calls.append((i, j))
+        if len(calls) > 1:
+            return plan
+        return plan._replace(value=plan.value - shift * float(metric.dist[i, j]))
+
+    monkeypatch.setattr(curvature_mod, "_pair_plan", shifted)
+    got, strategy = kappa_min(gen, metric)
+    assert calls[0] == gen._walk.certifying_pair()
+    assert strategy.route == "scan"
+    assert _bits(got) == _bits(want)
+    assert strategy == want_strategy
 
 
 @pytest.mark.parametrize(
@@ -998,6 +1021,8 @@ def test_curvature_and_defect_make_no_lp_call(monkeypatch):
     instances.append(translation_invariant_ctmc(Box((0,), (23,)), 1.0, line))
     grid = JumpDistribution((((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)))
     instances.append(translation_invariant_ctmc(Box((0, 0), (7, 7)), 1.0, grid))
+    # the same two as matrices: the scan, where the walks take the closed form
+    instances += [(Generator(gen.q), metric) for gen, metric in instances[-2:]]
     for gen, metric in instances:
         kappa_min(gen, metric)
         pmat, _ = uniformize(gen)
