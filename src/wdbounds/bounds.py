@@ -33,7 +33,9 @@ started from ``pi``,
 whose dropped tail has mass at most ``h P(N > K)`` (Fox & Glynn, CACM 1988).
 The sweep goes grid point to grid point with one
 :func:`~wdbounds.markov.transient_ctmc` call per interval, which returns the
-law at the next point and the occupation from the same powers ``pi P^k``.
+law at the next point and the occupation from the same operators (cached
+step operators ``sum_k P(N = k) P^k`` and ``sum_k P(N > k) P^k`` for a
+chain of at most 16 states, the powers ``pi P^k`` for a larger one).
 The law carries a total-variation error ``eps`` that costs at most
 ``max(w) h eps`` on the next interval.  The reported integral is the
 truncated sum plus ``max(w)`` times the Poisson tails and the carried error,

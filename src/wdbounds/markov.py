@@ -9,6 +9,11 @@ budget (total-variation error at most ``1e-12`` per chunk here).  The same
 series, with Poisson tail probabilities as weights, gives the expected
 occupation times over the same interval from the same powers, from below
 and with an explicit budget for the dropped tail (``occupation=True``).
+A chain of at most 16 states sums the powers of ``P`` itself instead, into
+step operators that are cached per step length and applied as one vector
+product each (Moler & Van Loan, SIAM Review 2003, on series methods); a
+larger chain sums the powers of its start law.  Either way the truncated
+sums and their budgets are the same (:func:`transient_ctmc`).
 """
 
 from __future__ import annotations
@@ -41,6 +46,11 @@ TRANSIENT_TOL = 1e-12
 POISSON_TAIL = 1e-13
 #: Largest ``lam * t`` of one uniformization chunk (``exp(-500)`` is a normal double).
 CHUNK_LT = 500.0
+#: Chains with at most this many states step through cached step operators.
+OPERATOR_STATES = 16
+#: Step operators kept per generator, keyed by ``lam * h``; the least recently
+#: used is dropped first.
+OPERATOR_CACHE = 16
 
 
 def _clean_distribution(p: np.ndarray, what: str) -> np.ndarray:
@@ -110,6 +120,9 @@ class Generator:
     #: this generator from (a private record, set by that function only); a
     #: generator built from a matrix has none.
     _walk: object = field(default=None, init=False, repr=False, compare=False)
+    #: The step operators of :func:`transient_ctmc` by ``lam * h``
+    #: (:func:`_step_operators`), at most ``OPERATOR_CACHE`` of them.
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = np.ascontiguousarray(self.q, dtype=float)
@@ -238,6 +251,52 @@ def _transient_chunk(
     return acc, occ, dropped
 
 
+def _chunk_operators(
+    pmat: np.ndarray, lt: float, occupation: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """The step operators of one chunk ``lt``: :func:`_transient_chunk` with
+    the identity in place of ``p``.
+
+    It returns ``M = sum_{k<=K} P(N = k) P^k`` and, if ``occupation``,
+    ``O = sum_{k<=K} P(N > k) P^k``, as read-only ``(n, n)`` arrays, and the
+    dropped mass, all from the same weights as :func:`_transient_chunk`.
+    The powers fill one ``(K + 1, n, n)`` block, one product each, and each
+    operator is one sum over the block in the order ``k = 0, 1, ..., K``:
+    term for term the sums of a loop that adds one matrix power at a time.
+    """
+    weights, tails, dropped = _poisson_weights(lt)
+    n = pmat.shape[0]
+    powers = np.empty((weights.size, n, n))
+    powers[0] = np.eye(n)
+    for k in range(1, weights.size):
+        np.dot(powers[k - 1], pmat, out=powers[k])
+    flat = powers.reshape(weights.size, n * n)
+    law = _row_ordered_sum(weights * flat).reshape(n, n)
+    law.setflags(write=False)
+    occ = None
+    if occupation:
+        occ = _row_ordered_sum(tails * flat).reshape(n, n)
+        occ.setflags(write=False)
+    return law, occ, dropped
+
+
+def _step_operators(
+    gen: Generator, lt: float, occupation: bool
+) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """:func:`_chunk_operators` of ``gen``'s uniformized matrix, cached on
+    ``gen`` by ``lt``; an entry built without ``O`` is rebuilt when ``O`` is
+    asked for.  A build depends on ``P`` and ``lt`` alone, so a hit, a miss
+    and a rebuild after eviction return the same bits."""
+    cache = gen._operators
+    ops = cache.pop(lt, None)  # reinserted below: the most recently used is last
+    if ops is None or (occupation and ops[1] is None):
+        ops = _chunk_operators(uniformize(gen)[0].p, lt, occupation)
+    cache[lt] = ops
+    if len(cache) > OPERATOR_CACHE:
+        del cache[next(iter(cache))]
+    return ops
+
+
 @lru_cache(maxsize=256)
 def _poisson_weights(lt: float) -> tuple[np.ndarray, np.ndarray, float]:
     """``P(N = k)`` and ``P(N > k)`` for ``N ~ Poisson(lt)``, ``k = 0..K``, as
@@ -331,6 +390,24 @@ def transient_ctmc(
     every reward ``w >= 0``
 
         occ . w  <=  integral_0^t (p0 e^{sQ}) . w ds  <=  occ . w + max(w) * budget.
+
+    How a chunk is applied depends on ``n`` alone, never on what is cached.
+    A chain of more than ``OPERATOR_STATES`` (16) states sums the powers
+    ``p P^k`` of its start law (:func:`_transient_chunk`).  A smaller chain
+    applies the chunk's step operators ``M = sum_k P(N = k) P^k`` and, with
+    ``occupation``, ``O = sum_k P(N > k) P^k`` (:func:`_chunk_operators`):
+    one vector product each.  They are the same truncated sums with the same
+    dropped mass, so every budget above holds unchanged.  Operators are
+    cached on the generator by ``lam * h`` (:func:`_step_operators`, at most
+    ``OPERATOR_CACHE`` per chain, ``2 n^2`` floats each), so a grid that
+    repeats its step, or a long horizon of many 500-chunks, builds each
+    once.  The threshold is a cost model: a build takes one ``n x n``
+    product per power where the vector block takes one vector product.
+    Measured with one BLAS thread on a 2-core x86-64 host (``np.dot`` into
+    a block row), the product costs 1.0 vector products at ``n = 3``, 1.1
+    at 10, 1.2 at 16, 2.2 at 24, 9 at 64 and 84 at 324.  Up to 16 states a
+    build's powers cost at most a fifth more than one vector block's, and
+    every repeat of its step is then one product.
     """
     _check_start(p0, gen, t)
     occ, budget = (np.zeros(gen.n), 0.0) if occupation else (None, None)
@@ -340,7 +417,11 @@ def transient_ctmc(
     v = p0.p
     missing = 0.0  # mass the chunk's start law lacks
     for lt in _chunks(lam * t):
-        v, part, tail = _transient_chunk(v, pmat.p, lt, occupation)
+        if gen.n <= OPERATOR_STATES:
+            law_op, occ_op, tail = _step_operators(gen, lt, occupation)
+            v, part = v @ law_op, (v @ occ_op if occupation else None)
+        else:
+            v, part, tail = _transient_chunk(v, pmat.p, lt, occupation)
         if occupation:
             occ += part / lam
             budget += (lt / lam) * (missing + tail)

@@ -330,6 +330,12 @@ def wasserstein_signed(row: SignedRow | np.ndarray, metric: Metric) -> float:
     return _signed_ot(v, lambda rows, cols: d[rows[:, None], cols]).value
 
 
+def _row_bytes(a: np.ndarray) -> np.ndarray:
+    """The exact bytes of each row of the 2-d array ``a``, one void scalar per row."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+
+
 def _signed_classes(count: int, width: int, support, cost, extra: np.ndarray | None = None):
     """Classes of ``count`` signed transport problems with bit-identical inputs.
 
@@ -352,13 +358,17 @@ def _signed_classes(count: int, width: int, support, cost, extra: np.ndarray | N
     get a key, in the second, with the cost block padded to the largest
     support among them; a hash collision costs a key, never a wrong class.
     So problems that never repeat, as on random chains, cost ``O(width)``
-    each.
+    each.  When no two rows of ``extra`` have the same bytes, no two keys
+    can be equal, and neither pass runs (as for pairs whose distances
+    ``d(r, s)`` all differ).
 
     Returns ``(cls, first)``: the class of each problem, numbered in the
     order the classes first appear, and the first problem of each class.
     """
     alone = np.arange(count), np.arange(count)  # every problem in a class of its own
     if count < 2 or width == 0:  # no two problems, or every v is zero
+        return alone
+    if extra is not None and len(set(_row_bytes(extra).tolist())) == count:
         return alone
     hashes = np.empty(count, dtype=np.uint64)
     sizes = np.empty(count, dtype=np.intp)
@@ -390,8 +400,7 @@ def _signed_classes(count: int, width: int, support, cost, extra: np.ndarray | N
         pos_neg = (v > 0)[:, :, None] & (v < 0)[:, None, :]
         block = np.where(pos_neg, cost(idx, cols[:, :, None], cols[:, None, :]), 0.0)
         parts = [v, block.reshape(idx.size, -1)] + ([] if extra is None else [extra[idx]])
-        keys = np.ascontiguousarray(np.concatenate(parts, axis=1))
-        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        rows = _row_bytes(np.concatenate(parts, axis=1))
         label[idx] = [first_of.setdefault(key, p) for p, key in zip(idx.tolist(), rows.tolist())]
     first, cls = np.unique(label, return_inverse=True)
     return cls.ravel(), first

@@ -521,6 +521,34 @@ def test_pair_classes_tell_apart_equal_problems_at_different_distances():
     np.testing.assert_array_equal(kappa, [0.0, 1 - 1 / 3])
 
 
+@pytest.mark.parametrize("kind", ["line", "graph"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pairs_at_distinct_distances_skip_the_key_passes(kind, seed):
+    """When every pair's ``d(r, s)`` has its own bytes, no two class keys can
+    be equal, so ``_signed_classes`` returns every pair alone without
+    reading a support (the one given here raises).  The key passes, run by
+    adding one repeated pair, give the same classes to the original pairs."""
+    gen, metric, _ = random_instance(8, seed, metric_kind=kind)
+    ii, jj = np.triu_indices(gen.n, k=1)
+    extra = metric.dist[ii, jj][:, None]
+    assert np.unique(extra).size == ii.size
+
+    def no_support(idx):
+        raise AssertionError("the key passes ran")
+
+    alone = np.arange(ii.size)
+    cls, first = transport_mod._signed_classes(ii.size, 2 * gen.n, no_support, None, extra)
+    np.testing.assert_array_equal(cls, alone)
+    np.testing.assert_array_equal(first, alone)
+    supports = _row_supports(gen.q)
+    cls, first = curvature_mod._pair_classes(
+        gen.q, supports, metric.dist, np.append(ii, ii[3]), np.append(jj, jj[3]),
+        curvature_mod._closed_cost,
+    )  # fmt: skip
+    np.testing.assert_array_equal(cls, np.append(alone, 3))
+    np.testing.assert_array_equal(first, alone)
+
+
 def _box_walk(dim: int, seed: int):
     """A translation-invariant walk on a box of 8 to 12 points (2-D: 4 or 5 a
     side, 3-D: 3) with random jumps of length 1 or 2 along each axis."""

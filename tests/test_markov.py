@@ -358,3 +358,171 @@ def test_transient_chunk_matches_the_term_by_term_loop_bit_for_bit(n, log_lt, oc
             assert got[1] is None
     weights, tails, _ = markov._poisson_weights(lt)
     assert not weights.flags.writeable and not tails.flags.writeable
+
+
+def _reference_chunk_operators(pmat, lt, occupation=False):
+    """The step operators of one chunk, summed term by term.
+
+    Frozen reference: one product ``P^{k-1} @ P`` per term, each term added
+    to the running sums as soon as its Poisson weight is known.
+    """
+    w = math.exp(-lt)
+    power = np.eye(pmat.shape[0])
+    law = w * power
+    cum = w
+    occ = (1.0 - cum) * power if occupation else None
+    for k in range(1, markov._poisson_step_count(lt) + 1):
+        power = power @ pmat
+        w *= lt / k
+        law = law + w * power
+        cum += w
+        if occupation:
+            occ = occ + (1.0 - cum) * power
+        if 1.0 - cum < markov.POISSON_TAIL:
+            break
+    return law, occ, max(0.0, 1.0 - cum)
+
+
+def _random_stochastic(rng, n):
+    pmat = rng.random((n, n)) * (rng.random((n, n)) < 0.6) + np.eye(n) * 1e-3
+    return pmat / pmat.sum(axis=1, keepdims=True)
+
+
+def _random_generator(rng, n):
+    q = rng.uniform(0.0, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.7)
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return Generator(q)
+
+
+@given(
+    st.integers(1, markov.OPERATOR_STATES),
+    st.floats(math.log(1e-3), math.log(500.0)),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=150, deadline=None)
+def test_chunk_operators_match_the_term_by_term_loop_bit_for_bit(n, log_lt, occupation, seed):
+    """The power block sums the same matrix terms in the same order as the
+    frozen loop, so both operators and the dropped mass are equal bit for
+    bit, also on one state, and the operators are read-only."""
+    pmat = _random_stochastic(np.random.default_rng(seed), n)
+    lt = math.exp(log_lt)
+    law, occ, dropped = markov._chunk_operators(pmat, lt, occupation)
+    ref = _reference_chunk_operators(pmat, lt, occupation)
+    assert np.array_equal(law, ref[0])
+    assert dropped == ref[2] == markov._poisson_weights(lt)[2]
+    assert not law.flags.writeable
+    if occupation:
+        assert np.array_equal(occ, ref[1])
+        assert not occ.flags.writeable
+    else:
+        assert occ is None
+
+
+@given(
+    st.integers(1, markov.OPERATOR_STATES),
+    st.floats(math.log(1e-3), math.log(500.0)),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=100, deadline=None)
+def test_chunk_operators_agree_with_the_krylov_block(n, log_lt, seed):
+    """``p M`` and ``p O`` are the Krylov block's sums in another order.
+
+    Every term is nonnegative, and each route forms a term with at most
+    ``k n + 1`` roundings (a power of ``P`` or of ``p P``, then its weight)
+    and adds ``K + 1`` terms, then ``p M`` adds ``n`` more.  Each result
+    is therefore within a factor ``1 +- gamma_N``, ``N = (K + 1)(n + 1)``,
+    of the exact sum of the same terms, and two results differ by at most
+    ``2.01 N u`` of the larger, ``u = 2^-53``, plus ``N`` least subnormals
+    for terms that underflow.
+    """
+    rng = np.random.default_rng(seed)
+    pmat = _random_stochastic(rng, n)
+    p = rng.dirichlet(np.ones(n))
+    lt = math.exp(log_lt)
+    law, occ, dropped = markov._chunk_operators(pmat, lt, occupation=True)
+    ref = markov._transient_chunk(p, pmat, lt, occupation=True)
+    big_n = markov._poisson_weights(lt)[0].size * (n + 1)
+    for got, want in ((p @ law, ref[0]), (p @ occ, ref[1])):
+        bound = 2.01 * big_n * 2.0**-53 * np.maximum(got, want) + big_n * 5e-324
+        assert np.all(np.abs(got - want) <= bound)
+    assert dropped == ref[2]
+
+
+def test_operator_path_does_not_depend_on_the_cache():
+    """A call returns the same bits on a fresh generator, on a warm one, after
+    a plain call cached the step without its occupation operator, and after
+    the step was evicted by ``OPERATOR_CACHE`` other steps."""
+    rng = np.random.default_rng(7)
+    q = _random_generator(rng, 6).q
+    p0 = ProbVec(rng.dirichlet(np.ones(6)))
+    lam = uniformize(Generator(q))[1]
+
+    def calls(gen):
+        law = transient_ctmc(p0, gen, 0.3)
+        law_occ, occ, budget = transient_ctmc(p0, gen, 0.3, occupation=True)
+        long = transient_ctmc(p0, gen, 700.0 / lam, occupation=True)  # a 500-chunk and 200
+        return [law.p, law_occ.p, occ, np.array([budget]), long[0].p, long[1], np.array([long[2]])]
+
+    fresh = calls(Generator(q))
+    gen = Generator(q)
+    assert not gen._operators
+    first = calls(gen)
+    assert len(gen._operators) == 3
+    warm = calls(gen)
+    for k in range(markov.OPERATOR_CACHE):
+        transient_ctmc(p0, gen, 0.001 * (k + 1), occupation=True)
+    assert lam * 0.3 not in gen._operators and len(gen._operators) == markov.OPERATOR_CACHE
+    evicted = calls(gen)
+    np.testing.assert_array_equal(fresh[0], fresh[1])  # the occupation leaves the law alone
+    for run in (first, warm, evicted):
+        for got, want in zip(run, fresh):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_chains_above_the_threshold_keep_the_krylov_block_bit_for_bit():
+    """A chain of ``OPERATOR_STATES + 1`` states steps every chunk through
+    :func:`_transient_chunk`, as before step operators, and caches none."""
+    n = markov.OPERATOR_STATES + 1
+    rng = np.random.default_rng(3)
+    gen = _random_generator(rng, n)
+    p0 = ProbVec(rng.dirichlet(np.ones(n)))
+    pmat, lam = uniformize(gen)
+    t = 650.0 / lam  # a 500-chunk and 150
+    v, occ, budget, missing = p0.p, np.zeros(n), 0.0, 0.0
+    for lt in (500.0, lam * t - 500.0):
+        v, part, tail = markov._transient_chunk(v, pmat.p, lt, occupation=True)
+        occ += part / lam
+        budget += (lt / lam) * (missing + tail)
+        missing += tail
+    law, got_occ, got_budget = transient_ctmc(p0, gen, t, occupation=True)
+    np.testing.assert_array_equal(law.p, v / v.sum())
+    np.testing.assert_array_equal(transient_ctmc(p0, gen, t).p, law.p)
+    np.testing.assert_array_equal(got_occ, occ)
+    assert got_budget == budget
+    assert not gen._operators
+
+
+def test_long_horizon_reaches_the_stationary_law_with_one_build_per_step(monkeypatch):
+    """At t = 1e6 the toy chain (lam = 4) runs 8,000 chunks of lam t = 500,
+    all from one operator; a horizon with a remainder builds one more.  Its
+    law is the stationary (1, 1, 2)/4 within the truncation budget plus
+    rounding: each chunk is one vector product of ``n`` terms."""
+    builds = []
+    build = markov._chunk_operators
+
+    def counting(pmat, lt, occupation=False):
+        builds.append(lt)
+        return build(pmat, lt, occupation)
+
+    monkeypatch.setattr(markov, "_chunk_operators", counting)
+    gen = Generator(TOY_Q)
+    stationary = np.array([0.25, 0.25, 0.5])
+    for t, steps in ((1e6, [500.0]), (1e6 + 0.1, [500.0, 4 * (1e6 + 0.1) - 8000 * 500.0])):
+        law = transient_ctmc(dirac(3, 1), gen, t).p
+        assert builds == steps
+        lt = 4 * t
+        chunks = math.ceil(lt / markov.CHUNK_LT)
+        rounding = chunks * (3 + 2) * 2.0**-52
+        assert 0.5 * np.abs(law - stationary).sum() <= transient_tv_budget(lt) + rounding
