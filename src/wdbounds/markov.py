@@ -9,10 +9,10 @@ budget (total-variation error at most ``1e-12`` per chunk here).  The same
 series, with Poisson tail probabilities as weights, gives the expected
 occupation times over the same interval from the same powers, from below
 and with an explicit budget for the dropped tail (``occupation=True``).
-A chain of at most 16 states sums the powers of ``P`` itself instead, into
-step operators that are cached per step length and applied as one vector
-product each (Moler & Van Loan, SIAM Review 2003, on series methods); a
-larger chain sums the powers of its start law.  Either way the truncated
+A chain of at most 16 states sums the powers of ``P`` itself instead
+(formed by doubling), into step operators that are cached per step length
+and applied as one vector product each (Moler & Van Loan, SIAM Review 2003,
+on series methods); a larger chain sums the powers of its start law.  Either way the truncated
 sums and their budgets are the same (:func:`transient_ctmc`).
 """
 
@@ -237,46 +237,57 @@ def _transient_chunk(
 
     The weights come first (:func:`_poisson_weights`) and fix ``K``.  The
     powers ``p P^k`` then fill one ``(K + 1, n)`` block, one product each,
-    and each output is one sum over the block's rows in the order ``k = 0,
-    1, ..., K`` (:func:`_row_ordered_sum`), term for term the sums of a
-    loop that adds one power at a time.
+    and the block is summed by :func:`_series_sums`.
     """
     weights, tails, dropped = _poisson_weights(lt)
     powers = np.empty((weights.size, p.size))
     powers[0] = p
     for k in range(1, weights.size):
         np.dot(powers[k - 1], pmat, out=powers[k])
-    acc = _row_ordered_sum(weights * powers)
-    occ = _row_ordered_sum(tails * powers) if occupation else None
-    return acc, occ, dropped
+    return (*_series_sums(powers, weights, tails, occupation), dropped)
+
+
+def _series_sums(
+    powers: np.ndarray, weights: np.ndarray, tails: np.ndarray, occupation: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``sum_k weights[k] powers[k]`` and, if ``occupation``, ``sum_k tails[k]
+    powers[k]``, each one sum over the block's rows in the order ``k = 0, 1,
+    ..., K`` (:func:`_row_ordered_sum`): term for term the sums of a loop
+    that adds one power at a time.  A term is a vector or a matrix."""
+    flat = powers.reshape(weights.size, -1)
+    law = _row_ordered_sum(weights * flat).reshape(powers.shape[1:])
+    occ = _row_ordered_sum(tails * flat).reshape(powers.shape[1:]) if occupation else None
+    return law, occ
 
 
 def _chunk_operators(
     pmat: np.ndarray, lt: float, occupation: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """The step operators of one chunk ``lt``: :func:`_transient_chunk` with
-    the identity in place of ``p``.
+    """The step operators of one chunk ``lt``: ``M = sum_{k<=K} P(N = k)
+    P^k`` and, if ``occupation``, ``O = sum_{k<=K} P(N > k) P^k``, as
+    read-only ``(n, n)`` arrays, with the dropped mass, all from the same
+    weights as :func:`_transient_chunk` and summed by :func:`_series_sums`.
 
-    It returns ``M = sum_{k<=K} P(N = k) P^k`` and, if ``occupation``,
-    ``O = sum_{k<=K} P(N > k) P^k``, as read-only ``(n, n)`` arrays, and the
-    dropped mass, all from the same weights as :func:`_transient_chunk`.
-    The powers fill one ``(K + 1, n, n)`` block, one product each, and each
-    operator is one sum over the block in the order ``k = 0, 1, ..., K``:
-    term for term the sums of a loop that adds one matrix power at a time.
+    The powers fill one ``(K + 1, n, n)`` block by doubling: once ``P^0 ..
+    P^{m-1}`` are known, one batched product ``P^{m-1} P^j``, ``j = 1 ..
+    min(m - 1, K + 1 - m)``, gives the next ones.  So ``P^k``, ``k >= 2``,
+    is ``P^a P^{k-a}`` with ``a`` the largest power of two below ``k``, and
+    ``K`` powers take ``ceil(log2 K) + 1`` calls instead of ``K``.
     """
     weights, tails, dropped = _poisson_weights(lt)
     n = pmat.shape[0]
     powers = np.empty((weights.size, n, n))
     powers[0] = np.eye(n)
-    for k in range(1, weights.size):
-        np.dot(powers[k - 1], pmat, out=powers[k])
-    flat = powers.reshape(weights.size, n * n)
-    law = _row_ordered_sum(weights * flat).reshape(n, n)
-    law.setflags(write=False)
-    occ = None
-    if occupation:
-        occ = _row_ordered_sum(tails * flat).reshape(n, n)
-        occ.setflags(write=False)
+    powers[1:2] = pmat
+    m = 2
+    while m < weights.size:
+        c = min(m - 1, weights.size - m)
+        np.matmul(powers[m - 1], powers[1 : c + 1], out=powers[m : m + c])
+        m += c
+    law, occ = _series_sums(powers, weights, tails, occupation)
+    for op in (law, occ):
+        if op is not None:
+            op.setflags(write=False)
     return law, occ, dropped
 
 
@@ -401,13 +412,20 @@ def transient_ctmc(
     cached on the generator by ``lam * h`` (:func:`_step_operators`, at most
     ``OPERATOR_CACHE`` per chain, ``2 n^2`` floats each), so a grid that
     repeats its step, or a long horizon of many 500-chunks, builds each
-    once.  The threshold is a cost model: a build takes one ``n x n``
-    product per power where the vector block takes one vector product.
+    once.  The threshold is a cost model.  A build forms the ``K`` powers
+    ``P^k`` by doubling, in about ``log2 K`` batched products
+    (:func:`_chunk_operators`), where the vector block makes ``K`` vector
+    products; its arithmetic is ``K`` products of ``n x n`` matrices.
     Measured with one BLAS thread on a 2-core x86-64 host (``np.dot`` into
-    a block row), the product costs 1.0 vector products at ``n = 3``, 1.1
-    at 10, 1.2 at 16, 2.2 at 24, 9 at 64 and 84 at 324.  Up to 16 states a
-    build's powers cost at most a fifth more than one vector block's, and
-    every repeat of its step is then one product.
+    a block row), one such product costs 1.0 vector products at ``n = 3``,
+    1.1 at 10, 1.2 at 16, 2.2 at 24, 9 at 64 and 84 at 324.  A build with
+    the occupation operator costs, in vector blocks of the same chunk, 0.8
+    at ``n = 3``, 0.9 at 10, 1.0-1.4 at 16, 1.8-2.4 at 24 and 26-38 at 64
+    for ``lam h = 4`` (``K = 26``), 0.16, 0.4, 2.4 and 7 at 3, 10, 16 and
+    24 for ``lam h = 500``, and 1 to 1.5 up to 16 states for ``lam h =
+    0.25`` (``K = 10``).  So up to 16 states a step pays for its build once
+    it repeats one to three times, while the build's ``n^3`` arithmetic
+    soon outgrows any repeats above.
     """
     _check_start(p0, gen, t)
     occ, budget = (np.zeros(gen.n), 0.0) if occupation else (None, None)

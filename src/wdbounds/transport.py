@@ -336,6 +336,15 @@ def _row_bytes(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
 
 
+def _distinct_rows(a: np.ndarray) -> bool:
+    """Whether no two rows of ``a`` have the same bytes.  A repeat among the
+    first 64 rows, as where distances repeat on a lattice, answers without
+    hashing the rest."""
+    rows = _row_bytes(a)
+    head = rows[:64].tolist()
+    return len(set(head)) == len(head) and len(set(rows.tolist())) == rows.size
+
+
 def _signed_classes(count: int, width: int, support, cost, extra: np.ndarray | None = None):
     """Classes of ``count`` signed transport problems with bit-identical inputs.
 
@@ -368,7 +377,7 @@ def _signed_classes(count: int, width: int, support, cost, extra: np.ndarray | N
     alone = np.arange(count), np.arange(count)  # every problem in a class of its own
     if count < 2 or width == 0:  # no two problems, or every v is zero
         return alone
-    if extra is not None and len(set(_row_bytes(extra).tolist())) == count:
+    if extra is not None and _distinct_rows(extra):
         return alone
     hashes = np.empty(count, dtype=np.uint64)
     sizes = np.empty(count, dtype=np.intp)

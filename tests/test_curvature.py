@@ -523,12 +523,14 @@ def test_pair_classes_tell_apart_equal_problems_at_different_distances():
 
 @pytest.mark.parametrize("kind", ["line", "graph"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pairs_at_distinct_distances_skip_the_key_passes(kind, seed):
+@pytest.mark.parametrize("n", [8, 14])
+def test_pairs_at_distinct_distances_skip_the_key_passes(kind, seed, n):
     """When every pair's ``d(r, s)`` has its own bytes, no two class keys can
     be equal, so ``_signed_classes`` returns every pair alone without
     reading a support (the one given here raises).  The key passes, run by
-    adding one repeated pair, give the same classes to the original pairs."""
-    gen, metric, _ = random_instance(8, seed, metric_kind=kind)
+    adding one repeated pair, give the same classes to the original pairs;
+    on 14 states the repeat comes after the first 64 rows."""
+    gen, metric, _ = random_instance(n, seed, metric_kind=kind)
     ii, jj = np.triu_indices(gen.n, k=1)
     extra = metric.dist[ii, jj][:, None]
     assert np.unique(extra).size == ii.size

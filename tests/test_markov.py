@@ -363,21 +363,24 @@ def test_transient_chunk_matches_the_term_by_term_loop_bit_for_bit(n, log_lt, oc
 def _reference_chunk_operators(pmat, lt, occupation=False):
     """The step operators of one chunk, summed term by term.
 
-    Frozen reference: one product ``P^{k-1} @ P`` per term, each term added
-    to the running sums as soon as its Poisson weight is known.
+    Frozen reference: one product ``P^a @ P^{k-a}`` per term, with ``a`` the
+    largest power of two below ``k``, each term added to the running sums as
+    soon as its Poisson weight is known.
     """
     w = math.exp(-lt)
-    power = np.eye(pmat.shape[0])
-    law = w * power
+    powers = [np.eye(pmat.shape[0]), pmat]
+    law = w * powers[0]
     cum = w
-    occ = (1.0 - cum) * power if occupation else None
+    occ = (1.0 - cum) * powers[0] if occupation else None
     for k in range(1, markov._poisson_step_count(lt) + 1):
-        power = power @ pmat
+        if k >= 2:
+            a = 1 << ((k - 1).bit_length() - 1)
+            powers.append(powers[a] @ powers[k - a])
         w *= lt / k
-        law = law + w * power
+        law = law + w * powers[k]
         cum += w
         if occupation:
-            occ = occ + (1.0 - cum) * power
+            occ = occ + (1.0 - cum) * powers[k]
         if 1.0 - cum < markov.POISSON_TAIL:
             break
     return law, occ, max(0.0, 1.0 - cum)
@@ -403,9 +406,10 @@ def _random_generator(rng, n):
 )
 @settings(max_examples=150, deadline=None)
 def test_chunk_operators_match_the_term_by_term_loop_bit_for_bit(n, log_lt, occupation, seed):
-    """The power block sums the same matrix terms in the same order as the
-    frozen loop, so both operators and the dropped mass are equal bit for
-    bit, also on one state, and the operators are read-only."""
+    """The doubling block forms each power by the same product as the frozen
+    loop and sums the terms in the same order, so both operators and the
+    dropped mass are equal bit for bit, also on one state, and the
+    operators are read-only."""
     pmat = _random_stochastic(np.random.default_rng(seed), n)
     lt = math.exp(log_lt)
     law, occ, dropped = markov._chunk_operators(pmat, lt, occupation)
