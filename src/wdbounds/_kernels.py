@@ -94,17 +94,21 @@ def simplex_loop(T, basis, can_enter, max_iter, tol):
         it += 1
 
 
-def matrix_minimum_start(cost, p, q):
-    """Matrix-minimum initial basis of the transportation simplex.
+def russell_start(cost, p, q):
+    """Russell's initial basis of the transportation simplex.
 
-    Scans the cells once by increasing cost (a stable sort, so ties go in
-    row-major order).  A cell whose row and column are both still open ships
-    ``min(a_i, b_j)`` of the remaining masses and closes one of its two
-    lines: the row if ``a_i <= b_j`` and another row is open, or if it is in
-    the last open column; otherwise the column.  Every step closes exactly
-    one line and never the last open row or column, so the ``n+m-1`` cells
-    form a spanning tree.  Returns the lists ``(bi, bj, flow)`` of the basic
-    cells' rows, columns and flows.
+    Ranks the cells once by Russell's (1969) penalty
+    ``delta_ij = c_ij - max_k c_ik - max_k c_kj``, the cost less its row's
+    and its column's largest cost, computed once from the whole block and
+    not updated as lines close.  The cells are scanned by increasing
+    ``delta`` (a stable sort, so ties go in row-major order).  A cell whose
+    row and column are both still open ships ``min(a_i, b_j)`` of the
+    remaining masses and closes one of its two lines: the row if
+    ``a_i <= b_j`` and another row is open, or if it is in the last open
+    column; otherwise the column.  Every step closes exactly one line and
+    never the last open row or column, so the ``n+m-1`` cells form a
+    spanning tree, whatever the order.  Returns the lists ``(bi, bj, flow)``
+    of the basic cells' rows, columns and flows.
     """
     n = p.shape[0]
     m = q.shape[0]
@@ -118,7 +122,9 @@ def matrix_minimum_start(cost, p, q):
     col_open = [True] * m
     rows_left = n
     cols_left = m
-    order = np.argsort(cost, axis=None, kind="stable")
+    delta = cost - cost.max(axis=1, keepdims=True)
+    delta -= cost.max(axis=0)
+    order = np.argsort(delta, axis=None, kind="stable")
     k = 0
     for i, j in zip((order // m).tolist(), (order % m).tolist()):
         if not (row_open[i] and col_open[j]):
@@ -144,7 +150,7 @@ def matrix_minimum_start(cost, p, q):
 
 
 def transport_loop(cost, p, q, tol, max_iter):
-    """Transportation simplex: matrix-minimum start plus MODI pivoting.
+    """Transportation simplex: Russell's start plus MODI pivoting.
 
     ``p`` and ``q`` are nonnegative with equal totals (not necessarily 1).
     Returns ``(status, gamma, u, v, iterations)`` with ``gamma`` the optimal
@@ -152,7 +158,7 @@ def transport_loop(cost, p, q, tol, max_iter):
     satisfying ``u_i + v_j = cost_ij`` on basic cells and
     ``u_i + v_j <= cost_ij + tol`` everywhere at optimality.
 
-    The basis starts from :func:`matrix_minimum_start` and stays a spanning
+    The basis starts from :func:`russell_start` and stays a spanning
     tree on row nodes ``0..n-1`` and column nodes ``n..n+m-1``; basic edge
     ``k`` joins row ``bi[k]`` to column ``bj[k]`` and carries ``flow[k]``.
     One walk from row node 0 gives every node its parent, depth and
@@ -172,7 +178,7 @@ def transport_loop(cost, p, q, tol, max_iter):
     m = q.shape[0]
     nn = n + m
     nb = nn - 1
-    bi, bj, flow = matrix_minimum_start(cost, p, q)
+    bi, bj, flow = russell_start(cost, p, q)
     cell = np.array(bi, dtype=np.int64) * m + np.array(bj, dtype=np.int64)
 
     def plan():

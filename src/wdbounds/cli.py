@@ -598,13 +598,15 @@ def _cmd_bounds(args) -> int:
         ",".join(header),
     ]
     clipped = curve.clipped()
-    for i, ti in enumerate(curve.t):
-        row = [_fmt(ti)]
-        if args.exact:
-            row.append(_fmt(curve.exact[i]))
-        for name in variants:
-            row += [_fmt(curve.columns[name][i]), _fmt(clipped[name][i])]
-        lines.append(",".join(row))
+    columns = [curve.t]
+    if args.exact:
+        columns.append(curve.exact)
+    for name in variants:
+        columns += [curve.columns[name], clipped[name]]
+    # one %-format per row writes what _fmt writes per cell; + 0.0 turns -0.0 into 0.0
+    table = np.column_stack(columns) + 0.0
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines += [row_format % tuple(row) for row in table.tolist()]
     _emit_csv(lines)
     return 0
 

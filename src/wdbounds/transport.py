@@ -162,8 +162,12 @@ def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, cmax: float, method: str
     ``cost`` is the ``(p.size, q.size)`` block of transport costs; it may be
     negative, and ``cmax`` is ``max |cost|``.  Returns ``(value, gamma, u)``
     with ``u`` the row duals.  The kernel's pricing tolerance is relative to
-    ``cmax``, so rescaling the costs rescales the answer without changing
-    the pivots.  ``method`` is ``"transport"`` (the forced plan below or the
+    ``cmax``, so rescaling the costs by a power of two rescales the answer
+    exactly, with the same pivots.  Another factor rounds the costs, the
+    start's penalties and the reduced costs differently, which can break a
+    tie the other way and change the pivots (about one random block in 20 at
+    factors 3.7, 0.1, 1e-3 and 7); the value then moves only in rounding.
+    ``method`` is ``"transport"`` (the forced plan below or the
     kernel; a kernel that reaches its cap of ``200 (nr + nc) + 2000`` pivots
     raises :class:`NumericalFailure`) or ``"lp"``.  The LP's tolerances are
     absolute, so it solves the block in units of ``cmax`` and of the mass,

@@ -954,9 +954,9 @@ def test_numerical_failure_exits_three(capsys, monkeypatch, toy_model) -> None:
 def test_stalled_kernel_exits_three_and_lp_route_still_answers(capsys, monkeypatch, tmp_path):
     """A kernel that stops short of the optimum ends ``w1`` with exit 3 and
     one stderr line; ``--method lp`` never uses the kernel and still gives
-    the unforced value.  The 8-state instance's 3x5 block takes two pivots."""
-    _, metric, p = random_instance(8, 7, metric_kind="graph")
-    q = np.random.default_rng(7).dirichlet(np.ones(8))
+    the unforced value.  The 8-state instance's 3x5 block takes three pivots."""
+    _, metric, p = random_instance(8, 16, metric_kind="graph")
+    q = np.random.default_rng(16).dirichlet(np.ones(8))
     model = tmp_path / "graph8.json"
     model.write_text(
         json.dumps({"n": 8, "metric": {"kind": "explicit", "dist": metric.dist.tolist()}})

@@ -95,7 +95,7 @@ GOLDEN = {
     "toy_pair_1_3": "e72835a47fbe15f4200b5eaf4519c37b1c2d34fdd7207c9ed8c2a775056abe3f",
     "toy_k_only": "a4117ed29e1cceaa7af66c5a3fafa6326833e12e5ab505df95dfb179054dc757",
     "box5_k_only": "2cdd305517183f657541c1474e5df715ecaad8f21d39c5c945296318d856d4ba",
-    "box5_all": "8c5f7827301a3f06eb40f0ced2f0ca35e332ed57e02299699bd0e4acb488b492",
+    "box5_all": "e8b30ee02fad56aa9f0efdc20777d6f8b70ae574e23cdfbf6a8d8cf06506a2d0",
     "box20_k_only": "374f7cf835d8d9a36b34ed643dc42c8fc0991e68930f2c5c06a478491757dfd9",
     "line24_min": "eb72974801538030a257de041af8f76c8910eaee81cacb154d2d7e7d95894956",
     "line24_rooted_min": "1d18dd150df5165a4f3c1a87bd9973e328a775555476dbbac20de55ed870f660",

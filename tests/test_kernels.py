@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wdbounds import _kernels
@@ -17,7 +17,7 @@ def _reference_transport_loop(cost, p, q, tol, max_iter):
     sweeps over the basis edges, and the entering cycle by a breadth-first
     search over an adjacency array rebuilt each pivot.  Same pricing and
     ratio test as :func:`wdbounds._kernels.transport_loop`, which starts
-    from the matrix minimum instead.
+    from Russell's basis instead.
     """
     n = p.shape[0]
     m = q.shape[0]
@@ -170,7 +170,7 @@ def _reference_transport_loop(cost, p, q, tol, max_iter):
 def _one_walk_transport_loop(cost, p, q, tol, max_iter):
     """The transportation simplex as it was before the subtree re-hang.
 
-    Frozen reference: the matrix-minimum start, then one depth-first walk
+    Frozen reference: Russell's start, then one depth-first walk
     of the whole basis tree per pivot for parents, depths and potentials.
     Its pricing, cycle and ratio test are those of
     :func:`wdbounds._kernels.transport_loop`, which walks the tree once and
@@ -181,7 +181,7 @@ def _one_walk_transport_loop(cost, p, q, tol, max_iter):
     m = q.shape[0]
     nn = n + m
     nb = nn - 1
-    bi, bj, flow = _kernels.matrix_minimum_start(cost, p, q)
+    bi, bj, flow = _kernels.russell_start(cost, p, q)
 
     cl = cost.tolist()
     adj = [[] for _ in range(nn)]
@@ -357,11 +357,12 @@ def test_transport_loop_matches_frozen_reference(kind):
 def test_transport_loop_iteration_limit():
     """With ``max_iter=0`` a non-optimal start ends at the limit.
 
-    The matrix-minimum start is greedy: here it takes the zero-cost cell
-    (0, 0) first, which forces the costly cell (1, 1) and a plan of cost 3,
-    while the optimum ships along the anti-diagonal for 2.
+    Russell's penalties are ``[[-1, -1], [-1, 0]]``: the three tied cells go
+    in row-major order, so the start takes the costly cell (0, 0) first,
+    which forces (1, 1) and a plan of cost 1, while the optimum ships along
+    the anti-diagonal for 0.
     """
-    cost = np.array([[0.0, 1.0], [1.0, 3.0]])
+    cost = np.array([[1.0, 0.0], [0.0, 0.0]])
     p = np.ones(2)
     q = np.ones(2)
     tol = 1e-11 * float(np.abs(cost).max())
@@ -398,16 +399,17 @@ def _blocks(draw, side=8):
 
 @settings(max_examples=300, deadline=None)
 @given(_blocks())
-def test_matrix_minimum_start_is_a_spanning_tree(block):
+def test_russell_start_is_a_spanning_tree(block):
     """The start is a feasible spanning-tree basis, and the kernel ends optimal from it.
 
     A start that is not a spanning tree makes the kernel report
-    ``STATUS_ITER_LIMIT``, and ``transport._ot`` then falls back to the LP
-    without a word, so this is checked on every shape from 1x1 up.
+    ``STATUS_ITER_LIMIT``, and ``transport._ot`` then raises
+    :class:`NumericalFailure` on a valid block, so this is checked on every
+    shape from 1x1 up.
     """
     cost, p, q = block
     n, m = cost.shape
-    bi, bj, flow = _kernels.matrix_minimum_start(cost, p, q)
+    bi, bj, flow = _kernels.russell_start(cost, p, q)
     assert len(bi) == len(bj) == len(flow) == n + m - 1
     # n+m-1 edges on n+m nodes and no cycle: a spanning tree
     root = list(range(n + m))
@@ -438,6 +440,32 @@ def test_matrix_minimum_start_is_a_spanning_tree(block):
 
 
 @settings(max_examples=300, deadline=None)
+@given(_blocks(), st.integers(-30, 30))
+def test_power_of_two_cost_scaling_changes_no_pivot(block, power):
+    """Costs scaled by ``2**power`` give the same status, pivots and plan, bit for bit.
+
+    Scaling by a power of two is exact in every sum and difference the
+    kernel forms, so the start's order, the pricing and every tie are the
+    same, and the potentials come out scaled exactly.  The tolerance is
+    ``1e-11 * max|cost|``, as :func:`wdbounds.transport._ot` passes it.
+    Costs near the underflow range are left out: there scaling down rounds.
+    """
+    cost, p, q = block
+    assume(not np.any((cost != 0.0) & (np.abs(cost) < 1e-250)))
+    n, m = cost.shape
+    factor = 2.0**power
+    max_iter = 200 * (n + m) + 2000
+    ref = _kernels.transport_loop(cost, p, q, 1e-11 * float(np.abs(cost).max()), max_iter)
+    scaled = cost * factor
+    got = _kernels.transport_loop(scaled, p, q, 1e-11 * float(np.abs(scaled).max()), max_iter)
+    assert got[0] == ref[0]
+    assert got[4] == ref[4]
+    assert np.array_equal(got[1], ref[1])
+    assert np.array_equal(got[2], ref[2] * factor)
+    assert np.array_equal(got[3], ref[3] * factor)
+
+
+@settings(max_examples=300, deadline=None)
 @given(_blocks(side=10), st.sampled_from(["zero", "one", "normal"]))
 def test_transport_loop_matches_the_one_walk_loop_bit_for_bit(block, limit):
     """Re-walking only the cut-off subtree changes no bit of the result.
@@ -462,7 +490,7 @@ def test_transport_loop_stops_on_a_start_with_a_cycle(monkeypatch):
     """
     monkeypatch.setattr(
         _kernels,
-        "matrix_minimum_start",
+        "russell_start",
         lambda cost, p, q: ([0, 0, 1, 1], [0, 1, 1, 0], [0.5, 0.5, 0.5, 0.5]),
     )
     cost = np.arange(6.0).reshape(2, 3)

@@ -391,8 +391,8 @@ def test_stalled_kernel_raises_and_never_reaches_the_lp(monkeypatch):
     ``method="transport"`` solve calls the LP; ``method="lp"`` still gives
     the value of the unforced kernel.
 
-    The instance is one where the matrix-minimum start is not optimal (its
-    3x5 block takes two pivots), so the stopped kernel really stalls.
+    The instance is one where Russell's start is not optimal (its 3x5 block
+    takes three pivots), so the stopped kernel really stalls.
     """
     real_loop = transport._kernels.transport_loop
     real_solve = transport.solve
@@ -411,11 +411,11 @@ def test_stalled_kernel_raises_and_never_reaches_the_lp(monkeypatch):
         solves.append(lp)
         return real_solve(lp, *args, **kwargs)
 
-    _, m, p = random_instance(8, 7, metric_kind="graph")
-    q = ProbVec(np.random.default_rng(7).dirichlet(np.ones(8)))
+    _, m, p = random_instance(8, 16, metric_kind="graph")
+    q = ProbVec(np.random.default_rng(16).dirichlet(np.ones(8)))
     monkeypatch.setattr(transport._kernels, "transport_loop", counting_pivots)
     expected = wasserstein(p, q, m).value
-    assert pivots == [2]
+    assert pivots == [3]
     monkeypatch.setattr(transport._kernels, "transport_loop", no_pivots)
     monkeypatch.setattr(transport, "solve", counting)
     for value_only in (False, True):
