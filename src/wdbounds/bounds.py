@@ -79,29 +79,12 @@ __all__ = [
     "bound_exponential",
     "bound_hybrid",
     "exact_error_curve",
-    "dtmc_bound_sequence",
     "time_grid",
     "compute_bound_curve",
 ]
 
 #: Default number of grid points for bound curves.
 GRID_POINTS = 200
-
-#: Every bound variant: name -> (the function that computes it, the rate it reads, whether
-#: it runs when none are named).  The integral variants are the columns that the one
-#: :func:`bound_linear_K_timevarying` sweep returns, in this order.
-VARIANTS: dict[str, tuple[str, str | None, bool]] = {
-    "linear": ("bound_linear_K", None, True),
-    "timevarying": ("bound_linear_K_timevarying", None, False),
-    "exp-k": ("bound_exponential", "k_min", True),
-    "exp-kappa": ("bound_exponential", "kappa_min", False),
-    "local": ("bound_linear_K_timevarying", None, False),
-    "hybrid": ("bound_hybrid", "k_min", True),
-    "hybrid-kappa": ("bound_hybrid", "kappa_min", False),
-}
-DEFAULT_VARIANTS = tuple(name for name, (_, _, default) in VARIANTS.items() if default)
-_INTEGRALS = tuple(n for n, (f, _, _) in VARIANTS.items() if f == "bound_linear_K_timevarying")
-
 
 def time_grid(horizon: float, points: int = GRID_POINTS) -> np.ndarray:
     """Uniform grid ``0..horizon`` with ``points`` entries."""
@@ -345,6 +328,22 @@ def _hybrid(inputs: BoundInputs, t: np.ndarray, rate: str) -> np.ndarray:
     return exp_part + lin_part
 
 
+#: Every bound variant: name -> (its closed form ``formula(inputs, t, rate)``, or ``None``
+#: for a column of the one :func:`bound_linear_K_timevarying` sweep, the rate it reads,
+#: whether it runs when none are named).  The sweep returns its columns in this order.
+VARIANTS = {
+    "linear": (_linear, None, True),
+    "timevarying": (None, None, False),
+    "exp-k": (_exponential, "k_min", True),
+    "exp-kappa": (_exponential, "kappa_min", False),
+    "local": (None, None, False),
+    "hybrid": (_hybrid, "k_min", True),
+    "hybrid-kappa": (_hybrid, "kappa_min", False),
+}
+DEFAULT_VARIANTS = tuple(name for name, (_, _, default) in VARIANTS.items() if default)
+_INTEGRALS = tuple(name for name, (formula, _, _) in VARIANTS.items() if formula is None)
+
+
 def exact_error_curve(
     p0: ProbVec,
     gen: Generator,
@@ -364,27 +363,6 @@ def exact_error_curve(
     _check_chain(gen, metric, agg, ctmc=True)
     t = _check_grid(t_grid)
     return _sweep(t, agg, aggregate_initial(p0, agg), None, (p0, gen, metric, None))[1]
-
-
-def dtmc_bound_sequence(
-    w0: float, defect_vector: np.ndarray, kappa_min_p: float, pi_seq: np.ndarray
-) -> np.ndarray:
-    """Discrete-time error recurrence ``W_{k+1} = pi_k . v + (1 - kappa) W_k``.
-
-    ``pi_seq`` holds the aggregated distributions ``pi_0 .. pi_{K-1}`` as
-    rows; the result has ``K + 1`` entries ``W_0 .. W_K``.
-    """
-    pi_seq = np.atleast_2d(np.asarray(pi_seq, dtype=float))
-    if pi_seq.shape[1] != defect_vector.size:
-        raise ValueError(
-            f"pi rows have {pi_seq.shape[1]} entries, defect vector {defect_vector.size}"
-        )
-    out = np.empty(pi_seq.shape[0] + 1)
-    out[0] = w0
-    factor = 1.0 - kappa_min_p
-    for k in range(pi_seq.shape[0]):
-        out[k + 1] = float(pi_seq[k] @ defect_vector) + factor * out[k]
-    return out
 
 
 @dataclass
@@ -433,9 +411,8 @@ def compute_bound_curve(
     else:
         integrals = bound_linear_K_timevarying(inputs, agg, pi0, t) if wanted else {}
         exact = None
-    bodies = {"bound_linear_K": _linear, "bound_exponential": _exponential, "bound_hybrid": _hybrid}
     columns: dict[str, np.ndarray] = {}
     for name in variants:
         formula, rate, _ = VARIANTS[name]
-        columns[name] = integrals[name] if name in _INTEGRALS else bodies[formula](inputs, t, rate)
+        columns[name] = integrals[name] if formula is None else formula(inputs, t, rate)
     return BoundCurve(t=t, columns=columns, d_max=metric.d_max, exact=exact)

@@ -16,8 +16,7 @@ holds ``n``, a ``generator`` (dense rows, or ``{"triplets": [[r, s, rate],
 ...]}``; the diagonal may be omitted) or a ``dtmc`` matrix, a ``metric`` spec
 (``discrete`` / ``line`` / ``graph`` / ``explicit`` / ``product``), and
 optionally ``partition``, ``alpha``, ``initial`` and an explicit
-``aggregation``.  Serialization is canonical: sorted keys, floats at 17
-significant digits, so load -> serialize -> load round-trips byte-identically.
+``aggregation``.
 
 Output goes to stdout (data) and stderr (diagnostics).  CSV files carry
 ``#``-prefixed metadata lines, then a header row; every value is printed with
@@ -61,7 +60,7 @@ from .metric import (
 from .models import Box, JumpDistribution, toy_ctmc, translation_invariant_ctmc
 from .transport import SUPPORT_TOL, wasserstein
 
-__all__ = ["main", "Model", "load_model", "load_model_dict", "canonical_model_json"]
+__all__ = ["main", "Model", "load_model", "load_model_dict"]
 
 
 # --------------------------------------------------------------------------
@@ -106,11 +105,10 @@ def canonical_json(obj) -> str:
 
 @dataclass
 class Model:
-    """A loaded model plus its canonical document (for round-tripping).
+    """A loaded model.
 
     ``chain`` is the model's CTMC :class:`Generator` or DTMC
-    :class:`TransitionMatrix`, ``None`` when it declares neither.  A built-in
-    model has no source document, so ``canon`` is ``None``.
+    :class:`TransitionMatrix`, ``None`` when it declares neither.
     """
 
     n: int
@@ -120,7 +118,6 @@ class Model:
     alpha: list[np.ndarray] | None = None
     initial: ProbVec | None = None
     agg: Aggregation | None = None
-    canon: dict | None = None
 
 
 def _typed(val, kind: type, what: str):
@@ -167,7 +164,7 @@ def _matrix_doc(mat: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in mat]
 
 
-def _parse_metric_spec(spec, n: int) -> tuple[Metric, dict]:
+def _parse_metric_spec(spec, n: int) -> Metric:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("metric spec must be an object with a 'kind' field")
     kind = spec["kind"]
@@ -184,13 +181,13 @@ def _parse_metric_spec(spec, n: int) -> tuple[Metric, dict]:
     if unknown:
         raise ValueError(f"unknown fields in {kind!r} metric spec: {sorted(unknown)}")
     if kind == "discrete":
-        return discrete_metric(n), {"kind": "discrete"}
+        return discrete_metric(n)
     if kind == "line":
         positions = _typed(spec["positions"], list, "line positions")
         positions = [_typed(v, float, "line position") for v in positions]
         if len(positions) != n:
             raise ValueError(f"line metric needs {n} positions, got {len(positions)}")
-        return line_metric(np.array(positions)), {"kind": "line", "positions": positions}
+        return line_metric(np.array(positions))
     if kind == "graph":
         edges = []
         for e in _typed(spec["edges"], list, "graph edges"):
@@ -198,34 +195,22 @@ def _parse_metric_spec(spec, n: int) -> tuple[Metric, dict]:
                 raise ValueError(f"graph edge must be [r, s, weight], got {e!r}")
             r, s, w = (_typed(v, typ, "graph edge entry") for v, typ in zip(e, (int, int, float)))
             edges.append((min(r, s), max(r, s), w))
-        metric = shortest_path_metric(n, edges)
-        # canonical: endpoints ordered, parallel edges collapsed to the
-        # minimum weight, sorted
-        dedup: dict[tuple[int, int], float] = {}
-        for r, s, w in edges:
-            key = (r, s)
-            dedup[key] = min(w, dedup.get(key, np.inf))
-        canon_edges = [[r, s, w] for (r, s), w in sorted(dedup.items())]
-        return metric, {"kind": "graph", "edges": canon_edges}
+        return shortest_path_metric(n, edges)
     if kind == "explicit":
-        dist = _float_matrix(spec["dist"], n, n, "metric")
-        return validate_metric(dist), {"kind": "explicit", "dist": _matrix_doc(dist)}
+        return validate_metric(_float_matrix(spec["dist"], n, n, "metric"))
     # product
     comps = []
-    canon_comps = []
     for comp in _typed(spec["components"], list, "product components"):
         if not isinstance(comp, dict) or "weight" not in comp or "n" not in comp:
             raise ValueError("product component must carry 'n', 'weight' and a metric spec")
         weight = _typed(comp["weight"], float, "component weight")
         sub_n = _typed(comp["n"], int, "component n")
         sub_spec = {k: v for k, v in comp.items() if k not in ("weight", "n")}
-        sub_metric, sub_canon = _parse_metric_spec(sub_spec, sub_n)
-        comps.append((sub_metric, weight))
-        canon_comps.append({**sub_canon, "n": sub_n, "weight": weight})
+        comps.append((_parse_metric_spec(sub_spec, sub_n), weight))
     metric = product_metric(comps)
     if metric.n != n:
         raise ValueError(f"product metric has {metric.n} states but the model has {n}")
-    return metric, {"kind": "product", "components": canon_comps}
+    return metric
 
 
 def _parse_generator(val, n: int) -> Generator:
@@ -268,29 +253,24 @@ def load_model_dict(doc: dict) -> Model:
     n = _typed(doc["n"], int, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    canon: dict = {"n": n}
 
     chain = None
     if "generator" in doc and "dtmc" in doc:
         raise ValueError("model declares both 'generator' and 'dtmc'")
     if "generator" in doc:
         chain = _parse_generator(doc["generator"], n)
-        canon["generator"] = _matrix_doc(chain.q)
     if "dtmc" in doc:
         chain = TransitionMatrix(_float_matrix(doc["dtmc"], n, n, "dtmc matrix"))
-        canon["dtmc"] = _matrix_doc(chain.p)
 
     metric = None
     if "metric" in doc:
-        metric, metric_canon = _parse_metric_spec(doc["metric"], n)
-        canon["metric"] = metric_canon
+        metric = _parse_metric_spec(doc["metric"], n)
 
     partition = None
     if "partition" in doc:
         partition = _partition(doc["partition"])
         if partition.n != n:
             raise ValueError(f"partition covers {partition.n} states but the model has {n}")
-        canon["partition"] = [list(b) for b in partition.blocks]
 
     alpha = None
     if "alpha" in doc:
@@ -298,7 +278,6 @@ def load_model_dict(doc: dict) -> Model:
             raise ValueError("'alpha' requires a 'partition'")
         blocks = _typed(doc["alpha"], list, "alpha")
         alpha = [_float_array(a, 1, "alpha block") for a in blocks]
-        canon["alpha"] = [[float(v) for v in a] for a in alpha]
 
     initial = None
     if "initial" in doc:
@@ -306,7 +285,6 @@ def load_model_dict(doc: dict) -> Model:
         if vec.shape != (n,):
             raise ValueError(f"initial distribution must have {n} entries")
         initial = ProbVec(vec)
-        canon["initial"] = [float(v) for v in initial.p]
 
     agg = None
     if "aggregation" in doc:
@@ -327,21 +305,15 @@ def load_model_dict(doc: dict) -> Model:
             raise ValueError(
                 "aggregation carries both a CTMC generator (theta) and a DTMC matrix (pi)"
             )
-        agg_chain, canon_agg = None, {}
+        agg_chain = None
         if "theta" in spec:
             agg_chain = Generator(_float_matrix(spec["theta"], m, m, "aggregated generator"))
-            canon_agg["theta"] = _matrix_doc(agg_chain.q)
         if "pi" in spec:
             agg_chain = TransitionMatrix(_float_matrix(spec["pi"], m, m, "aggregated dtmc"))
-            canon_agg["pi"] = _matrix_doc(agg_chain.p)
         if chain is not None and agg_chain is not None and type(agg_chain) is not type(chain):
             have, want = ("pi", "generator") if isinstance(chain, Generator) else ("theta", "dtmc")
             raise ValueError(f"aggregation carries '{have}' but the model's chain is a '{want}'")
         agg = Aggregation(a=a, lam=lam, chain=agg_chain)
-        canon_agg["a"] = _matrix_doc(agg.a)
-        if lam is not None:
-            canon_agg["lam"] = _matrix_doc(agg.lam)
-        canon["aggregation"] = canon_agg
 
     return Model(
         n=n,
@@ -351,7 +323,6 @@ def load_model_dict(doc: dict) -> Model:
         alpha=alpha,
         initial=initial,
         agg=agg,
-        canon=canon,
     )
 
 
@@ -360,21 +331,6 @@ def load_model(path: str) -> Model:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return load_model_dict(doc)
-
-
-def canonical_model_json(model: Model) -> str:
-    """The model's canonical serialization (ends with a newline).
-
-    A built-in model is written as its generator and an explicit metric.
-    """
-    canon = model.canon
-    if canon is None:
-        canon = {
-            "n": model.n,
-            "generator": _matrix_doc(model.chain.q),
-            "metric": {"kind": "explicit", "dist": _matrix_doc(model.metric.dist)},
-        }
-    return canonical_json(canon) + "\n"
 
 
 # --------------------------------------------------------------------------

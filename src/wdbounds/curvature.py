@@ -388,25 +388,23 @@ def kappa_min(
     and builds no ``k``.
     """
     _check_chain(chain, metric)
-    if not isinstance(chain, Generator):
-        return _scan_kappa_min(chain, metric, None)
-    found = _walk_kappa_min(chain, metric)  # the closed form needs no k
-    if found is not None:
-        return found
-    return _scan_kappa_min(chain, metric, k_matrix(chain, metric))
+    return _kappa_min(chain, metric)
 
 
 def _kappa_min(
-    chain: Generator | TransitionMatrix, metric: Metric, kmat: np.ndarray | None
+    chain: Generator | TransitionMatrix, metric: Metric, kmat: np.ndarray | None = None
 ) -> tuple[float, KappaMinStrategy]:
-    """:func:`kappa_min` on the pairwise ``k`` values ``kmat`` of ``chain`` and
-    ``metric``; a DTMC has no ``k`` and passes ``None``.  A lattice walk under
-    its own metric takes the closed form (:func:`_walk_kappa_min`), every
-    other chain the scan (:func:`_scan_kappa_min`)."""
+    """:func:`kappa_min` of a checked ``chain`` and ``metric``.  A lattice walk
+    under its own metric takes the closed form (:func:`_walk_kappa_min`),
+    every other chain the scan (:func:`_scan_kappa_min`) on the pairwise
+    ``k`` values ``kmat`` of a CTMC, built here when the scan runs and none
+    were passed; a DTMC has no ``k``."""
     if isinstance(chain, Generator):
-        found = _walk_kappa_min(chain, metric)
+        found = _walk_kappa_min(chain, metric)  # the closed form needs no k
         if found is not None:
             return found
+        if kmat is None:
+            kmat = k_matrix(chain, metric)
     return _scan_kappa_min(chain, metric, kmat)
 
 

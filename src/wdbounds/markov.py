@@ -33,7 +33,6 @@ __all__ = [
     "dirac",
     "uniformize",
     "transient_ctmc",
-    "transient_dtmc",
 ]
 
 #: Largest negative entry that is treated as a rounding artefact and clamped.
@@ -260,13 +259,11 @@ def _series_sums(
     return law, occ
 
 
-def _chunk_operators(
-    pmat: np.ndarray, lt: float, occupation: bool = False
-) -> tuple[np.ndarray, np.ndarray | None, float]:
+def _chunk_operators(pmat: np.ndarray, lt: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The step operators of one chunk ``lt``: ``M = sum_{k<=K} P(N = k)
-    P^k`` and, if ``occupation``, ``O = sum_{k<=K} P(N > k) P^k``, as
-    read-only ``(n, n)`` arrays, with the dropped mass, all from the same
-    weights as :func:`_transient_chunk` and summed by :func:`_series_sums`.
+    P^k`` and ``O = sum_{k<=K} P(N > k) P^k``, as read-only ``(n, n)``
+    arrays, with the dropped mass, all from the same weights as
+    :func:`_transient_chunk` and summed by :func:`_series_sums`.
 
     The powers fill one ``(K + 1, n, n)`` block by doubling: once ``P^0 ..
     P^{m-1}`` are known, one batched product ``P^{m-1} P^j``, ``j = 1 ..
@@ -284,24 +281,20 @@ def _chunk_operators(
         c = min(m - 1, weights.size - m)
         np.matmul(powers[m - 1], powers[1 : c + 1], out=powers[m : m + c])
         m += c
-    law, occ = _series_sums(powers, weights, tails, occupation)
-    for op in (law, occ):
-        if op is not None:
-            op.setflags(write=False)
+    law, occ = _series_sums(powers, weights, tails, True)
+    law.setflags(write=False)
+    occ.setflags(write=False)
     return law, occ, dropped
 
 
-def _step_operators(
-    gen: Generator, lt: float, occupation: bool
-) -> tuple[np.ndarray, np.ndarray | None, float]:
+def _step_operators(gen: Generator, lt: float) -> tuple[np.ndarray, np.ndarray, float]:
     """:func:`_chunk_operators` of ``gen``'s uniformized matrix, cached on
-    ``gen`` by ``lt``; an entry built without ``O`` is rebuilt when ``O`` is
-    asked for.  A build depends on ``P`` and ``lt`` alone, so a hit, a miss
-    and a rebuild after eviction return the same bits."""
+    ``gen`` by ``lt``.  A build depends on ``P`` and ``lt`` alone, so a hit,
+    a miss and a rebuild after eviction return the same bits."""
     cache = gen._operators
     ops = cache.pop(lt, None)  # reinserted below: the most recently used is last
-    if ops is None or (occupation and ops[1] is None):
-        ops = _chunk_operators(uniformize(gen)[0].p, lt, occupation)
+    if ops is None:
+        ops = _chunk_operators(uniformize(gen)[0].p, lt)
     cache[lt] = ops
     if len(cache) > OPERATOR_CACHE:
         del cache[next(iter(cache))]
@@ -408,18 +401,18 @@ def transient_ctmc(
     applies the chunk's step operators ``M = sum_k P(N = k) P^k`` and, with
     ``occupation``, ``O = sum_k P(N > k) P^k`` (:func:`_chunk_operators`):
     one vector product each.  They are the same truncated sums with the same
-    dropped mass, so every budget above holds unchanged.  Operators are
-    cached on the generator by ``lam * h`` (:func:`_step_operators`, at most
-    ``OPERATOR_CACHE`` per chain, ``2 n^2`` floats each), so a grid that
-    repeats its step, or a long horizon of many 500-chunks, builds each
-    once.  The threshold is a cost model.  A build forms the ``K`` powers
-    ``P^k`` by doubling, in about ``log2 K`` batched products
-    (:func:`_chunk_operators`), where the vector block makes ``K`` vector
-    products; its arithmetic is ``K`` products of ``n x n`` matrices.
+    dropped mass, so every budget above holds unchanged.  Both operators are
+    built together and cached on the generator by ``lam * h``
+    (:func:`_step_operators`, at most ``OPERATOR_CACHE`` per chain, ``2 n^2``
+    floats each), so a grid that repeats its step, or a long horizon of many
+    500-chunks, builds each once.  The threshold is a cost model.  A build
+    forms the ``K`` powers ``P^k`` by doubling, in about ``log2 K`` batched
+    products (:func:`_chunk_operators`), where the vector block makes ``K``
+    vector products; its arithmetic is ``K`` products of ``n x n`` matrices.
     Measured with one BLAS thread on a 2-core x86-64 host (``np.dot`` into
     a block row), one such product costs 1.0 vector products at ``n = 3``,
-    1.1 at 10, 1.2 at 16, 2.2 at 24, 9 at 64 and 84 at 324.  A build with
-    the occupation operator costs, in vector blocks of the same chunk, 0.8
+    1.1 at 10, 1.2 at 16, 2.2 at 24, 9 at 64 and 84 at 324.  A build (both
+    operators) costs, in vector blocks of the same chunk, 0.8
     at ``n = 3``, 0.9 at 10, 1.0-1.4 at 16, 1.8-2.4 at 24 and 26-38 at 64
     for ``lam h = 4`` (``K = 26``), 0.16, 0.4, 2.4 and 7 at 3, 10, 16 and
     24 for ``lam h = 500``, and 1 to 1.5 up to 16 states for ``lam h =
@@ -436,7 +429,7 @@ def transient_ctmc(
     missing = 0.0  # mass the chunk's start law lacks
     for lt in _chunks(lam * t):
         if gen.n <= OPERATOR_STATES:
-            law_op, occ_op, tail = _step_operators(gen, lt, occupation)
+            law_op, occ_op, tail = _step_operators(gen, lt)
             v, part = v @ law_op, (v @ occ_op if occupation else None)
         else:
             v, part, tail = _transient_chunk(v, pmat.p, lt, occupation)
@@ -447,18 +440,3 @@ def transient_ctmc(
     law = ProbVec(v / v.sum())
     return (law, occ, budget) if occupation else law
 
-
-def transient_dtmc(p0: ProbVec, pmat: TransitionMatrix, k: int) -> ProbVec:
-    """Distribution after ``k`` steps of the DTMC started from ``p0``."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"step count must be an integer, got {k!r}")
-    if k < 0:
-        raise NegativeTime(float(k))
-    if p0.n != pmat.n:
-        raise DimensionMismatch(
-            f"initial distribution has {p0.n} states but transition matrix has {pmat.n}"
-        )
-    v = p0.p
-    for _ in range(int(k)):
-        v = v @ pmat.p
-    return ProbVec(v)

@@ -32,7 +32,6 @@ from wdbounds.bounds import (
     bound_linear_K_timevarying,
     compute_bound_curve,
     defect,
-    dtmc_bound_sequence,
     exact_error_curve,
     prepare_bound_inputs,
     time_grid,
@@ -271,47 +270,6 @@ def test_defect_scales_with_the_rates() -> None:
         v6, norm6 = defect(fast, metric, partition_aggregation_ctmc(fast, part))
         np.testing.assert_allclose(v6, 1e6 * v, rtol=1e-9, err_msg=f"seed {seed}")
         assert norm6 == pytest.approx(1e6 * norm, rel=1e-9)
-
-
-def test_dtmc_bound_sequence_recurrence() -> None:
-    # W_{k+1} = pi_k . v + (1 - kappa_P) W_k, checked by hand for two steps.
-    pi_seq = np.array([[1.0, 0.0], [0.5, 0.5]])
-    seq = dtmc_bound_sequence(0.5, np.array([1.0, 1.0]), 0.25, pi_seq)
-    np.testing.assert_allclose(seq, [0.5, 1.375, 2.03125], atol=1e-12)
-
-    with pytest.raises(ValueError, match="pi rows have 3 entries"):
-        dtmc_bound_sequence(0.0, np.array([1.0, 1.0]), 0.1, np.array([[1.0, 0.0, 0.0]]))
-
-
-def test_dtmc_bound_dominates_uniformized_error() -> None:
-    # Push the uniformized toy chain for several steps and verify the DTMC
-    # recurrence bound sits above the true aggregation error at each step.
-    from wdbounds.curvature import kappa
-    from wdbounds.transport import wasserstein
-
-    gen = Generator(TOY_Q)
-    metric = validate_metric(TOY_D)
-    part = Partition(TOY_BLOCKS)
-    pmat, lam = uniformize(gen)
-    dagg = partition_aggregation_dtmc(pmat, part)
-    v_d, _ = defect(pmat, metric, dagg)
-    kap_p = min(kappa(pmat, metric, r, s) for r in (1, 2, 3) for s in (1, 2, 3) if r < s)
-
-    steps = 8
-    p = np.array([1.0, 0.0, 0.0])
-    pi = np.array([1.0, 0.0])
-    pi_seq = np.empty((steps, 2))
-    errors = []
-    w0 = wasserstein(ProbVec(pi @ dagg.a), ProbVec(p), metric).value
-    for k in range(steps):
-        pi_seq[k] = pi
-        p = p @ pmat.p
-        pi = pi @ dagg.chain.p
-        errors.append(wasserstein(ProbVec(pi @ dagg.a), ProbVec(p), metric).value)
-    seq = dtmc_bound_sequence(w0, v_d, kap_p, pi_seq)
-    assert seq.shape == (steps + 1,)
-    for k, err in enumerate(errors):
-        assert seq[k + 1] >= err - 1e-9
 
 
 def test_time_grid_and_grid_validation() -> None:

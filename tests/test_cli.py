@@ -25,9 +25,7 @@ import wdbounds.models as models_mod
 from wdbounds.cli import (
     _fmt,
     _write_pair_rows,
-    canonical_model_json,
     load_model,
-    load_model_dict,
     main,
 )
 from wdbounds.errors import NumericalFailure
@@ -519,6 +517,20 @@ def test_bounds_requires_ctmc(capsys, dtmc_model) -> None:
     assert "CTMC" in err
 
 
+def test_bounds_refuses_a_dtmc_model_with_everything_else_given(capsys, tmp_path, dtmc_model):
+    """The paper's bounds are for CTMCs: a DTMC model with a start law and a
+    partition is still refused, before any aggregation or solve, with one
+    stderr line and nothing on stdout."""
+    part = tmp_path / "part.json"
+    part.write_text("[[1, 2], [3]]")
+    code, out, err = run_cli(
+        capsys, "bounds", "--model", dtmc_model, "--p0", "dirac:1",
+        "--partition-from-file", str(part),
+    )  # fmt: skip
+    assert code == 2 and out == ""
+    assert err == "ValueError: bounds needs a CTMC model (a 'generator')\n"
+
+
 def test_aggregate_json(capsys, toy_model) -> None:
     code, out, err = run_cli(capsys, "aggregate", "--model", toy_model, "--eps", "1.0")
     assert code == 0, err
@@ -620,35 +632,6 @@ def test_aggregate_dtmc_reports_pi_and_its_defect(capsys, tmp_path, dtmc_model) 
     assert doc["defect_norm"] == norm
 
 
-def test_model_roundtrip_byte_identical(tmp_path) -> None:
-    # messy input: triplet generator, unordered duplicate graph edges,
-    # unnormalized floats; the canonical form must be a fixed point.
-    doc = {
-        "n": 3,
-        "generator": {"triplets": [[2, 1, 1.0], [1, 3, 1.0], [2, 3, 3.0], [3, 2, 2.0]]},
-        "metric": {
-            "kind": "graph",
-            "edges": [[2, 1, 1.0], [3, 2, 4.0], [2, 3, 0.1 + 0.2], [1, 3, 5.0]],
-        },
-        "partition": [[1, 2], [3]],
-        "initial": [1.0, 0.0, -0.0],
-    }
-    path = tmp_path / "messy.json"
-    path.write_text(json.dumps(doc))
-    first = canonical_model_json(load_model(str(path)))
-
-    canon_path = tmp_path / "canon.json"
-    canon_path.write_text(first)
-    second = canonical_model_json(load_model(str(canon_path)))
-    assert first == second
-    # -0.0 is normalized and keys are sorted
-    assert '"initial": [1, 0, 0]' in first
-    assert first.index('"generator"') < first.index('"initial"') < first.index('"metric"')
-    # parallel edges collapsed to the minimum weight, endpoints ordering fixed
-    loaded = json.loads(first)
-    assert loaded["metric"]["edges"] == [[1, 2, 1.0], [1, 3, 5.0], [2, 3, 0.30000000000000004]]
-
-
 # a 2-point line at weight 1 times a 2-state discrete metric at weight 0.5
 PRODUCT_COMPONENTS = [
     {"kind": "line", "n": 2, "positions": [0.0, 1.5], "weight": 1.0},
@@ -706,12 +689,6 @@ def test_product_metric_model(capsys, tmp_path) -> None:
     code, out, err = run_cli(capsys, "curvature", "--model", str(path), "--pairs", "all")
     assert code == 0, err
     assert sum(r[0] == "pair" for r in parse_csv(out)[2]) == 6
-
-    first = canonical_model_json(model)
-    canon_path = tmp_path / "canon.json"
-    canon_path.write_text(first)
-    assert canonical_model_json(load_model(str(canon_path))) == first
-    assert json.loads(first)["metric"] == {"kind": "product", "components": PRODUCT_COMPONENTS}
 
 
 # model documents with one field of the wrong JSON type: the loader refuses
@@ -920,15 +897,6 @@ def test_model_file_is_validated_once(gate_counts, toy_model) -> None:
     model = load_model(toy_model)
     assert model.metric is not None and model.chain is not None
     assert gate_counts == {"metric": 1, "generator": 1}
-
-
-def test_builtin_canonical_json_matches_its_model_document() -> None:
-    argv = ["w1", "--builtin", "toy", "--p", "uniform", "--q", "uniform"]
-    args = cli_mod.build_parser().parse_args(argv)
-    model = cli_mod._resolve_model(args)
-    assert model.canon is None
-    doc = {"n": 3, "generator": TOY_Q, "metric": {"kind": "explicit", "dist": TOY_D}}
-    assert canonical_model_json(model) == canonical_model_json(load_model_dict(doc))
 
 
 def test_cli_output_deterministic(capsys, tmp_path, line6_model) -> None:

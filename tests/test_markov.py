@@ -17,7 +17,6 @@ from wdbounds.markov import (
     TransitionMatrix,
     dirac,
     transient_ctmc,
-    transient_dtmc,
     transient_tv_budget,
     uniformize,
 )
@@ -279,33 +278,6 @@ def test_transient_semigroup(n, seed):
     assert np.allclose(lhs, rhs, atol=1e-8)
 
 
-def test_transient_dtmc_parity_and_validation():
-    flip = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    p0 = dirac(2, 1)
-    assert np.array_equal(transient_dtmc(p0, flip, 0).p, [1.0, 0.0])
-    assert np.array_equal(transient_dtmc(p0, flip, 7).p, [0.0, 1.0])
-    assert np.array_equal(transient_dtmc(p0, flip, 8).p, [1.0, 0.0])
-    assert np.array_equal(transient_dtmc(p0, flip, np.int64(3)).p, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        transient_dtmc(p0, flip, True)
-    with pytest.raises(ValueError):
-        transient_dtmc(p0, flip, 1.5)
-    with pytest.raises(NegativeTime):
-        transient_dtmc(p0, flip, -1)
-    with pytest.raises(DimensionMismatch):
-        transient_dtmc(dirac(3, 1), flip, 1)
-
-
-def test_transient_dtmc_matches_matrix_power():
-    rng = np.random.default_rng(5)
-    p = rng.dirichlet(np.ones(4), size=4)
-    pmat = TransitionMatrix(p)
-    p0 = ProbVec(rng.dirichlet(np.ones(4)))
-    got = transient_dtmc(p0, pmat, 7).p
-    want = p0.p @ np.linalg.matrix_power(pmat.p, 7)
-    assert np.allclose(got, want, atol=1e-12)
-
-
 def _reference_transient_chunk(p, pmat, lt, occupation=False):
     """The uniformization chunk as it was before the Krylov block.
 
@@ -360,7 +332,7 @@ def test_transient_chunk_matches_the_term_by_term_loop_bit_for_bit(n, log_lt, oc
     assert not weights.flags.writeable and not tails.flags.writeable
 
 
-def _reference_chunk_operators(pmat, lt, occupation=False):
+def _reference_chunk_operators(pmat, lt):
     """The step operators of one chunk, summed term by term.
 
     Frozen reference: one product ``P^a @ P^{k-a}`` per term, with ``a`` the
@@ -371,7 +343,7 @@ def _reference_chunk_operators(pmat, lt, occupation=False):
     powers = [np.eye(pmat.shape[0]), pmat]
     law = w * powers[0]
     cum = w
-    occ = (1.0 - cum) * powers[0] if occupation else None
+    occ = (1.0 - cum) * powers[0]
     for k in range(1, markov._poisson_step_count(lt) + 1):
         if k >= 2:
             a = 1 << ((k - 1).bit_length() - 1)
@@ -379,8 +351,7 @@ def _reference_chunk_operators(pmat, lt, occupation=False):
         w *= lt / k
         law = law + w * powers[k]
         cum += w
-        if occupation:
-            occ = occ + (1.0 - cum) * powers[k]
+        occ = occ + (1.0 - cum) * powers[k]
         if 1.0 - cum < markov.POISSON_TAIL:
             break
     return law, occ, max(0.0, 1.0 - cum)
@@ -401,27 +372,22 @@ def _random_generator(rng, n):
 @given(
     st.integers(1, markov.OPERATOR_STATES),
     st.floats(math.log(1e-3), math.log(500.0)),
-    st.booleans(),
     st.integers(0, 10_000),
 )
 @settings(max_examples=150, deadline=None)
-def test_chunk_operators_match_the_term_by_term_loop_bit_for_bit(n, log_lt, occupation, seed):
+def test_chunk_operators_match_the_term_by_term_loop_bit_for_bit(n, log_lt, seed):
     """The doubling block forms each power by the same product as the frozen
     loop and sums the terms in the same order, so both operators and the
     dropped mass are equal bit for bit, also on one state, and the
     operators are read-only."""
     pmat = _random_stochastic(np.random.default_rng(seed), n)
     lt = math.exp(log_lt)
-    law, occ, dropped = markov._chunk_operators(pmat, lt, occupation)
-    ref = _reference_chunk_operators(pmat, lt, occupation)
+    law, occ, dropped = markov._chunk_operators(pmat, lt)
+    ref = _reference_chunk_operators(pmat, lt)
     assert np.array_equal(law, ref[0])
+    assert np.array_equal(occ, ref[1])
     assert dropped == ref[2] == markov._poisson_weights(lt)[2]
-    assert not law.flags.writeable
-    if occupation:
-        assert np.array_equal(occ, ref[1])
-        assert not occ.flags.writeable
-    else:
-        assert occ is None
+    assert not law.flags.writeable and not occ.flags.writeable
 
 
 @given(
@@ -445,7 +411,7 @@ def test_chunk_operators_agree_with_the_krylov_block(n, log_lt, seed):
     pmat = _random_stochastic(rng, n)
     p = rng.dirichlet(np.ones(n))
     lt = math.exp(log_lt)
-    law, occ, dropped = markov._chunk_operators(pmat, lt, occupation=True)
+    law, occ, dropped = markov._chunk_operators(pmat, lt)
     ref = markov._transient_chunk(p, pmat, lt, occupation=True)
     big_n = markov._poisson_weights(lt)[0].size * (n + 1)
     for got, want in ((p @ law, ref[0]), (p @ occ, ref[1])):
@@ -455,9 +421,8 @@ def test_chunk_operators_agree_with_the_krylov_block(n, log_lt, seed):
 
 
 def test_operator_path_does_not_depend_on_the_cache():
-    """A call returns the same bits on a fresh generator, on a warm one, after
-    a plain call cached the step without its occupation operator, and after
-    the step was evicted by ``OPERATOR_CACHE`` other steps."""
+    """A call returns the same bits on a fresh generator, on a warm one, and
+    after the step was evicted by ``OPERATOR_CACHE`` other steps."""
     rng = np.random.default_rng(7)
     q = _random_generator(rng, 6).q
     p0 = ProbVec(rng.dirichlet(np.ones(6)))
@@ -516,9 +481,9 @@ def test_long_horizon_reaches_the_stationary_law_with_one_build_per_step(monkeyp
     builds = []
     build = markov._chunk_operators
 
-    def counting(pmat, lt, occupation=False):
+    def counting(pmat, lt):
         builds.append(lt)
-        return build(pmat, lt, occupation)
+        return build(pmat, lt)
 
     monkeypatch.setattr(markov, "_chunk_operators", counting)
     gen = Generator(TOY_Q)
