@@ -124,9 +124,9 @@ def russell_start(cost, p, q):
     cols_left = m
     delta = cost - cost.max(axis=1, keepdims=True)
     delta -= cost.max(axis=0)
-    order = np.argsort(delta, axis=None, kind="stable")
+    oi, oj = np.divmod(np.argsort(delta, axis=None, kind="stable"), m)
     k = 0
-    for i, j in zip((order // m).tolist(), (order % m).tolist()):
+    for i, j in zip(oi.tolist(), oj.tolist()):
         if not (row_open[i] and col_open[j]):
             continue
         ai = a[i]
@@ -179,7 +179,7 @@ def transport_loop(cost, p, q, tol, max_iter):
     nn = n + m
     nb = nn - 1
     bi, bj, flow = russell_start(cost, p, q)
-    cell = np.array(bi, dtype=np.int64) * m + np.array(bj, dtype=np.int64)
+    cell = np.array([i * m + j for i, j in zip(bi, bj)], dtype=np.int64)
 
     def plan():
         gamma = np.zeros(n * m)

@@ -57,13 +57,23 @@ def _clean_distribution(p: np.ndarray, what: str) -> np.ndarray:
     row (``<what> row <r>`` in messages).  Entries below ``-CLAMP_TOL`` are
     refused and other negatives set to 0; a row whose mass is not within
     ``SUM_TOL`` of 1, NaN and infinite entries included, is refused; each row
-    is then divided by its mass."""
-    low = p < -CLAMP_TOL
-    if low.any():
-        *row, i = np.argwhere(low)[0]
-        name = f"{what} row {row[0] + 1}" if row else what
-        raise ValueError(f"{name} has negative entry {float(p[(*row, i)])!r} at position {i + 1}")
-    p = np.where(p < 0, 0.0, p)
+    is then divided by its mass.
+
+    One minimum decides both refusal and clamping, so a clean law costs a
+    minimum, a sum and a division.  The tests are written ``not ... >=`` so
+    that a NaN minimum takes both paths: a NaN beside an entry below
+    ``-CLAMP_TOL`` is refused for that entry, and a NaN alone by the mass test."""
+    lowest = float(p.min(initial=np.inf))  # inf on an empty row: its mass is 0
+    if not lowest >= -CLAMP_TOL:
+        low = p < -CLAMP_TOL
+        if low.any():
+            *row, i = np.argwhere(low)[0]
+            name = f"{what} row {row[0] + 1}" if row else what
+            raise ValueError(
+                f"{name} has negative entry {float(p[(*row, i)])!r} at position {i + 1}"
+            )
+    if not lowest >= 0:
+        p = np.where(p < 0, 0.0, p)
     if p.ndim == 1:  # in Python floats: a ProbVec is built at every transient step
         total = float(p.sum())
         if abs(total - 1.0) <= SUM_TOL:

@@ -186,9 +186,7 @@ def _ot(p: np.ndarray, q: np.ndarray, cost: np.ndarray, cmax: float, method: str
             u = np.zeros(1) if nr == 1 else cost[:, 0] - cost[0, 0]
             return float(np.sum(gamma * cost)), gamma, u
         cap = 200 * (nr + nc) + 2000
-        status, gamma, u, _, pivots = _kernels.transport_loop(
-            cost, np.ascontiguousarray(p), np.ascontiguousarray(q), 1e-11 * cmax, cap
-        )
+        status, gamma, u, _, pivots = _kernels.transport_loop(cost, p, q, 1e-11 * cmax, cap)
         if status != _kernels.STATUS_OPTIMAL:
             raise NumericalFailure(
                 f"transport kernel stopped short of the optimum on a {nr}x{nc} block"
@@ -236,34 +234,34 @@ def _signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
     for the 0-based state indices ``rows = supp(v+)`` and ``cols = supp(v-)``.
     Every nonzero entry counts, however small.  The plan must be feasible:
     flows at least ``-MARGINAL_TOL * mass`` and row and column sums within
-    ``MARGINAL_TOL * mass`` of the two parts.  The value is certified by a
-    feasible dual (the c-transform of the row duals); a value or primal/dual
-    gap that is not finite, a gap above ``SIGNED_GAP_REL * max|cost| * mass``
-    or an infeasible plan raises :class:`NumericalFailure`.
+    ``MARGINAL_TOL * mass`` of the two parts; both margins are checked as one
+    residual vector, by its maximum and its minimum, so a NaN fails.  The
+    value is certified by a feasible dual (the c-transform of the row
+    duals); a value or primal/dual gap that is not finite, a gap above
+    ``SIGNED_GAP_REL * max|cost| * mass`` or an infeasible plan raises
+    :class:`NumericalFailure`.
     """
-    rows = np.flatnonzero(v > 0)
-    cols = np.flatnonzero(v < 0)
+    rows = (v > 0).nonzero()[0]
+    cols = (v < 0).nonzero()[0]
     if rows.size == 0 or cols.size == 0:
         # the vector is zero up to rounding
         return _SignedPlan(
             0.0, rows, cols, np.zeros((rows.size, cols.size)), np.zeros(rows.size), 0.0
         )
     pos = v[rows]
-    neg = -v[cols]
+    vneg = v[cols]
     mass = float(pos.sum())
-    # rebalance the rounding mismatch so the kernel sees equal masses
-    neg = neg * (mass / float(neg.sum()))
+    # rebalance the rounding mismatch so the kernel sees equal masses; the
+    # signs of vneg's sum and of the quotient cancel exactly
+    neg = vneg * (mass / float(vneg.sum()))
     c = np.ascontiguousarray(cost(rows, cols), dtype=float)
     cmax = float(np.abs(c).max())
     value, gamma, u = _ot(pos, neg, c, cmax, method)
     if not math.isfinite(value):  # an overflow
         raise NumericalFailure(f"signed transport plan has cost {value!r} on mass {mass:.3g}")
     slack = MARGINAL_TOL * mass
-    if not (
-        gamma.min() >= -slack
-        and np.abs(gamma.sum(axis=1) - pos).max() <= slack
-        and np.abs(gamma.sum(axis=0) - neg).max() <= slack
-    ):
+    miss = np.concatenate((gamma.sum(axis=1) - pos, gamma.sum(axis=0) - neg))
+    if not (gamma.min() >= -slack and miss.max() <= slack and miss.min() >= -slack):
         raise NumericalFailure(f"signed transport plan misses its margins on mass {mass:.3g}")
     dual = float(pos @ u + neg @ np.min(c - u[:, None], axis=0))
     gap = value - dual

@@ -28,6 +28,10 @@ Each oracle avoids the code paths of the implementation it verifies:
   ``k`` and ``k''`` of one pair in :class:`fractions.Fraction` arithmetic,
   from their definitions over every state (the package sums floats over
   padded row supports);
+* :func:`frozen_signed_ot` - not an independent oracle but a frozen copy of
+  the signed solve :func:`wdbounds.transport._signed_ot` as it stood before
+  its supports, rebalancing and margin check were rewritten with fewer
+  numpy calls; the two must agree bit for bit;
 * :func:`verify_optimal_pair` / :class:`OptimalPairReport` - the structural
   optimality conditions of a (coupling, potential) pair re-checked on the
   dense ``n x n`` arrays: marginals, one-sidedness, Lipschitz bounds,
@@ -38,12 +42,14 @@ Each oracle avoids the code paths of the implementation it verifies:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from wdbounds.errors import DimensionMismatch
+from wdbounds import _kernels
+from wdbounds.errors import DimensionMismatch, NumericalFailure
 from wdbounds.lp import solve
 from wdbounds.markov import Generator, ProbVec
 from wdbounds.metric import Metric
@@ -52,9 +58,12 @@ from wdbounds.transport import (
     LIPSCHITZ_TOL,
     MARGINAL_TOL,
     MIN_TOL,
+    SIGNED_GAP_REL,
     SUPPORT_TOL,
     Coupling,
     Potential,
+    _ot,
+    _SignedPlan,
     wasserstein,
 )
 
@@ -68,6 +77,7 @@ __all__ = [
     "curvature_bounds_exact",
     "DERIVATIVE_PIN_SLACK",
     "wasserstein_derivative",
+    "frozen_signed_ot",
     "OptimalPairReport",
     "verify_optimal_pair",
 ]
@@ -455,3 +465,53 @@ def verify_optimal_pair(
         primal_cost=primal,
         dual_value=dual,
     )
+
+
+def frozen_signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedPlan:
+    """:func:`wdbounds.transport._signed_ot` as it stood before the rewrite:
+    supports by ``np.flatnonzero``, the negative part negated before it is
+    rebalanced, each margin checked by its own absolute maximum, and the
+    kernel handed contiguous copies of both parts (the kernel call of
+    :func:`wdbounds.transport._ot`, inlined).  Forced plans and the LP route
+    are the package's :func:`wdbounds.transport._ot`."""
+    rows = np.flatnonzero(v > 0)
+    cols = np.flatnonzero(v < 0)
+    if rows.size == 0 or cols.size == 0:
+        return _SignedPlan(
+            0.0, rows, cols, np.zeros((rows.size, cols.size)), np.zeros(rows.size), 0.0
+        )
+    pos = v[rows]
+    neg = -v[cols]
+    mass = float(pos.sum())
+    neg = neg * (mass / float(neg.sum()))
+    c = np.ascontiguousarray(cost(rows, cols), dtype=float)
+    cmax = float(np.abs(c).max())
+    nr, nc = c.shape
+    if method == "transport" and nr > 1 and nc > 1:
+        cap = 200 * (nr + nc) + 2000
+        status, gamma, u, _, pivots = _kernels.transport_loop(
+            c, np.ascontiguousarray(pos), np.ascontiguousarray(neg), 1e-11 * cmax, cap
+        )
+        if status != _kernels.STATUS_OPTIMAL:
+            raise NumericalFailure(
+                f"transport kernel stopped short of the optimum on a {nr}x{nc} block"
+                f" after {pivots} of {cap} pivots"
+            )
+        value = float(np.sum(gamma * c))
+    else:
+        value, gamma, u = _ot(pos, neg, c, cmax, method)
+    if not math.isfinite(value):
+        raise NumericalFailure(f"signed transport plan has cost {value!r} on mass {mass:.3g}")
+    slack = MARGINAL_TOL * mass
+    if not (
+        gamma.min() >= -slack
+        and np.abs(gamma.sum(axis=1) - pos).max() <= slack
+        and np.abs(gamma.sum(axis=0) - neg).max() <= slack
+    ):
+        raise NumericalFailure(f"signed transport plan misses its margins on mass {mass:.3g}")
+    dual = float(pos @ u + neg @ np.min(c - u[:, None], axis=0))
+    gap = value - dual
+    allowed = SIGNED_GAP_REL * cmax * mass
+    if not (abs(gap) <= allowed and math.isfinite(gap)):
+        raise NumericalFailure(f"signed transport primal/dual gap {gap:.3g} on mass {mass:.3g}")
+    return _SignedPlan(value, rows, cols, gamma, u, allowed)

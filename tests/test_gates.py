@@ -5,7 +5,8 @@ so such entries reach the gates from model files and ``file:``
 distributions.  Each gate, and each CLI input that goes through one, is
 tried with the valid value and then with NaN, +inf and -inf in one entry.
 The probability gate (:func:`wdbounds.markov._clean_distribution`) is also
-checked bit for bit against the per-row loop it replaced.
+checked bit for bit against the per-row loop it replaced, and against a
+frozen copy of the entry-wise gate that its one-minimum test replaced.
 """
 
 from __future__ import annotations
@@ -200,6 +201,77 @@ def test_gate_matches_the_frozen_row_loop_bit_for_bit() -> None:
         assert _clean_distribution(p, "matrix").tobytes() == want.tobytes(), n
         for r in range(3):
             assert _clean_distribution(p[r], "row").tobytes() == want[r].tobytes(), (n, r)
+
+
+def _frozen_gate(p: np.ndarray, what: str) -> np.ndarray:
+    """The probability gate before one minimum decided refusal and clamping:
+    an entry-wise test against ``-CLAMP_TOL`` and an unconditional clamp."""
+    low = p < -CLAMP_TOL
+    if low.any():
+        *row, i = np.argwhere(low)[0]
+        name = f"{what} row {row[0] + 1}" if row else what
+        raise ValueError(f"{name} has negative entry {float(p[(*row, i)])!r} at position {i + 1}")
+    p = np.where(p < 0, 0.0, p)
+    if p.ndim == 1:
+        total = float(p.sum())
+        if abs(total - 1.0) <= SUM_TOL:
+            return p / total
+        raise ValueError(f"{what} sums to {total!r}, expected 1")
+    totals = p.sum(axis=1)
+    ok = np.abs(totals - 1.0) <= SUM_TOL
+    if ok.all():
+        return p / totals[:, None]
+    r = int(np.argmin(ok))
+    raise ValueError(f"{what} row {r + 1} sums to {float(totals[r])!r}, expected 1")
+
+
+def _gate_outcome(gate, p: np.ndarray):
+    """The gate's output as (dtype, shape, bytes), or its refusal's type and message."""
+    try:
+        out = gate(p, "law")
+    except ValueError as err:  # a subclass would show in the type
+        return type(err), str(err)
+    return out.dtype.str, out.shape, out.tobytes()
+
+
+#: Entries that decide how the gate ends: kept, clamped, refused or left to the mass test.
+POISONS = (
+    -0.0,
+    -0.5 * CLAMP_TOL,
+    -CLAMP_TOL,
+    float(np.nextafter(-CLAMP_TOL, -np.inf)),
+    -1.0,
+    math.nan,
+    math.inf,
+    -math.inf,
+)
+
+
+def test_gate_matches_the_frozen_entrywise_gate() -> None:
+    """Same bytes, or the same exception type and message, on 1-d and 2-d
+    input: clean laws with masses off 1 by up to 5e-10, then each poison
+    entry alone and each pair of them, in one row and across rows (in both
+    orders), and empty rows."""
+    rng = np.random.default_rng(30)
+    base = rng.dirichlet(np.ones(5), size=3)
+    base *= (1.0 + rng.uniform(-5e-10, 5e-10, size=(3, 1))) / base.sum(axis=1, keepdims=True)
+    cases = [base, base * (1.0 + 2.0 * SUM_TOL), np.zeros((2, 0))]
+    for x in POISONS:
+        for at in ((0, 1), (2, 4)):
+            p = base.copy()
+            p[at] = x
+            cases.append(p)
+        for y in POISONS:
+            for at, bt in (((0, 1), (0, 3)), ((0, 1), (2, 0)), ((2, 4), (0, 0))):
+                p = base.copy()
+                p[at] = x
+                p[bt] = y
+                cases.append(p)
+    for p in cases:
+        assert _gate_outcome(_clean_distribution, p) == _gate_outcome(_frozen_gate, p), p
+        for row in (*p, np.zeros(0)):
+            want = _gate_outcome(_frozen_gate, row)
+            assert _gate_outcome(_clean_distribution, row) == want, row
 
 
 def _overflowing_line() -> tuple[Generator, Metric]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wdbounds import transport
@@ -26,7 +26,7 @@ from wdbounds.transport import (
     wasserstein_signed,
 )
 
-from .oracles import transport_vertex_minimum, verify_optimal_pair
+from .oracles import frozen_signed_ot, transport_vertex_minimum, verify_optimal_pair
 
 # Six states on a line; these two distributions have W1 = 0.975 and the dual
 # optimum is attained by f = (2, 0, 1, 2.5, 1, 0).
@@ -167,6 +167,43 @@ def test_signed_routes_agree_at_any_mass():
                 for method in ("transport", "lp")
             ]
             assert abs(values[1] - values[0]) <= 1e-9 * values[0], (seed, k)
+
+
+@st.composite
+def _signed_problems(draw):
+    """A zero-sum vector on 2 to 12 states, entries between 1e-300 and 1e300
+    in absolute value, a cost matrix and a route.  A block may have one row
+    or one column."""
+    n = draw(st.integers(2, 12))
+    signs = np.array(draw(st.lists(st.sampled_from((1.0, -1.0, 0.0)), min_size=n, max_size=n)))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    signs[i], signs[j] = 1.0, -1.0
+    mags = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    v = signs * mags * 10.0 ** draw(st.integers(-297, 297))
+    neg = v < 0
+    v[neg] *= float(v[~neg].sum()) / -float(v[neg].sum())
+    cost = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n * n, max_size=n * n)))
+    return v, cost.reshape(n, n), draw(st.sampled_from(("transport", "lp")))
+
+
+def _signed_outcome(solve, v, cost, method):
+    """Every field of the plan as (dtype, shape, bytes), or the failure's message."""
+    try:
+        plan = solve(v, lambda r, s: cost[np.ix_(r, s)], method)
+    except NumericalFailure as err:
+        return str(err)
+    return [(np.asarray(x).dtype.str, np.shape(x), np.asarray(x).tobytes()) for x in plan]
+
+
+@given(_signed_problems())
+@example((np.array([3e299, 7e299, -1e300]), np.arange(9.0).reshape(3, 3), "transport"))
+@example((np.array([-2e-300, 5e-301, 1.5e-300]), np.eye(3) - 0.5, "transport"))
+@settings(max_examples=200, deadline=None)
+def test_signed_solve_matches_the_frozen_solve_bit_for_bit(problem):
+    """Value, supports, plan, duals and slack are the frozen solve's bytes."""
+    v, cost, method = problem
+    want = _signed_outcome(frozen_signed_ot, v, cost, method)
+    assert _signed_outcome(transport._signed_ot, v, cost, method) == want
 
 
 @given(st.integers(2, 6), st.integers(0, 10_000))
@@ -475,7 +512,11 @@ def test_forced_plans_skip_the_kernel(monkeypatch):
 def test_plan_missing_a_margin_raises(monkeypatch):
     """Every caller of the signed solve checks the plan's margins.
 
-    The patched kernel's plan ships only half of its first row's mass.
+    The patched kernel's plan ships only half of its first row's mass.  Then
+    three plans are spoiled after the solve, keeping its value: one ships
+    twice its first column's mass, one sends a flow below
+    ``-MARGINAL_TOL * mass`` round a cycle that keeps every margin, and one
+    carries a NaN flow.
     """
     real = transport._kernels.transport_loop
     calls = []
@@ -509,3 +550,32 @@ def test_plan_missing_a_margin_raises(monkeypatch):
     with pytest.raises(NumericalFailure, match="margins"):
         exact_error_curve(dirac(gen.n, 1), gen, metric, agg, np.array([0.0, 1.0, 2.0]))
     assert calls
+
+    monkeypatch.setattr(transport._kernels, "transport_loop", real)
+    real_ot = transport._ot
+
+    def double_column(gamma):  # every residue >= 0, column 1's above the slack
+        gamma[:, 0] *= 2.0
+
+    def negative_flow(gamma):
+        t = float(gamma[0, 0]) + 1e-3
+        gamma[[0, 1], [0, 1]] -= t
+        gamma[[0, 1], [1, 0]] += t
+
+    def nan_flow(gamma):
+        gamma[0, 0] = np.nan
+
+    gen, metric, _ = random_instance(6, 0, "graph")
+    for spoil in (double_column, negative_flow, nan_flow):
+
+        def spoiled(*args):
+            value, gamma, u = real_ot(*args)
+            gamma = gamma.copy()
+            spoil(gamma)
+            return value, gamma, u
+
+        monkeypatch.setattr(transport, "_ot", spoiled)
+        with pytest.raises(NumericalFailure, match="margins"):
+            wasserstein_signed(np.array([0.5, 0.5, -0.5, -0.5]), line_metric(np.arange(4.0)))
+        with pytest.raises(NumericalFailure, match="margins"):
+            kappa(gen, metric, 1, 3)
