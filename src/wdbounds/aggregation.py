@@ -200,11 +200,7 @@ def epsilon_partition(metric: Metric, eps: float) -> Partition:
     for i in range(n):
         if assigned[i]:
             continue
-        members = [i]
-        assigned[i] = True
-        for j in range(i + 1, n):
-            if not assigned[j] and metric.dist[i, j] <= eps:
-                members.append(j)
-                assigned[j] = True
-        blocks.append(tuple(m + 1 for m in members))
+        members = i + np.flatnonzero(~assigned[i:] & (metric.dist[i, i:] <= eps))  # i is one
+        assigned[members] = True
+        blocks.append(tuple((members + 1).tolist()))
     return Partition(tuple(blocks))

@@ -410,25 +410,21 @@ def _kappa_min(
 
 def _walk_kappa_min(gen: Generator, metric: Metric) -> tuple[float, KappaMinStrategy] | None:
     """The closed-form minimum of the lattice walk ``gen`` records, under the
-    metric it was built with: ``walk.kappa_floor()``, a lower bound on every
-    pair, certified from above by one solve of ``walk.certifying_pair()``,
-    whose ``kappa`` equals the root rate in exact arithmetic.  ``None`` for
-    a generator with no walk or another metric, with no such pair, or when
-    the pair's computed ``kappa`` lies, on either side, further from the
-    root rate than the allowance plus the gap its solve is certified to:
-    the bracket did not close."""
+    metric it was built with: ``walk.floor``, a lower bound on every pair,
+    certified from above by one solve of ``walk.pair``, whose ``kappa``
+    equals the root rate in exact arithmetic.  ``None`` for a generator with
+    no walk or another metric, with no such pair, or when the pair's
+    computed ``kappa`` lies, on either side, further from the root rate than
+    ``walk.allowance`` plus the gap its solve is certified to: the bracket
+    did not close."""
     walk = gen._walk
-    if walk is None or metric is not walk.metric:
+    if walk is None or metric is not walk.metric or walk.pair is None:
         return None
-    pair = walk.certifying_pair()
-    if pair is None:
-        return None
-    floor, allowance = walk.kappa_floor()
-    i, j = pair
+    i, j = walk.pair
     plan = _pair_plan(gen, metric, i, j)
     dist = float(metric.dist[i, j])
     kap = -(plan.value / dist)
-    if not abs(kap - walk.root_rate) <= allowance + plan.slack / dist:
+    if not abs(kap - walk.root_rate) <= walk.allowance + plan.slack / dist:
         return None
     strategy = KappaMinStrategy(
         pairs_solved=((i + 1, j + 1),),
@@ -439,7 +435,7 @@ def _walk_kappa_min(gen: Generator, metric: Metric) -> tuple[float, KappaMinStra
         pairs_total=gen.n * (gen.n - 1) // 2,
         route="closed-form",
     )
-    return floor, strategy
+    return walk.floor, strategy
 
 
 def _scan_kappa_min(

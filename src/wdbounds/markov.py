@@ -125,8 +125,8 @@ class Generator:
 
     q: np.ndarray
     n: int = field(init=False)
-    #: The lattice walk :func:`wdbounds.models.translation_invariant_ctmc` built
-    #: this generator from (a private record, set by that function only); a
+    #: The record of the lattice walk :func:`wdbounds.models.translation_invariant_ctmc`
+    #: built this generator from (private, set by that function only); a
     #: generator built from a matrix has none.
     _walk: object = field(default=None, init=False, repr=False, compare=False)
     #: The step operators of :func:`transient_ctmc` by ``lam * h``
@@ -364,9 +364,17 @@ def _check_start(p0: ProbVec, gen: Generator, t: float) -> None:
 
 
 def _chunks(lt: float):
-    """Split ``lam * t`` into pieces of at most ``CHUNK_LT``."""
+    """Split ``lam * t`` into pieces of at most ``CHUNK_LT``.  An ``lt``
+    whose :func:`transient_tv_budget` is 1 or more is refused before any
+    piece: a total-variation error is at most 1, so that budget certifies
+    nothing."""
     if not math.isfinite(lt):  # a finite t can overflow lam * t
         raise ValueError(f"lam * t must be finite, got {lt!r}")
+    if lt > CHUNK_LT and transient_tv_budget(lt) >= 1.0:  # one chunk's budget is far below 1
+        raise ValueError(
+            f"lam * t = {lt:.6g} is too long: its total-variation budget"
+            f" {transient_tv_budget(lt):.3g} is not below 1"
+        )
     while lt > 0:
         piece = min(lt, CHUNK_LT)
         yield piece
@@ -388,7 +396,8 @@ def transient_ctmc(
     ``1e-13``; horizons with ``lam * t`` beyond 500 are split into chunks so
     the leading Poisson weight stays representable.  The result, a sum of
     nonnegative terms, is renormalized, keeping the total-variation error within ``1e-12`` per
-    chunk (:func:`transient_tv_budget`).
+    chunk (:func:`transient_tv_budget`).  A ``lam * t`` whose budget reaches
+    1, from about ``5e14`` on, raises ``ValueError`` before any chunk runs.
 
     With ``occupation`` it returns ``(law, occ, budget)``.  The occupation is
     cumulative-reward uniformization (de Souza e Silva & Gail, J. ACM 1989):

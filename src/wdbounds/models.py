@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,130 +118,25 @@ def toy_ctmc() -> tuple[Generator, Metric]:
     return Generator(q), validate_metric(d)
 
 
-def _jump_targets(
-    box: Box, rate: float, jumps: JumpDistribution
-) -> tuple[tuple[float, ...], np.ndarray]:
-    """The rate ``rate * p`` of each jump offset of positive probability, in
-    the order of ``jumps``, and ``targets[x, j]``, the 0-based state that
-    state ``x`` reaches by offset ``j`` after the projection onto the box."""
-    pts = box.points()
-    lo = np.asarray(box.lo, dtype=np.int64)
-    hi = np.asarray(box.hi, dtype=np.int64)
-    strides = _strides(box.shape)
-    kept = [(offset, prob) for offset, prob in jumps.support if prob != 0.0]
-    targets = np.empty((pts.shape[0], len(kept)), dtype=np.int64)
-    for j, (offset, _) in enumerate(kept):
-        end = np.clip(pts + np.asarray(offset, dtype=np.int64), lo, hi)
-        targets[:, j] = (end - lo) @ strides
-    return tuple(rate * prob for _, prob in kept), targets
+class _Walk(NamedTuple):
+    """What :func:`translation_invariant_ctmc` records on the
+    :class:`Generator` it returns, for :func:`wdbounds.curvature.kappa_min`.
 
-
-def _moved_error(e: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """``|e| dist``, raised by the least subnormal where ``e`` is nonzero:
-    a product rounded into the subnormal range is off by up to half of it,
-    which no relative factor covers."""
-    tiny = np.finfo(float).smallest_subnormal
-    return np.abs(e) * dist + np.where(e != 0.0, tiny, 0.0)
-
-
-def _strides(shape: tuple[int, ...]) -> np.ndarray:
-    """The index step of each axis: states in lexicographic order, the last
-    coordinate fastest."""
-    strides = np.ones(len(shape), dtype=np.int64)
-    for k in range(len(shape) - 2, -1, -1):
-        strides[k] = strides[k + 1] * shape[k + 1]
-    return strides
-
-
-@dataclass(frozen=True, eq=False)
-class _LatticeWalk:
-    """The walk that :func:`translation_invariant_ctmc` records on the
-    :class:`Generator` it returns, with the :class:`Metric` it returns.
-
-    ``rates`` and ``targets`` are what :func:`_jump_targets` returned for
-    the box, the rate and the jumps.  The curvature layer reads the record.
     By the synchronous coupling (Ollivier, JFA 2009) every pair has ``kappa
-    >= root_rate`` (:meth:`kappa_floor`), and one pair of interior
-    neighbours attains it (:meth:`certifying_pair`).
+    >= root_rate`` (0 without a root) under ``metric``; ``floor`` is that
+    bound lowered by ``allowance``, the rounding of the stored rates.
+    ``pair`` is two 0-based neighbours ``(i, j)``, ``i < j``, one step apart
+    along an axis, neither of them the root, whose jumps all stay inside the
+    box, or ``None`` if there are none.  Their rows are translates, so the
+    linear potential along the step gives ``kappa(i, j) <= root_rate``: the
+    pair attains the minimum.
     """
 
-    box: Box
-    rate: float
-    jumps: JumpDistribution
-    root: int | None
-    root_rate: float
     metric: Metric
-    rates: tuple[float, ...]
-    targets: np.ndarray
-
-    def kappa_floor(self) -> tuple[float, float]:
-        """``(floor, allowance)``: the theorem's ``kappa >= root_rate`` (0
-        without a root) on every pair, lowered by ``allowance``.
-
-        Under the synchronous coupling both states take the same jump
-        offset at the same rate, the projection onto the box is 1-Lipschitz,
-        and the root jump, which both share, closes the distance.  That holds
-        for the rates ``rate * p`` of each offset.  A stored rate that sums
-        several of them (jumps merged at the boundary, or a jump and the
-        root) carries the rounding error ``e`` of each addition, exact by
-        TwoSum.  A change ``e`` in ``Q(r, x)`` moves ``kappa(r, s)`` by at
-        most ``|e| d(r, x) / d(r, s)``, and ``d(r, s) >= 1`` on integer
-        points, so ``allowance`` is twice the largest row sum of ``|e|
-        d(r, x)``, raised by ``gamma_N`` for its own rounding and by the
-        least subnormal for each nonzero product, which may underflow; it is
-        0 when every sum is exact.  A nonzero allowance also steps the floor one
-        ulp down, for the rounding of the subtraction.
-        """
-        rates, targets = self.rates, self.targets
-        n, count = targets.shape
-        rows = np.arange(n)
-        d = self.metric.dist
-        # every jump of a row adds into the slot of its row's first jump with that target
-        slot = (targets[:, :, None] == targets[:, None, :]).argmax(axis=2)
-        stored = np.zeros((n, count))
-        spread = np.zeros(n)  # sum over each row of |e| d(r, x)
-        for j, rate in enumerate(rates):
-            moved = targets[:, j] != rows
-            old = stored[rows, slot[:, j]]
-            new = old + rate
-            error = _moved_error(_two_sum_error(old, rate, new), d[rows, targets[:, j]])
-            spread += np.where(moved, error, 0.0)
-            stored[rows, slot[:, j]] = np.where(moved, new, old)
-        floor = 0.0
-        if self.root is not None:
-            col = self.root - 1
-            hit = targets == col
-            old = np.where(hit.any(axis=1), stored[rows, hit.argmax(axis=1)], 0.0)
-            error = _moved_error(_two_sum_error(old, self.root_rate, old + self.root_rate), d[rows, col])
-            spread += np.where(rows != col, error, 0.0)
-            floor = float(self.root_rate)
-        nu = (count + 3) * np.finfo(float).eps / 2
-        allowance = 2.0 * float(spread.max()) * (1.0 + nu / (1.0 - nu))
-        if allowance == 0.0:
-            return floor, 0.0
-        return float(np.nextafter(floor - allowance, -np.inf)), allowance
-
-    def certifying_pair(self) -> tuple[int, int] | None:
-        """0-based neighbours ``(i, j)``, ``i < j``, one step apart along an
-        axis, neither of them the root, whose jumps all stay inside the box,
-        or ``None`` if there are none.  Their rows are translates, so the
-        linear potential along the step gives ``kappa(i, j) <= root_rate``:
-        with :meth:`kappa_floor` the pair attains the minimum."""
-        box = self.box
-        pts = box.points()
-        offsets = np.array([off for off, prob in self.jumps.support if prob != 0.0])
-        ends = pts[:, None, :] + offsets[None, :, :]
-        inside = ((ends >= box.lo) & (ends <= box.hi)).all(axis=(1, 2))
-        if self.root is not None:
-            inside[self.root - 1] = False
-        strides = _strides(box.shape).tolist()
-        for axis in reversed(range(box.dim)):
-            step = strides[axis]
-            below = inside[:-step] & inside[step:] & (pts[:-step, axis] < box.hi[axis])
-            if below.any():
-                i = int(np.argmax(below))
-                return i, i + step
-        return None
+    root_rate: float
+    floor: float
+    allowance: float
+    pair: tuple[int, int] | None
 
 
 def translation_invariant_ctmc(
@@ -264,9 +160,21 @@ def translation_invariant_ctmc(
     from every other state to that state.  Every state shares that jump, so
     the guarantee holds and rises with it: ``kappa >= root_rate`` on every
     pair.  A nonzero ``root_rate`` without a ``root`` raises ``ValueError``.
-    The generator records the walk and the returned metric, which
-    :func:`wdbounds.curvature.kappa_min` reads: with that metric it takes
-    ``kappa_min`` from this theorem, certified by one solved pair.
+    The generator records the walk's bound and the returned metric
+    (:class:`_Walk`), which :func:`wdbounds.curvature.kappa_min` reads: with
+    that metric it takes ``kappa_min`` from this theorem, certified by one
+    solved pair.
+
+    The bound holds for the exact rates ``rate * p`` of each offset.  A
+    stored rate that sums several of them (jumps merged at the boundary, or
+    a jump and the root) carries the rounding error ``e`` of each addition,
+    exact by TwoSum.  A change ``e`` in ``Q(r, x)`` moves ``kappa(r, s)`` by
+    at most ``|e| d(r, x) / d(r, s)``, and ``d(r, s) >= 1`` on integer
+    points, so the allowance is twice the largest row sum of ``|e| d(r,
+    x)``, raised by ``gamma_N`` for its own rounding and by the least
+    subnormal for each nonzero product, which may underflow; it is 0 when
+    every sum is exact.  A nonzero allowance also steps the floor one ulp
+    down, for the rounding of the subtraction.
     """
     if rate <= 0:
         raise ValueError(f"jump rate must be positive, got {rate!r}")
@@ -285,24 +193,58 @@ def translation_invariant_ctmc(
         if root_rate < 0:
             raise ValueError(f"root rate must be nonnegative, got {root_rate!r}")
 
-    rates, targets = _jump_targets(box, rate, jumps)
     states = np.arange(n)
-    q = np.zeros((n, n))
-    for w, idx in zip(rates, targets.T):
-        moved = idx != states
-        q[states[moved], idx[moved]] += w
+    pts = box.points()
+    lo = np.asarray(box.lo, dtype=np.int64)
+    hi = np.asarray(box.hi, dtype=np.int64)
+    strides = np.cumprod((*shape[1:], 1)[::-1], dtype=np.int64)[::-1]  # the last axis fastest
+    kept = [(offset, prob) for offset, prob in jumps.support if prob != 0.0]
+    ends = pts[:, None, :] + np.array([offset for offset, _ in kept])[None, :, :]
+    targets = (np.clip(ends, lo, hi) - lo) @ strides  # [x, j]: the state x reaches by jump j
+    inside = ((ends >= lo) & (ends <= hi)).all(axis=(1, 2))  # x's jumps all stay in the box
+    steps = [(col, rate * prob) for (_, prob), col in zip(kept, targets.T)]
     if root is not None:
-        q[states != root - 1, root - 1] += root_rate
-    np.fill_diagonal(q, 0.0)
+        steps.append((np.full(n, root - 1), root_rate))
+    q = np.zeros((n, n))
+    additions = []  # (rows, cols, old, rate, new) of the additions into q that may round
+    for col, w in steps:
+        rows = states[col != states]  # a jump back onto its state adds no rate
+        cols = col[rows]
+        old = q[rows, cols]
+        new = old + w
+        q[rows, cols] = new
+        if old.any():  # an addition into empty slots only is exact
+            additions.append((rows, cols, old, w, new))
     np.fill_diagonal(q, -q.sum(axis=1))
-    gen = Generator(q)
+    gen = Generator(q)  # refuses a non-finite rate before any TwoSum below
 
     # |delta| for every difference delta of two points, centred in each axis
     diff = np.stack(np.indices(tuple(2 * side - 1 for side in shape)), axis=-1)
     diff -= np.asarray(shape, dtype=diff.dtype) - 1
     metric = lattice_metric(np.sqrt((diff.astype(float) ** 2).sum(axis=-1)))
-    walk = _LatticeWalk(box, rate, jumps, root, root_rate, metric, rates, targets)
-    object.__setattr__(gen, "_walk", walk)
+
+    spread = np.zeros(n)  # sum over each row of |e| d(r, x)
+    tiny = np.finfo(float).smallest_subnormal
+    for rows, cols, old, w, new in additions:
+        e = _two_sum_error(old, w, new)
+        spread[rows] += np.abs(e) * metric.dist[rows, cols] + np.where(e != 0.0, tiny, 0.0)
+    nu = (len(kept) + 3) * float(np.finfo(float).eps) / 2
+    allowance = 2.0 * float(spread.max()) * (1.0 + nu / (1.0 - nu))
+    floor = 0.0 if root is None else float(root_rate)
+    if allowance != 0.0:
+        floor = float(np.nextafter(floor - allowance, -np.inf))
+
+    if root is not None:
+        inside[root - 1] = False
+    pair = None
+    for axis in reversed(range(box.dim)):
+        step = int(strides[axis])
+        below = inside[:-step] & inside[step:] & (pts[:-step, axis] < box.hi[axis])
+        if below.any():
+            i = int(np.argmax(below))
+            pair = (i, i + step)
+            break
+    object.__setattr__(gen, "_walk", _Walk(metric, root_rate, floor, allowance, pair))
     return gen, metric
 
 

@@ -32,6 +32,11 @@ Each oracle avoids the code paths of the implementation it verifies:
   the signed solve :func:`wdbounds.transport._signed_ot` as it stood before
   its supports, rebalancing and margin check were rewritten with fewer
   numpy calls; the two must agree bit for bit;
+* :func:`frozen_walk_bound` - not an independent oracle but a frozen copy of
+  the replay that computed a lattice walk's ``kappa`` floor, rounding
+  allowance and certifying pair after its generator was built, before
+  :func:`wdbounds.models.translation_invariant_ctmc` built all three in one
+  pass; the two must agree bit for bit;
 * :func:`verify_optimal_pair` / :class:`OptimalPairReport` - the structural
   optimality conditions of a (coupling, potential) pair re-checked on the
   dense ``n x n`` arrays: marginals, one-sidedness, Lipschitz bounds,
@@ -52,7 +57,8 @@ from wdbounds import _kernels
 from wdbounds.errors import DimensionMismatch, NumericalFailure
 from wdbounds.lp import solve
 from wdbounds.markov import Generator, ProbVec
-from wdbounds.metric import Metric
+from wdbounds.metric import Metric, _two_sum_error
+from wdbounds.models import Box, JumpDistribution
 from wdbounds.transport import (
     GAP_TOL,
     LIPSCHITZ_TOL,
@@ -78,6 +84,7 @@ __all__ = [
     "DERIVATIVE_PIN_SLACK",
     "wasserstein_derivative",
     "frozen_signed_ot",
+    "frozen_walk_bound",
     "OptimalPairReport",
     "verify_optimal_pair",
 ]
@@ -515,3 +522,73 @@ def frozen_signed_ot(v: np.ndarray, cost, method: str = "transport") -> _SignedP
     if not (abs(gap) <= allowed and math.isfinite(gap)):
         raise NumericalFailure(f"signed transport primal/dual gap {gap:.3g} on mass {mass:.3g}")
     return _SignedPlan(value, rows, cols, gamma, u, allowed)
+
+
+def frozen_walk_bound(
+    box: Box, rate: float, jumps: JumpDistribution, root: int | None, root_rate: float,
+    metric: Metric,
+) -> tuple[float, float, tuple[int, int] | None]:
+    """``(floor, allowance, pair)`` of the walk that
+    :func:`wdbounds.models.translation_invariant_ctmc` builds from these
+    arguments, with the ``metric`` it returns, as the replay computed them:
+    the jump targets clipped one offset at a time, the stored rates summed
+    again slot by slot for their TwoSum errors, and the jump ends of the
+    certifying pair built anew."""
+    pts = box.points()
+    lo = np.asarray(box.lo, dtype=np.int64)
+    hi = np.asarray(box.hi, dtype=np.int64)
+    strides = np.ones(box.dim, dtype=np.int64)
+    for k in range(box.dim - 2, -1, -1):
+        strides[k] = strides[k + 1] * box.shape[k + 1]
+    kept = [(offset, prob) for offset, prob in jumps.support if prob != 0.0]
+    targets = np.empty((pts.shape[0], len(kept)), dtype=np.int64)
+    for j, (offset, _) in enumerate(kept):
+        end = np.clip(pts + np.asarray(offset, dtype=np.int64), lo, hi)
+        targets[:, j] = (end - lo) @ strides
+    rates = tuple(rate * prob for _, prob in kept)
+
+    def moved_error(e, dist):
+        tiny = np.finfo(float).smallest_subnormal
+        return np.abs(e) * dist + np.where(e != 0.0, tiny, 0.0)
+
+    n, count = targets.shape
+    rows = np.arange(n)
+    d = metric.dist
+    # every jump of a row adds into the slot of its row's first jump with that target
+    slot = (targets[:, :, None] == targets[:, None, :]).argmax(axis=2)
+    stored = np.zeros((n, count))
+    spread = np.zeros(n)
+    for j, w in enumerate(rates):
+        moved = targets[:, j] != rows
+        old = stored[rows, slot[:, j]]
+        new = old + w
+        error = moved_error(_two_sum_error(old, w, new), d[rows, targets[:, j]])
+        spread += np.where(moved, error, 0.0)
+        stored[rows, slot[:, j]] = np.where(moved, new, old)
+    floor = 0.0
+    if root is not None:
+        col = root - 1
+        hit = targets == col
+        old = np.where(hit.any(axis=1), stored[rows, hit.argmax(axis=1)], 0.0)
+        error = moved_error(_two_sum_error(old, root_rate, old + root_rate), d[rows, col])
+        spread += np.where(rows != col, error, 0.0)
+        floor = float(root_rate)
+    nu = (count + 3) * np.finfo(float).eps / 2
+    allowance = 2.0 * float(spread.max()) * (1.0 + nu / (1.0 - nu))
+    if allowance == 0.0:
+        allowance = 0.0
+    else:
+        floor = float(np.nextafter(floor - allowance, -np.inf))
+
+    offsets = np.array([off for off, _ in kept])
+    ends = pts[:, None, :] + offsets[None, :, :]
+    inside = ((ends >= box.lo) & (ends <= box.hi)).all(axis=(1, 2))
+    if root is not None:
+        inside[root - 1] = False
+    for axis in reversed(range(box.dim)):
+        step = int(strides[axis])
+        below = inside[:-step] & inside[step:] & (pts[:-step, axis] < box.hi[axis])
+        if below.any():
+            i = int(np.argmax(below))
+            return floor, allowance, (i, i + step)
+    return floor, allowance, None

@@ -21,6 +21,7 @@ from wdbounds.aggregation import (
 from wdbounds.errors import BadAlpha, DimensionMismatch
 from wdbounds.markov import Generator, ProbVec, TransitionMatrix, uniformize
 from wdbounds.metric import validate_metric
+from wdbounds.models import random_instance
 
 TOY_Q = np.array([[-1.0, 0.0, 1.0], [1.0, -4.0, 3.0], [0.0, 2.0, -2.0]])
 TOY_D = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
@@ -215,6 +216,44 @@ def test_epsilon_partition_greedy_invariants(n, seed, eps):
     for i, o1 in enumerate(openers):
         for o2 in openers[i + 1 :]:
             assert metric.dist[o1 - 1, o2 - 1] > eps
+
+
+def _greedy_blocks(dist: np.ndarray, eps: float) -> tuple[tuple[int, ...], ...]:
+    """The greedy clustering one pair at a time: each unassigned state opens a
+    block and absorbs every later unassigned state within ``eps``."""
+    n = dist.shape[0]
+    assigned = [False] * n
+    blocks = []
+    for i in range(n):
+        if assigned[i]:
+            continue
+        members = [i]
+        assigned[i] = True
+        for j in range(i + 1, n):
+            if not assigned[j] and dist[i, j] <= eps:
+                members.append(j)
+                assigned[j] = True
+        blocks.append(tuple(m + 1 for m in members))
+    return tuple(blocks)
+
+
+@given(
+    st.integers(1, 14),
+    st.integers(0, 10_000),
+    st.sampled_from(["line", "graph", "discrete"]),
+    st.floats(0.0, 4.0) | st.just(float("inf")),
+)
+@settings(max_examples=80, deadline=None)
+def test_epsilon_partition_matches_the_pairwise_loop(n, seed, kind, eps):
+    """The blocks equal those of the one-pair-at-a-time loop on random line,
+    graph and discrete metrics, also when ``eps`` is one of the distances."""
+    rng = np.random.default_rng(seed)
+    if n == 1:
+        metric = validate_metric(np.zeros((1, 1)))
+    else:
+        metric = random_instance(n, seed, metric_kind=kind, density=0.5)[1]
+    for e in (eps, float(rng.choice(metric.dist.ravel()))):
+        assert epsilon_partition(metric, e).blocks == _greedy_blocks(metric.dist, e)
 
 
 @given(st.integers(2, 10), st.integers(0, 10_000))

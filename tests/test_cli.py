@@ -465,13 +465,21 @@ def test_bounds_singleton_partition_exact_zero(capsys, tmp_path, toy_model) -> N
     np.testing.assert_allclose(exact, 0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("horizon", ["nan", "inf"])
-def test_bounds_non_finite_horizon_exits_two(capsys, tmp_path, toy_model, horizon) -> None:
+@pytest.mark.parametrize(
+    "horizon, word", [("nan", "finite"), ("inf", "finite"), ("1e300", "budget")],
+    ids=["nan", "inf", "1e300"],
+)  # fmt: skip
+def test_bounds_non_finite_horizon_exits_two(capsys, tmp_path, toy_model, horizon, word) -> None:
+    """``T = 1e300`` is finite, but one grid step of the exact curve's
+    uniformization would need about 2e295 chunks, whose total-variation
+    budget is far above 1: refused like a non-finite horizon, with one
+    line, before any chunk."""
     code, out, err = run_cli(
         capsys, "bounds", "--model", toy_model, "--T", horizon, "--exact", "--variants", "linear"
     )
     assert code == 2 and out == ""
-    assert "finite" in err
+    assert len(err.splitlines()) == 1
+    assert word in err
 
 
 def test_bounds_discrete_metric_model(capsys, tmp_path) -> None:

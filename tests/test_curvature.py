@@ -31,6 +31,7 @@ from .oracles import (
     DERIVATIVE_PIN_SLACK,
     _lipschitz_value,
     curvature_bounds_exact,
+    frozen_walk_bound,
     kappa_finite_difference,
     transient_series,
     wasserstein_derivative,
@@ -364,52 +365,50 @@ def _builtin_walks(draw):
     n = int(np.prod(sides))
     root = draw(st.none() | st.integers(1, n))
     root_rate = 0.0 if root is None else draw(st.floats(0.0, 1.0))
-    return translation_invariant_ctmc(box, rate, jumps, root, root_rate), rate + root_rate
+    return box, rate, jumps, root, root_rate
 
 
-def _exact_walk_rates(walk) -> list[list[Fraction]]:
+# a subnormal root rate: each product |e| d underflows
+_SUBNORMAL_ROOT = (Box((0, 0), (1, 2)), 1.0, JumpDistribution((((-3, -3), 1.0),)), 1, 5e-324)
+
+
+def _exact_walk_rates(box, rate, jumps, root, root_rate) -> list[list[Fraction]]:
     """Each off-diagonal rate of a builtin walk, summed in exact arithmetic
     from ``rate * p`` of each offset and the root rate."""
-    pts = walk.box.points().tolist()
+    pts = box.points().tolist()
     index = {tuple(p): i for i, p in enumerate(pts)}
     n = len(pts)
     rates = [[Fraction(0)] * n for _ in range(n)]
-    for offset, prob in walk.jumps.support:
+    for offset, prob in jumps.support:
         for i, p in enumerate(pts):
-            bounds = zip(p, offset, walk.box.lo, walk.box.hi)
+            bounds = zip(p, offset, box.lo, box.hi)
             end = tuple(min(max(c + o, lo), hi) for c, o, lo, hi in bounds)
             if prob != 0.0 and index[end] != i:
-                rates[i][index[end]] += Fraction(walk.rate * prob)
-    if walk.root is not None:
+                rates[i][index[end]] += Fraction(rate * prob)
+    if root is not None:
         for i in range(n):
-            if i != walk.root - 1:
-                rates[i][walk.root - 1] += Fraction(walk.root_rate)
+            if i != root - 1:
+                rates[i][root - 1] += Fraction(root_rate)
     return rates
 
 
 @given(_builtin_walks())
 @settings(max_examples=40, deadline=None)
-@example(  # a subnormal root rate: each product |e| d underflows
-    (
-        translation_invariant_ctmc(
-            Box((0, 0), (1, 2)), 1.0, JumpDistribution((((-3, -3), 1.0),)), 1, 5e-324
-        ),
-        1.0,
-    )
-)
-def test_kappa_min_of_builtin_walks_by_the_theorem(walk):
+@example(_SUBNORMAL_ROOT)
+def test_kappa_min_of_builtin_walks_by_the_theorem(args):
     """A builtin walk under its own metric takes the paper's closed form
     (the root rate, 0 unrooted, less the rounding allowance), within
     ``1e-12 * (rate + root rate)`` of the least ``kappa`` over all pairs.
     Its ``k`` is that of its matrix bit for bit.  Under another metric, and as a generator built from its matrix,
     it takes the scan, the same whether the walk is recorded or not."""
-    (gen, metric), scale = walk
+    gen, metric = translation_invariant_ctmc(*args)
+    scale = args[1] + args[4]
     val, strategy = kappa_min(gen, metric)
     full = float(np.nanmin(kappa_all_pairs(gen, metric)))
     assert abs(val - full) <= 1e-12 * scale
     # the allowance covers the stored rates' distance from their exact sums
-    _, allowance = gen._walk.kappa_floor()
-    exact = _exact_walk_rates(gen._walk)
+    allowance = gen._walk.allowance
+    exact = _exact_walk_rates(*args)
     for r in range(gen.n):
         moved = sum(abs(Fraction(gen.q[r, x]) - exact[r][x]) * Fraction(metric.dist[r, x])
                     for x in range(gen.n) if x != r)  # fmt: skip
@@ -428,6 +427,41 @@ def test_kappa_min_of_builtin_walks_by_the_theorem(walk):
         assert got_strategy == want_strategy
 
 
+@given(_builtin_walks())
+@settings(max_examples=60, deadline=None)
+@example(_SUBNORMAL_ROOT)
+@example(  # 3-D, a jump of probability 0, and merged jump and root rates whose sums round
+    (
+        Box((0, 0, 0), (2, 1, 2)),
+        1.0,
+        JumpDistribution(((((1, 0, 0), 0.2), ((1, 1, 0), 0.8), ((0, 0, 1), 0.0)))),
+        5,
+        0.1,
+    )
+)
+@example(  # the rooted 24-state line, whose rates next to the root round
+    (
+        Box((0,), (23,)),
+        1.0,
+        JumpDistribution((((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25))),
+        1,
+        0.05,
+    )
+)
+def test_walk_record_matches_the_frozen_replay(args):
+    """The walk record's floor, allowance and certifying pair, built with
+    the generator, equal the frozen replay over the built walk bit for bit,
+    and it keeps the returned metric and the root rate."""
+    gen, metric = translation_invariant_ctmc(*args)
+    walk = gen._walk
+    floor, allowance, pair = frozen_walk_bound(*args, metric)
+    assert walk.metric is metric
+    assert walk.root_rate == args[4]
+    assert _bits(walk.floor) == _bits(floor)
+    assert _bits(walk.allowance) == _bits(allowance)
+    assert walk.pair == pair
+
+
 def test_kappa_min_of_a_walk_with_no_interior_pair_scans():
     """Every state of the 4-state line with the single jump +5 jumps to
     state 4: no pair of neighbours keeps its jumps inside the box, so there
@@ -436,7 +470,7 @@ def test_kappa_min_of_a_walk_with_no_interior_pair_scans():
     gen, metric = translation_invariant_ctmc(
         Box((0,), (3,)), 1.0, JumpDistribution((((5,), 1.0),))
     )
-    assert gen._walk.certifying_pair() is None
+    assert gen._walk.pair is None
     val, strategy = kappa_min(gen, metric)
     assert strategy.route == "scan"
     assert val == pytest.approx(1.0, abs=1e-12)
@@ -463,7 +497,7 @@ def test_kappa_min_of_a_walk_whose_pair_misses_the_root_rate_scans(monkeypatch, 
 
     monkeypatch.setattr(curvature_mod, "_pair_plan", shifted)
     got, strategy = kappa_min(gen, metric)
-    assert calls[0] == gen._walk.certifying_pair()
+    assert calls[0] == gen._walk.pair
     assert strategy.route == "scan"
     assert _bits(got) == _bits(want)
     assert strategy == want_strategy
@@ -501,7 +535,7 @@ def test_kappa_min_of_the_rooted_line_is_at_most_the_root_rate():
         rate = 1.0 + 0.025 * step
         gen, metric = translation_invariant_ctmc(Box((0,), (23,)), rate, line, 1, 0.05 * rate)
         val, strategy = kappa_min(gen, metric)
-        _, allowance = gen._walk.kappa_floor()
+        allowance = gen._walk.allowance
         assert strategy.route == "closed-form", rate
         assert val <= 0.05 * rate - allowance, rate
         assert abs(val - np.nanmin(kappa_all_pairs(gen, metric))) <= 1e-12 * rate, rate

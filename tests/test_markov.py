@@ -244,15 +244,22 @@ def test_occupation_zero_length_and_errors():
         transient_ctmc(ProbVec(np.array([0.5, 0.5])), gen, 1.0, occupation=True)
 
 
-@pytest.mark.parametrize("t", [math.inf, math.nan, 1e308])
-def test_non_finite_time_is_rejected(t):
+@pytest.mark.parametrize(
+    "t, match",
+    [(math.inf, "finite"), (math.nan, "finite"), (1e308, "finite"), (1e300, "budget")],
+    ids=["inf", "nan", "1e+308", "1e+300"],
+)
+def test_non_finite_time_is_rejected(t, match):
     """``inf - 500 = inf`` would chunk forever, ``nan`` yields no chunk, and
-    ``lam * 1e308`` overflows to ``inf`` (``lam = 4``)."""
+    ``lam * 1e308`` overflows to ``inf`` (``lam = 4``).  ``lam * 1e300`` is
+    finite, but its 8e297 chunks would never finish and their
+    total-variation budget is far above 1, so it is refused before the
+    first chunk."""
     gen = Generator(TOY_Q)
     p0 = ProbVec(np.array([0.7, 0.2, 0.1]))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=match):
         transient_ctmc(p0, gen, t)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=match):
         transient_ctmc(p0, gen, t, occupation=True)
 
 
